@@ -10,20 +10,17 @@ from .catalog import (
     DistributionSpec,
     FAMILIES,
     catalog_json,
+    gamma_onestep_bound,
     langevin_exponents,
     make_spec,
+    mvn_bounds,
     quantile,
     quartic_a_coeffs,
+    quartic_bounds,
     refined_small_case_constants,
     vg_base_constants,
 )
-from .closedform import (
-    bound_for,
-    closed_form_bound,
-    gamma_onestep_bound,
-    mvn_bounds,
-    quartic_bounds,
-)
+from .closedform import bound_for, closed_form_bound
 from .engine import (
     BoundCoefficients,
     IterationScheme,
@@ -32,6 +29,7 @@ from .engine import (
     coefficients,
     deriv_coupled_bound,
     enumerate_subsets,
+    enumerated_mixed_bound,
     index_set,
     mixed_coupled_bound,
     recursion_oracle,

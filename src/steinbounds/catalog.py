@@ -3,8 +3,14 @@
 One spec object per supported family, holding everything the rest of the
 package needs: the density and support, the level-k operator coefficients
 of the iterated Stein equations, the coupling shape and cumulative
-coupling sequences, per-level base constants, validity windows, and the
-base-case substitutions that resolve leftover solution norms.
+coupling sequences, per-level base constants, the base-case substitutions
+that resolve leftover solution norms, and the mode table: every bound the
+family supports, keyed by its public mode token, with its order window.
+
+The bounds outside the three generic chains (quartic-tail, multivariate
+normal, one-step gamma, normal literature bounds) live here, next to their
+families.  Families are built by the constructors in REGISTRY, whose
+signatures are the parameter lists.
 
 The catalog is immutable after construction and every evaluator here is
 pure.
@@ -13,21 +19,34 @@ pure.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, Mapping
 
 import numpy as np
 from scipy import integrate as _integrate
 from scipy.special import kve as _sp_kve
 
 from . import special as sf
-from .engine import BoundCoefficients, IterationScheme, NormSymbol
+from .engine import (
+    BoundCoefficients,
+    IterationScheme,
+    NormSymbol,
+    coefficients,
+    deriv_coupled_bound,
+    mixed_coupled_bound,
+    value_coupled_bound,
+)
 from .errors import ValidityError
 
 __all__ = [
     "DistributionSpec",
+    "Mode",
     "make_spec",
+    "param_names",
+    "REGISTRY",
     "FAMILIES",
     "numeric_cdf",
     "quantile",
@@ -40,6 +59,10 @@ __all__ = [
     "quartic_a_coeffs",
     "refined_small_case_constants",
     "langevin_exponents",
+    "gamma_onestep_bound",
+    "quartic_bounds",
+    "mvn_bounds",
+    "normal_literature_bound",
     "catalog_json",
 ]
 
@@ -54,13 +77,46 @@ def _constf(c: float):
 
 
 @dataclass(frozen=True)
+class Mode:
+    """One row of a family's mode table.
+
+    bound(n) is the bound on ||f^(n)||; it raises ValidityError below the
+    first order it covers, and orders above last (None = unlimited) are
+    rejected before it runs.  chain is the engine letter ("i", "ii",
+    "iii", "mixed") when bound runs one of the generic chains.
+    """
+
+    bound: Callable[[int], BoundCoefficients]
+    last: int | None = None
+    chain: str | None = None
+
+
+# The chain rows call the engine through its module-level names at call
+# time, so wrappers installed on those names (perfbench/spans.py) see them.
+def _value_chain(scheme: IterationScheme, letter: str, last: int | None = None) -> Mode:
+    return Mode(lambda n: value_coupled_bound(scheme, letter, n), last, letter)
+
+
+def _deriv_chain(scheme: IterationScheme, letter: str) -> Mode:
+    return Mode(lambda n: deriv_coupled_bound(scheme, letter, n), chain=letter)
+
+
+@dataclass(frozen=True)
 class DistributionSpec:
-    """Catalog entry: parameters, support, operators, iteration scheme.
+    """Catalog entry: parameters, support, operators, iteration scheme, modes.
 
     coupling_kind says how the level-coupling operator acts on the
     solution: "value" (c*f), "deriv" (c*f'), "mixed" (c0*f + c1*f') or
     "custom" (outside the three generic chains).  operator_order is the
     differential order of every level operator.
+
+    op_coeffs(k) gives the coefficient callables (a2, a1, a0) of the
+    level-k operator and t_coeffs(k) the coupling-operator coefficients
+    (t0, t1): T_k f = t0 f + t1 f'.  pdf is None for a law without 1-D
+    solver support; kernel_v is the homogeneous-solution factor of the
+    double-integral representation (second-order families solved that
+    way).  modes maps each supported mode token to its Mode; extras are
+    family-specific entries of the catalog JSON.
     """
 
     family: str
@@ -68,27 +124,25 @@ class DistributionSpec:
     support: tuple[float, float]
     operator_order: int
     coupling_kind: str
+    scheme: IterationScheme
+    modes: Mapping[str, Mode]
+    default_mode: str
+    pdf: Callable | None = None
+    op_coeffs: Callable[[int], tuple] | None = None
+    t_coeffs: Callable[[int], tuple] | None = None
+    rhs_terms: Callable[[int], list] | None = None
+    kernel_v: Callable | None = None
     delicate_points: tuple[float, ...] = ()
-    # filled by the family constructors
-    _impl: dict = field(default_factory=dict, repr=False)
+    extras: dict = field(default_factory=dict)
 
     # -- distribution ------------------------------------------------------
     def density(self, x):
-        return self._impl["density"](x)
+        return self.pdf(x)
 
     def weight_s(self, x):
         """Leading-coefficient weight s(x) of the order-0 operator."""
         a2, a1, a0 = self.op_coeffs(0)
         return a1(x) if self.operator_order == 1 else a2(x)
-
-    # -- operators ---------------------------------------------------------
-    def op_coeffs(self, k: int):
-        """Coefficient callables (a2, a1, a0) of the level-k operator."""
-        return self._impl["op_coeffs"](k)
-
-    def t_coeffs(self, k: int):
-        """Coupling-operator coefficients (t0, t1): T_k f = t0 f + t1 f'."""
-        return self._impl["t_coeffs"](k)
 
     def level_rhs(self, k: int):
         """Extra right-hand-side terms of the level-k equation.
@@ -96,38 +150,19 @@ class DistributionSpec:
         Returns [(offset, coeff_fn), ...] meaning the level-k right-hand
         side is h^(k) + sum coeff_fn(x) * f^(k+offset); empty at k = 0.
         """
-        return self._impl["level_rhs"](k) if k >= 1 else []
+        return self.rhs_terms(k) if k >= 1 else []
 
-    # -- bounding scheme ----------------------------------------------------
-    def scheme(self) -> IterationScheme:
-        return self._impl["scheme"]
-
-    @property
-    def engine_modes(self) -> tuple[str, ...]:
-        return self._impl.get("engine_modes", ())
-
-    @property
-    def default_mode(self) -> str:
-        return self._impl["default_mode"]
-
+    # -- bounding modes -----------------------------------------------------
     def max_order(self, mode: str) -> int | None:
-        """Largest valid derivative order for this mode (None = unlimited)."""
-        fn = self._impl.get("max_order")
-        return fn(mode) if fn else None
+        """Largest valid derivative order for a supported mode token
+        (None = unlimited)."""
+        return self.modes[mode].last
 
     def propagation_cap(self) -> int | None:
         """Largest derivative order any supported mode can bound (None =
         unlimited); propagation past it is a validity error."""
-        fn = self._impl.get("max_order")
-        if fn is None:
-            return None
-        caps = []
-        for mode in ("lemma23i", "lemma23ii", "lemma23iii", "lemma24i", "lemma24ii", "lemma25"):
-            cap = fn(mode)
-            if cap is None:
-                return None
-            caps.append(cap)
-        return max(caps) if caps else None
+        caps = [entry.last for entry in self.modes.values()]
+        return None if None in caps else max(caps)
 
     def check_order(self, n: int, mode: str) -> None:
         cap = self.max_order(mode)
@@ -139,7 +174,7 @@ class DistributionSpec:
 
     @property
     def solvable(self) -> bool:
-        return "density" in self._impl and self.family != "mvn"
+        return self.pdf is not None
 
     def param_string(self) -> str:
         return ",".join(f"{k}={v:g}" for k, v in self.params.items())
@@ -214,9 +249,6 @@ def quantile(spec: DistributionSpec, p: float, tol: float = 1e-10) -> float:
 def _normal_spec() -> DistributionSpec:
     root = math.sqrt(math.pi / 2.0)
 
-    def density(x):
-        return sf.norm_pdf(x)
-
     def op_coeffs(k):
         return (None, _constf(1.0), lambda x: -np.asarray(x, dtype=float))
 
@@ -234,23 +266,44 @@ def _normal_spec() -> DistributionSpec:
             NormSymbol.solution(): BoundCoefficients({NormSymbol.centered(): root})
         },
     )
+    literature = ("next-over-n", "gamma-ratio", "two-prev")
     return DistributionSpec(
         family="normal",
         params={},
         support=(-math.inf, math.inf),
         operator_order=1,
         coupling_kind="value",
-        _impl={
-            "density": density,
-            "op_coeffs": op_coeffs,
-            "t_coeffs": t_coeffs,
-            "level_rhs": level_rhs,
-            "scheme": scheme,
-            "engine_modes": ("i", "ii"),
-            "default_mode": "lemma23ii",
-            "max_order": lambda mode: None,
+        scheme=scheme,
+        modes={
+            "lemma23i": _value_chain(scheme, "i"),
+            "lemma23ii": _value_chain(scheme, "ii"),
+            **{w: Mode(functools.partial(normal_literature_bound, which=w)) for w in literature},
         },
+        default_mode="lemma23ii",
+        pdf=sf.norm_pdf,
+        op_coeffs=op_coeffs,
+        t_coeffs=t_coeffs,
+        rhs_terms=level_rhs,
     )
+
+
+def normal_literature_bound(n: int, which: str) -> BoundCoefficients:
+    """Sharp normal-family estimates quoted from prior work.
+
+    which "next-over-n": ||f^(n)|| <= ||h^(n+1)|| / (n+1);
+    "gamma-ratio":       ||f^(n)|| <= Gamma((n+1)/2)/(sqrt(2) Gamma(n/2+1)) ||h^(n+1)||;
+    "two-prev":          ||f^(n)|| <= 2 ||h^(n-1)||  (n >= 2).
+    """
+    if which == "next-over-n":
+        return BoundCoefficients({NormSymbol.test_deriv(n + 1): 1.0 / (n + 1)})
+    if which == "gamma-ratio":
+        ratio = math.exp(sf.log_gamma((n + 1.0) / 2.0) - sf.log_gamma(n / 2.0 + 1.0)) / math.sqrt(2.0)
+        return BoundCoefficients({NormSymbol.test_deriv(n + 1): ratio})
+    if which == "two-prev":
+        if n < 2:
+            raise ValidityError("the derivative-dropping estimate starts at order 2")
+        return BoundCoefficients({NormSymbol.test_deriv(n - 1): 2.0})
+    raise ValueError(f"unknown normal literature bound {which!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +316,8 @@ def gamma_solution_constant(r: float) -> float:
     return math.exp(r + sf.log_gamma(r) - r * math.log(r))
 
 
-def _gamma_spec(r: float, lam: float, family: str = "gamma") -> DistributionSpec:
+def _gamma_spec(r: float, lam: float) -> DistributionSpec:
+    r, lam = float(r), float(lam)
     if r <= 0 or lam <= 0:
         raise ValueError("gamma requires r > 0 and lambda > 0")
     log_norm = r * math.log(lam) - sf.log_gamma(r)
@@ -296,27 +350,35 @@ def _gamma_spec(r: float, lam: float, family: str = "gamma") -> DistributionSpec
         c_level=lambda l: gamma_solution_constant(r + l),
     )
     return DistributionSpec(
-        family=family,
-        params={"r": r, "lam": lam} if family == "gamma" else {"lam": lam},
+        family="gamma",
+        params={"r": r, "lam": lam},
         support=(0.0, math.inf),
         operator_order=1,
         coupling_kind="value",
-        delicate_points=(0.0,),
-        _impl={
-            "density": density,
-            "op_coeffs": op_coeffs,
-            "t_coeffs": t_coeffs,
-            "level_rhs": level_rhs,
-            "scheme": scheme,
-            "engine_modes": ("i",),
-            "default_mode": "lemma23i",
-            "max_order": lambda mode: None,
+        scheme=scheme,
+        modes={
+            "lemma23i": _value_chain(scheme, "i"),
+            "onestep": Mode(lambda n: gamma_onestep_bound(n, r)),
         },
+        default_mode="lemma23i",
+        pdf=density,
+        op_coeffs=op_coeffs,
+        t_coeffs=t_coeffs,
+        rhs_terms=level_rhs,
+        delicate_points=(0.0,),
     )
 
 
 def _exponential_spec(lam: float) -> DistributionSpec:
-    return _gamma_spec(1.0, lam, family="exponential")
+    return replace(_gamma_spec(1.0, lam), family="exponential", params={"lam": float(lam)})
+
+
+def gamma_onestep_bound(n: int, r: float) -> BoundCoefficients:
+    """Single-coefficient bound 2 e^(r+n) Gamma(r+n) / (r+n)^(r+n) on the
+    n-th test-derivative norm (valid for n >= 1; rate-independent of lam)."""
+    if n < 1:
+        raise ValidityError("the one-step gamma bound starts at order 1")
+    return BoundCoefficients({NormSymbol.test_deriv(n): 2.0 * gamma_solution_constant(r + n)})
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +437,8 @@ def beta_lipschitz_constant(alpha: float, beta: float) -> float:
     return 2.0 * (alpha + beta) * branch
 
 
-def _beta_spec(alpha: float, beta: float, family: str = "beta") -> DistributionSpec:
+def _beta_spec(alpha: float, beta: float) -> DistributionSpec:
+    alpha, beta = float(alpha), float(beta)
     if alpha <= 0 or beta <= 0:
         raise ValueError("beta requires alpha > 0 and beta > 0")
     log_b = sf.log_gamma(alpha) + sf.log_gamma(beta) - sf.log_gamma(alpha + beta)
@@ -409,27 +472,24 @@ def _beta_spec(alpha: float, beta: float, family: str = "beta") -> DistributionS
         e_level=lambda l: beta_lipschitz_constant(alpha + l, beta + l),
     )
     return DistributionSpec(
-        family=family,
-        params={"alpha": alpha, "beta": beta} if family == "beta" else {},
+        family="beta",
+        params={"alpha": alpha, "beta": beta},
         support=(0.0, 1.0),
         operator_order=1,
         coupling_kind="value",
+        scheme=scheme,
+        modes={"lemma23i": _value_chain(scheme, "i"), "lemma23iii": _value_chain(scheme, "iii")},
+        default_mode="lemma23i",
+        pdf=density,
+        op_coeffs=op_coeffs,
+        t_coeffs=t_coeffs,
+        rhs_terms=level_rhs,
         delicate_points=(0.0, 1.0),
-        _impl={
-            "density": density,
-            "op_coeffs": op_coeffs,
-            "t_coeffs": t_coeffs,
-            "level_rhs": level_rhs,
-            "scheme": scheme,
-            "engine_modes": ("i", "iii"),
-            "default_mode": "lemma23i",
-            "max_order": lambda mode: None,
-        },
     )
 
 
 def _arcsine_spec() -> DistributionSpec:
-    return _beta_spec(0.5, 0.5, family="arcsine")
+    return replace(_beta_spec(0.5, 0.5), family="arcsine", params={})
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +504,7 @@ def student_t_solution_constant(d: float, delta: float) -> float:
 
 
 def _student_t_spec(d: float, delta: float) -> DistributionSpec:
+    d, delta = float(d), float(delta)
     if d <= 0 or delta <= 0:
         raise ValueError("student-t requires d > 0 and delta > 0")
     log_norm = sf.log_gamma((d + 1.0) / 2.0) - sf.log_gamma(d / 2.0) - 0.5 * math.log(math.pi * delta * delta)
@@ -476,12 +537,7 @@ def _student_t_spec(d: float, delta: float) -> DistributionSpec:
             raise ValidityError(f"student-t level constant undefined: d - 2l = {d - 2 * l} <= 0")
         return 2.0 / (delta * delta)
 
-    def max_order(mode):
-        cap = int(math.floor((d - 1e-9) / 2.0))  # largest n with d - 2n > 0
-        if mode in ("lemma23ii", "ii"):
-            return cap + 1  # the f'-chain only needs d - 2(n-1) > 0
-        return cap
-
+    cap = int(math.floor((d - 1e-9) / 2.0))  # largest n with d - 2n > 0
     scheme = IterationScheme(
         a=lambda j: abs((j + 1) * (d - j - 1.0)),
         c_level=c_level,
@@ -498,16 +554,16 @@ def _student_t_spec(d: float, delta: float) -> DistributionSpec:
         support=(-math.inf, math.inf),
         operator_order=1,
         coupling_kind="value",
-        _impl={
-            "density": density,
-            "op_coeffs": op_coeffs,
-            "t_coeffs": t_coeffs,
-            "level_rhs": level_rhs,
-            "scheme": scheme,
-            "engine_modes": ("i", "ii"),
-            "default_mode": "lemma23i",
-            "max_order": max_order,
+        scheme=scheme,
+        modes={
+            "lemma23i": _value_chain(scheme, "i", cap),
+            "lemma23ii": _value_chain(scheme, "ii", cap + 1),  # the f'-chain needs d - 2(n-1) > 0
         },
+        default_mode="lemma23i",
+        pdf=density,
+        op_coeffs=op_coeffs,
+        t_coeffs=t_coeffs,
+        rhs_terms=level_rhs,
     )
 
 
@@ -525,6 +581,7 @@ def inverse_gamma_solution_constant(alpha: float, beta: float) -> float:
 
 
 def _inverse_gamma_spec(alpha: float, beta: float) -> DistributionSpec:
+    alpha, beta = float(alpha), float(beta)
     if alpha <= 0 or beta <= 0:
         raise ValueError("inverse-gamma requires alpha > 0 and beta > 0")
     log_norm = alpha * math.log(beta) - sf.log_gamma(alpha)
@@ -567,18 +624,15 @@ def _inverse_gamma_spec(alpha: float, beta: float) -> DistributionSpec:
         support=(0.0, math.inf),
         operator_order=1,
         coupling_kind="value",
+        scheme=scheme,
+        # alpha > 2n + 1
+        modes={"lemma23i": _value_chain(scheme, "i", int(math.floor((alpha - 1.0 - 1e-9) / 2.0)))},
+        default_mode="lemma23i",
+        pdf=density,
+        op_coeffs=op_coeffs,
+        t_coeffs=t_coeffs,
+        rhs_terms=level_rhs,
         delicate_points=(0.0,),
-        _impl={
-            "density": density,
-            "op_coeffs": op_coeffs,
-            "t_coeffs": t_coeffs,
-            "level_rhs": level_rhs,
-            "scheme": scheme,
-            "engine_modes": ("i",),
-            "default_mode": "lemma23i",
-            # alpha > 2n + 1
-            "max_order": lambda mode: int(math.floor((alpha - 1.0 - 1e-9) / 2.0)),
-        },
     )
 
 
@@ -628,6 +682,7 @@ def _prr_u_function(s: float, x):
 
 
 def _prr_spec(s: float) -> DistributionSpec:
+    s = float(s)
     if not (s == 0.5 or 1.0 <= s <= 20.0):
         raise ValueError("prr requires s = 1/2 or 1 <= s <= 20 (validated U-function slice)")
     norm = sf.gamma_fn(s) * math.sqrt(2.0 / (s * math.pi))
@@ -675,24 +730,23 @@ def _prr_spec(s: float) -> DistributionSpec:
         d_level=lambda l: prr_second_derivative_constant(s),
         base_substitutions=subs,
     )
+    modes = {"lemma24i": _deriv_chain(scheme, "i")} if s >= 1.0 else {}
+    modes["lemma24ii"] = _deriv_chain(scheme, "ii")
     return DistributionSpec(
         family="prr",
         params={"s": s},
         support=(0.0, math.inf),
         operator_order=2,
         coupling_kind="deriv",
+        scheme=scheme,
+        modes=modes,
+        default_mode="lemma24i" if s >= 1.0 else "lemma24ii",
+        pdf=density,
+        op_coeffs=op_coeffs,
+        t_coeffs=t_coeffs,
+        rhs_terms=level_rhs,
+        kernel_v=kernel_v,
         delicate_points=(0.0,),
-        _impl={
-            "density": density,
-            "kernel_v": kernel_v,
-            "op_coeffs": op_coeffs,
-            "t_coeffs": t_coeffs,
-            "level_rhs": level_rhs,
-            "scheme": scheme,
-            "engine_modes": ("i", "ii") if s >= 1.0 else ("ii",),
-            "default_mode": "lemma24i" if s >= 1.0 else "lemma24ii",
-            "max_order": lambda mode: None,
-        },
     )
 
 
@@ -751,6 +805,7 @@ def bessel_tail_constant(nu: float, gamma: float) -> float:
 
 
 def _vg_spec(r: float, theta: float, sigma: float) -> DistributionSpec:
+    r, theta, sigma = float(r), float(theta), float(sigma)
     if r <= 0 or sigma <= 0:
         raise ValueError("vg requires r > 0 and sigma > 0")
     nu = (r - 1.0) / 2.0
@@ -786,7 +841,7 @@ def _vg_spec(r: float, theta: float, sigma: float) -> DistributionSpec:
     def level_rhs(k):
         return [(-1, _constf(float(k))), (0, _constf(-float(k) * theta))]
 
-    b0_over_root, _ = vg_base_constants(r, theta, sigma)
+    b0_over_root, b0_over_s2 = vg_base_constants(r, theta, sigma)
     subs = {
         NormSymbol.solution(): BoundCoefficients(
             {NormSymbol.centered(): vg_symmetric_solution_constant(r, sigma) if theta == 0.0 else b0_over_root}
@@ -810,24 +865,30 @@ def _vg_spec(r: float, theta: float, sigma: float) -> DistributionSpec:
         k_level=k_level,
         base_substitutions=subs,
     )
-    modes = ("ii", "mixed") if theta == 0.0 else ("mixed",)
+
+    def lemma25(n):
+        # orders 0 and 1 are the base bounds the mixed chain starts from
+        if n < 2:
+            return BoundCoefficients({NormSymbol.centered(): (b0_over_root, b0_over_s2)[n]})
+        return mixed_coupled_bound(scheme, n - 1)
+
+    # at theta = 0 the scheme has no b sequence: only the base bounds remain
+    mixed = Mode(lemma25, last=1 if theta == 0.0 else None, chain="mixed")
     return DistributionSpec(
         family="vg",
         params={"r": r, "theta": theta, "sigma": sigma},
         support=(-math.inf, math.inf),
         operator_order=2,
         coupling_kind="value" if theta == 0.0 else "mixed",
+        scheme=scheme,
+        modes={"lemma23ii": _value_chain(scheme, "ii"), "lemma25": mixed} if theta == 0.0 else {"lemma25": mixed},
+        default_mode="lemma23ii" if theta == 0.0 else "lemma25",
+        pdf=density,
+        op_coeffs=op_coeffs,
+        t_coeffs=t_coeffs,
+        rhs_terms=level_rhs,
         delicate_points=(0.0,),
-        _impl={
-            "density": density,
-            "op_coeffs": op_coeffs,
-            "t_coeffs": t_coeffs,
-            "level_rhs": level_rhs,
-            "scheme": scheme,
-            "engine_modes": modes,
-            "default_mode": "lemma23ii" if theta == 0.0 else "lemma25",
-            "max_order": lambda mode: None,
-        },
+        extras={"base_bounds": {"f": b0_over_root, "f'": b0_over_s2}},
     )
 
 
@@ -896,23 +957,64 @@ def _quartic_spec() -> DistributionSpec:
             terms.append((-3, _constf(k * (k - 1.0) * (k - 2.0) / 3.0)))
         return terms
 
+    def variant(name, last=None):
+        return Mode(functools.partial(quartic_bounds, variant=name), last)
+
     return DistributionSpec(
         family="quartic",
         params={},
         support=(-math.inf, math.inf),
         operator_order=1,
         coupling_kind="custom",
-        _impl={
-            "density": density,
-            "op_coeffs": op_coeffs,
-            "t_coeffs": t_coeffs,
-            "level_rhs": level_rhs,
-            "scheme": IterationScheme(a=lambda j: float(j)),
-            "engine_modes": (),
-            "default_mode": "iterated",
-            "max_order": lambda mode: None,
+        scheme=IterationScheme(a=lambda j: float(j)),
+        modes={
+            "bounded": variant("bounded"),
+            "iterated": variant("iterated"),
+            "lipschitz": variant("lipschitz", last=2),
+            "lipschitz_iterated": variant("lipschitz_iterated", last=2),
         },
+        default_mode="iterated",
+        pdf=density,
+        op_coeffs=op_coeffs,
+        t_coeffs=t_coeffs,
+        rhs_terms=level_rhs,
+        extras={"c1": c1},
     )
+
+
+def quartic_bounds(order: int, variant: str = "iterated") -> BoundCoefficients:
+    """Sup-norm bounds for the quartic-tail family.
+
+    variant "bounded": constant 1/(2 c1) times the order-n chain weights.
+    variant "iterated": constant 2 times the order-(n-1) chain weights
+    (tighter; order 0 falls back to "bounded").
+    variant "lipschitz": the order-0..2 constants on ||h'||.
+    variant "lipschitz_iterated": the order-2 constant 8 on ||h'|| that
+    one chain step yields.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    c1 = quartic_normalizer()
+    if variant == "bounded" or (variant == "iterated" and order == 0):
+        weights = quartic_a_coeffs(order)
+        return BoundCoefficients({NormSymbol.test_norm(j): w / (2.0 * c1) for j, w in enumerate(weights)})
+    if variant == "iterated":
+        weights = quartic_a_coeffs(order - 1)
+        return BoundCoefficients({NormSymbol.test_norm(j): 2.0 * w for j, w in enumerate(weights)})
+    if variant == "lipschitz":
+        table = {
+            0: math.sqrt(3.0 * math.pi) / 2.0,
+            1: math.sqrt(2.0) * 3.0 ** 0.25 * sf.gamma_fn(0.25),
+            2: 4.0,
+        }
+        if order not in table:
+            raise ValidityError("lipschitz constants listed for orders 0, 1, 2 only")
+        return BoundCoefficients({NormSymbol.test_deriv(1): table[order]})
+    if variant == "lipschitz_iterated":
+        if order != 2:
+            raise ValidityError("the iterated Lipschitz constant is a second-derivative bound")
+        return BoundCoefficients({NormSymbol.test_deriv(1): 8.0})
+    raise ValueError(f"unknown quartic variant {variant!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -929,20 +1031,61 @@ def _mvn_spec(dim: int, row_norms: tuple[float, ...] | None = None) -> Distribut
     row_norms = tuple(float(v) for v in row_norms)
     if len(row_norms) != dim or any(v < 0 for v in row_norms):
         raise ValueError("row_norms must be dim nonnegative reals")
+
+    def estimate(mode, last=None):
+        return Mode(functools.partial(mvn_bounds, row_norms=row_norms, mode=mode), last)
+
     return DistributionSpec(
         family="mvn",
         params={"dim": dim},
         support=(-math.inf, math.inf),
         operator_order=2,
         coupling_kind="custom",
-        _impl={
-            "row_norms": row_norms,
-            "scheme": IterationScheme(a=lambda j: float(j)),
-            "engine_modes": (),
-            "default_mode": "partial",
-            "max_order": lambda mode: None,
+        scheme=IterationScheme(a=lambda j: float(j)),
+        modes={
+            "partial": estimate("partial"),
+            "first": estimate("first"),
+            "lower": estimate("lower"),
+            "iterated": estimate("iterated", last=2),
         },
+        default_mode="partial",
+        extras={"row_norms": list(row_norms)},
     )
+
+
+def mvn_bounds(n: int, row_norms, mode: str) -> BoundCoefficients:
+    """Coefficient forms of the multivariate-normal estimates.
+
+    row_norms are the covariance row norms [sum_j sigma_ij^2]^(1/2) for
+    the differentiation directions.  "partial" gives 1/n on the n-th
+    mixed partial of h; "first" gives the order-1 bound against ||h~||;
+    "lower" trades one derivative for the smallest row norm; "iterated"
+    is the identity-covariance second-derivative estimate obtained by one
+    chain step.
+    """
+    row_norms = [float(v) for v in row_norms]
+    if not row_norms or any(v < 0 for v in row_norms):
+        raise ValueError("row_norms must be nonempty nonnegative reals")
+    if mode == "partial":
+        if n < 1:
+            raise ValidityError("the flat partial-derivative bound starts at order 1")
+        return BoundCoefficients({NormSymbol.test_deriv(n): 1.0 / n})
+    if mode == "first":
+        return BoundCoefficients({NormSymbol.centered(): sf.SQRT_PI_OVER_2 * max(row_norms)})
+    if mode == "lower":
+        if n < 2:
+            raise ValidityError("the derivative-trading bound starts at order 2")
+        ratio = math.exp(sf.log_gamma(n / 2.0) - sf.log_gamma((n + 1.0) / 2.0)) / math.sqrt(2.0)
+        return BoundCoefficients({NormSymbol.test_deriv(n - 1): ratio * min(row_norms)})
+    if mode == "iterated":
+        if n != 2:
+            raise ValidityError("the iterated estimate is stated for the second derivatives")
+        if any(abs(v - 1.0) > 1e-12 for v in row_norms):
+            raise ValidityError("the iterated estimate assumes identity covariance")
+        return BoundCoefficients(
+            {NormSymbol.test_deriv(1): sf.SQRT_PI_OVER_2, NormSymbol.centered(): math.pi / 2.0}
+        )
+    raise ValueError(f"unknown mvn mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -957,8 +1100,6 @@ def refined_small_case_constants(family: str, **params) -> dict:
     BoundCoefficients.  The arcsine entry carries an extra "as_printed"
     field holding the unresolved min-form alternatives exactly as listed.
     """
-    from .engine import coefficients
-
     if family == "exponential":
         lam = float(params["lam"])
         return {
@@ -1000,55 +1141,46 @@ def langevin_exponents(eps: float, b1: float, b2: float, b3: float) -> tuple[flo
     return (f0, f1, f2, f3, f4)
 
 
-_CONSTRUCTORS = {
-    "normal": lambda **p: _normal_spec(),
-    "gamma": lambda r, lam, **p: _gamma_spec(float(r), float(lam)),
-    "exponential": lambda lam, **p: _exponential_spec(float(lam)),
-    "beta": lambda alpha, beta, **p: _beta_spec(float(alpha), float(beta)),
-    "arcsine": lambda **p: _arcsine_spec(),
-    "student_t": lambda d, delta, **p: _student_t_spec(float(d), float(delta)),
-    "inverse_gamma": lambda alpha, beta, **p: _inverse_gamma_spec(float(alpha), float(beta)),
-    "prr": lambda s, **p: _prr_spec(float(s)),
-    "vg": lambda r, theta, sigma, **p: _vg_spec(float(r), float(theta), float(sigma)),
-    "quartic": lambda **p: _quartic_spec(),
-    "mvn": lambda dim, row_norms=None, **p: _mvn_spec(int(dim), row_norms),
+REGISTRY: dict[str, Callable[..., DistributionSpec]] = {
+    "normal": _normal_spec,
+    "gamma": _gamma_spec,
+    "exponential": _exponential_spec,
+    "beta": _beta_spec,
+    "arcsine": _arcsine_spec,
+    "student_t": _student_t_spec,
+    "inverse_gamma": _inverse_gamma_spec,
+    "prr": _prr_spec,
+    "vg": _vg_spec,
+    "quartic": _quartic_spec,
+    "mvn": _mvn_spec,
 }
 
-FAMILIES = tuple(sorted(_CONSTRUCTORS))
+FAMILIES = tuple(sorted(REGISTRY))
 
-_PARAM_NAMES = {
-    "normal": (),
-    "gamma": ("r", "lam"),
-    "exponential": ("lam",),
-    "beta": ("alpha", "beta"),
-    "arcsine": (),
-    "student_t": ("d", "delta"),
-    "inverse_gamma": ("alpha", "beta"),
-    "prr": ("s",),
-    "vg": ("r", "theta", "sigma"),
-    "quartic": (),
-    "mvn": ("dim",),
-}
+
+def param_names(family: str) -> tuple[str, ...]:
+    """Parameter names of a family: its constructor's signature."""
+    return tuple(inspect.signature(REGISTRY[family]).parameters)
 
 
 def make_spec(family: str, **params) -> DistributionSpec:
     """Build a catalog entry; unknown families or parameters are rejected."""
-    if family not in _CONSTRUCTORS:
+    if family not in REGISTRY:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
-    allowed = set(_PARAM_NAMES[family]) | ({"row_norms"} if family == "mvn" else set())
-    unknown = set(params) - allowed
+    signature = inspect.signature(REGISTRY[family]).parameters
+    unknown = set(params) - set(signature)
     if unknown:
         raise ValueError(f"{family} does not take parameters {sorted(unknown)}")
-    missing = set(_PARAM_NAMES[family]) - set(params)
+    missing = {name for name, p in signature.items() if p.default is p.empty} - set(params)
     if missing:
         raise ValueError(f"{family} requires parameters {sorted(missing)}")
-    return _CONSTRUCTORS[family](**params)
+    return REGISTRY[family](**params)
 
 
 def catalog_json(spec: DistributionSpec, levels: int = 5) -> dict:
     """Serializable description: family, params, support, scheme constants,
     validity window."""
-    sch = spec.scheme()
+    sch = spec.scheme
 
     def sample(fn):
         if fn is None:
@@ -1067,14 +1199,14 @@ def catalog_json(spec: DistributionSpec, levels: int = 5) -> dict:
             return "inf" if v > 0 else "-inf"
         return v
 
-    doc = {
+    return {
         "family": spec.family,
         "params": dict(spec.params),
         "support": [edge(spec.support[0]), edge(spec.support[1])],
         "operator_order": spec.operator_order,
         "coupling_kind": spec.coupling_kind,
         "default_mode": spec.default_mode,
-        "engine_modes": list(spec.engine_modes),
+        "engine_modes": [entry.chain for entry in spec.modes.values() if entry.chain],
         "a_seq": [sch.a(j) for j in range(levels)],
         "b_seq": [sch.b(j) for j in range(levels)] if sch.b else None,
         "level_constants": {
@@ -1084,13 +1216,5 @@ def catalog_json(spec: DistributionSpec, levels: int = 5) -> dict:
             "K": sample(sch.k_level),
         },
         "max_order": spec.max_order(spec.default_mode),
+        **spec.extras,
     }
-    if spec.family == "quartic":
-        doc["c1"] = quartic_normalizer()
-    if spec.family == "vg":
-        r, theta, sigma = spec.params["r"], spec.params["theta"], spec.params["sigma"]
-        f_coef, fp_coef = vg_base_constants(r, theta, sigma)
-        doc["base_bounds"] = {"f": f_coef, "f'": fp_coef}
-    if spec.family == "mvn":
-        doc["row_norms"] = list(spec._impl["row_norms"])
-    return doc

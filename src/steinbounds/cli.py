@@ -25,8 +25,6 @@ EXIT_VALIDITY = 2
 EXIT_VERIFICATION = 3
 EXIT_NUMERIC = 4
 
-_PARAM_FLAGS = ("r", "lam", "alpha", "beta", "d", "delta", "s", "theta", "sigma", "dim")
-
 
 class _CliParser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
@@ -37,21 +35,29 @@ def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
-def _add_family_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True, choices=cat.FAMILIES)
-    for name in _PARAM_FLAGS:
+def _numeric_params() -> tuple[str, ...]:
+    """Every family parameter that takes one number, in registry order."""
+    names = (name for fam in cat.REGISTRY for name in cat.param_names(fam))
+    return tuple(dict.fromkeys(name for name in names if name != "row_norms"))
+
+
+def _add_param_args(p: argparse.ArgumentParser) -> None:
+    for name in _numeric_params():
         p.add_argument(f"--{name}", type=float, default=None)
     p.add_argument("--row-norms", type=str, default=None, help="comma list (mvn only)")
 
 
+def _add_family_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", required=True, choices=cat.FAMILIES)
+    _add_param_args(p)
+
+
 def _spec_from_args(args) -> cat.DistributionSpec:
-    params = {k: getattr(args, k) for k in _PARAM_FLAGS if getattr(args, k) is not None}
+    params = {k: getattr(args, k) for k in _numeric_params() if getattr(args, k) is not None}
     if args.row_norms is not None:
         if args.family != "mvn":
             raise ValidityError("--row-norms applies to the mvn family only")
         params["row_norms"] = tuple(float(v) for v in args.row_norms.split(","))
-    if "dim" in params:
-        params["dim"] = int(params["dim"])
     # ValueError propagates to main and maps to the parse-error exit code
     return cat.make_spec(args.family, **params)
 
@@ -291,9 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="dump catalog entries as JSON", **common)
     p.add_argument("--family", default=None, choices=cat.FAMILIES)
-    for name in _PARAM_FLAGS:
-        p.add_argument(f"--{name}", type=float, default=None)
-    p.add_argument("--row-norms", type=str, default=None)
+    _add_param_args(p)
     p.add_argument("--output", default=None)
     p.set_defaults(fn=_cmd_catalog)
 

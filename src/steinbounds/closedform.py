@@ -1,13 +1,13 @@
-"""Closed-form bound evaluators and the bound dispatch front end.
+"""Closed-form chain bounds and the bound front end.
 
-Every family stores BOTH an engine scheme (see :mod:`catalog`) and the
-explicit product/double-factorial formula for the same chain, evaluated
-here without touching the generic engine.  Their coefficient-by-
-coefficient agreement is a test, not an assumption.
+Every chain family stores BOTH an engine scheme in its mode table (see
+:mod:`catalog`) and the explicit product/double-factorial formula for the
+same chain, evaluated here by :func:`closed_form_bound` without touching
+the generic engine.  Their coefficient-by-coefficient agreement is a
+test, not an assumption.
 
-Also hosts the bound machinery that falls outside the three generic
-chains: the quartic-tail family, the multivariate normal estimates, the
-one-step gamma bound and the literature bounds for the normal family.
+:func:`bound_for` is the public entry point: it checks the order, resolves
+the default mode token and evaluates the family's mode-table row.
 """
 
 from __future__ import annotations
@@ -17,39 +17,21 @@ import math
 
 from . import catalog as cat
 from . import special as sf
-from .engine import (
-    BoundCoefficients,
-    NormSymbol,
-    deriv_coupled_bound,
-    index_set,
-    mixed_coupled_bound,
-    value_coupled_bound,
-)
+from .engine import BoundCoefficients, NormSymbol, index_set
 from .errors import ValidityError
 
 __all__ = [
     "closed_form_bound",
     "bound_for",
-    "gamma_onestep_bound",
-    "quartic_bounds",
-    "mvn_bounds",
-    "normal_literature_bound",
     "MODE_TOKENS",
 ]
 
-SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
-SQRT_2PI = math.sqrt(2.0 * math.pi)
+_sym = NormSymbol.test_norm
 
 
 def _rising(lo: int, hi: int) -> float:
     """Product lo * (lo+1) * ... * hi (1 when empty)."""
     return sf.product(range(lo, hi + 1))
-
-
-def _sym(j: int, centered: bool = True) -> NormSymbol:
-    if j == 0:
-        return NormSymbol.centered() if centered else NormSymbol.plain()
-    return NormSymbol.test_deriv(j)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +55,7 @@ def _normal_closed(n: int, mode: str) -> BoundCoefficients:
                 2.0 ** (k - j + 1) * sf.double_factorial(2 * k - 1) / sf.double_factorial(2 * j - 1)
             )
         out[NormSymbol.centered()] = out.get(NormSymbol.centered(), 0.0) + (
-            SQRT_PI_OVER_2 * 2.0 ** k * sf.double_factorial(2 * k - 1)
+            sf.SQRT_PI_OVER_2 * 2.0 ** k * sf.double_factorial(2 * k - 1)
         )
     else:
         raise ValueError(f"normal closed form: unknown mode {mode!r}")
@@ -86,14 +68,6 @@ def _gamma_closed(n: int, r: float, lam: float) -> BoundCoefficients:
     for j in range(n + 1):
         out[_sym(j)] = lam ** (n - j) * _rising(j + 1, n) * math.exp(math.fsum(log_c[j:]))
     return BoundCoefficients(out)
-
-
-def gamma_onestep_bound(n: int, r: float) -> BoundCoefficients:
-    """Single-coefficient bound 2 e^(r+n) Gamma(r+n) / (r+n)^(r+n) on the
-    n-th test-derivative norm (valid for n >= 1; rate-independent of lam)."""
-    if n < 1:
-        raise ValidityError("the one-step gamma bound starts at order 1")
-    return BoundCoefficients({NormSymbol.test_deriv(n): 2.0 * cat.gamma_solution_constant(r + n)})
 
 
 def _beta_closed(n: int, mode: str, alpha: float, beta: float) -> BoundCoefficients:
@@ -177,6 +151,8 @@ def _inverse_gamma_closed(n: int, alpha: float, beta: float) -> BoundCoefficient
 
 
 def _prr_closed(n: int, mode: str, s: float) -> BoundCoefficients:
+    if n < 1:
+        raise ValidityError("the derivative-coupled chains start at order 1")
     out = {}
     if mode == "i":
         if s < 1.0:
@@ -193,7 +169,7 @@ def _prr_closed(n: int, mode: str, s: float) -> BoundCoefficients:
                 )
             tail = c ** k * sf.double_factorial(2 * k - 1)
             if s >= 1.0:
-                out[NormSymbol.plain()] = out.get(NormSymbol.plain(), 0.0) + SQRT_2PI * tail
+                out[NormSymbol.plain()] = out.get(NormSymbol.plain(), 0.0) + sf.SQRT_2PI * tail
             else:
                 out[NormSymbol.solution_deriv()] = tail
         else:
@@ -248,13 +224,15 @@ def _vg_general_subsets(m: int, j: int, l: int):
 
 
 def _vg_general_closed(n: int, r: float, theta: float, sigma: float) -> BoundCoefficients:
-    """General-theta variance-gamma bound on ||f^(n)|| (n >= 2), evaluated
-    straight from the displayed subset-family formula."""
-    if n < 2:
-        raise ValidityError("the mixed-coupling display starts at order 2")
-    m = n - 1
+    """General-theta variance-gamma bound on ||f^(n)||, evaluated straight
+    from the displayed subset-family formula (n >= 2) and the base bounds
+    b_0/sqrt(theta^2 + sigma^2), b_0/sigma^2 it starts from (n = 0, 1)."""
     s2 = sigma * sigma
     root = math.sqrt(theta * theta + sigma * sigma)
+    if n < 2:
+        b0 = 2.0 / r + cat.vg_scale_constant(r, theta, sigma)
+        return BoundCoefficients({NormSymbol.centered(): b0 / (root if n == 0 else s2)})
+    m = n - 1
     b = [2.0 / (r + i) + cat.vg_scale_constant(r + i, theta, sigma) for i in range(m + 1)]
 
     def a_sum(j: int) -> float:
@@ -279,8 +257,8 @@ def _vg_general_closed(n: int, r: float, theta: float, sigma: float) -> BoundCoe
 def closed_form_bound(spec: cat.DistributionSpec, n: int, mode: str) -> BoundCoefficients:
     """Explicit product-formula evaluation of a family chain bound.
 
-    mode is the internal chain mode ("i", "ii", "iii", "mixed").  Raises
-    ValidityError outside the family window.
+    mode is the engine letter of the chain ("i", "ii", "iii", "mixed").
+    Raises ValidityError outside the family window.
     """
     fam, p = spec.family, spec.params
     if fam == "normal":
@@ -308,111 +286,6 @@ def closed_form_bound(spec: cat.DistributionSpec, n: int, mode: str) -> BoundCoe
 
 
 # ---------------------------------------------------------------------------
-# Quartic-tail bounds.
-# ---------------------------------------------------------------------------
-
-
-def quartic_bounds(order: int, variant: str = "iterated") -> BoundCoefficients:
-    """Sup-norm bounds for the quartic-tail family.
-
-    variant "bounded": constant 1/(2 c1) times the order-n chain weights.
-    variant "iterated": constant 2 times the order-(n-1) chain weights
-    (tighter; order 0 falls back to "bounded").
-    variant "lipschitz": the order-0..2 constants on ||h'||.
-    variant "lipschitz_iterated": the order-2 constant 8 on ||h'|| that
-    one chain step yields.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    c1 = cat.quartic_normalizer()
-    if variant == "bounded" or (variant == "iterated" and order == 0):
-        weights = cat.quartic_a_coeffs(order)
-        return BoundCoefficients({_sym(j): w / (2.0 * c1) for j, w in enumerate(weights)})
-    if variant == "iterated":
-        weights = cat.quartic_a_coeffs(order - 1)
-        return BoundCoefficients({_sym(j): 2.0 * w for j, w in enumerate(weights)})
-    if variant == "lipschitz":
-        table = {
-            0: math.sqrt(3.0 * math.pi) / 2.0,
-            1: math.sqrt(2.0) * 3.0 ** 0.25 * sf.gamma_fn(0.25),
-            2: 4.0,
-        }
-        if order not in table:
-            raise ValidityError("lipschitz constants listed for orders 0, 1, 2 only")
-        return BoundCoefficients({NormSymbol.test_deriv(1): table[order]})
-    if variant == "lipschitz_iterated":
-        if order != 2:
-            raise ValidityError("the iterated Lipschitz constant is a second-derivative bound")
-        return BoundCoefficients({NormSymbol.test_deriv(1): 8.0})
-    raise ValueError(f"unknown quartic variant {variant!r}")
-
-
-# ---------------------------------------------------------------------------
-# Multivariate normal bounds.
-# ---------------------------------------------------------------------------
-
-
-def mvn_bounds(n: int, row_norms, mode: str) -> BoundCoefficients:
-    """Coefficient forms of the multivariate-normal estimates.
-
-    row_norms are the covariance row norms [sum_j sigma_ij^2]^(1/2) for
-    the differentiation directions.  "partial" gives 1/n on the n-th
-    mixed partial of h; "first" gives the order-1 bound against ||h~||;
-    "lower" trades one derivative for the smallest row norm; "iterated"
-    is the identity-covariance second-derivative estimate obtained by one
-    chain step.
-    """
-    row_norms = [float(v) for v in row_norms]
-    if not row_norms or any(v < 0 for v in row_norms):
-        raise ValueError("row_norms must be nonempty nonnegative reals")
-    if mode == "partial":
-        if n < 1:
-            raise ValidityError("the flat partial-derivative bound starts at order 1")
-        return BoundCoefficients({NormSymbol.test_deriv(n): 1.0 / n})
-    if mode == "first":
-        return BoundCoefficients({NormSymbol.centered(): SQRT_PI_OVER_2 * max(row_norms)})
-    if mode == "lower":
-        if n < 2:
-            raise ValidityError("the derivative-trading bound starts at order 2")
-        ratio = math.exp(sf.log_gamma(n / 2.0) - sf.log_gamma((n + 1.0) / 2.0)) / math.sqrt(2.0)
-        return BoundCoefficients({NormSymbol.test_deriv(n - 1): ratio * min(row_norms)})
-    if mode == "iterated":
-        if n != 2:
-            raise ValidityError("the iterated estimate is stated for the second derivatives")
-        if any(abs(v - 1.0) > 1e-12 for v in row_norms):
-            raise ValidityError("the iterated estimate assumes identity covariance")
-        return BoundCoefficients(
-            {NormSymbol.test_deriv(1): SQRT_PI_OVER_2, NormSymbol.centered(): math.pi / 2.0}
-        )
-    raise ValueError(f"unknown mvn mode {mode!r}")
-
-
-# ---------------------------------------------------------------------------
-# Normal-family literature bounds.
-# ---------------------------------------------------------------------------
-
-
-def normal_literature_bound(n: int, which: str) -> BoundCoefficients:
-    """Sharp normal-family estimates quoted from prior work.
-
-    which "next-over-n": ||f^(n)|| <= ||h^(n+1)|| / (n+1);
-    "gamma-ratio":       ||f^(n)|| <= Gamma((n+1)/2)/(sqrt(2) Gamma(n/2+1)) ||h^(n+1)||;
-    "two-prev":          ||f^(n)|| <= 2 ||h^(n-1)||  (n >= 2).
-    """
-    if which == "next-over-n":
-        return BoundCoefficients({NormSymbol.test_deriv(n + 1): 1.0 / (n + 1)})
-    if which == "gamma-ratio":
-        ratio = math.exp(sf.log_gamma((n + 1.0) / 2.0) - sf.log_gamma(n / 2.0 + 1.0)) / math.sqrt(2.0)
-        return BoundCoefficients({NormSymbol.test_deriv(n + 1): ratio})
-    if which == "two-prev":
-        if n < 2:
-            raise ValidityError("the derivative-dropping estimate starts at order 2")
-        sym = NormSymbol.test_deriv(n - 1) if n >= 2 else NormSymbol.centered()
-        return BoundCoefficients({sym: 2.0})
-    raise ValueError(f"unknown normal literature bound {which!r}")
-
-
-# ---------------------------------------------------------------------------
 # Mode-token dispatch (shared by the verifier and the CLI).
 # ---------------------------------------------------------------------------
 
@@ -437,55 +310,20 @@ MODE_TOKENS = (
     "two-prev",
 )
 
-_VALUE_TOKENS = {"lemma23i": "i", "lemma23ii": "ii", "lemma23iii": "iii"}
-_DERIV_TOKENS = {"lemma24i": "i", "lemma24ii": "ii"}
-
-
 def bound_for(spec: cat.DistributionSpec, n: int, mode: str | None = None) -> BoundCoefficients:
     """Bound on ||f^(n)|| for a catalog family under a mode token.
 
-    Tokens lemma23*/lemma24*/lemma25 select the generic chains (they must
-    match the family's coupling shape); family-specific tokens select the
-    quartic, multivariate-normal, one-step gamma and normal literature
-    bounds.  Raises ValidityError for orders outside the window.
+    None or "default" selects the family's default mode.  A token the
+    family's mode table lacks, or an order outside the row's window,
+    raises ValidityError; a string that is no mode token raises ValueError.
     """
     if n < 0:
         raise ValidityError("derivative order must be >= 0")
     if mode is None or mode == "default":
         mode = spec.default_mode
-    if mode in _VALUE_TOKENS:
-        if spec.coupling_kind != "value" or _VALUE_TOKENS[mode] not in spec.engine_modes:
+    if mode not in spec.modes:
+        if mode in MODE_TOKENS:
             raise ValidityError(f"{spec.family} does not support mode {mode}")
-        spec.check_order(n, mode)
-        return value_coupled_bound(spec.scheme(), _VALUE_TOKENS[mode], n)
-    if mode in _DERIV_TOKENS:
-        if spec.coupling_kind != "deriv" or _DERIV_TOKENS[mode] not in spec.engine_modes:
-            raise ValidityError(f"{spec.family} does not support mode {mode}")
-        spec.check_order(n, mode)
-        if n == 0:
-            raise ValidityError("the derivative-coupled chains start at order 1")
-        return deriv_coupled_bound(spec.scheme(), _DERIV_TOKENS[mode], n)
-    if mode == "lemma25":
-        if spec.family != "vg":
-            raise ValidityError(f"{spec.family} does not support the mixed-coupling chain")
-        r, theta, sigma = spec.params["r"], spec.params["theta"], spec.params["sigma"]
-        if n == 0:
-            return BoundCoefficients({NormSymbol.centered(): cat.vg_base_constants(r, theta, sigma)[0]})
-        if n == 1:
-            return BoundCoefficients({NormSymbol.centered(): cat.vg_base_constants(r, theta, sigma)[1]})
-        return mixed_coupled_bound(spec.scheme(), n - 1)
-    if mode == "onestep":
-        if spec.family not in ("gamma", "exponential"):
-            raise ValidityError("the one-step bound is a gamma-family estimate")
-        return gamma_onestep_bound(n, spec.params.get("r", 1.0))
-    if spec.family == "quartic" and mode in ("bounded", "iterated", "lipschitz", "lipschitz_iterated"):
-        return quartic_bounds(n, mode)
-    if spec.family == "mvn" and mode in ("partial", "first", "lower", "iterated"):
-        return mvn_bounds(n, spec._impl["row_norms"], mode)
-    if mode in ("next-over-n", "gamma-ratio", "two-prev"):
-        if spec.family != "normal":
-            raise ValidityError("these literature bounds are normal-family estimates")
-        return normal_literature_bound(n, mode)
-    if mode in MODE_TOKENS:
-        raise ValidityError(f"{spec.family} does not support mode {mode}")
-    raise ValueError(f"unknown mode token {mode!r}")
+        raise ValueError(f"unknown mode token {mode!r}")
+    spec.check_order(n, mode)
+    return spec.modes[mode].bound(n)

@@ -15,10 +15,12 @@ Three chain evaluators are provided, one per coupling shape:
 * :func:`mixed_coupled_bound`   -- T f = c0 f + c1 f'
 
 The mixed case carries a combinatorial closed form (sum over constrained
-subset families) and an O(m) three-term recursion.  Both are implemented;
-the recursion is the production evaluator and the explicit enumeration is
-retained as an independent oracle (their agreement is a test, not an
-assumption).
+subset families) and an O(m) three-term recursion.  The recursion is the
+only production evaluator; :func:`enumerated_mixed_bound` evaluates the
+subset sums explicitly and is kept as an independent oracle (their
+agreement is a test, not an assumption).
+
+Orders below a chain's first order raise :class:`ValidityError`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+from .errors import ValidityError
 from .special import product
 
 __all__ = [
@@ -37,6 +40,7 @@ __all__ = [
     "value_coupled_bound",
     "deriv_coupled_bound",
     "mixed_coupled_bound",
+    "enumerated_mixed_bound",
     "index_set",
     "enumerate_subsets",
     "a_coefficient",
@@ -79,6 +83,13 @@ class NormSymbol:
     @staticmethod
     def test_deriv(j: int) -> "NormSymbol":
         return NormSymbol("h^", j)
+
+    @staticmethod
+    def test_norm(j: int, centered: bool = True) -> "NormSymbol":
+        """Order-j test norm: ||h~|| (or ||h||) at j = 0, else ||h^(j)||."""
+        if j == 0:
+            return NormSymbol.centered() if centered else NormSymbol.plain()
+        return NormSymbol.test_deriv(j)
 
     @staticmethod
     def solution() -> "NormSymbol":
@@ -253,14 +264,14 @@ def value_coupled_bound(scheme: IterationScheme, mode: str, n: int) -> BoundCoef
         c = scheme._need("c_level")
         for j in range(n + 1):
             coef = c(n) * product(c(i) * a(i) for i in range(j, n))
-            _merge(out, NormSymbol.centered() if j == 0 else NormSymbol.test_deriv(j), coef)
+            _merge(out, NormSymbol.test_norm(j), coef)
     elif mode == "ii":
         d = scheme._need("d_level")
         if n % 2 == 1:
             k = (n - 1) // 2
             for j in range(k + 1):
                 coef = d(2 * k) * product(d(2 * i) * a(2 * i + 1) for i in range(j, k))
-                _merge(out, NormSymbol.centered() if j == 0 else NormSymbol.test_deriv(2 * j), coef)
+                _merge(out, NormSymbol.test_norm(2 * j), coef)
         else:
             k = n // 2
             for j in range(1, k + 1):
@@ -269,7 +280,7 @@ def value_coupled_bound(scheme: IterationScheme, mode: str, n: int) -> BoundCoef
             _merge(out, NormSymbol.solution(), product(d(2 * i - 1) * a(2 * i - 2) for i in range(1, k + 1)))
     elif mode == "iii":
         if n < 1:
-            raise ValueError("the Lipschitz chain starts at order 1")
+            raise ValidityError("the Lipschitz chain starts at order 1")
         e = scheme._need("e_level")
         for j in range(1, n + 1):
             coef = e(n - 1) * product(e(i - 1) * a(i - 1) for i in range(j, n))
@@ -287,14 +298,14 @@ def deriv_coupled_bound(scheme: IterationScheme, mode: str, n: int) -> BoundCoef
     symbolic ||f'|| term in the odd case unless substituted.
     """
     if n < 1:
-        raise ValueError("order must be >= 1 for the derivative-coupled chain")
+        raise ValidityError("the derivative-coupled chains start at order 1")
     a = scheme.a
     out: dict[NormSymbol, float] = {}
     if mode == "i":
         c = scheme._need("c_level")
         for j in range(n):
             coef = c(n - 1) * product(c(i) * a(i) for i in range(j, n - 1))
-            _merge(out, NormSymbol.plain() if j == 0 else NormSymbol.test_deriv(j), coef)
+            _merge(out, NormSymbol.test_norm(j, centered=False), coef)
     elif mode == "ii":
         d = scheme._need("d_level")
         if n % 2 == 1:
@@ -309,7 +320,7 @@ def deriv_coupled_bound(scheme: IterationScheme, mode: str, n: int) -> BoundCoef
             k = n // 2
             for j in range(k):
                 coef = product(d(2 * i) for i in range(j, k)) * product(a(2 * i + 1) for i in range(j, k - 1))
-                _merge(out, NormSymbol.plain() if j == 0 else NormSymbol.test_deriv(2 * j), coef)
+                _merge(out, NormSymbol.test_norm(2 * j, centered=False), coef)
     else:
         raise ValueError(f"unknown mode {mode!r} (expected 'i' or 'ii')")
     return scheme._maybe_substitute(BoundCoefficients(out))
@@ -416,29 +427,36 @@ def recursion_oracle(m: int, scheme: IterationScheme) -> dict[str, dict[int, flo
     return {"C1": c1, "C2": c2, "C3": c3}
 
 
-def mixed_coupled_bound(scheme: IterationScheme, m: int, method: str = "auto") -> BoundCoefficients:
+def _mixed_functional(scheme: IterationScheme, weights: list[float]) -> BoundCoefficients:
+    """[w_0, ..., w_m] as a functional: w_j on ||h^(m-j)||, w_m on ||h~||."""
+    m = len(weights) - 1
+    out = {NormSymbol.test_deriv(m - j): weights[j] for j in range(m)}
+    out[NormSymbol.centered()] = weights[m]
+    return scheme._maybe_substitute(BoundCoefficients(out))
+
+
+def mixed_coupled_bound(scheme: IterationScheme, m: int) -> BoundCoefficients:
     """Bound on ||f^(m+1)|| when the level coupling acts as T f = c0 f + c1 f'.
 
     The coefficient on ||h^(m-j)|| is D_{m-j} * sum_{l in I_j} A_{j,l};
-    the order-0 term lands on the centered test norm.  method "recursion"
-    is O(m) and the production path; "enumerate" evaluates the subset
-    sums explicitly (capped at m <= 25) -- the two must agree.
+    the order-0 term lands on the centered test norm.  Evaluated by the
+    O(m) backward recursion of :func:`recursion_oracle`.
     """
     if m < 1:
         raise ValueError("mixed-coupling chain requires m >= 1")
-    if method == "auto":
-        method = "enumerate" if m <= _ENUMERATION_CAP else "recursion"
-    if method == "recursion":
-        c1 = recursion_oracle(m, scheme)["C1"]
-        weights = [c1[m - j] for j in range(m + 1)]
-    elif method == "enumerate":
-        if m > _ENUMERATION_CAP:
-            raise ValueError(f"explicit enumeration capped at m <= {_ENUMERATION_CAP}")
-        weights = _chain_weights_enumerated(scheme, m)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    out: dict[NormSymbol, float] = {}
-    for j in range(m):
-        _merge(out, NormSymbol.test_deriv(m - j), weights[j])
-    _merge(out, NormSymbol.centered(), weights[m])
-    return scheme._maybe_substitute(BoundCoefficients(out))
+    c1 = recursion_oracle(m, scheme)["C1"]
+    return _mixed_functional(scheme, [c1[m - j] for j in range(m + 1)])
+
+
+def enumerated_mixed_bound(scheme: IterationScheme, m: int) -> BoundCoefficients:
+    """The :func:`mixed_coupled_bound` functional evaluated from the explicit
+    subset-family sums instead of the recursion.
+
+    Exponential in m and capped at m <= 25: an oracle for tests, not a
+    production path.
+    """
+    if m < 1:
+        raise ValueError("mixed-coupling chain requires m >= 1")
+    if m > _ENUMERATION_CAP:
+        raise ValueError(f"explicit enumeration capped at m <= {_ENUMERATION_CAP}")
+    return _mixed_functional(scheme, _chain_weights_enumerated(scheme, m))

@@ -14,21 +14,19 @@ import numpy as np
 
 from . import catalog as cat
 from . import special as sf
-from .closedform import (
-    closed_form_bound,
-    gamma_onestep_bound,
-    mvn_bounds,
-    quartic_bounds,
-)
+from .catalog import gamma_onestep_bound, mvn_bounds, quartic_bounds
+from .closedform import bound_for, closed_form_bound
 from .engine import (
     IterationScheme,
     NormSymbol,
     deriv_coupled_bound,
     enumerate_subsets,
+    enumerated_mixed_bound,
     index_set,
     mixed_coupled_bound,
     value_coupled_bound,
 )
+from .errors import ValidityError
 from .solver import PolyProbe, solve
 from .verifier import (
     check_bessel_inequalities,
@@ -64,8 +62,8 @@ def criterion_1_oracle_equivalence() -> tuple[bool, str]:
     for m in range(1, 11):
         for _ in range(20):
             scheme = _random_mixed_scheme(rng)
-            enum = mixed_coupled_bound(scheme, m, method="enumerate")
-            rec = mixed_coupled_bound(scheme, m, method="recursion")
+            enum = enumerated_mixed_bound(scheme, m)
+            rec = mixed_coupled_bound(scheme, m)
             for sym in set(enum.terms) | set(rec.terms):
                 x, y = enum.get(sym), rec.get(sym)
                 rel = abs(x - y) / max(abs(x), abs(y), 1e-300)
@@ -81,90 +79,70 @@ def _compare(engine, closed) -> float:
     return worst
 
 
+def _within_window(fn, *args):
+    try:
+        return fn(*args)
+    except ValidityError:
+        return None
+
+
 def criterion_2_engine_vs_closed_form() -> tuple[bool, str]:
-    """Generic-engine coefficients equal the explicit product formulas for
-    every family and supported mode, all valid n <= 8, >= 5 draws."""
+    """Every chain row of every mode table equals the explicit product
+    formula, and both routes accept the same orders, all n <= 8 inside the
+    row's window, >= 5 draws."""
     rng = np.random.default_rng(42)
     worst = 0.0
     cases = 0
-
-    def check(spec, mode, n):
-        nonlocal worst, cases
-        sch = spec.scheme()
-        if mode == "mixed":
-            engine = mixed_coupled_bound(sch, n - 1)
-        elif spec.coupling_kind == "value":
-            engine = value_coupled_bound(sch, mode, n)
-        else:
-            engine = deriv_coupled_bound(sch, mode, n)
-        closed = closed_form_bound(spec, n, mode)
-        worst = max(worst, _compare(engine, closed))
-        cases += 1
-
+    mismatched = []
     for _ in range(5):
-        specs_modes = [
-            (cat.make_spec("normal"), ("i", "ii"), None),
-            (cat.make_spec("gamma", r=rng.uniform(0.3, 6.0), lam=rng.uniform(0.3, 3.0)), ("i",), None),
-            (cat.make_spec("exponential", lam=rng.uniform(0.3, 3.0)), ("i",), None),
-            (
-                cat.make_spec("beta", alpha=rng.uniform(0.3, 4.0), beta=rng.uniform(0.3, 4.0)),
-                ("i", "iii"),
-                None,
-            ),
-            (cat.make_spec("arcsine"), ("i", "iii"), None),
-            (
-                cat.make_spec("student_t", d=rng.uniform(5.0, 25.0), delta=rng.uniform(0.5, 4.0)),
-                ("i", "ii"),
-                "window",
-            ),
-            (
-                cat.make_spec("inverse_gamma", alpha=rng.uniform(4.0, 22.0), beta=rng.uniform(0.3, 4.0)),
-                ("i",),
-                "window",
-            ),
-            (cat.make_spec("prr", s=float(rng.uniform(1.0, 20.0))), ("i", "ii"), None),
-            (cat.make_spec("prr", s=0.5), ("ii",), None),
-            (
-                cat.make_spec("vg", r=rng.uniform(0.5, 6.0), theta=0.0, sigma=rng.uniform(0.5, 2.0)),
-                ("ii",),
-                None,
-            ),
-            (
-                cat.make_spec(
-                    "vg",
-                    r=rng.uniform(0.5, 6.0),
-                    theta=float(rng.uniform(-1.5, 1.5)) or 0.3,
-                    sigma=rng.uniform(0.5, 2.0),
-                ),
-                ("mixed",),
-                None,
+        specs = [
+            cat.make_spec("normal"),
+            cat.make_spec("gamma", r=rng.uniform(0.3, 6.0), lam=rng.uniform(0.3, 3.0)),
+            cat.make_spec("exponential", lam=rng.uniform(0.3, 3.0)),
+            cat.make_spec("beta", alpha=rng.uniform(0.3, 4.0), beta=rng.uniform(0.3, 4.0)),
+            cat.make_spec("arcsine"),
+            cat.make_spec("student_t", d=rng.uniform(5.0, 25.0), delta=rng.uniform(0.5, 4.0)),
+            cat.make_spec("inverse_gamma", alpha=rng.uniform(4.0, 22.0), beta=rng.uniform(0.3, 4.0)),
+            cat.make_spec("prr", s=float(rng.uniform(1.0, 20.0))),
+            cat.make_spec("prr", s=0.5),
+            cat.make_spec("vg", r=rng.uniform(0.5, 6.0), theta=0.0, sigma=rng.uniform(0.5, 2.0)),
+            cat.make_spec(
+                "vg",
+                r=rng.uniform(0.5, 6.0),
+                theta=float(rng.uniform(-1.5, 1.5)) or 0.3,
+                sigma=rng.uniform(0.5, 2.0),
             ),
         ]
-        for spec, modes, windowed in specs_modes:
-            for mode in modes:
-                n_lo = 2 if mode == "mixed" else (1 if mode in ("iii",) or spec.coupling_kind == "deriv" else 0)
-                for n in range(n_lo, 9):
-                    token = {"i": "lemma23i", "ii": "lemma23ii", "iii": "lemma23iii"}.get(mode, mode)
-                    if windowed:
-                        cap = spec.max_order(
-                            token if spec.coupling_kind == "value" else mode
-                        )
-                        if cap is not None and n > cap:
-                            continue
-                    check(spec, mode, n)
-    return worst <= RTOL, f"{cases} engine/closed-form cases, worst rel err {worst:.2e}"
+        for spec in specs:
+            for token, mode in spec.modes.items():
+                if mode.chain is None:
+                    continue
+                for n in range(9 if mode.last is None else min(mode.last, 8) + 1):
+                    engine = _within_window(bound_for, spec, n, token)
+                    closed = _within_window(closed_form_bound, spec, n, mode.chain)
+                    if engine is None and closed is None:
+                        continue
+                    if engine is None or closed is None:
+                        mismatched.append((spec.family, spec.param_string(), token, n))
+                        continue
+                    worst = max(worst, _compare(engine, closed))
+                    cases += 1
+    detail = f"{cases} engine/closed-form cases, worst rel err {worst:.2e}"
+    if mismatched:
+        detail += f"; WINDOWS DIFFER {mismatched[:4]}"
+    return worst <= RTOL and not mismatched, detail
 
 
 def criterion_3_exact_constants() -> tuple[bool, str]:
     checks = []
     normal = cat.make_spec("normal")
-    c_norm = value_coupled_bound(normal.scheme(), "ii", 1).get(NormSymbol.centered())
+    c_norm = value_coupled_bound(normal.scheme, "ii", 1).get(NormSymbol.centered())
     checks.append(("normal first-derivative 2", abs(c_norm - 2.0), 1e-14))
     vg = cat.make_spec("vg", r=3.0, theta=0.0, sigma=1.0)
-    c_vg = value_coupled_bound(vg.scheme(), "ii", 1).get(NormSymbol.centered())
+    c_vg = value_coupled_bound(vg.scheme, "ii", 1).get(NormSymbol.centered())
     checks.append(("vg theta=0 first-derivative 2/(sigma^2 r)", abs(c_vg - 2.0 / 3.0), 1e-14))
     prr = cat.make_spec("prr", s=1.0)
-    c_prr = deriv_coupled_bound(prr.scheme(), "i", 1).get(NormSymbol.plain())
+    c_prr = deriv_coupled_bound(prr.scheme, "i", 1).get(NormSymbol.plain())
     checks.append(("prr first-derivative sqrt(2 pi)", abs(c_prr - math.sqrt(2.0 * math.pi)), 1e-14))
     c_gam = gamma_onestep_bound(1, 1.0).get(NormSymbol.test_deriv(1))
     checks.append(("gamma one-step e^2/2 at (1,1)", abs(c_gam - math.e ** 2 / 2.0) / (math.e ** 2 / 2.0), 1e-12))

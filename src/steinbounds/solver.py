@@ -409,7 +409,7 @@ def _solve_vg(spec, h, grid, eh):
 def _solve_prr(spec, h, grid, eh):
     s = spec.params["s"]
     kappa = spec.density
-    v_fn = spec._impl["kernel_v"]
+    v_fn = spec.kernel_v
 
     def weighted(t):
         return kappa(t) * (np.asarray(h.value(t)) - eh)

@@ -228,7 +228,3 @@ def mills_ratio(x):
         out = SQRT_PI_OVER_2 * _sp.erfcx(x_arr / math.sqrt(2.0))
     return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
-
-def std_normal(x):
-    """Standard normal triple (pdf, cdf, Mill's ratio) at ``x``."""
-    return norm_pdf(x), norm_cdf(x), mills_ratio(x)

@@ -30,6 +30,7 @@ from .closedform import bound_for
 from .engine import BoundCoefficients, NormSymbol
 from .errors import ValidityError
 from .solver import (
+    _FD6_CENTRAL,
     SteinSolution,
     empirical_sup,
     expectation,
@@ -338,7 +339,6 @@ def check_quartic_identities(grid=None) -> dict:
 # Operator-splitting identity d/dx[L_k f] = L_{k+1} f' - T_k f.
 # ---------------------------------------------------------------------------
 
-_FD6_WEIGHTS = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 _FD_STEP = (2.0 ** -52) ** (1.0 / 7.0)  # standard eps^(1/7) step for 6th order
 
 
@@ -387,7 +387,7 @@ def check_operator_identity(spec: DistributionSpec, k: int, probe, grid) -> floa
     grid = np.asarray(grid, dtype=float)
     h = _FD_STEP
     lhs = np.zeros_like(grid)
-    for w, off in zip(_FD6_WEIGHTS, range(-3, 4)):
+    for w, off in zip(_FD6_CENTRAL, range(-3, 4)):
         if w != 0.0:
             lhs += w * _apply_operator(spec, k, probe, grid + off * h)
     lhs /= h

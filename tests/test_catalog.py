@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,28 +78,28 @@ class TestDensities:
 class TestSchemes:
     def test_normal_scheme_values(self):
         spec = cat.make_spec("normal")
-        sch = spec.scheme()
+        sch = spec.scheme
         assert [sch.a(j) for j in range(4)] == [1.0, 2.0, 3.0, 4.0]
         assert sch.c_level(0) == pytest.approx(1.2533141373155003, rel=1e-12)
         assert sch.d_level(5) == 2.0
 
     def test_student_t_level_zero(self):
         spec = cat.make_spec("student_t", d=9.0, delta=3.0)
-        sch = spec.scheme()
+        sch = spec.scheme
         assert sch.a(0) == pytest.approx(8.0)
         # sqrt(pi) Gamma(4.5) / (2 * 3 * Gamma(5)); mpmath 0.14317154020266
         assert sch.c_level(0) == pytest.approx(0.1431715402026598, rel=1e-12)
 
     def test_vg_symmetric_first_derivative_constant(self):
         spec = cat.make_spec("vg", r=3.0, theta=0.0, sigma=1.0)
-        assert spec.scheme().d_level(0) == pytest.approx(2.0 / 3.0, rel=1e-14)
+        assert spec.scheme.d_level(0) == pytest.approx(2.0 / 3.0, rel=1e-14)
 
     def test_gamma_order_zero_constant(self):
         assert cat.gamma_solution_constant(1.0) == pytest.approx(math.e, rel=1e-13)
 
     def test_beta_cumulative_coupling(self):
         spec = cat.make_spec("beta", alpha=2.0, beta=3.0)
-        sch = spec.scheme()
+        sch = spec.scheme
         # cumulative sums of the per-level increments alpha + beta + 2i
         for j in range(6):
             assert sch.a(j) == pytest.approx(sum(5.0 + 2.0 * i for i in range(j + 1)))
@@ -122,7 +123,7 @@ class TestWindows:
     def test_level_constant_raises_outside_window(self):
         spec = cat.make_spec("student_t", d=5.0, delta=1.0)
         with pytest.raises(ValidityError):
-            spec.scheme().c_level(3)
+            spec.scheme.c_level(3)
 
 
 class TestQuantiles:
@@ -202,48 +203,48 @@ class TestQuarticCoefficients:
 
 class TestQuarticBounds:
     def test_bounded_order_zero(self):
-        bc = cf.quartic_bounds(0, "bounded")
+        bc = cat.quartic_bounds(0, "bounded")
         assert bc.get(NormSymbol.centered()) == pytest.approx(1.6870050989000126, rel=1e-12)
 
     def test_iterated_order_zero_falls_back(self):
-        bc = cf.quartic_bounds(0, "iterated")
+        bc = cat.quartic_bounds(0, "iterated")
         assert bc.get(NormSymbol.centered()) == pytest.approx(1.6870050989000126, rel=1e-12)
 
     def test_iterated_order_one(self):
-        bc = cf.quartic_bounds(1, "iterated")
+        bc = cat.quartic_bounds(1, "iterated")
         assert bc.items() == [(NormSymbol.centered(), pytest.approx(2.0))]
 
     def test_lipschitz_table(self):
-        assert cf.quartic_bounds(2, "lipschitz").get(NormSymbol.test_deriv(1)) == 4.0
-        assert cf.quartic_bounds(2, "lipschitz_iterated").get(NormSymbol.test_deriv(1)) == 8.0
+        assert cat.quartic_bounds(2, "lipschitz").get(NormSymbol.test_deriv(1)) == 4.0
+        assert cat.quartic_bounds(2, "lipschitz_iterated").get(NormSymbol.test_deriv(1)) == 8.0
         with pytest.raises(ValidityError):
-            cf.quartic_bounds(3, "lipschitz")
+            cat.quartic_bounds(3, "lipschitz")
 
 
 class TestMvnBounds:
     def test_flat_partial(self):
-        bc = cf.mvn_bounds(2, [1.0, 1.0], "partial")
+        bc = cat.mvn_bounds(2, [1.0, 1.0], "partial")
         assert bc.items() == [(NormSymbol.test_deriv(2), pytest.approx(0.5))]
 
     def test_first_derivative(self):
-        bc = cf.mvn_bounds(1, [2.0, 1.0], "first")
+        bc = cat.mvn_bounds(1, [2.0, 1.0], "first")
         assert bc.get(NormSymbol.centered()) == pytest.approx(2.0 * math.sqrt(math.pi / 2.0), rel=1e-13)
 
     def test_derivative_trading(self):
-        bc = cf.mvn_bounds(2, [1.0, 1.0], "lower")
+        bc = cat.mvn_bounds(2, [1.0, 1.0], "lower")
         # Gamma(1)/(sqrt(2) Gamma(1.5)) = sqrt(2/pi)
         assert bc.get(NormSymbol.test_deriv(1)) == pytest.approx(0.7978845608028654, rel=1e-12)
 
     def test_iterated_identity_covariance(self):
-        bc = cf.mvn_bounds(2, [1.0, 1.0, 1.0], "iterated")
+        bc = cat.mvn_bounds(2, [1.0, 1.0, 1.0], "iterated")
         assert bc.get(NormSymbol.test_deriv(1)) == pytest.approx(1.2533141373155003, rel=1e-12)
         assert bc.get(NormSymbol.centered()) == pytest.approx(math.pi / 2.0, rel=1e-12)
         with pytest.raises(ValidityError):
-            cf.mvn_bounds(2, [2.0, 1.0], "iterated")
+            cat.mvn_bounds(2, [2.0, 1.0], "iterated")
 
     def test_order_zero_unsupported(self):
         with pytest.raises(ValidityError):
-            cf.mvn_bounds(0, [1.0], "partial")
+            cat.mvn_bounds(0, [1.0], "partial")
 
 
 class TestRefinedConstants:
@@ -296,15 +297,15 @@ class TestLangevinExponents:
 
 class TestGammaOneStep:
     def test_reference_values(self):
-        bc = cf.gamma_onestep_bound(1, 1.0)
+        bc = cat.gamma_onestep_bound(1, 1.0)
         assert bc.get(NormSymbol.test_deriv(1)) == pytest.approx(math.e ** 2 / 2.0, rel=1e-12)
-        bc = cf.gamma_onestep_bound(1, 2.0)
+        bc = cat.gamma_onestep_bound(1, 2.0)
         # 2 e^3 Gamma(3) / 27; mpmath 2.975635099731506
         assert bc.get(NormSymbol.test_deriv(1)) == pytest.approx(2.9756350997315063, rel=1e-12)
 
     def test_starts_at_order_one(self):
         with pytest.raises(ValidityError):
-            cf.gamma_onestep_bound(0, 1.0)
+            cat.gamma_onestep_bound(0, 1.0)
 
 
 class TestEngineAgainstClosedForms:
@@ -331,22 +332,66 @@ class TestEngineAgainstClosedForms:
         for n in range(n_lo, 9):
             closed = cf.closed_form_bound(spec, n, mode)
             if spec.coupling_kind == "value":
-                engine = value_coupled_bound(spec.scheme(), mode, n)
+                engine = value_coupled_bound(spec.scheme, mode, n)
             else:
-                engine = deriv_coupled_bound(spec.scheme(), mode, n)
+                engine = deriv_coupled_bound(spec.scheme, mode, n)
             assert engine.allclose(closed, rtol=1e-10), (family, mode, n)
 
     def test_vg_general_display_matches_mixed_chain(self):
         spec = cat.make_spec("vg", r=2.5, theta=0.7, sigma=1.1)
         for n in range(2, 8):
             closed = cf.closed_form_bound(spec, n, "mixed")
-            engine = mixed_coupled_bound(spec.scheme(), n - 1)
+            engine = mixed_coupled_bound(spec.scheme, n - 1)
             assert engine.allclose(closed, rtol=1e-10), n
 
     def test_vg_symmetric_chain_recovers_first_derivative_base(self):
         spec = cat.make_spec("vg", r=3.0, theta=0.0, sigma=1.0)
         closed = cf.closed_form_bound(spec, 1, "ii")
         assert closed.items() == [(NormSymbol.centered(), pytest.approx(2.0 / 3.0, rel=1e-13))]
+
+
+# The eleven default catalog specs plus vg theta=0.5: the cells of the
+# committed bound table perfbench/reference/coeff_table.json.
+BOUND_TABLE_SPECS = (
+    ("normal", {}),
+    ("gamma", {"r": 2.0, "lam": 1.0}),
+    ("exponential", {"lam": 1.0}),
+    ("beta", {"alpha": 2.0, "beta": 3.0}),
+    ("arcsine", {}),
+    ("student_t", {"d": 9.0, "delta": 3.0}),
+    ("inverse_gamma", {"alpha": 9.0, "beta": 2.0}),
+    ("prr", {"s": 1.0}),
+    ("vg", {"r": 3.0, "theta": 0.0, "sigma": 1.0}),
+    ("quartic", {}),
+    ("mvn", {"dim": 2}),
+    ("vg", {"r": 3.0, "theta": 0.5, "sigma": 1.0}),
+)
+
+
+class TestBoundTable:
+    def test_every_cell_matches_reference_or_is_a_window_rejection(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "coeff_table.json"
+        reference = json.loads(path.read_text())
+        accepted = set()
+        for family, params in BOUND_TABLE_SPECS:
+            spec = cat.make_spec(family, **params)
+            for token in cf.MODE_TOKENS:
+                for n in range(19):
+                    key = f"{spec.family}({spec.param_string()})|{token}|{n}"
+                    try:
+                        coeffs = cf.bound_for(spec, n, token)
+                    except ValidityError:
+                        continue
+                    accepted.add(key)
+                    want = reference.get(key)
+                    assert want is not None, f"{key} accepted, but not in the reference"
+                    got = {sym.label: value for sym, value in coeffs.items()}
+                    for label in set(got) | set(want):
+                        assert got.get(label, 0.0) == pytest.approx(
+                            want.get(label, 0.0), rel=1e-10, abs=0.0
+                        ), (key, label)
+        assert accepted == set(reference)
+        assert len(accepted) == 626
 
 
 class TestCatalogJson:

@@ -1,9 +1,11 @@
 """Command-line interface: documented examples, formats, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from steinbounds.catalog import make_spec
 from steinbounds.cli import main
 
 
@@ -97,6 +99,22 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_lipschitz_chain_below_first_order(self, capsys):
+        code, _, err = run_cli(
+            capsys, "coeffs", "--family", "beta", "--alpha", "2", "--beta", "3",
+            "--n", "0", "--mode", "lemma23iii",
+        )
+        assert code == 2
+        assert "order 1" in err
+
+    def test_symmetric_vg_mixed_chain_beyond_base_bounds(self, capsys):
+        vg = ("coeffs", "--family", "vg", "--r", "3", "--theta", "0", "--sigma", "1", "--mode", "lemma25")
+        for n in ("0", "1"):
+            assert run_cli(capsys, *vg, "--n", n)[0] == 0
+        code, _, err = run_cli(capsys, *vg, "--n", "2")
+        assert code == 2
+        assert "window" in err
+
 
 class TestCatalogCommand:
     def test_quartic_contains_normalizer(self, capsys):
@@ -110,6 +128,15 @@ class TestCatalogCommand:
         assert code == 0
         docs = json.loads(out)
         assert {d["family"] for d in docs} >= {"normal", "vg", "quartic", "mvn"}
+
+    def test_full_catalog_golden(self, capsys):
+        # byte-for-byte the listing of the eleven default catalog specs
+        golden = Path(__file__).parent / "golden" / "catalog.json"
+        code, out, _ = run_cli(capsys, "catalog")
+        assert code == 0
+        assert out == golden.read_text()
+        assert make_spec("student_t", d=9.0, delta=3.0).propagation_cap() == 5
+        assert make_spec("inverse_gamma", alpha=9.0, beta=2.0).propagation_cap() == 3
 
 
 class TestVerifyCommand:

@@ -13,6 +13,7 @@ from steinbounds.engine import (
     coefficients,
     deriv_coupled_bound,
     enumerate_subsets,
+    enumerated_mixed_bound,
     index_set,
     mixed_coupled_bound,
     parse_slot,
@@ -218,7 +219,7 @@ class TestMixedChain:
         seq = recursion_oracle(m, scheme)
         assert seq["C1"][m - 1] == 0.0
         assert seq["C1"][m - 2] == pytest.approx(dval ** 2, rel=1e-13)
-        enum = mixed_coupled_bound(scheme, m, method="enumerate")
+        enum = enumerated_mixed_bound(scheme, m)
         assert enum.get(NormSymbol.test_deriv(m - 2)) == pytest.approx(dval ** 2, rel=1e-13)
 
     def test_degenerate_all_a_zero(self):
@@ -289,4 +290,4 @@ class TestMixedChain:
         scheme = IterationScheme(a=lambda j: 1.0, b=lambda j: 1.0,
                                  d_level=lambda l: 1.0, k_level=lambda l: 1.0)
         with pytest.raises(ValueError):
-            mixed_coupled_bound(scheme, 26, method="enumerate")
+            enumerated_mixed_bound(scheme, 26)

@@ -38,9 +38,11 @@ from .engine import (
 from .errors import NumericError, ValidityError, VerificationFailure
 from .solver import (
     CosineTest,
+    Mesh,
     PolyProbe,
     SineTest,
     SteinSolution,
+    build_mesh,
     empirical_sup,
     expectation,
     parse_test_function,

@@ -10,6 +10,17 @@ higher order is exact algebra on the level equations.
 
 Grids are quantile-based: they cover [q(1e-8), q(1 - 1e-8)] plus a 20%
 margin clipped to the support, 20001 points by default.
+
+Everything that depends on the law but not on the test function lives in
+a ``Mesh``, built once per spec by ``build_mesh``: the grid, the median
+at which the first-order and PRR representations switch forms, the
+Gauss-Legendre panel nodes, and a memo of the kernel factors at those
+nodes (the density; the scaled Bessel kernels of variance-gamma; the PRR
+inner weight v * kappa).  The map h -> f is linear, so each solve
+multiplies the shared factors by h - E h(Z) and only the adaptive
+quadratures (delicate panels, tails) stay per test function.  A sweep
+solves every test function of a spec on one mesh; ``solve`` builds a
+private mesh when it is not given one.
 """
 
 from __future__ import annotations
@@ -44,6 +55,8 @@ __all__ = [
     "PolyProbe",
     "parse_test_function",
     "SteinSolution",
+    "Mesh",
+    "build_mesh",
     "expectation",
     "solve",
     "propagate_derivatives",
@@ -54,6 +67,7 @@ __all__ = [
 DEFAULT_POINTS = 20001
 COVERAGE_TAIL = 1e-8
 MARGIN = 0.2
+GL_ORDER = 12  # Gauss-Legendre nodes per grid panel
 # A grid point is excluded from algebraic propagation once the cumulative
 # error amplification across all divisions by the leading coefficient
 # exceeds this cap (base solution accuracy ~1e-11, so the propagated noise
@@ -179,18 +193,14 @@ def expectation(spec: DistributionSpec, h) -> float:
     return total
 
 
-def _panel_integrals(grid, fn, delicate=(), gl_order=12):
-    """Integral of fn over each grid panel: vectorized Gauss-Legendre,
-    with adaptive quadrature substituted on panels near delicate points
-    (integrable endpoint singularities, kinked kernels)."""
-    nodes, weights = np.polynomial.legendre.leggauss(gl_order)
-    a, b = grid[:-1], grid[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = np.asarray(fn(xs), dtype=float)
-    out = (vals @ weights) * half
+def _panel_integrals(mesh, vals, fn, delicate=()):
+    """Integral over each grid panel, given the integrand's values at the
+    mesh's Gauss-Legendre nodes; adaptive quadrature of fn is substituted
+    on panels near delicate points (integrable endpoint singularities,
+    kinked kernels)."""
+    out = (vals @ mesh.weights) * mesh.half
     if len(delicate):
+        a, b = mesh.grid[:-1], mesh.grid[1:]
         radius = 4.0 * np.max(b - a)
         with quiet_quadrature():
             for d in delicate:
@@ -238,6 +248,51 @@ def build_grid(spec: DistributionSpec, n_points: int = DEFAULT_POINTS) -> np.nda
         k_right = int(math.ceil(hi / dx))
         return dx * np.arange(-k_left, k_right + 1)
     return np.linspace(lo, hi, n_points)
+
+
+@dataclass
+class Mesh:
+    """The test-function-independent part of a solve for one spec.
+
+    xs holds the GL_ORDER Gauss-Legendre nodes of every grid panel (one
+    row per panel), half the panel half-widths and weights the rule's
+    weights.  node_factor memoizes kernel factors evaluated at xs.  The
+    arrays are shared by every solve on the mesh (the grid also by their
+    solutions), so they are read-only.
+    """
+
+    spec: DistributionSpec
+    grid: np.ndarray
+    split: float | None
+    xs: np.ndarray
+    half: np.ndarray
+    weights: np.ndarray
+    _factors: dict = field(default_factory=dict, repr=False)
+
+    def node_factor(self, name: str, fn) -> np.ndarray:
+        """fn(xs), evaluated on the first request for name only."""
+        if name not in self._factors:
+            factor = fn(self.xs)
+            factor.flags.writeable = False
+            self._factors[name] = factor
+        return self._factors[name]
+
+
+def build_mesh(spec: DistributionSpec, n_points: int = DEFAULT_POINTS) -> Mesh:
+    """Grid, form split and panel nodes of spec, shared by every solve
+    on it."""
+    if not spec.solvable:
+        raise ValidityError(f"family {spec.family} has no 1-D solver support")
+    grid = build_grid(spec, n_points)
+    split = quantile(spec, 0.5) if spec.operator_order == 1 or spec.family == "prr" else None
+    nodes, weights = np.polynomial.legendre.leggauss(GL_ORDER)
+    a, b = grid[:-1], grid[1:]
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    xs = mid[:, None] + half[:, None] * nodes[None, :]
+    for arr in (grid, half, xs):
+        arr.flags.writeable = False
+    return Mesh(spec=spec, grid=grid, split=split, xs=xs, half=half, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -295,45 +350,54 @@ def residual_norm(sol: SteinSolution, spec: DistributionSpec, h, trim: int = 10)
 # ---------------------------------------------------------------------------
 
 
-def solve(spec: DistributionSpec, h, n_points: int = DEFAULT_POINTS) -> SteinSolution:
-    """Distinguished solution of the order-0 Stein equation on the grid."""
-    if not spec.solvable:
-        raise ValueError(f"family {spec.family} has no 1-D solver support")
+def solve(
+    spec: DistributionSpec, h, n_points: int = DEFAULT_POINTS, *, mesh: Mesh | None = None
+) -> SteinSolution:
+    """Distinguished solution of the order-0 Stein equation on the grid
+    (on mesh's grid when one is given: it must have been built for spec)."""
+    if mesh is None:
+        mesh = build_mesh(spec, n_points)
+    elif mesh.spec is not spec:
+        raise ValueError("the mesh was built for a different spec")
     mean_value = expectation(spec, h)
-    grid = build_grid(spec, n_points)
     if spec.operator_order == 1:
-        f, diags = _solve_first_order(spec, h, grid, mean_value)
+        f, diags = _solve_first_order(mesh, h, mean_value)
         derivs = {0: f}
     elif spec.family == "vg":
-        derivs, diags = _solve_vg(spec, h, grid, mean_value)
+        derivs, diags = _solve_vg(mesh, h, mean_value)
     elif spec.family == "prr":
-        f, diags = _solve_prr(spec, h, grid, mean_value)
+        f, diags = _solve_prr(mesh, h, mean_value)
         derivs = {0: f}
     else:
         raise ValueError(f"no solver for family {spec.family}")
     diags["mean_value"] = mean_value
-    return SteinSolution(grid=grid, derivs=derivs, diagnostics=diags)
+    return SteinSolution(grid=mesh.grid, derivs=derivs, diagnostics=diags)
 
 
-def _solve_first_order(spec, h, grid, eh):
+def _solve_first_order(mesh, h, eh):
+    spec, grid = mesh.spec, mesh.grid
     lo, hi = spec.support
 
     def weighted(x):
         return spec.density(x) * (np.asarray(h.value(x)) - eh)
 
-    panels = _panel_integrals(grid, weighted, delicate=spec.delicate_points)
+    fac = mesh.node_factor("density", spec.density)
+    panels = _panel_integrals(
+        mesh, fac * (np.asarray(h.value(mesh.xs)) - eh), weighted, delicate=spec.delicate_points
+    )
     tail_lo, err_lo = _tail_integral(lambda t: float(weighted(t)), lo, grid[0])
     tail_hi, err_hi = _tail_integral(lambda t: float(weighted(t)), grid[-1], hi)
     left = tail_lo + np.concatenate([[0.0], np.cumsum(panels)])
     right = tail_hi + np.concatenate([[0.0], np.cumsum(panels[::-1])])[::-1]
-    split = quantile(spec, 0.5)
+    split = mesh.split
     numer = np.where(grid <= split, left, -right)
     denom = spec.weight_s(grid) * spec.density(grid)
     f = numer / denom
     return f, {"tail_quad_error": err_lo + err_hi, "form_split": split}
 
 
-def _solve_vg(spec, h, grid, eh):
+def _solve_vg(mesh, h, eh):
+    spec, grid = mesh.spec, mesh.grid
     r, theta, sigma = spec.params["r"], spec.params["theta"], spec.params["sigma"]
     nu = (r - 1.0) / 2.0
     s2 = sigma * sigma
@@ -347,21 +411,31 @@ def _solve_vg(spec, h, grid, eh):
     # and exp(beta y) K_nu(alpha |y|) = kve * exp(beta y - alpha |y|).  The
     # K-kernel exponent is <= 0 whenever |beta| < alpha, so the tail
     # quadratures cannot overflow.
-    def kernel_i(y):
+    def factor_i(y):
         y = np.asarray(y, dtype=float)
         ay = np.abs(y)
-        return np.exp(beta * y + alpha * ay) * ay ** nu * _sp.ive(nu, alpha * ay) * htilde(y)
+        return np.exp(beta * y + alpha * ay) * ay ** nu * _sp.ive(nu, alpha * ay)
 
-    def kernel_k(y):
+    def factor_k(y):
         y = np.asarray(y, dtype=float)
         ay = np.maximum(np.abs(y), 1e-300)
-        return np.exp(beta * y - alpha * ay) * ay ** nu * _sp.kve(nu, alpha * ay) * htilde(y)
+        return np.exp(beta * y - alpha * ay) * ay ** nu * _sp.kve(nu, alpha * ay)
+
+    def kernel_i(y):
+        return factor_i(y) * htilde(y)
+
+    def kernel_k(y):
+        return factor_k(y) * htilde(y)
 
     i0 = int(np.argmin(np.abs(grid)))
     if abs(grid[i0]) > 1e-12:
         raise NumericError("vg grid must contain the origin")
-    panels_i = _panel_integrals(grid, kernel_i, delicate=(0.0,))
-    panels_k = _panel_integrals(grid, kernel_k, delicate=(0.0,))
+    # factors first: their evaluation is the memory peak of a vg solve
+    fac_i = mesh.node_factor("vg_i", factor_i)
+    fac_k = mesh.node_factor("vg_k", factor_k)
+    h_nodes = htilde(mesh.xs)
+    panels_i = _panel_integrals(mesh, fac_i * h_nodes, kernel_i, delicate=(0.0,))
+    panels_k = _panel_integrals(mesh, fac_k * h_nodes, kernel_k, delicate=(0.0,))
     # signed cumulative of the I-kernel anchored at the origin and summed
     # outward: anchoring at a grid edge would difference huge tail values
     # and destroy the small near-origin integrals
@@ -406,7 +480,8 @@ def _solve_vg(spec, h, grid, eh):
     return {0: f, 1: f1}, {"tail_quad_error": err_lo + err_hi, "origin_index": i0}
 
 
-def _solve_prr(spec, h, grid, eh):
+def _solve_prr(mesh, h, eh):
+    spec, grid = mesh.spec, mesh.grid
     s = spec.params["s"]
     kappa = spec.density
     v_fn = spec.kernel_v
@@ -414,20 +489,25 @@ def _solve_prr(spec, h, grid, eh):
     def weighted(t):
         return kappa(t) * (np.asarray(h.value(t)) - eh)
 
-    panels = _panel_integrals(grid, weighted, delicate=(0.0,))
+    fac = mesh.node_factor("density", kappa)
+    panels = _panel_integrals(mesh, fac * (np.asarray(h.value(mesh.xs)) - eh), weighted, delicate=(0.0,))
     head, err_lo = _tail_integral(lambda t: float(weighted(t)), 0.0, grid[0])
     tail, err_hi = _tail_integral(lambda t: float(weighted(t)), grid[-1], math.inf)
     g_left = head + np.concatenate([[0.0], np.cumsum(panels)])
     g_right = tail + np.concatenate([[0.0], np.cumsum(panels[::-1])])[::-1]
-    split = quantile(spec, 0.5)
+    split = mesh.split
     g_vals = np.where(grid <= split, g_left, -g_right)
     g_spline = CubicSpline(grid, g_vals)
 
+    def v_kappa(y):
+        return v_fn(y) * kappa(y)
+
     def outer(y):
         y = np.asarray(y, dtype=float)
-        return g_spline(y) / (v_fn(y) * kappa(y))
+        return g_spline(y) / v_kappa(y)
 
-    outer_panels = _panel_integrals(grid, outer, delicate=(0.0,))
+    fac = mesh.node_factor("v_kappa", v_kappa)
+    outer_panels = _panel_integrals(mesh, g_spline(mesh.xs) / fac, outer, delicate=(0.0,))
     head_h, err_h = _tail_integral(lambda t: float(outer(t)), 0.0, grid[0])
     h_vals = head_h + np.concatenate([[0.0], np.cumsum(outer_panels)])
     f = v_fn(grid) * h_vals / s

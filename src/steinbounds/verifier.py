@@ -31,9 +31,11 @@ from .engine import BoundCoefficients, NormSymbol
 from .errors import ValidityError
 from .solver import (
     _FD6_CENTRAL,
+    CosineTest,
+    SineTest,
     SteinSolution,
+    build_mesh,
     empirical_sup,
-    expectation,
     propagate_derivatives,
     residual_norm,
     solve,
@@ -120,7 +122,11 @@ def verify(
     mode: str | None = None,
     solution: SteinSolution | None = None,
 ) -> VerificationReport:
-    """Bound vs. empirical sup-norm for one (family, order, test function)."""
+    """Bound vs. empirical sup-norm for one (family, order, test function).
+
+    E h(Z) comes from the solution's diagnostics; without a solution, one
+    is solved, but only after the bound is known to be priceable.
+    """
     mode = mode or spec.default_mode
     report = VerificationReport(
         family=spec.family, param_string=spec.param_string(), n=n, mode=mode, test_fn=h.name
@@ -130,10 +136,12 @@ def verify(
         {"symbol": sym.slot, "order": sym.order, "centered": sym.kind == "h~", "value": c}
         for sym, c in coeffs.items()
     ]
-    mean_value = expectation(spec, h)
-    report.bound_value = coeffs.evaluate(norms_for(h, coeffs, mean_value))
+    # whether a norm slot can be priced does not depend on E h(Z), so a
+    # bound that cannot be priced fails here, before a solve starts
+    norms_for(h, coeffs, 0.0)
     if solution is None:
         solution = solve(spec, h)
+    report.bound_value = coeffs.evaluate(norms_for(h, coeffs, solution.diagnostics["mean_value"]))
     if solution.max_order < max(n, spec.operator_order):
         solution = propagate_derivatives(solution, spec, h, max(n, spec.operator_order))
     emp, flag = empirical_sup(solution, n)
@@ -162,17 +170,11 @@ DEFAULT_SWEEP_FAMILIES: tuple[tuple[str, dict], ...] = (
 
 
 def sweep(
-    specs=None,
-    orders=range(5),
-    test_fns=None,
-    mode: str | None = None,
-    fail_fast: bool = False,
+    specs=None, orders=range(5), test_fns=None, mode: str | None = None
 ) -> list[VerificationReport]:
     """Cartesian verification sweep; validity violations become table rows
-    rather than crashes.  One solve per (family, test function), reused
-    across orders."""
-    from .solver import CosineTest, SineTest
-
+    rather than crashes.  One mesh per spec, one solve per (spec, test
+    function), reused across orders."""
     if specs is None:
         specs = [make_spec(fam, **params) for fam, params in DEFAULT_SWEEP_FAMILIES]
     if test_fns is None:
@@ -180,35 +182,37 @@ def sweep(
     orders = list(orders)
     reports: list[VerificationReport] = []
     for spec in specs:
-        for h in test_fns:
-            solution = None
-            valid_orders = []
-            for n in orders:
-                try:
-                    bound_for(spec, n, mode or spec.default_mode)
-                    valid_orders.append(n)
-                except ValidityError as exc:
-                    reports.append(
-                        VerificationReport(
-                            family=spec.family,
-                            param_string=spec.param_string(),
-                            n=n,
-                            mode=mode or spec.default_mode,
-                            test_fn=h.name,
-                            error=str(exc),
-                        )
-                    )
-            if valid_orders:
-                solution = solve(spec, h)
-                solution = propagate_derivatives(
-                    solution, spec, h, max(max(valid_orders), spec.operator_order)
-                )
-            for n in valid_orders:
-                rep = verify(spec, n, h, mode=mode, solution=solution)
-                reports.append(rep)
-                if fail_fast and rep.passed is False:
-                    return reports
+        reports.extend(_sweep_spec(spec, orders, test_fns, mode or spec.default_mode))
     reports.sort(key=lambda r: (r.family, r.param_string, r.test_fn, r.n))
+    return reports
+
+
+def _sweep_spec(spec, orders, test_fns, mode) -> list[VerificationReport]:
+    """The sweep rows of one spec.  The mesh lives only as long as this
+    call, so a sweep holds one spec's mesh at a time."""
+    valid_orders, rejected = [], []
+    for n in orders:
+        try:
+            bound_for(spec, n, mode)
+            valid_orders.append(n)
+        except ValidityError as exc:
+            rejected.append((n, str(exc)))
+    mesh = build_mesh(spec) if valid_orders else None
+    reports = []
+    for h in test_fns:
+        for n, error in rejected:
+            reports.append(
+                VerificationReport(
+                    family=spec.family, param_string=spec.param_string(), n=n, mode=mode,
+                    test_fn=h.name, error=error,
+                )
+            )
+        if valid_orders:
+            solution = solve(spec, h, mesh=mesh)
+            solution = propagate_derivatives(
+                solution, spec, h, max(max(valid_orders), spec.operator_order)
+            )
+            reports.extend(verify(spec, n, h, mode=mode, solution=solution) for n in valid_orders)
     return reports
 
 

@@ -116,6 +116,21 @@ class TestExitCodes:
         assert "window" in err
 
 
+    def test_verify_family_without_solver(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--family", "mvn", "--dim", "2", "--n", "1")
+        assert code == 2
+        assert "no 1-D solver support" in err
+        assert "Traceback" not in err
+
+    def test_verify_unpriceable_bounds(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--family", "prr", "--s", "0.5", "--n", "1")
+        assert code == 2
+        assert "symbolic" in err
+        code, _, err = run_cli(capsys, "verify", "--family", "normal", "--n", "1", "--test", "probe:x")
+        assert code == 1
+        assert "unbounded" in err
+
+
 class TestCatalogCommand:
     def test_quartic_contains_normalizer(self, capsys):
         code, out, _ = run_cli(capsys, "catalog", "--family", "quartic")
@@ -137,6 +152,15 @@ class TestCatalogCommand:
         assert out == golden.read_text()
         assert make_spec("student_t", d=9.0, delta=3.0).propagation_cap() == 5
         assert make_spec("inverse_gamma", alpha=9.0, beta=2.0).propagation_cap() == 3
+
+
+class TestSweepCommand:
+    def test_full_sweep_golden(self, capsys):
+        # byte-for-byte the default 11-spec x 3-test-function x orders 0-4 table
+        golden = Path(__file__).parent / "golden" / "sweep.json"
+        code, out, _ = run_cli(capsys, "sweep", "--format", "json")
+        assert code == 0
+        assert out == golden.read_text()
 
 
 class TestVerifyCommand:

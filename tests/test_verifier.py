@@ -1,5 +1,6 @@
 """Verifier: bound-vs-empirical reports, sweeps, analytic inequality grids."""
 
+import functools
 import json
 import math
 
@@ -7,11 +8,29 @@ import numpy as np
 import pytest
 
 from steinbounds import catalog as cat
+from steinbounds import solver as sv
 from steinbounds import verifier as vf
 from steinbounds.closedform import bound_for
 from steinbounds.engine import coefficients
 from steinbounds.errors import ValidityError
-from steinbounds.solver import SineTest
+from steinbounds.solver import CosineTest, PolyProbe, SineTest
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Record every call of fn made through any module-level reference in
+    the catalog, solver and verifier modules."""
+    calls = []
+
+    @functools.wraps(fn)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod in (cat, sv, vf):
+        for attr, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
 
 
 class TestVerify:
@@ -47,6 +66,32 @@ class TestVerify:
         with pytest.raises(ValidityError):
             vf.norms_for(h, leftover, 0.0)
 
+    def test_family_without_solver_is_validity_error(self, monkeypatch):
+        spec = cat.make_spec("mvn", dim=2)
+        expectations = count_calls(monkeypatch, sv.expectation)
+        grids = count_calls(monkeypatch, sv.build_grid)
+        for call in (lambda: vf.verify(spec, 1, SineTest(1.0)), lambda: sv.solve(spec, SineTest(1.0))):
+            with pytest.raises(ValidityError, match="no 1-D solver support"):
+                call()
+        assert expectations == [] and grids == []
+
+    def test_unpriceable_bound_raises_before_solving(self, monkeypatch):
+        solves = count_calls(monkeypatch, sv.solve)
+        # symbolic ||f'|| leftover: prr below s = 1 has no base substitution
+        with pytest.raises(ValidityError, match="symbolic"):
+            vf.verify(cat.make_spec("prr", s=0.5), 1, SineTest(1.0))
+        # polynomial probes have no analytic norms
+        with pytest.raises(ValueError, match="unbounded") as exc:
+            vf.verify(cat.make_spec("normal"), 1, PolyProbe((0.0, 1.0), "x"))
+        assert not isinstance(exc.value, ValidityError)
+        assert solves == []
+
+    def test_single_verify_computes_the_mean_once(self, monkeypatch):
+        expectations = count_calls(monkeypatch, sv.expectation)
+        rep = vf.verify(cat.make_spec("gamma", r=2.0, lam=1.0), 1, SineTest(1.0))
+        assert rep.passed
+        assert len(expectations) == 1
+
 
 class TestSweep:
     def test_empty_family_list(self):
@@ -65,6 +110,59 @@ class TestSweep:
         assert all(r.passed for r in reports)
         keys = [(r.family, r.param_string, r.test_fn, r.n) for r in reports]
         assert keys == sorted(keys)
+
+
+class TestMeshReuse:
+    """A sweep solves every test function of a spec on one mesh; the rows
+    must be exactly those of independent verify calls."""
+
+    def test_sweep_rows_equal_fresh_verify(self):
+        specs = [
+            cat.make_spec("gamma", r=2.0, lam=1.0),
+            cat.make_spec("prr", s=1.0),
+            cat.make_spec("vg", r=3.0, theta=0.0, sigma=1.0),
+            cat.make_spec("vg", r=3.0, theta=0.5, sigma=1.0),
+        ]
+        test_fns = [SineTest(2.0), CosineTest(1.0)]
+        reports = vf.sweep(specs=specs, orders=range(3), test_fns=test_fns)
+        assert len(reports) == 4 * 2 * 3
+        by_key = {(s.family, s.param_string()): s for s in specs}
+        by_name = {h.name: h for h in test_fns}
+        checked = 0
+        for rep in reports:
+            spec, h = by_key[(rep.family, rep.param_string)], by_name[rep.test_fn]
+            if rep.error is not None:
+                with pytest.raises(ValidityError) as exc:
+                    vf.verify(spec, rep.n, h)
+                assert str(exc.value) == rep.error
+                continue
+            row, fresh = rep.as_dict(), vf.verify(spec, rep.n, h).as_dict()
+            if max(rep.n, spec.operator_order) < 2:
+                # the sweep propagates to order 2 and its rows count the
+                # points filled at every order, a fresh verify only up to n
+                assert fresh.pop("filled_points") <= row.pop("filled_points")
+            assert row == fresh
+            checked += 1
+        assert checked == 22  # prr has no order-0 bound
+
+    def test_mesh_of_another_spec_is_rejected(self):
+        spec = cat.make_spec("normal")
+        mesh = sv.build_mesh(cat.make_spec("normal"))
+        with pytest.raises(ValueError, match="different spec"):
+            sv.solve(spec, SineTest(1.0), mesh=mesh)
+
+    def test_one_mesh_per_spec(self, monkeypatch):
+        grids = count_calls(monkeypatch, sv.build_grid)
+        quantiles = count_calls(monkeypatch, cat.quantile)
+        expectations = count_calls(monkeypatch, sv.expectation)
+        solves = count_calls(monkeypatch, sv.solve)
+        spec = cat.make_spec("gamma", r=2.0, lam=1.0)
+        test_fns = [SineTest(1.0), SineTest(2.0), CosineTest(1.0)]
+        reports = vf.sweep(specs=[spec], orders=range(3), test_fns=test_fns)
+        assert all(r.passed for r in reports)
+        # two coverage quantiles for the grid and the median form split
+        assert (len(grids), len(quantiles)) == (1, 3)
+        assert len(expectations) == len(solves) == 3
 
 
 class TestOffCatalogParameters:

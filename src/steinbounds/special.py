@@ -2,9 +2,10 @@
 
 Everything here is a thin, contract-checked layer over ``scipy.special``:
 gamma and log-gamma, double factorials, Pochhammer products, modified
-Bessel functions (plus log-space variants for tail quadrature), the
-confluent hypergeometric U function on the parameter slice we actually
-use, and the standard normal pdf/cdf/Mill's-ratio triple.
+Bessel functions (plus log-space variants for tail quadrature) and the
+standard normal pdf/cdf/Mill's-ratio triple.  The confluent
+hypergeometric U function on the parameter slice we actually use is a
+fixed double-exponential quadrature rule of its own.
 
 All functions are pure and reentrant.
 """
@@ -164,34 +165,52 @@ def log_bessel_k(nu: float, x):
 _HYP_U_B = 0.5
 
 
-def _hyp_u_scalar(a: float, x: float) -> float:
-    """U(a, 1/2, x) for a > 0 through the real integral representation.
+# Double-exponential trapezoid rule (Takahasi & Mori, 1974) for the
+# integral representation of U(a, 1/2, x), a > 0.
+_DE_STEP = 0.02
+_DE_LOG_TAIL = 745.0  # tau^a = e^-745 at the left end: below the smallest double
+_DE_LOG_MAX = 709.0  # largest log(tau): exp overflows past ~709.78
+# abscissae x nodes per block: at most 122 abscissae (a = 19 has the
+# fewest nodes, 536), fewer for small a, whose rule has more nodes
+_DE_CELLS = 1 << 16
 
-    Direct library evaluation dips to ~3e-8 relative in a transition
-    region for fractional a; splitting the integral at t = 1 with an
-    algebraic endpoint weight keeps this path at ~1e-11.
+
+def _hyp_u_de(a: float, x: np.ndarray) -> np.ndarray:
+    """U(a, 1/2, x) for a > 0 and x > 0 by one fixed rule for every x.
+
+    With t = tau/(1+x), U = (1+x)^-a / Gamma(a) int_0^inf e^(-x tau/(1+x))
+    tau^(a-1) (1 + tau/(1+x))^(-a-1/2) dtau, whose integrand has its bulk
+    at tau of order 1 for every x.  The substitution tau = exp(pi/2
+    sinh sigma) makes it decay double-exponentially in sigma; the
+    trapezoid rule runs from tau^a = e^-745 to log tau = 709.
     """
-    import warnings
-
-    from scipy import integrate as _integrate
-
-    def body(t):
-        return math.exp(-x * t) * (1.0 + t) ** (-a - 0.5)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _integrate.IntegrationWarning)
-        head, _ = _integrate.quad(body, 0.0, 1.0, weight="alg", wvar=(a - 1.0, 0.0),
-                                  epsabs=0.0, epsrel=1e-12, limit=300)
-        tail, _ = _integrate.quad(lambda t: body(t) * t ** (a - 1.0), 1.0, math.inf,
-                                  epsabs=1e-300, epsrel=1e-12, limit=300)
-    return (head + tail) * math.exp(-_sp.gammaln(a))
+    lo = -math.asinh(2.0 * _DE_LOG_TAIL / (math.pi * a))
+    hi = math.asinh(2.0 * _DE_LOG_MAX / math.pi)
+    sigma = lo + _DE_STEP * np.arange(int((hi - lo) / _DE_STEP) + 1)
+    log_tau = 0.5 * math.pi * np.sinh(sigma)
+    tau = np.exp(log_tau)
+    # tau^(a-1) dtau/dsigma, in log form
+    log_w = a * log_tau + np.log(0.5 * math.pi * np.cosh(sigma))
+    flat = x.ravel()
+    out = np.empty(flat.shape)
+    rows = max(1, _DE_CELLS // sigma.size)
+    for i in range(0, flat.size, rows):
+        xb = flat[i:i + rows, None]
+        expo = log_w - (xb / (1.0 + xb)) * tau - (a + 0.5) * np.log1p(tau / (1.0 + xb))
+        out[i:i + rows] = np.exp(expo).sum(axis=1)
+    out *= _DE_STEP * np.exp(-a * np.log1p(flat) - _sp.gammaln(a))
+    return out.reshape(x.shape)
 
 
 def hyp_u(a: float, b: float, x) -> float:
     """Confluent hypergeometric U(a, b, x) on the validated slice.
 
-    Accuracy 1e-8 relative for b = 1/2, a in {-1/2} union [0, 19], x > 0.
-    Anything else raises: accuracy is only certified there.
+    b = 1/2, a in {-1/2} U [0, 19], x > 0.  a = 0 and a = -1/2 are the
+    closed forms 1 and sqrt(x); a > 0 is one double-exponential trapezoid
+    rule over the integral representation, evaluated for all x at once
+    (see _hyp_u_de).  Against 40-digit mpmath it is within 2.3e-14
+    relative for a in [1e-3, 19] and x in [1e-300, 1e7] (the tests hold it
+    to 1e-12).  Anything else raises: accuracy is only certified there.
     """
     if b != _HYP_U_B:
         raise ValueError(f"hyp_u validated only for b = {_HYP_U_B}, got b={b}")
@@ -205,7 +224,7 @@ def hyp_u(a: float, b: float, x) -> float:
     elif a == -0.5:
         out = np.sqrt(x_arr)
     else:
-        out = np.vectorize(lambda t: _hyp_u_scalar(a, t))(x_arr)
+        out = _hyp_u_de(a, x_arr)
     return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
 

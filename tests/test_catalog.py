@@ -12,7 +12,7 @@ from steinbounds import catalog as cat
 from steinbounds import closedform as cf
 from steinbounds.engine import NormSymbol, mixed_coupled_bound, value_coupled_bound, deriv_coupled_bound
 from steinbounds.errors import ValidityError
-from steinbounds.special import log_gamma
+from steinbounds.special import hyp_u, log_gamma
 
 ALL_SOLVABLE = [
     ("normal", {}),
@@ -73,6 +73,43 @@ class TestDensities:
         vec = spec.density(xs)
         for x, v in zip(xs, vec):
             assert spec.density(float(x)) == pytest.approx(v, rel=1e-13)
+
+
+class TestPrrUTable:
+    def test_table_build_runs_no_adaptive_quadrature(self, monkeypatch):
+        from scipy import integrate as scipy_integrate
+
+        calls = []
+        real_quad = scipy_integrate.quad
+
+        def counting_quad(*args, **kwargs):
+            calls.append(1)
+            return real_quad(*args, **kwargs)
+
+        monkeypatch.setattr(scipy_integrate, "quad", counting_quad)
+        spline, x_hi = cat._prr_u_table.__wrapped__(5.67)
+        assert len(calls) == 0
+        assert spline(1.0) > 0.0 and x_hi > 0.0
+
+    def test_deep_tail_values_are_direct_evaluations(self):
+        # beyond the table, each point gets U from hyp_u on the far points
+        # alone; the values equal a pointwise evaluation bit for bit
+        s = 5.67
+        _, x_hi = cat._prr_u_table(s)
+        xs = np.array([0.5, 0.5 * x_hi, x_hi + 1.0, 2.0 * x_hi])
+        got = cat._prr_u_function(s, xs)
+        for x, v in zip(xs[2:], got[2:]):
+            assert v == hyp_u(s - 1.0, 0.5, x * x / (2.0 * s))
+            assert cat._prr_u_function(s, float(x)) == v
+
+
+class TestVgScaleConstant:
+    def test_tiny_theta_reaches_the_symmetric_limit(self):
+        # (sigma/theta)^2 overflows for |theta| below ~1e-154; the bracket
+        # it enters is 1 to double precision there
+        assert cat.vg_scale_constant(1.0, 1e-300, 1.0) == cat.vg_scale_constant(1.0, 0.0, 1.0)
+        assert cat.vg_scale_constant(1.0, -2.5e-298, 0.7) == cat.vg_scale_constant(1.0, 0.0, 0.7)
+        cat.make_spec("vg", r=1.0, theta=2.5e-298, sigma=1.0)
 
 
 class TestSchemes:

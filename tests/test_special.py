@@ -186,3 +186,32 @@ class TestStdNormal:
         # erf-based oracle
         for x in (-3.0, -1.0, 0.3, 2.5):
             assert sf.norm_cdf(x) == pytest.approx(0.5 * (1.0 + math.erf(x / math.sqrt(2.0))), abs=1e-15)
+
+
+class TestHypUAgainstMpmath:
+    """The vectorised U rule against 40-digit mpmath.hyperu on the slice
+    the prr family uses (a = s - 1 in [0, 19]), from x = 1e-300 to 1e7."""
+
+    A_VALUES = (1e-3, 0.05, 0.3, 1.0, 1.5, 4.67, 10.95, 19.0)
+    X_VALUES = (1e-300, 1e-100, 1e-20, 1e-8, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0,
+                12.8, 30.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7)
+
+    @pytest.mark.parametrize("a", A_VALUES)
+    def test_relative_error(self, a):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            oracle = [mpmath.hyperu(a, 0.5, mpmath.mpf(x)) for x in self.X_VALUES]
+            got = sf.hyp_u(a, 0.5, np.array(self.X_VALUES))
+            rel = [abs((mpmath.mpf(float(g)) - o) / o) for g, o in zip(got, oracle)]
+        assert max(rel) <= 1e-12
+
+    def test_scalar_and_array_agree_bitwise(self):
+        xs = np.geomspace(1e-6, 1e4, 300)
+        vec = sf.hyp_u(4.67, 0.5, xs)
+        assert [sf.hyp_u(4.67, 0.5, float(x)) for x in xs[::37]] == list(vec[::37])
+        assert np.array_equal(sf.hyp_u(4.67, 0.5, xs[150:]), vec[150:])
+
+    def test_no_overflow_warning(self):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for a in (1e-3, 19.0):
+                sf.hyp_u(a, 0.5, np.array([1e-300, 1.0, 1e7]))

@@ -334,16 +334,14 @@ def _gamma_spec(r: float, lam: float) -> DistributionSpec:
     log_norm = r * math.log(lam) - sf.log_gamma(r)
 
     def density(x):
-        if type(x) is float:
+        if isinstance(x, float) or np.ndim(x) == 0:
+            x = float(x)
             return float(np.exp(log_norm + (r - 1.0) * np.log(x) - lam * x)) if x > 0 else 0.0
         arr = np.asarray(x, dtype=float)
         out = np.zeros(arr.shape)
         pos = arr > 0
-        xa = arr[pos] if arr.ndim else (arr if arr > 0 else None)
-        if arr.ndim:
-            out[pos] = np.exp(log_norm + (r - 1.0) * np.log(arr[pos]) - lam * arr[pos])
-            return out
-        return 0.0 if xa is None else float(np.exp(log_norm + (r - 1.0) * np.log(xa) - lam * xa))
+        out[pos] = np.exp(log_norm + (r - 1.0) * np.log(arr[pos]) - lam * arr[pos])
+        return out
 
     def op_coeffs(k):
         return (
@@ -527,11 +525,10 @@ def _student_t_spec(d: float, delta: float) -> DistributionSpec:
     log_norm = sf.log_gamma((d + 1.0) / 2.0) - sf.log_gamma(d / 2.0) - 0.5 * math.log(math.pi * delta * delta)
 
     def density(x):
-        if type(x) is float:
-            return float(np.exp(log_norm - 0.5 * (d + 1.0) * np.log1p(np.square(x / delta))))
+        if isinstance(x, float) or np.ndim(x) == 0:
+            return float(np.exp(log_norm - 0.5 * (d + 1.0) * np.log1p(np.square(float(x) / delta))))
         arr = np.asarray(x, dtype=float)
-        out = np.exp(log_norm - 0.5 * (d + 1.0) * np.log1p((arr / delta) ** 2))
-        return out if arr.ndim else float(out)
+        return np.exp(log_norm - 0.5 * (d + 1.0) * np.log1p((arr / delta) ** 2))
 
     def op_coeffs(k):
         return (
@@ -606,16 +603,15 @@ def _inverse_gamma_spec(alpha: float, beta: float) -> DistributionSpec:
     log_norm = alpha * math.log(beta) - sf.log_gamma(alpha)
 
     def density(x):
-        if type(x) is float:
+        if isinstance(x, float) or np.ndim(x) == 0:
+            x = float(x)
             return float(np.exp(log_norm - (alpha + 1.0) * np.log(x) - beta / x)) if x > 0 else 0.0
         arr = np.asarray(x, dtype=float)
-        if arr.ndim:
-            out = np.zeros(arr.shape)
-            pos = arr > 0
-            xi = arr[pos]
-            out[pos] = np.exp(log_norm - (alpha + 1.0) * np.log(xi) - beta / xi)
-            return out
-        return 0.0 if arr <= 0 else float(np.exp(log_norm - (alpha + 1.0) * np.log(arr) - beta / arr))
+        out = np.zeros(arr.shape)
+        pos = arr > 0
+        xi = arr[pos]
+        out[pos] = np.exp(log_norm - (alpha + 1.0) * np.log(xi) - beta / xi)
+        return out
 
     def op_coeffs(k):
         return (
@@ -842,16 +838,13 @@ def _vg_spec(r: float, theta: float, sigma: float) -> DistributionSpec:
     def density(x):
         # scaled Bessel form: the exponent beta*x - alpha*|x| is <= 0, so the
         # tails underflow cleanly instead of overflowing
-        if type(x) is float:
+        if isinstance(x, float) or np.ndim(x) == 0:
+            x = float(x)
             ax = max(abs(x), 1e-12)
-            out = np.exp(log_norm + beta * x - alpha * ax + nu * np.log(ax / half_scale)) * _sp_kve(nu, alpha * ax)
-            return float(out)
+            return float(np.exp(log_norm + beta * x - alpha * ax + nu * np.log(ax / half_scale)) * _sp_kve(nu, alpha * ax))
         arr = np.asarray(x, dtype=float)
         ax = np.maximum(np.abs(arr), 1e-12)
-        out = np.exp(log_norm + beta * arr - alpha * ax + nu * np.log(ax / half_scale)) * np.asarray(
-            _sp_kve(nu, alpha * ax)
-        )
-        return out if arr.ndim else float(out)
+        return np.exp(log_norm + beta * arr - alpha * ax + nu * np.log(ax / half_scale)) * _sp_kve(nu, alpha * ax)
 
     def op_coeffs(k):
         s2 = sigma * sigma

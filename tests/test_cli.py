@@ -107,6 +107,15 @@ class TestExitCodes:
         assert code == 2
         assert "order 1" in err
 
+    def test_quantile_without_a_bracket_is_numeric_error(self, capsys):
+        # student_t with d = 0.5 has tails so heavy that its numeric CDF
+        # stays below 1 - 1e-8 out to 1e12, so the grid has no right edge
+        code, _, err = run_cli(
+            capsys, "verify", "--family", "student_t", "--d", "0.5", "--delta", "1", "--n", "0",
+        )
+        assert code == 4
+        assert "no right bracket" in err
+
     def test_symmetric_vg_mixed_chain_beyond_base_bounds(self, capsys):
         vg = ("coeffs", "--family", "vg", "--r", "3", "--theta", "0", "--sigma", "1", "--mode", "lemma25")
         for n in ("0", "1"):

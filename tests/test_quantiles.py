@@ -2,8 +2,9 @@
 
 The solver grids of every verification come from q(1e-8), q(0.5) and
 q(1 - 1e-8), so the quantiles are pinned bit for bit
-(tests/golden/quantiles.json), and every scalar density branch must
-return exactly what the array branch returns at the same point.
+(tests/golden/quantiles.json), and every scalar density branch (Python
+float, numpy scalar or 0-d array) must return exactly what the array
+branch returns at the same point.
 """
 
 import json
@@ -57,6 +58,9 @@ def test_scalar_density_branch_equals_array_branch(family):
         scalar = spec.density(x)
         assert type(scalar) is float
         assert scalar == float(spec.density(np.array([x]))[0])
+        for zero_d in (np.float64(x), np.array(x)):
+            value = spec.density(zero_d)
+            assert type(value) is float and value == scalar
 
     check()
 

@@ -6,6 +6,7 @@ before freezing; closed-form oracles are evaluated inline.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -198,7 +199,6 @@ class TestHypUAgainstMpmath:
 
     @pytest.mark.parametrize("a", A_VALUES)
     def test_relative_error(self, a):
-        mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             oracle = [mpmath.hyperu(a, 0.5, mpmath.mpf(x)) for x in self.X_VALUES]
             got = sf.hyp_u(a, 0.5, np.array(self.X_VALUES))

@@ -7,6 +7,12 @@ coupling sequences, per-level base constants, the base-case substitutions
 that resolve leftover solution norms, and the mode table: every bound the
 family supports, keyed by its public mode token, with its order window.
 
+The seven first-order families (normal, gamma, exponential, beta,
+arcsine, Student t, inverse-gamma) are Pearson laws: their level-k
+operators, couplings, right-hand sides and chain weights all come from
+_pearson and five numbers per family.  prr, vg and quartic keep their own
+level callables.
+
 The bounds outside the three generic chains (quartic-tail, multivariate
 normal, one-step gamma, normal literature bounds) live here, next to their
 families.  Families are built by the constructors in REGISTRY, whose
@@ -112,7 +118,10 @@ class DistributionSpec:
 
     op_coeffs(k) gives the coefficient callables (a2, a1, a0) of the
     level-k operator and t_coeffs(k) the coupling-operator coefficients
-    (t0, t1): T_k f = t0 f + t1 f'.  pdf is None for a law without 1-D
+    (t0, t1): T_k f = t0 f + t1 f'.  For the first-order families (normal,
+    gamma, exponential, beta, arcsine, Student t, inverse-gamma) these,
+    rhs_terms and scheme.a are derived by _pearson; prr, vg and quartic
+    write their own.  pdf is None for a law without 1-D
     solver support; kernel_v is the homogeneous-solution factor of the
     double-integral representation (second-order families solved that
     way).  modes maps each supported mode token to its Mode; extras are
@@ -253,24 +262,63 @@ def quantile(spec: DistributionSpec, p: float, tol: float = 1e-10) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Pearson laws: the level-k algebra of the first-order families.
+# ---------------------------------------------------------------------------
+
+
+def _pearson(q2: float, q1: float, q0: float, b0: float, m: float):
+    """Level-k operator algebra of a Pearson law, with tau(x) = q2 x^2 +
+    q1 x + q0 and drift b0 - m x.
+
+    Differentiating L_k f = tau f' + (b_k - m_k x) f gives L_{k+1} f' -
+    T_k f with b_k = b0 + k q1, m_k = m - 2k q2 and T_k = m_k, so the
+    level-k right-hand side carries c_k f^(k-1), c_k = k (m - (k-1) q2),
+    and the chain weights are a(j) = |c_{j+1}|.  Returns (a, fields),
+    fields being the DistributionSpec entries of a first-order
+    value-coupled family.
+
+    The groupings (tau in Horner form, b_k - m_k x, c_k as written) fix
+    the rounding of every coefficient, and with it the pinned sweep.
+    """
+
+    def tau(x):
+        x = np.asarray(x, dtype=float)
+        return (q2 * x + q1) * x + q0
+
+    def m_k(k):
+        return m - 2 * k * q2
+
+    def c(k):
+        return k * (m - (k - 1) * q2)
+
+    def op_coeffs(k):
+        b_k, slope = b0 + k * q1, m_k(k)
+        return (None, tau, lambda x: b_k - slope * np.asarray(x, dtype=float))
+
+    def t_coeffs(k):
+        return (_constf(m_k(k)), _constf(0.0))
+
+    def rhs_terms(k):
+        return [(-1, _constf(c(k)))]
+
+    fields = dict(
+        operator_order=1, coupling_kind="value", op_coeffs=op_coeffs, t_coeffs=t_coeffs, rhs_terms=rhs_terms
+    )
+    # the chains call a(j) in their inner loops; the cache makes a repeat
+    # call one C-level lookup instead of two Python frames
+    return functools.lru_cache(maxsize=None)(lambda j: abs(c(j + 1))), fields
+
+
+# ---------------------------------------------------------------------------
 # Normal distribution.
 # ---------------------------------------------------------------------------
 
 
 def _normal_spec() -> DistributionSpec:
     root = math.sqrt(math.pi / 2.0)
-
-    def op_coeffs(k):
-        return (None, _constf(1.0), lambda x: -np.asarray(x, dtype=float))
-
-    def t_coeffs(k):
-        return (_constf(1.0), _constf(0.0))
-
-    def level_rhs(k):
-        return [(-1, _constf(float(k)))]
-
+    a, levels = _pearson(0.0, 0.0, 1.0, 0.0, 1.0)
     scheme = IterationScheme(
-        a=lambda j: float(j + 1),
+        a=a,
         c_level=lambda l: root,
         d_level=lambda l: 2.0,
         base_substitutions={
@@ -282,8 +330,6 @@ def _normal_spec() -> DistributionSpec:
         family="normal",
         params={},
         support=(-math.inf, math.inf),
-        operator_order=1,
-        coupling_kind="value",
         scheme=scheme,
         modes={
             "lemma23i": _value_chain(scheme, "i"),
@@ -292,9 +338,7 @@ def _normal_spec() -> DistributionSpec:
         },
         default_mode="lemma23ii",
         pdf=sf.norm_pdf,
-        op_coeffs=op_coeffs,
-        t_coeffs=t_coeffs,
-        rhs_terms=level_rhs,
+        **levels,
     )
 
 
@@ -343,29 +387,15 @@ def _gamma_spec(r: float, lam: float) -> DistributionSpec:
         out[pos] = np.exp(log_norm + (r - 1.0) * np.log(arr[pos]) - lam * arr[pos])
         return out
 
-    def op_coeffs(k):
-        return (
-            None,
-            lambda x: np.asarray(x, dtype=float),
-            lambda x: (r + k) - lam * np.asarray(x, dtype=float),
-        )
-
-    def t_coeffs(k):
-        return (_constf(lam), _constf(0.0))
-
-    def level_rhs(k):
-        return [(-1, _constf(float(k) * lam))]
-
+    a, levels = _pearson(0.0, 1.0, 0.0, r, lam)
     scheme = IterationScheme(
-        a=lambda j: lam * (j + 1),
+        a=a,
         c_level=lambda l: gamma_solution_constant(r + l),
     )
     return DistributionSpec(
         family="gamma",
         params={"r": r, "lam": lam},
         support=(0.0, math.inf),
-        operator_order=1,
-        coupling_kind="value",
         scheme=scheme,
         modes={
             "lemma23i": _value_chain(scheme, "i"),
@@ -373,10 +403,8 @@ def _gamma_spec(r: float, lam: float) -> DistributionSpec:
         },
         default_mode="lemma23i",
         pdf=density,
-        op_coeffs=op_coeffs,
-        t_coeffs=t_coeffs,
-        rhs_terms=level_rhs,
         delicate_points=(0.0,),
+        **levels,
     )
 
 
@@ -468,21 +496,9 @@ def _beta_spec(alpha: float, beta: float) -> DistributionSpec:
             return out
         return _beta_density_value(alpha, beta, log_b, float(arr))
 
-    def op_coeffs(k):
-        return (
-            None,
-            lambda x: np.asarray(x, dtype=float) * (1.0 - np.asarray(x, dtype=float)),
-            lambda x: (alpha + k) - (alpha + beta + 2 * k) * np.asarray(x, dtype=float),
-        )
-
-    def t_coeffs(k):
-        return (_constf(alpha + beta + 2 * k), _constf(0.0))
-
-    def level_rhs(k):
-        return [(-1, _constf(k * (alpha + beta + k - 1.0)))]
-
+    a, levels = _pearson(-1.0, 1.0, 0.0, alpha, alpha + beta)
     scheme = IterationScheme(
-        a=lambda j: (j + 1) * (alpha + beta + j),
+        a=a,
         c_level=lambda l: beta_solution_constant(alpha + l, beta + l),
         e_level=lambda l: beta_lipschitz_constant(alpha + l, beta + l),
     )
@@ -490,16 +506,12 @@ def _beta_spec(alpha: float, beta: float) -> DistributionSpec:
         family="beta",
         params={"alpha": alpha, "beta": beta},
         support=(0.0, 1.0),
-        operator_order=1,
-        coupling_kind="value",
         scheme=scheme,
         modes={"lemma23i": _value_chain(scheme, "i"), "lemma23iii": _value_chain(scheme, "iii")},
         default_mode="lemma23i",
         pdf=density,
-        op_coeffs=op_coeffs,
-        t_coeffs=t_coeffs,
-        rhs_terms=level_rhs,
         delicate_points=(0.0, 1.0),
+        **levels,
     )
 
 
@@ -530,33 +542,22 @@ def _student_t_spec(d: float, delta: float) -> DistributionSpec:
         arr = np.asarray(x, dtype=float)
         return np.exp(log_norm - 0.5 * (d + 1.0) * np.log1p((arr / delta) ** 2))
 
-    def op_coeffs(k):
-        return (
-            None,
-            lambda x: delta * delta + np.asarray(x, dtype=float) ** 2,
-            lambda x: -(d - 2 * k - 1.0) * np.asarray(x, dtype=float),
-        )
+    a, levels = _pearson(1.0, 0.0, delta * delta, 0.0, d - 1.0)
 
-    def t_coeffs(k):
-        return (_constf(d - 2 * k - 1.0), _constf(0.0))
-
-    def level_rhs(k):
-        return [(-1, _constf(k * (d - k)))]
-
-    def c_level(l):
+    def level_d(l):
+        """d - 2l, the degrees of freedom of level l; every level constant needs it > 0."""
         if d - 2 * l <= 0:
             raise ValidityError(f"student-t level constant undefined: d - 2l = {d - 2 * l} <= 0")
-        return student_t_solution_constant(d - 2 * l, delta)
+        return d - 2 * l
 
     def d_level(l):
-        if d - 2 * l <= 0:
-            raise ValidityError(f"student-t level constant undefined: d - 2l = {d - 2 * l} <= 0")
+        level_d(l)
         return 2.0 / (delta * delta)
 
     cap = int(math.floor((d - 1e-9) / 2.0))  # largest n with d - 2n > 0
     scheme = IterationScheme(
-        a=lambda j: abs((j + 1) * (d - j - 1.0)),
-        c_level=c_level,
+        a=a,
+        c_level=lambda l: student_t_solution_constant(level_d(l), delta),
         d_level=d_level,
         base_substitutions={
             NormSymbol.solution(): BoundCoefficients(
@@ -568,8 +569,6 @@ def _student_t_spec(d: float, delta: float) -> DistributionSpec:
         family="student_t",
         params={"d": d, "delta": delta},
         support=(-math.inf, math.inf),
-        operator_order=1,
-        coupling_kind="value",
         scheme=scheme,
         modes={
             "lemma23i": _value_chain(scheme, "i", cap),
@@ -577,9 +576,7 @@ def _student_t_spec(d: float, delta: float) -> DistributionSpec:
         },
         default_mode="lemma23i",
         pdf=density,
-        op_coeffs=op_coeffs,
-        t_coeffs=t_coeffs,
-        rhs_terms=level_rhs,
+        **levels,
     )
 
 
@@ -610,46 +607,30 @@ def _inverse_gamma_spec(alpha: float, beta: float) -> DistributionSpec:
         out = np.zeros(arr.shape)
         pos = arr > 0
         xi = arr[pos]
-        out[pos] = np.exp(log_norm - (alpha + 1.0) * np.log(xi) - beta / xi)
+        # beta / xi overflows to inf for subnormal xi, and exp(-inf) = 0 is right
+        with np.errstate(over="ignore"):
+            out[pos] = np.exp(log_norm - (alpha + 1.0) * np.log(xi) - beta / xi)
         return out
 
-    def op_coeffs(k):
-        return (
-            None,
-            lambda x: np.asarray(x, dtype=float) ** 2,
-            lambda x: beta - (alpha - 2 * k - 1.0) * np.asarray(x, dtype=float),
-        )
-
-    def t_coeffs(k):
-        return (_constf(alpha - 2 * k - 1.0), _constf(0.0))
-
-    def level_rhs(k):
-        return [(-1, _constf(k * (alpha - k)))]
+    a, levels = _pearson(1.0, 0.0, 0.0, beta, alpha - 1.0)
 
     def c_level(l):
         if alpha - 2 * l <= 1:
             raise ValidityError(f"inverse-gamma level constant undefined at level {l} (alpha={alpha})")
         return inverse_gamma_solution_constant(alpha - 2 * l, beta)
 
-    scheme = IterationScheme(
-        a=lambda j: abs((j + 1) * (alpha - j - 1.0)),
-        c_level=c_level,
-    )
+    scheme = IterationScheme(a=a, c_level=c_level)
     return DistributionSpec(
         family="inverse_gamma",
         params={"alpha": alpha, "beta": beta},
         support=(0.0, math.inf),
-        operator_order=1,
-        coupling_kind="value",
         scheme=scheme,
         # alpha > 2n + 1
         modes={"lemma23i": _value_chain(scheme, "i", int(math.floor((alpha - 1.0 - 1e-9) / 2.0)))},
         default_mode="lemma23i",
         pdf=density,
-        op_coeffs=op_coeffs,
-        t_coeffs=t_coeffs,
-        rhs_terms=level_rhs,
         delicate_points=(0.0,),
+        **levels,
     )
 
 

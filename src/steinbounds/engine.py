@@ -8,10 +8,14 @@ coupling sequences a_j, b_j plus per-level base constants) into a
 :class:`BoundCoefficients` object: a nonnegative linear functional over
 test-function norm symbols.
 
-Three chain evaluators are provided, one per coupling shape:
+One product kernel, :func:`_chain`, pushes a top level's base bound down
+through the couplings to order 0, and the chains of the first two coupling
+shapes are relabellings of it:
 
-* :func:`value_coupled_bound`   -- T f = c f        (modes "i", "ii", "iii")
-* :func:`deriv_coupled_bound`   -- T f = c f'       (modes "i", "ii")
+* :func:`value_coupled_bound`   -- T f = c f: each of the modes "i", "ii"
+  and "iii" is a choice of levels and norm symbols for the kernel
+* :func:`deriv_coupled_bound`   -- T f = c f' (modes "i", "ii"): the value
+  chain of f' one order down, read against ||h|| and ||f'||
 * :func:`mixed_coupled_bound`   -- T f = c0 f + c1 f'
 
 The mixed case carries a combinatorial closed form (sum over constrained
@@ -244,86 +248,79 @@ class IterationScheme:
         return coeffs
 
 
-def _merge(out: dict, sym: NormSymbol, value: float) -> None:
-    out[sym] = out.get(sym, 0.0) + value
+def _chain(consts: list[float], links: list[float]) -> list[float]:
+    """Weights [w_0, ..., w_m] of one chain of base bounds.
+
+    consts[l] is the base constant of level l and links[l] the coupling
+    from level l + 1 into level l.  The top level's bound is pushed down
+    one level at a time, so w_j = consts[m] * prod_{i=j}^{m-1} consts[i]
+    * links[i] is the weight of level j's test norm.
+    """
+    m = len(consts) - 1
+    return [consts[m] * product(consts[i] * links[i] for i in range(j, m)) for j in range(m + 1)]
+
+
+def _value_terms(scheme: IterationScheme, mode: str, n: int) -> dict[NormSymbol, float]:
+    """Unsubstituted terms of the value-coupled chain at order n: the
+    levels and symbols of each mode, fed to :func:`_chain`."""
+    a = scheme.a
+    if mode == "i":
+        c = scheme._need("c_level")
+        w = _chain([c(l) for l in range(n + 1)], [a(l) for l in range(n)])
+        return {NormSymbol.test_norm(j): w[j] for j in range(n + 1)}
+    if mode == "ii":
+        d = scheme._need("d_level")
+        k = n // 2
+        if n % 2 == 1:
+            w = _chain([d(2 * l) for l in range(k + 1)], [a(2 * l + 1) for l in range(k)])
+            return {NormSymbol.test_norm(2 * j): w[j] for j in range(k + 1)}
+        consts = [d(2 * l + 1) for l in range(k)]
+        evens = [a(2 * l) for l in range(k)]
+        w = _chain(consts, evens[1:])
+        terms = {NormSymbol.test_deriv(2 * j + 1): w[j] for j in range(k)}
+        terms[NormSymbol.solution()] = product(consts[l] * evens[l] for l in range(k))
+        return terms
+    if mode == "iii":
+        if n < 1:
+            raise ValidityError("the Lipschitz chain starts at order 1")
+        e = scheme._need("e_level")
+        w = _chain([e(l) for l in range(n)], [a(l) for l in range(n - 1)])
+        return {NormSymbol.test_deriv(j + 1): w[j] for j in range(n)}
+    raise ValueError(f"unknown mode {mode!r} (expected 'i', 'ii' or 'iii')")
 
 
 def value_coupled_bound(scheme: IterationScheme, mode: str, n: int) -> BoundCoefficients:
     """Bound on ||f^(n)|| when the level coupling acts as T f = c f.
 
     mode "i" chains the solution-norm base constants C_l, mode "ii" the
-    first-derivative constants D_l (odd/even orders behave differently and
-    the even case keeps a symbolic ||f|| term unless substituted), mode
-    "iii" the Lipschitz constants E_l.
+    first-derivative constants D_l (every other level: odd orders end on
+    the even test norms, even orders on the odd ones plus a symbolic
+    ||f|| term unless substituted), mode "iii" the Lipschitz constants
+    E_l, which is chain "i" one derivative up.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    a = scheme.a
-    out: dict[NormSymbol, float] = {}
-    if mode == "i":
-        c = scheme._need("c_level")
-        for j in range(n + 1):
-            coef = c(n) * product(c(i) * a(i) for i in range(j, n))
-            _merge(out, NormSymbol.test_norm(j), coef)
-    elif mode == "ii":
-        d = scheme._need("d_level")
-        if n % 2 == 1:
-            k = (n - 1) // 2
-            for j in range(k + 1):
-                coef = d(2 * k) * product(d(2 * i) * a(2 * i + 1) for i in range(j, k))
-                _merge(out, NormSymbol.test_norm(2 * j), coef)
-        else:
-            k = n // 2
-            for j in range(1, k + 1):
-                coef = d(2 * k - 1) * product(d(2 * i - 1) * a(2 * i) for i in range(j, k))
-                _merge(out, NormSymbol.test_deriv(2 * j - 1), coef)
-            _merge(out, NormSymbol.solution(), product(d(2 * i - 1) * a(2 * i - 2) for i in range(1, k + 1)))
-    elif mode == "iii":
-        if n < 1:
-            raise ValidityError("the Lipschitz chain starts at order 1")
-        e = scheme._need("e_level")
-        for j in range(1, n + 1):
-            coef = e(n - 1) * product(e(i - 1) * a(i - 1) for i in range(j, n))
-            _merge(out, NormSymbol.test_deriv(j), coef)
-    else:
-        raise ValueError(f"unknown mode {mode!r} (expected 'i', 'ii' or 'iii')")
-    return scheme._maybe_substitute(BoundCoefficients(out))
+    return scheme._maybe_substitute(BoundCoefficients(_value_terms(scheme, mode, n)))
+
+
+_DERIV_RELABEL = {NormSymbol.centered(): NormSymbol.plain(), NormSymbol.solution(): NormSymbol.solution_deriv()}
 
 
 def deriv_coupled_bound(scheme: IterationScheme, mode: str, n: int) -> BoundCoefficients:
     """Bound on ||f^(n)|| when the level coupling acts as T f = c f'.
 
-    mode "i" chains ||f'_l|| <= C_l ||h_l|| (order-0 test norms are the
-    plain ||h||); mode "ii" chains ||f''_l|| <= D_l ||h_l||, leaving a
-    symbolic ||f'|| term in the odd case unless substituted.
+    f' obeys the value-coupled chain one order down, so this is that
+    chain's terms at order n - 1 with the plain ||h|| for ||h~|| and
+    ||f'|| for ||f||: mode "i" chains ||f'_l|| <= C_l ||h_l||, mode "ii"
+    chains ||f''_l|| <= D_l ||h_l||, leaving a symbolic ||f'|| term in
+    the odd case unless substituted.
     """
     if n < 1:
         raise ValidityError("the derivative-coupled chains start at order 1")
-    a = scheme.a
-    out: dict[NormSymbol, float] = {}
-    if mode == "i":
-        c = scheme._need("c_level")
-        for j in range(n):
-            coef = c(n - 1) * product(c(i) * a(i) for i in range(j, n - 1))
-            _merge(out, NormSymbol.test_norm(j, centered=False), coef)
-    elif mode == "ii":
-        d = scheme._need("d_level")
-        if n % 2 == 1:
-            k = (n - 1) // 2
-            for j in range(1, k + 1):
-                coef = d(2 * k - 1) * product(d(2 * i - 1) * a(2 * i) for i in range(j, k))
-                _merge(out, NormSymbol.test_deriv(2 * j - 1), coef)
-            _merge(out, NormSymbol.solution_deriv(), product(d(2 * i - 1) * a(2 * i - 2) for i in range(1, k + 1)))
-        else:
-            if n < 2:
-                raise ValueError("even derivative-coupled chain requires order >= 2")
-            k = n // 2
-            for j in range(k):
-                coef = product(d(2 * i) for i in range(j, k)) * product(a(2 * i + 1) for i in range(j, k - 1))
-                _merge(out, NormSymbol.test_norm(2 * j, centered=False), coef)
-    else:
+    if mode not in ("i", "ii"):
         raise ValueError(f"unknown mode {mode!r} (expected 'i' or 'ii')")
-    return scheme._maybe_substitute(BoundCoefficients(out))
+    terms = {_DERIV_RELABEL.get(s, s): c for s, c in _value_terms(scheme, mode, n - 1).items()}
+    return scheme._maybe_substitute(BoundCoefficients(terms))
 
 
 # ---------------------------------------------------------------------------

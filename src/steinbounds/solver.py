@@ -374,7 +374,12 @@ def solve(
     return SteinSolution(grid=mesh.grid, derivs=derivs, diagnostics=diags)
 
 
-def _solve_first_order(mesh, h, eh):
+def _split_integral(mesh, h, eh):
+    """The integral of p * (h - E h) at every grid point: from the lower
+    support end up to x left of the median, minus the one from x to the
+    upper end on its right (the two agree, as E[h - E h] = 0, and each
+    side integrates its own tail).  Returns the values and the tail
+    quadratures' error estimate."""
     spec, grid = mesh.spec, mesh.grid
     lo, hi = spec.support
 
@@ -389,11 +394,14 @@ def _solve_first_order(mesh, h, eh):
     tail_hi, err_hi = _tail_integral(lambda t: float(weighted(t)), grid[-1], hi)
     left = tail_lo + np.concatenate([[0.0], np.cumsum(panels)])
     right = tail_hi + np.concatenate([[0.0], np.cumsum(panels[::-1])])[::-1]
-    split = mesh.split
-    numer = np.where(grid <= split, left, -right)
-    denom = spec.weight_s(grid) * spec.density(grid)
-    f = numer / denom
-    return f, {"tail_quad_error": err_lo + err_hi, "form_split": split}
+    return np.where(grid <= mesh.split, left, -right), err_lo + err_hi
+
+
+def _solve_first_order(mesh, h, eh):
+    spec, grid = mesh.spec, mesh.grid
+    numer, err = _split_integral(mesh, h, eh)
+    f = numer / (spec.weight_s(grid) * spec.density(grid))
+    return f, {"tail_quad_error": err, "form_split": mesh.split}
 
 
 def _solve_vg(mesh, h, eh):
@@ -481,22 +489,13 @@ def _solve_vg(mesh, h, eh):
 
 
 def _solve_prr(mesh, h, eh):
+    """f = v/s * (integral of g / (v kappa)) from 0, where g is the split
+    integral of kappa * (h - E h), kappa being the density."""
     spec, grid = mesh.spec, mesh.grid
     s = spec.params["s"]
     kappa = spec.density
     v_fn = spec.kernel_v
-
-    def weighted(t):
-        return kappa(t) * (np.asarray(h.value(t)) - eh)
-
-    fac = mesh.node_factor("density", kappa)
-    panels = _panel_integrals(mesh, fac * (np.asarray(h.value(mesh.xs)) - eh), weighted, delicate=(0.0,))
-    head, err_lo = _tail_integral(lambda t: float(weighted(t)), 0.0, grid[0])
-    tail, err_hi = _tail_integral(lambda t: float(weighted(t)), grid[-1], math.inf)
-    g_left = head + np.concatenate([[0.0], np.cumsum(panels)])
-    g_right = tail + np.concatenate([[0.0], np.cumsum(panels[::-1])])[::-1]
-    split = mesh.split
-    g_vals = np.where(grid <= split, g_left, -g_right)
+    g_vals, err_g = _split_integral(mesh, h, eh)
     g_spline = CubicSpline(grid, g_vals)
 
     def v_kappa(y):
@@ -511,7 +510,7 @@ def _solve_prr(mesh, h, eh):
     head_h, err_h = _tail_integral(lambda t: float(outer(t)), 0.0, grid[0])
     h_vals = head_h + np.concatenate([[0.0], np.cumsum(outer_panels)])
     f = v_fn(grid) * h_vals / s
-    return f, {"tail_quad_error": err_lo + err_hi + err_h, "form_split": split}
+    return f, {"tail_quad_error": err_g + err_h, "form_split": mesh.split}
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +607,8 @@ def propagate_derivatives(sol: SteinSolution, spec: DistributionSpec, h, max_ord
     the other operator coefficients (vanishing leading coefficient at a
     support edge, or the interior zero of the vg operator) are excluded
     from the algebra and filled by one-sided degree-6 polynomial
-    extension.
+    extension.  diagnostics["filled_by_order"][k] counts the filled
+    points of order k, and diagnostics["filled_points"] their total.
     """
     cap = spec.propagation_cap()
     if cap is not None and max_order > cap:
@@ -619,9 +619,9 @@ def propagate_derivatives(sol: SteinSolution, spec: DistributionSpec, h, max_ord
     eh = sol.diagnostics["mean_value"]
     p = spec.operator_order
     fs = dict(sol.derivs)
-    filled_total = sol.diagnostics.get("filled_points", 0)
     if p == 2 and 1 not in fs:
         fs[1] = _seed_first_derivative(grid, fs[0])
+    filled = {k: 0 for k in fs} | sol.diagnostics.get("filled_by_order", {})
     amp_prod = np.ones_like(grid)
     near_singular = np.zeros(len(grid), dtype=bool)
     if spec.delicate_points:
@@ -649,16 +649,15 @@ def propagate_derivatives(sol: SteinSolution, spec: DistributionSpec, h, max_ord
         mask = ((amp_prod > _CUMULATIVE_AMPLIFICATION_CAP) & near_singular) | ~np.isfinite(top)
         if spec.family == "vg":
             mask |= np.abs(grid) < _VG_EXCLUSION
-        top, filled = _fill_masked(grid, top, mask, split_points=spec.delicate_points)
-        filled_total += filled
-        fs[k + p] = top
+        fs[k + p], filled[k + p] = _fill_masked(grid, top, mask, split_points=spec.delicate_points)
     diags = dict(sol.diagnostics)
-    diags["filled_points"] = filled_total
+    diags["filled_by_order"] = filled
+    diags["filled_points"] = sum(filled.values())
     out = SteinSolution(grid=grid, derivs=fs, diagnostics=diags)
     if max(fs) >= p:
         scale = 1.0 + float(np.max(np.abs(np.asarray(h.value(grid)) - eh)))
         res = residual_norm(out, spec, h)
         diags["residual"] = res
-        if res > 1e-5 * scale:
+        if not res <= 1e-5 * scale:  # a NaN residual fails too
             raise NumericError(f"unstable propagation detected: residual {res:.2e}")
     return out

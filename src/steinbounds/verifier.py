@@ -37,7 +37,6 @@ from .solver import (
     build_mesh,
     empirical_sup,
     propagate_derivatives,
-    residual_norm,
     solve,
 )
 
@@ -149,8 +148,8 @@ def verify(
     report.boundary_flag = flag
     report.margin = report.bound_value - emp
     report.passed = report.margin >= -PASS_TOLERANCE * report.bound_value
-    report.residual = residual_norm(solution, spec, h)
-    report.filled_points = solution.diagnostics.get("filled_points", 0)
+    report.residual = solution.diagnostics["residual"]
+    report.filled_points = solution.diagnostics["filled_by_order"][n]
     return report
 
 
@@ -412,7 +411,7 @@ def identity_grid(spec: DistributionSpec, n_points: int = 100) -> np.ndarray:
     from .catalog import quantile
 
     lo, hi = spec.support
-    if spec.family == "mvn":
+    if not spec.solvable:
         raise ValueError("the operator identity check is for 1-D families")
     a = quantile(spec, 0.02)
     b = quantile(spec, 0.98)

@@ -116,6 +116,19 @@ class TestExitCodes:
         assert code == 4
         assert "no right bracket" in err
 
+    def test_nan_residual_is_numeric_error(self, capsys):
+        # the I-kernel exponential of this skewed vg overflows on the left
+        # tail, so the solve is NaN there: that is a numeric failure, not
+        # a verdict
+        with pytest.warns(RuntimeWarning):
+            code, out, err = run_cli(
+                capsys, "verify", "--family", "vg", "--r", "3.33489", "--theta", "-1.41193",
+                "--sigma", "0.516807", "--n", "0", "--test", "sine:1",
+            )
+        assert code == 4
+        assert "residual nan" in err
+        assert out == ""
+
     def test_symmetric_vg_mixed_chain_beyond_base_bounds(self, capsys):
         vg = ("coeffs", "--family", "vg", "--r", "3", "--theta", "0", "--sigma", "1", "--mode", "lemma25")
         for n in ("0", "1"):

@@ -1,9 +1,12 @@
 """Bounding engine: chain evaluators, subset combinatorics, recursion oracle."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from steinbounds.engine import (
     BoundCoefficients,
@@ -160,6 +163,59 @@ class TestDerivCoupledChain:
         bc = deriv_coupled_bound(scheme, "ii", 3)
         assert bc.get(NormSymbol.solution_deriv()) == pytest.approx(3.0)  # D_1 a_0
         assert bc.get(NormSymbol.test_deriv(1)) == pytest.approx(3.0)  # D_1
+
+
+# 21 positive level values (levels 0..20) per constant family
+_LEVELS = st.lists(st.floats(min_value=0.01, max_value=50.0), min_size=21, max_size=21)
+_DERIV_RELABEL = {NormSymbol.centered(): NormSymbol.plain(), NormSymbol.solution(): NormSymbol.solution_deriv()}
+
+
+class TestChainRelabellings:
+    """Every chain is the one value-coupled product kernel with its own
+    levels and symbols."""
+
+    @given(a=_LEVELS, c=_LEVELS, d=_LEVELS, n=st.integers(1, 20))
+    def test_derivative_chain_is_value_chain_one_order_down(self, a, c, d, n):
+        scheme = IterationScheme(a=a.__getitem__, c_level=c.__getitem__, d_level=d.__getitem__)
+        for mode in ("i", "ii"):
+            got = deriv_coupled_bound(scheme, mode, n).terms
+            value = value_coupled_bound(scheme, mode, n - 1).terms
+            want = {_DERIV_RELABEL.get(sym, sym): coef for sym, coef in value.items()}
+            if mode == "ii" and n % 2 == 0:
+                # the same products, possibly grouped differently
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+            else:
+                assert got == want
+
+    @given(a=_LEVELS, e=_LEVELS, n=st.integers(1, 20))
+    def test_lipschitz_chain_is_chain_i_one_derivative_up(self, a, e, n):
+        lipschitz = value_coupled_bound(IterationScheme(a=a.__getitem__, e_level=e.__getitem__), "iii", n)
+        chain_i = value_coupled_bound(IterationScheme(a=a.__getitem__, c_level=e.__getitem__), "i", n - 1)
+        shifted = {NormSymbol.test_deriv(sym.order + 1): coef for sym, coef in chain_i.terms.items()}
+        assert lipschitz.terms == shifted
+
+    @pytest.mark.parametrize(
+        "chain,mode",
+        [(value_coupled_bound, "i"), (value_coupled_bound, "ii"), (value_coupled_bound, "iii"),
+         (deriv_coupled_bound, "i"), (deriv_coupled_bound, "ii")],
+    )
+    def test_each_level_constant_is_evaluated_once(self, chain, mode):
+        counts = Counter()
+
+        def counted(name):
+            def level(l):
+                counts[name, l] += 1
+                return 1.5
+
+            return level
+
+        scheme = IterationScheme(
+            a=counted("a"), c_level=counted("c"), d_level=counted("d"), e_level=counted("e")
+        )
+        for n in range(1, 13):
+            counts.clear()
+            chain(scheme, mode, n)
+            assert all(k == 1 for k in counts.values()), (n, counts)
 
 
 class TestSubsetFamilies:

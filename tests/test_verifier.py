@@ -92,6 +92,12 @@ class TestVerify:
         assert rep.passed
         assert len(expectations) == 1
 
+    def test_verify_reads_the_propagation_residual(self, monkeypatch):
+        residuals = count_calls(monkeypatch, sv.residual_norm)
+        rep = vf.verify(cat.make_spec("gamma", r=2.0, lam=1.0), 1, SineTest(1.0))
+        assert len(residuals) == 1
+        assert rep.residual < 1e-5
+
 
 class TestSweep:
     def test_empty_family_list(self):
@@ -136,12 +142,7 @@ class TestMeshReuse:
                     vf.verify(spec, rep.n, h)
                 assert str(exc.value) == rep.error
                 continue
-            row, fresh = rep.as_dict(), vf.verify(spec, rep.n, h).as_dict()
-            if max(rep.n, spec.operator_order) < 2:
-                # the sweep propagates to order 2 and its rows count the
-                # points filled at every order, a fresh verify only up to n
-                assert fresh.pop("filled_points") <= row.pop("filled_points")
-            assert row == fresh
+            assert rep.as_dict() == vf.verify(spec, rep.n, h).as_dict()
             checked += 1
         assert checked == 22  # prr has no order-0 bound
 
@@ -267,6 +268,10 @@ class TestOperatorIdentity:
         grid = vf.identity_grid(spec, 100)
         for probe in vf.default_identity_probes():
             assert vf.check_operator_identity(spec, 1, probe, grid) < 1e-6
+
+    def test_law_without_a_density_is_rejected(self):
+        with pytest.raises(ValueError, match="1-D families"):
+            vf.identity_grid(cat.make_spec("mvn", dim=2))
 
     def test_prr_derivative_coupling(self):
         spec = cat.make_spec("prr", s=2.5)

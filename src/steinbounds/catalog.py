@@ -27,12 +27,10 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy import integrate as _integrate
 from scipy.special import kve as _sp_kve
 
 from . import special as sf
@@ -200,14 +198,7 @@ def numeric_cdf(spec: DistributionSpec, x: float) -> float:
         return 0.0
     if x >= hi:
         return 1.0
-    pts = [p for p in spec.delicate_points if lo < p < x]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _integrate.IntegrationWarning)
-        val, _ = _integrate.quad(
-            lambda t: float(spec.density(t)), lo, x,
-            points=pts if pts and np.isfinite(lo) and np.isfinite(x) else None,
-            limit=400,
-        )
+    val, _ = sf.integrate(spec.density, lo, x, breaks=spec.delicate_points)
     return min(max(val, 0.0), 1.0)
 
 

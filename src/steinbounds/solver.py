@@ -14,36 +14,26 @@ margin clipped to the support, 20001 points by default.
 Everything that depends on the law but not on the test function lives in
 a ``Mesh``, built once per spec by ``build_mesh``: the grid, the median
 at which the first-order and PRR representations switch forms, the
-Gauss-Legendre panel nodes, and a memo of the kernel factors at those
-nodes (the density; the scaled Bessel kernels of variance-gamma; the PRR
-inner weight v * kappa).  The map h -> f is linear, so each solve
-multiplies the shared factors by h - E h(Z) and only the adaptive
-quadratures (delicate panels, tails) stay per test function.  A sweep
-solves every test function of a spec on one mesh; ``solve`` builds a
-private mesh when it is not given one.
+Gauss-Legendre panel nodes and a memo of the kernel factors at them.  The
+map h -> f is linear, so each solve multiplies the shared factors by
+h - E h(Z); a sweep solves every test function of a spec on one mesh.
+
+One rule covers the adaptive integrals (the tails beyond the grid and the
+panels next to a delicate point d, an integrable singularity or a kink):
+each goes through ``special.integrate``, from d where d is near, so
+QUADPACK meets d at an endpoint; each is done once per solve, and their
+error estimates sum to ``diagnostics["quad_error"]``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy import integrate as _integrate
 from scipy import special as _sp
 from scipy.interpolate import CubicSpline
-
-
-@contextmanager
-def quiet_quadrature():
-    """Silence quadpack roundoff chatter near integrable singularities;
-    accuracy is enforced through the returned error estimates instead."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _integrate.IntegrationWarning)
-        yield
 
 from . import special as sf
 from .catalog import DistributionSpec, quantile
@@ -180,48 +170,57 @@ def expectation(spec: DistributionSpec, h) -> float:
         return float(spec.density(t)) * float(np.asarray(h.value(t)))
 
     lo, hi = spec.support
-    cuts = sorted(p for p in spec.delicate_points if lo < p < hi)
-    edges = [lo, *cuts, hi]
-    total, err = 0.0, 0.0
-    with quiet_quadrature():
-        for a, b in zip(edges[:-1], edges[1:]):
-            val, e = _integrate.quad(integrand, a, b, limit=400, epsabs=1e-12, epsrel=1e-11)
-            total += val
-            err += e
+    total, err = sf.integrate(integrand, lo, hi, spec.delicate_points, epsabs=1e-12, epsrel=1e-11)
     if err > 1e-8:
         raise NumericError(f"expectation quadrature error estimate {err:.2e} too large")
     return total
 
 
-def _panel_integrals(mesh, vals, fn, delicate=()):
-    """Integral over each grid panel, given the integrand's values at the
-    mesh's Gauss-Legendre nodes; adaptive quadrature of fn is substituted
-    on panels near delicate points (integrable endpoint singularities,
-    kinked kernels)."""
+class _Integrand:
+    """A solve's integrand and its adaptive integrals: each range is
+    integrated once, and every error estimate is kept."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.done: dict[tuple[float, float], tuple[float, float]] = {}
+
+    def over(self, a: float, b: float) -> float:
+        """The integral from a to b (either may be the larger)."""
+        if (a, b) not in self.done:
+            self.done[a, b] = sf.integrate(lambda t: float(self.fn(t)), a, b, epsabs=1e-14, epsrel=1e-10)
+        return self.done[a, b][0]
+
+    @property
+    def error(self) -> float:
+        return sum(err for _, err in self.done.values())
+
+
+def _panel_integrals(mesh, vals, fn: _Integrand, delicate=()):
+    """Integral over each grid panel by Gauss-Legendre, from the
+    integrand's values at the mesh nodes; near a delicate point d
+    (integrable singularity, kink) it is F(b) - F(a) instead, F(x) being
+    the adaptive integral from d to x, so QUADPACK meets d at an end."""
     out = (vals @ mesh.weights) * mesh.half
-    if len(delicate):
-        a, b = mesh.grid[:-1], mesh.grid[1:]
-        radius = 4.0 * np.max(b - a)
-        with quiet_quadrature():
-            for d in delicate:
-                near = np.nonzero((a - radius <= d) & (d <= b + radius))[0]
-                for i in near:
-                    out[i], _ = _integrate.quad(
-                        lambda t: float(np.asarray(fn(np.asarray(t, dtype=float)))),
-                        a[i], b[i], limit=200, epsabs=1e-14, epsrel=1e-10,
-                    )
+    a, b = mesh.grid[:-1], mesh.grid[1:]
+    radius = 4.0 * np.max(b - a)
+    for d in delicate:
+        for i in np.nonzero((a - radius <= d) & (d <= b + radius))[0]:
+            out[i] = fn.over(d, b[i]) - fn.over(d, a[i])
     return out
 
 
-def _tail_integral(fn, a, b, delicate=()):
-    pts = sorted(p for p in delicate if a < p < b)
-    kwargs = dict(limit=400, epsabs=1e-14, epsrel=1e-10)
-    with quiet_quadrature():
-        if pts and np.isfinite(a) and np.isfinite(b):
-            val, err = _integrate.quad(fn, a, b, points=pts, **kwargs)
-        else:
-            val, err = _integrate.quad(fn, a, b, **kwargs)
-    return val, err
+def _cumulative(mesh, panels, fn: _Integrand, anchor: float) -> np.ndarray:
+    """The integral from anchor to x at every grid point x.  anchor is a
+    grid point or lies beyond the grid (a support end, maybe infinite),
+    and the panel sums run outward from it, so the small integrals next
+    to it keep their digits."""
+    grid = mesh.grid
+    k = min(int(np.searchsorted(grid, anchor)), len(grid) - 1)
+    out = np.empty_like(grid)
+    out[k] = fn.over(anchor, grid[k])
+    out[k + 1:] = out[k] + np.cumsum(panels[k:])
+    out[:k] = out[k] - np.cumsum(panels[:k][::-1])[::-1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -378,30 +377,27 @@ def _split_integral(mesh, h, eh):
     """The integral of p * (h - E h) at every grid point: from the lower
     support end up to x left of the median, minus the one from x to the
     upper end on its right (the two agree, as E[h - E h] = 0, and each
-    side integrates its own tail).  Returns the values and the tail
-    quadratures' error estimate."""
+    side integrates its own tail).  Returns the values and the error
+    estimate of its adaptive integrals."""
     spec, grid = mesh.spec, mesh.grid
-    lo, hi = spec.support
 
     def weighted(x):
         return spec.density(x) * (np.asarray(h.value(x)) - eh)
 
+    fn = _Integrand(weighted)
     fac = mesh.node_factor("density", spec.density)
     panels = _panel_integrals(
-        mesh, fac * (np.asarray(h.value(mesh.xs)) - eh), weighted, delicate=spec.delicate_points
+        mesh, fac * (np.asarray(h.value(mesh.xs)) - eh), fn, delicate=spec.delicate_points
     )
-    tail_lo, err_lo = _tail_integral(lambda t: float(weighted(t)), lo, grid[0])
-    tail_hi, err_hi = _tail_integral(lambda t: float(weighted(t)), grid[-1], hi)
-    left = tail_lo + np.concatenate([[0.0], np.cumsum(panels)])
-    right = tail_hi + np.concatenate([[0.0], np.cumsum(panels[::-1])])[::-1]
-    return np.where(grid <= mesh.split, left, -right), err_lo + err_hi
+    from_ends = [_cumulative(mesh, panels, fn, end) for end in spec.support]
+    return np.where(grid <= mesh.split, *from_ends), fn.error
 
 
 def _solve_first_order(mesh, h, eh):
     spec, grid = mesh.spec, mesh.grid
     numer, err = _split_integral(mesh, h, eh)
     f = numer / (spec.weight_s(grid) * spec.density(grid))
-    return f, {"tail_quad_error": err, "form_split": mesh.split}
+    return f, {"quad_error": err, "form_split": mesh.split}
 
 
 def _solve_vg(mesh, h, eh):
@@ -442,26 +438,22 @@ def _solve_vg(mesh, h, eh):
     fac_i = mesh.node_factor("vg_i", factor_i)
     fac_k = mesh.node_factor("vg_k", factor_k)
     h_nodes = htilde(mesh.xs)
-    panels_i = _panel_integrals(mesh, fac_i * h_nodes, kernel_i, delicate=(0.0,))
-    panels_k = _panel_integrals(mesh, fac_k * h_nodes, kernel_k, delicate=(0.0,))
-    # signed cumulative of the I-kernel anchored at the origin and summed
-    # outward: anchoring at a grid edge would difference huge tail values
-    # and destroy the small near-origin integrals
-    a_int = np.empty_like(grid)
-    a_int[i0] = 0.0
-    a_int[i0 + 1:] = np.cumsum(panels_i[i0:])
-    if i0 > 0:
-        a_int[:i0] = -np.cumsum(panels_i[:i0][::-1])[::-1]
-    # K-kernel: right-tail form for x >= 0, left-tail form for x < 0
-    tail_hi, err_hi = _tail_integral(lambda t: float(kernel_k(t)), grid[-1], math.inf)
-    tail_lo, err_lo = _tail_integral(lambda t: float(kernel_k(t)), -math.inf, grid[0])
-    cum_k = np.concatenate([[0.0], np.cumsum(panels_k)])
-    b_right = tail_hi + (cum_k[-1] - cum_k)  # integral from x_i to +inf
-    b_left = tail_lo + cum_k  # integral from -inf to x_i
+    fn_i, fn_k = _Integrand(kernel_i), _Integrand(kernel_k)
+    panels_i = _panel_integrals(mesh, fac_i * h_nodes, fn_i, delicate=(0.0,))
+    panels_k = _panel_integrals(mesh, fac_k * h_nodes, fn_k, delicate=(0.0,))
+    # the I-kernel integral is anchored at the origin: anchoring it at a
+    # grid edge would difference huge tail values and destroy the small
+    # near-origin integrals.  The K-kernel integral runs to +inf for
+    # x >= 0 and to -inf for x < 0.
+    pos = grid >= 0
+    a_int = _cumulative(mesh, panels_i, fn_i, 0.0)
+    b_side = np.where(
+        pos, _cumulative(mesh, panels_k, fn_k, math.inf), _cumulative(mesh, panels_k, fn_k, -math.inf)
+    )
 
     ax = np.abs(grid)
     safe = np.maximum(ax, 1e-300)
-    sgn = np.where(grid >= 0, 1.0, -1.0)
+    sgn = np.where(pos, 1.0, -1.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         expf = np.exp(-beta * grid) / (s2 * safe ** nu)
         kv_n = np.asarray(sf.bessel_k(nu, alpha * safe))
@@ -474,18 +466,14 @@ def _solve_vg(mesh, h, eh):
         # cross terms of the two integrals cancel identically)
         dk_part = -expf * (beta * kv_n + sgn * alpha * kv_n1)
         di_part = expf * (sgn * alpha * iv_n1 - beta * iv_n)
-        f = np.empty_like(grid)
-        f1 = np.empty_like(grid)
-        pos = grid >= 0
-        b_side = np.where(pos, -b_right, b_left)
         f = -k_part * a_int + i_part * b_side
         f1 = -dk_part * a_int + di_part * b_side
     # exactly at the origin only the I-branch survives (plus the finite
     # K-branch limit in the derivative)
     i_part0 = (alpha / 2.0) ** nu / (sf.gamma_fn(nu + 1.0) * s2)
-    f[i0] = -i_part0 * b_right[i0]
+    f[i0] = i_part0 * b_side[i0]
     f1[i0] = (h.value(0.0) - eh) / (s2 * r) - (theta / s2) * f[i0]
-    return {0: f, 1: f1}, {"tail_quad_error": err_lo + err_hi, "origin_index": i0}
+    return {0: f, 1: f1}, {"quad_error": fn_i.error + fn_k.error, "origin_index": i0}
 
 
 def _solve_prr(mesh, h, eh):
@@ -505,12 +493,11 @@ def _solve_prr(mesh, h, eh):
         y = np.asarray(y, dtype=float)
         return g_spline(y) / v_kappa(y)
 
+    fn = _Integrand(outer)
     fac = mesh.node_factor("v_kappa", v_kappa)
-    outer_panels = _panel_integrals(mesh, g_spline(mesh.xs) / fac, outer, delicate=(0.0,))
-    head_h, err_h = _tail_integral(lambda t: float(outer(t)), 0.0, grid[0])
-    h_vals = head_h + np.concatenate([[0.0], np.cumsum(outer_panels)])
-    f = v_fn(grid) * h_vals / s
-    return f, {"tail_quad_error": err_g + err_h, "form_split": mesh.split}
+    panels = _panel_integrals(mesh, g_spline(mesh.xs) / fac, fn, delicate=spec.delicate_points)
+    f = v_fn(grid) * _cumulative(mesh, panels, fn, 0.0) / s
+    return f, {"quad_error": err_g + fn.error, "form_split": mesh.split}
 
 
 # ---------------------------------------------------------------------------

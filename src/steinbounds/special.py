@@ -5,7 +5,8 @@ gamma and log-gamma, double factorials, Pochhammer products, modified
 Bessel functions (plus log-space variants for tail quadrature) and the
 standard normal pdf/cdf/Mill's-ratio triple.  The confluent
 hypergeometric U function on the parameter slice we actually use is a
-fixed double-exponential quadrature rule of its own.
+fixed double-exponential quadrature rule of its own.  ``integrate``, over
+``scipy.integrate.quad``, is the package's one adaptive quadrature rule.
 
 All functions are pure and reentrant.
 """
@@ -13,14 +14,35 @@ All functions are pure and reentrant.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
+from scipy import integrate as _integrate
 from scipy import special as _sp
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 
 _GAMMA_OVERFLOW = 171.62  # gamma(x) overflows double precision above this
+
+
+def integrate(fn, a: float, b: float, breaks=(), epsabs: float = 1.49e-8, epsrel: float = 1.49e-8):
+    """(value, error estimate) of the integral of fn (float to float) from
+    a to b, either end infinite or the larger.  The range is split at every
+    break point strictly inside it, so QUADPACK meets each singular or
+    kinked point at the end of a piece.  IntegrationWarning is silenced:
+    the summed error estimate is returned instead."""
+    lo, hi = sorted((a, b))
+    sign = 1.0 if a <= b else -1.0
+    edges = [lo, *sorted(p for p in breaks if lo < p < hi), hi] if lo < hi else []
+    total, err = 0.0, 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", _integrate.IntegrationWarning)
+        for left, right in zip(edges[:-1], edges[1:]):
+            val, e = _integrate.quad(fn, left, right, limit=400, epsabs=epsabs, epsrel=epsrel)
+            total += val
+            err += e
+    return sign * total, err
 
 
 def gamma_fn(x: float) -> float:

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _integrate
 from scipy.special import ive as _sp_ive, kve as _sp_kve
 
 from . import special as sf
@@ -255,8 +254,8 @@ def _bessel_lhs(nu: float, alpha: float, beta: float, x: float) -> tuple[float, 
         expo = (beta - alpha) * y + nu * math.log(y) + float(np.log(_sp_kve(nu, alpha * y)))
         return math.exp(expo) if expo > -700.0 else 0.0
 
-    up, _ = _integrate.quad(grow, 0.0, x, limit=300, epsabs=1e-13, epsrel=1e-10)
-    down, _ = _integrate.quad(decay, x, math.inf, limit=300, epsabs=1e-13, epsrel=1e-10)
+    up, _ = sf.integrate(grow, 0.0, x, epsabs=1e-13, epsrel=1e-10)
+    down, _ = sf.integrate(decay, x, math.inf, epsabs=1e-13, epsrel=1e-10)
     k_fac = math.exp(-beta * x) * sf.bessel_k(nu, alpha * x) / x ** nu
     i_fac = math.exp(-beta * x) * sf.bessel_i(nu, alpha * x) / x ** nu
     dk_fac = -math.exp(-beta * x) / x ** nu * (beta * sf.bessel_k(nu, alpha * x) + alpha * sf.bessel_k(nu + 1.0, alpha * x))
@@ -314,9 +313,8 @@ def check_quartic_identities(grid=None) -> dict:
 
     tail_err = 0.0
     for x in grid[:: max(1, len(grid) // 40)]:
-        direct, _ = _integrate.quad(
-            lambda t: t * c1 * math.exp(-t ** 4 / 12.0), float(x), math.inf,
-            limit=300, epsabs=1e-13,
+        direct, _ = sf.integrate(
+            lambda t: t * c1 * math.exp(-t ** 4 / 12.0), float(x), math.inf, epsabs=1e-13
         )
         closed = c1 * math.sqrt(3.0 * math.pi) * (1.0 - sf.norm_cdf(float(x) ** 2 / math.sqrt(6.0)))
         tail_err = max(tail_err, abs(direct - closed))
@@ -327,7 +325,7 @@ def check_quartic_identities(grid=None) -> dict:
     second = grid ** 2 * weighted - 3.0 / (6.0 * c1) ** (1.0 / 3.0)
     min_ineq_margin = float(-max(np.max(first), np.max(second)))
 
-    total, _ = _integrate.quad(lambda t: c1 * math.exp(-t ** 4 / 12.0), -math.inf, math.inf)
+    total, _ = sf.integrate(lambda t: c1 * math.exp(-t ** 4 / 12.0), -math.inf, math.inf)
     ok = density_err <= 1e-12 and tail_err <= 1e-10 and min_ineq_margin >= 0.0 and abs(total - 1.0) <= 1e-10
     return {
         "pass": bool(ok),

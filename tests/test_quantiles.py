@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steinbounds import catalog as cat
@@ -71,3 +71,36 @@ def test_quantile_beyond_the_mass_raises():
     assert cat.quantile(half, 0.25) == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(NumericError, match="no right bracket"):
         cat.quantile(half, 0.75)
+
+
+# A skewed vg law of perfbench's verify_draws stream whose mass lies right
+# of the origin: one QAGI call over (-inf, x] misses it for x >= 64 unless
+# the range is split at the origin, the density's kink.
+SKEWED_VG = {"r": 3.12572, "theta": 0.522933, "sigma": 0.733409}
+DOUBLINGS = [2.0 ** k for k in range(11)]  # 1, 2, ..., 1024: the bracket search
+
+
+class TestVgCdfSplitAtTheOrigin:
+    def test_cdf_is_monotone_and_reaches_the_mass(self):
+        spec = cat.make_spec("vg", **SKEWED_VG)
+        cdf = [cat.numeric_cdf(spec, x) for x in DOUBLINGS]
+        assert cdf == sorted(cdf)
+        assert cat.numeric_cdf(spec, 64.0) >= 1.0 - 1e-8
+
+    def test_bracket_stops_at_the_mass(self):
+        spec = cat.make_spec("vg", **SKEWED_VG)
+        assert cat._bracket(spec, 1.0 - 1e-8)[1] <= 64.0
+
+    @settings(max_examples=25)
+    @given(params=st.fixed_dictionaries(
+        {name: st.floats(lo, hi) for name, (lo, hi) in SCALAR_BRANCH_WINDOWS["vg"].items()}
+    ))
+    @example(params=SKEWED_VG)
+    def test_cdf_is_monotone_over_the_draws_window(self, params):
+        # each value is good to QUADPACK's default 1.49e-8, so two of them
+        # may cross by twice that once the CDF has reached 1 (vg(1, 0, 1)
+        # reads 1.0 at 32 and 1 - 4.6e-14 at 64); a missed mass drops ~1
+        spec = cat.make_spec("vg", **params)
+        cdf = [cat.numeric_cdf(spec, x) for x in DOUBLINGS]
+        assert all(b >= a - 3e-8 for a, b in zip(cdf, cdf[1:]))
+        assert cdf[-1] >= 1.0 - 1e-8

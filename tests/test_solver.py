@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
 from steinbounds import catalog as cat
 from steinbounds import solver as sv
+from steinbounds import verifier as vf
 from steinbounds.solver import (
     CosineTest,
     PolyProbe,
@@ -253,3 +255,68 @@ class TestCsvExport:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert data.shape == (len(sol.grid), 4)
         assert np.allclose(data[:, 1], sol.derivs[0])
+
+
+def _gamma_density(r, lam):
+    r, lam = mpmath.mpf(r), mpmath.mpf(lam)
+    return lambda t: lam ** r * t ** (r - 1) * mpmath.exp(-lam * t) / mpmath.gamma(r)
+
+
+def _arcsine_density(t):
+    return 1 / (mpmath.pi * mpmath.sqrt(t * (1 - t)))
+
+
+class TestSplitIntegralAtSingularEdges:
+    """f next to a singular lower support end against 30-digit mpmath:
+    f(x) = (s(x) p(x))^-1 times the integral of p * (sin - E sin) from the
+    support end to x, at the first 8 grid points (all left of the median).
+    The tolerance is set once and is never widened."""
+
+    TOL = 1e-9
+
+    @pytest.mark.parametrize(
+        "family,params,density,upper",
+        [
+            ("gamma", {"r": 0.320687, "lam": 1.83895}, _gamma_density(0.320687, 1.83895), mpmath.inf),
+            ("gamma", {"r": 0.457177, "lam": 0.819184}, _gamma_density(0.457177, 0.819184), mpmath.inf),
+            ("gamma", {"r": 2.0, "lam": 1.0}, _gamma_density(2, 1), mpmath.inf),
+            ("arcsine", {}, _arcsine_density, 1),
+        ],
+    )
+    def test_first_grid_points(self, family, params, density, upper):
+        spec = cat.make_spec(family, **params)
+        sol = solve(spec, SineTest(1.0))
+        with mpmath.workdps(30):
+            mean = mpmath.quad(lambda t: density(t) * mpmath.sin(t), [0, 1, upper])
+            worst = 0.0
+            for x, got in zip(sol.grid[:8], sol.derivs[0][:8]):
+                x = float(x)
+                numer = mpmath.quad(lambda t: density(t) * (mpmath.sin(t) - mean), [0, x])
+                want = numer / (float(spec.weight_s(x)) * density(mpmath.mpf(x)))
+                worst = max(worst, float(abs((got - want) / want)))
+        assert worst <= self.TOL
+
+
+class TestQuadratureErrorBudget:
+    def test_every_adaptive_error_is_kept(self):
+        for family, params in vf.DEFAULT_SWEEP_FAMILIES:
+            sol = solve(cat.make_spec(family, **params), SineTest(1.0))
+            err = sol.diagnostics["quad_error"]
+            assert math.isfinite(err) and err < 1e-8, (family, params, err)
+
+    def test_singular_edge_tail_is_the_first_delicate_value(self, monkeypatch):
+        # the integral from the singular end 0 to the first grid point is
+        # both the lower tail and F(grid[0]) of the first panel: one call
+        spec = cat.make_spec("gamma", r=0.320687, lam=1.83895)
+        mesh = sv.build_mesh(spec)
+        ranges = []
+        integrate = sv.sf.integrate
+
+        def recorded(fn, a, b, *args, **kwargs):
+            ranges.append((a, b))
+            return integrate(fn, a, b, *args, **kwargs)
+
+        monkeypatch.setattr(sv.sf, "integrate", recorded)
+        sol = solve(spec, SineTest(1.0), mesh=mesh)
+        assert ranges.count((0.0, float(sol.grid[0]))) == 1
+        assert len(ranges) == len(set(ranges))

@@ -4,7 +4,10 @@ Expected values marked "mpmath" were computed with mpmath at 25 digits
 before freezing; closed-form oracles are evaluated inline.
 """
 
+import ast
 import math
+import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -215,3 +218,104 @@ class TestHypUAgainstMpmath:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for a in (1e-3, 19.0):
                 sf.hyp_u(a, 0.5, np.array([1e-300, 1.0, 1e7]))
+
+
+class TestIntegrate:
+    def test_splits_at_interior_breaks_of_an_infinite_range(self):
+        # the mass of this density sits around 1e3: one QAGI call over the
+        # whole line samples too sparsely to find it, the split one does
+        def bump(t):
+            return math.exp(-0.5 * (t - 1e3) ** 2) / math.sqrt(2.0 * math.pi)
+
+        assert integrate.quad(bump, -math.inf, 2e3)[0] < 1e-3
+        val, err = sf.integrate(bump, -math.inf, 2e3, breaks=(1e3,))
+        assert val == pytest.approx(1.0, abs=1e-10)
+        assert 0.0 <= err < 1e-8
+
+    def test_breaks_outside_the_range_are_ignored(self):
+        plain = sf.integrate(math.exp, 0.0, 1.0)
+        assert sf.integrate(math.exp, 0.0, 1.0, breaks=(-1.0, 0.0, 1.0, 2.0)) == plain
+        assert plain[0] == pytest.approx(math.e - 1.0, rel=1e-14)
+
+    def test_singular_break_is_met_at_an_endpoint(self):
+        # |t|^(-1/2) over [-1, 1]: the singularity is an endpoint of both
+        # pieces, and no IntegrationWarning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, err = sf.integrate(
+                lambda t: abs(t) ** -0.5 if t else 0.0, -1.0, 1.0, breaks=(0.0,),
+                epsabs=1e-14, epsrel=1e-12,
+            )
+        assert val == pytest.approx(4.0, rel=1e-12)
+        assert err < 1e-10
+
+    def test_reversed_and_empty_ranges(self, monkeypatch):
+        forward = sf.integrate(math.exp, -math.inf, 1.0, breaks=(0.0,))
+        assert sf.integrate(math.exp, 1.0, -math.inf, breaks=(0.0,)) == (-forward[0], forward[1])
+        monkeypatch.setattr(integrate, "quad", None)  # an empty range needs no quadrature
+        assert sf.integrate(math.exp, 2.0, 2.0) == (0.0, 0.0)
+
+    def test_returns_every_error_estimate(self):
+        pieces = [integrate.quad(math.cos, a, b, limit=400) for a, b in ((0.0, 1.0), (1.0, 3.0))]
+        val, err = sf.integrate(math.cos, 0.0, 3.0, breaks=(1.0,))
+        assert val == pieces[0][0] + pieces[1][0]
+        assert err == pieces[0][1] + pieces[1][1]
+
+
+def _quad_references(source: str) -> list:
+    """The enclosing function name (None at module level) of every
+    reference to quad from scipy.integrate in source."""
+    tree = ast.parse(source)
+    integrate_names = set()  # local names bound to scipy.integrate
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            integrate_names |= {a.asname or a.name for a in node.names if a.name == "integrate"}
+        elif isinstance(node, ast.Import):
+            integrate_names |= {a.asname for a in node.names if a.name == "scipy.integrate" and a.asname}
+
+    def is_integrate(node):
+        if isinstance(node, ast.Name):
+            return node.id in integrate_names
+        return isinstance(node, ast.Attribute) and node.attr == "integrate" and (
+            isinstance(node.value, ast.Name) and node.value.id == "scipy"
+        )
+
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy.integrate":
+            found.extend(func for a in node.names if a.name == "quad")
+        if isinstance(node, ast.Attribute) and node.attr == "quad" and is_integrate(node.value):
+            found.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+class TestOneQuadratureRule:
+    """Every adaptive integral of the package goes through
+    special.integrate, so the one rule cannot drift."""
+
+    def test_guard_sees_every_spelling(self):
+        source = (
+            "import scipy.integrate\n"
+            "import scipy.integrate as si\n"
+            "from scipy import integrate as _i\n"
+            "from scipy.integrate import quad\n"
+            "def f():\n    return scipy.integrate.quad, si.quad\n"
+            "def g():\n    return _i.quad\n"
+        )
+        assert _quad_references(source) == [None, "f", "f", "g"]
+
+    def test_quad_is_referenced_only_inside_integrate(self):
+        package = Path(sf.__file__).parent
+        found = [
+            (path.name, func)
+            for path in sorted(package.glob("*.py"))
+            for func in _quad_references(path.read_text())
+        ]
+        assert found == [("special.py", "integrate")]

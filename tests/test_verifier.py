@@ -3,6 +3,10 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +194,54 @@ class TestOffCatalogParameters:
         for n in orders:
             rep = vf.verify(spec, n, h, solution=sol)
             assert rep.passed, (family, n, rep.margin)
+
+
+class TestSingularPoints:
+    """Cells whose integrands are singular or kinked next to the grid:
+    QUADPACK meets those points at an interval end, so each verdict rests
+    on correctly computed values."""
+
+    def test_gamma_draw_with_singular_lower_edge_passes(self):
+        # a cell of perfbench's verify_draws stream (seed 18): integrated
+        # from the first grid point, 2.9e-11 short of the x^(r-1)
+        # singularity, the first panel came out 4.9e-3 off and the sup
+        # read 875.2 against a bound of 655.9
+        spec = cat.make_spec("gamma", r=0.457177, lam=0.819184)
+        rep = vf.verify(spec, 4, SineTest(1.85027))
+        assert rep.passed, (rep.empirical_sup, rep.bound_value)
+
+    @pytest.mark.parametrize(
+        "params,n,sup",
+        [
+            # f''(0), by the endpoint recursion of the level equations
+            ({"r": 0.320687, "lam": 1.83895}, 2, 0.150103888521043),
+            # the fourth derivative at x = 2.68891519, the root of the
+            # fifth: f from its integral representation at 30 digits, its
+            # derivatives by the level equations
+            ({"r": 0.457, "lam": 0.819}, 4, 0.148276267153168),
+        ],
+    )
+    def test_gamma_sups_match_the_mpmath_values(self, params, n, sup):
+        spec = cat.make_spec("gamma", **params)
+        rep = vf.verify(spec, n, SineTest(1.0))
+        assert rep.passed
+        assert rep.empirical_sup == pytest.approx(sup, rel=1e-6)
+
+    def test_skewed_vg_draw_verifies(self):
+        # a cell of the verify_draws stream (seed 22).  Its numeric CDF
+        # missed the mass right of the origin, the grid ran out to 6.4e8
+        # and QUADPACK crashed the interpreter there, so it runs in a
+        # process of its own
+        src = Path(cat.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "steinbounds.cli", "verify", "--family", "vg",
+             "--r", "3.12572", "--theta", "0.522933", "--sigma", "0.733409",
+             "--n", "4", "--test", "sine:2.38435"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr[-500:])
+        assert "pass=True" in proc.stdout
 
 
 class TestMonotoneOrders:

@@ -199,6 +199,8 @@ def numeric_cdf(spec: DistributionSpec, x: float) -> float:
     if x >= hi:
         return 1.0
     val, _ = sf.integrate(spec.density, lo, x, breaks=spec.delicate_points)
+    if not math.isfinite(val):
+        raise NumericError(f"{spec.family}{spec.params}: the CDF integral up to {x:g} is {val}")
     return min(max(val, 0.0), 1.0)
 
 
@@ -678,6 +680,13 @@ def _prr_spec(s: float) -> DistributionSpec:
     norm = sf.gamma_fn(s) * math.sqrt(2.0 / (s * math.pi))
 
     def density(x):
+        if isinstance(x, float) or np.ndim(x) == 0:
+            x = float(x)
+            if not x > 0.0:
+                return 0.0
+            spline, x_hi = _prr_u_table(s)
+            u = float(spline(x)) if x <= x_hi else _prr_u_function(s, x)
+            return float(norm * np.exp(-max(x * x / (2.0 * s), 1e-300)) * u)
         arr = np.asarray(x, dtype=float)
         z = np.maximum(arr * arr / (2.0 * s), 1e-300)
         out = norm * np.exp(-z) * np.asarray(_prr_u_function(s, arr))
@@ -809,14 +818,18 @@ def _vg_spec(r: float, theta: float, sigma: float) -> DistributionSpec:
 
     def density(x):
         # scaled Bessel form: the exponent beta*x - alpha*|x| is <= 0, so the
-        # tails underflow cleanly instead of overflowing
+        # tails underflow cleanly instead of overflowing.  Where the
+        # exponential is 0 the density is 0: kve is NaN for arguments
+        # beyond about 1e9.
         if isinstance(x, float) or np.ndim(x) == 0:
             x = float(x)
             ax = max(abs(x), 1e-12)
-            return float(np.exp(log_norm + beta * x - alpha * ax + nu * np.log(ax / half_scale)) * _sp_kve(nu, alpha * ax))
+            scale = np.exp(log_norm + beta * x - alpha * ax + nu * np.log(ax / half_scale))
+            return float(scale * _sp_kve(nu, alpha * ax)) if scale > 0.0 else 0.0
         arr = np.asarray(x, dtype=float)
         ax = np.maximum(np.abs(arr), 1e-12)
-        return np.exp(log_norm + beta * arr - alpha * ax + nu * np.log(ax / half_scale)) * _sp_kve(nu, alpha * ax)
+        scale = np.exp(log_norm + beta * arr - alpha * ax + nu * np.log(ax / half_scale))
+        return np.where(scale > 0.0, scale * _sp_kve(nu, alpha * ax), 0.0)
 
     def op_coeffs(k):
         s2 = sigma * sigma

@@ -14,9 +14,13 @@ margin clipped to the support, 20001 points by default.
 Everything that depends on the law but not on the test function lives in
 a ``Mesh``, built once per spec by ``build_mesh``: the grid, the median
 at which the first-order and PRR representations switch forms, the
-Gauss-Legendre panel nodes and a memo of the kernel factors at them.  The
-map h -> f is linear, so each solve multiplies the shared factors by
-h - E h(Z); a sweep solves every test function of a spec on one mesh.
+Gauss-Legendre panel nodes and a memo of every h-independent array of a
+solve, at the nodes or on the grid.  Each is evaluated once per mesh,
+and a part that depends on |x| only (the vg Bessel functions) once per
+distinct |x|: the vg grid is symmetric steps about the origin, so a
+symmetric law needs half the evaluations.  The map h -> f is linear, so
+each solve multiplies the shared factors by h - E h(Z); a sweep solves
+every test function of a spec on one mesh.
 
 One rule covers the adaptive integrals (the tails beyond the grid and the
 panels next to a delicate point d, an integrable singularity or a kink):
@@ -255,9 +259,11 @@ class Mesh:
 
     xs holds the GL_ORDER Gauss-Legendre nodes of every grid panel (one
     row per panel), half the panel half-widths and weights the rule's
-    weights.  node_factor memoizes kernel factors evaluated at xs.  The
-    arrays are shared by every solve on the mesh (the grid also by their
-    solutions), so they are read-only.
+    weights.  Every h-independent array of a solve, at the nodes or on
+    the grid, is a mesh factor: ``factor`` evaluates it once per mesh,
+    and its parts that depend on |x| only go through ``by_abs``, once per
+    distinct |x|.  The arrays are shared by every solve on the mesh (the
+    grid also by their solutions), so they are read-only.
     """
 
     spec: DistributionSpec
@@ -266,15 +272,32 @@ class Mesh:
     xs: np.ndarray
     half: np.ndarray
     weights: np.ndarray
-    _factors: dict = field(default_factory=dict, repr=False)
+    _memo: dict = field(default_factory=dict, repr=False)
 
-    def node_factor(self, name: str, fn) -> np.ndarray:
-        """fn(xs), evaluated on the first request for name only."""
-        if name not in self._factors:
-            factor = fn(self.xs)
+    def factor(self, name: str, fn, at: str = "nodes") -> np.ndarray:
+        """fn at the panel nodes xs (at="nodes") or on the grid
+        (at="grid"), evaluated on the first request for name only."""
+        if name not in self._memo:
+            factor = fn(self._points(at))
             factor.flags.writeable = False
-            self._factors[name] = factor
-        return self._factors[name]
+            self._memo[name] = factor
+        return self._memo[name]
+
+    def by_abs(self, fn, at: str = "nodes") -> np.ndarray:
+        """fn(|x|) at every point x of the nodes or the grid, fn evaluated
+        once per distinct |x|.  The grids that straddle the origin are
+        symmetric steps dx * k, and so are the Gauss-Legendre nodes of
+        mirrored panels, so about half the points need no evaluation."""
+        key = ("|x|", at)
+        if key not in self._memo:
+            points = self._points(at)
+            distinct, inverse = np.unique(np.abs(points), return_inverse=True)
+            self._memo[key] = distinct, inverse.reshape(points.shape)
+        distinct, inverse = self._memo[key]
+        return fn(distinct)[inverse]
+
+    def _points(self, at: str) -> np.ndarray:
+        return {"nodes": self.xs, "grid": self.grid}[at]
 
 
 def build_mesh(spec: DistributionSpec, n_points: int = DEFAULT_POINTS) -> Mesh:
@@ -385,7 +408,7 @@ def _split_integral(mesh, h, eh):
         return spec.density(x) * (np.asarray(h.value(x)) - eh)
 
     fn = _Integrand(weighted)
-    fac = mesh.node_factor("density", spec.density)
+    fac = mesh.factor("density", spec.density)
     panels = _panel_integrals(
         mesh, fac * (np.asarray(h.value(mesh.xs)) - eh), fn, delicate=spec.delicate_points
     )
@@ -394,9 +417,9 @@ def _split_integral(mesh, h, eh):
 
 
 def _solve_first_order(mesh, h, eh):
-    spec, grid = mesh.spec, mesh.grid
+    spec = mesh.spec
     numer, err = _split_integral(mesh, h, eh)
-    f = numer / (spec.weight_s(grid) * spec.density(grid))
+    f = numer / mesh.factor("s_density", lambda x: spec.weight_s(x) * spec.density(x), at="grid")
     return f, {"quad_error": err, "form_split": mesh.split}
 
 
@@ -414,16 +437,23 @@ def _solve_vg(mesh, h, eh):
     # Scaled kernels: exp(beta y) I_nu(alpha |y|) = ive * exp(beta y + alpha |y|)
     # and exp(beta y) K_nu(alpha |y|) = kve * exp(beta y - alpha |y|).  The
     # K-kernel exponent is <= 0 whenever |beta| < alpha, so the tail
-    # quadratures cannot overflow.
-    def factor_i(y):
+    # quadratures cannot overflow.  The Bessel parts depend on |y| only:
+    # at the nodes they are evaluated once per distinct |y|.
+    def ive(ay):
+        return _sp.ive(nu, alpha * ay)
+
+    def kve(ay):
+        return _sp.kve(nu, alpha * np.maximum(ay, 1e-300))
+
+    def factor_i(y, bessel=None):
         y = np.asarray(y, dtype=float)
         ay = np.abs(y)
-        return np.exp(beta * y + alpha * ay) * ay ** nu * _sp.ive(nu, alpha * ay)
+        return np.exp(beta * y + alpha * ay) * ay ** nu * (ive(ay) if bessel is None else bessel)
 
-    def factor_k(y):
+    def factor_k(y, bessel=None):
         y = np.asarray(y, dtype=float)
         ay = np.maximum(np.abs(y), 1e-300)
-        return np.exp(beta * y - alpha * ay) * ay ** nu * _sp.kve(nu, alpha * ay)
+        return np.exp(beta * y - alpha * ay) * ay ** nu * (kve(ay) if bessel is None else bessel)
 
     def kernel_i(y):
         return factor_i(y) * htilde(y)
@@ -431,12 +461,30 @@ def _solve_vg(mesh, h, eh):
     def kernel_k(y):
         return factor_k(y) * htilde(y)
 
+    def prefactors(x):
+        """exp(-beta x) / (s2 |x|^nu) times K_nu(alpha |x|) and I_nu(alpha
+        |x|), and their exact derivatives (the first-derivative cross
+        terms of the two integrals cancel identically)."""
+        safe = np.maximum(np.abs(x), 1e-300)
+        sgn = np.where(x >= 0, 1.0, -1.0)
+        expf = np.exp(-beta * x) / (s2 * safe ** nu)
+        kv_n = mesh.by_abs(lambda a: sf.bessel_k(nu, alpha * np.maximum(a, 1e-300)), "grid")
+        kv_n1 = mesh.by_abs(lambda a: sf.bessel_k(nu + 1.0, alpha * np.maximum(a, 1e-300)), "grid")
+        iv_n = mesh.by_abs(lambda a: sf.bessel_i(nu, alpha * a), "grid")
+        iv_n1 = mesh.by_abs(lambda a: sf.bessel_i(nu + 1.0, alpha * a), "grid")
+        return np.stack([
+            expf * kv_n,
+            expf * iv_n,
+            -expf * (beta * kv_n + sgn * alpha * kv_n1),
+            expf * (sgn * alpha * iv_n1 - beta * iv_n),
+        ])
+
     i0 = int(np.argmin(np.abs(grid)))
     if abs(grid[i0]) > 1e-12:
         raise NumericError("vg grid must contain the origin")
     # factors first: their evaluation is the memory peak of a vg solve
-    fac_i = mesh.node_factor("vg_i", factor_i)
-    fac_k = mesh.node_factor("vg_k", factor_k)
+    fac_i = mesh.factor("vg_i", lambda xs: factor_i(xs, mesh.by_abs(ive)))
+    fac_k = mesh.factor("vg_k", lambda xs: factor_k(xs, mesh.by_abs(kve)))
     h_nodes = htilde(mesh.xs)
     fn_i, fn_k = _Integrand(kernel_i), _Integrand(kernel_k)
     panels_i = _panel_integrals(mesh, fac_i * h_nodes, fn_i, delicate=(0.0,))
@@ -451,21 +499,8 @@ def _solve_vg(mesh, h, eh):
         pos, _cumulative(mesh, panels_k, fn_k, math.inf), _cumulative(mesh, panels_k, fn_k, -math.inf)
     )
 
-    ax = np.abs(grid)
-    safe = np.maximum(ax, 1e-300)
-    sgn = np.where(pos, 1.0, -1.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        expf = np.exp(-beta * grid) / (s2 * safe ** nu)
-        kv_n = np.asarray(sf.bessel_k(nu, alpha * safe))
-        kv_n1 = np.asarray(sf.bessel_k(nu + 1.0, alpha * safe))
-        iv_n = np.asarray(sf.bessel_i(nu, alpha * ax))
-        iv_n1 = np.asarray(sf.bessel_i(nu + 1.0, alpha * ax))
-        k_part = expf * kv_n
-        i_part = expf * iv_n
-        # exact derivatives of the kernel prefactors (the first-derivative
-        # cross terms of the two integrals cancel identically)
-        dk_part = -expf * (beta * kv_n + sgn * alpha * kv_n1)
-        di_part = expf * (sgn * alpha * iv_n1 - beta * iv_n)
+        k_part, i_part, dk_part, di_part = mesh.factor("vg_grid", prefactors, at="grid")
         f = -k_part * a_int + i_part * b_side
         f1 = -dk_part * a_int + di_part * b_side
     # exactly at the origin only the I-branch survives (plus the finite
@@ -494,9 +529,11 @@ def _solve_prr(mesh, h, eh):
         return g_spline(y) / v_kappa(y)
 
     fn = _Integrand(outer)
-    fac = mesh.node_factor("v_kappa", v_kappa)
+    # kappa at the nodes is the split integral's factor: U is evaluated
+    # there once for it and once for v
+    fac = mesh.factor("v_kappa", lambda xs: v_fn(xs) * mesh.factor("density", kappa))
     panels = _panel_integrals(mesh, g_spline(mesh.xs) / fac, fn, delicate=spec.delicate_points)
-    f = v_fn(grid) * _cumulative(mesh, panels, fn, 0.0) / s
+    f = mesh.factor("v", v_fn, at="grid") * _cumulative(mesh, panels, fn, 0.0) / s
     return f, {"quad_error": err_g + fn.error, "form_split": mesh.split}
 
 

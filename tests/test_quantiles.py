@@ -30,6 +30,7 @@ SCALAR_BRANCH_WINDOWS = {
     "student_t": {"d": (5.0, 25.0), "delta": (0.5, 4.0)},
     "inverse_gamma": {"alpha": (4.0, 22.0), "beta": (0.3, 4.0)},
     "vg": {"r": (0.5, 6.0), "theta": (-1.5, 1.5), "sigma": (0.5, 2.0)},
+    "prr": {"s": (1.0, 20.0)},
 }
 
 POINTS = st.one_of(
@@ -63,6 +64,13 @@ def test_scalar_density_branch_equals_array_branch(family):
             assert type(value) is float and value == scalar
 
     check()
+
+
+def test_non_finite_cdf_integral_raises():
+    nan_tail = replace(cat.make_spec("normal"), pdf=lambda x: sf.norm_pdf(x) if x < 1.0 else np.nan)
+    assert cat.numeric_cdf(nan_tail, 0.5) == pytest.approx(0.6914624612740131)
+    with pytest.raises(NumericError, match="CDF integral"):
+        cat.numeric_cdf(nan_tail, 2.0)
 
 
 def test_quantile_beyond_the_mass_raises():
@@ -104,3 +112,23 @@ class TestVgCdfSplitAtTheOrigin:
         cdf = [cat.numeric_cdf(spec, x) for x in DOUBLINGS]
         assert all(b >= a - 3e-8 for a, b in zip(cdf, cdf[1:]))
         assert cdf[-1] >= 1.0 - 1e-8
+
+
+class TestVgFarTail:
+    """kve is NaN for arguments beyond about 1e9, where the exponential
+    factor of the density has long underflowed to 0: the density is 0
+    there, in both branches, and so is the CDF's last piece."""
+
+    FAR = [-1e12, -1.07e9, -1e9, 1e9, 1.07e9, 1e12]
+
+    def test_scalar_branch(self):
+        spec = cat.make_spec("vg", **SKEWED_VG)
+        assert [spec.density(x) for x in self.FAR] == [0.0] * len(self.FAR)
+
+    def test_array_branch(self):
+        spec = cat.make_spec("vg", **SKEWED_VG)
+        assert spec.density(np.array(self.FAR)).tolist() == [0.0] * len(self.FAR)
+
+    def test_cdf_stays_finite(self):
+        spec = cat.make_spec("vg", **SKEWED_VG)
+        assert 0.0 <= cat.numeric_cdf(spec, 1.07e9) <= 1.0

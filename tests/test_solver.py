@@ -1,6 +1,7 @@
 """Solver: expectations, probe regressions, propagation, representations."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -320,3 +321,58 @@ class TestQuadratureErrorBudget:
         sol = solve(spec, SineTest(1.0), mesh=mesh)
         assert ranges.count((0.0, float(sol.grid[0]))) == 1
         assert len(ranges) == len(set(ranges))
+
+
+class TestMeshFactorsAreEvaluatedOnce:
+    """Every h-independent array of a solve is a mesh factor: evaluated
+    once per mesh, and an even one once per distinct |x|."""
+
+    @staticmethod
+    def record_points(monkeypatch, module, name):
+        """Record the size of every array argument (ndim >= 1) that the
+        solver passes to module.name as its second argument."""
+        sizes = []
+        fn = getattr(module, name)
+
+        def recorded(nu, x):
+            if np.ndim(x):
+                sizes.append(np.size(x))
+            return fn(nu, x)
+
+        monkeypatch.setattr(module, name, recorded)
+        return sizes
+
+    def test_vg_node_bessels_once_per_distinct_abs(self, monkeypatch):
+        spec = cat.make_spec("vg", r=3.0, theta=0.0, sigma=1.0)
+        mesh = sv.build_mesh(spec)
+        distinct = np.unique(np.abs(mesh.xs)).size
+        assert distinct < 0.6 * mesh.xs.size
+        ive = self.record_points(monkeypatch, sv._sp, "ive")
+        kve = self.record_points(monkeypatch, sv._sp, "kve")
+        solve(spec, SineTest(1.0), mesh=mesh)
+        assert 0 < sum(ive) <= distinct
+        assert 0 < sum(kve) <= distinct
+
+    def test_vg_grid_bessels_once_per_mesh(self, monkeypatch):
+        spec = cat.make_spec("vg", r=3.0, theta=0.5, sigma=1.0)
+        mesh = sv.build_mesh(spec)
+        bessel_i = self.record_points(monkeypatch, sv.sf, "bessel_i")
+        bessel_k = self.record_points(monkeypatch, sv.sf, "bessel_k")
+        for h in (SineTest(1.0), SineTest(2.0), CosineTest(1.0)):
+            solve(spec, h, mesh=mesh)
+        # once for nu and once for nu + 1, at the distinct |x| of the grid
+        distinct = np.unique(np.abs(mesh.grid)).size
+        assert bessel_i == bessel_k == [distinct, distinct]
+
+    def test_prr_density_once_at_the_nodes(self):
+        calls = []
+        base = cat.make_spec("prr", s=5.0)
+
+        def density(x):
+            calls.append(x)
+            return base.density(x)
+
+        spec = replace(base, pdf=density)
+        mesh = sv.build_mesh(spec)
+        solve(spec, SineTest(1.0), mesh=mesh)
+        assert sum(np.shape(x) == mesh.xs.shape for x in calls) == 1

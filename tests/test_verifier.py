@@ -122,6 +122,23 @@ class TestSweep:
         assert keys == sorted(keys)
 
 
+# Fresh-spec cells of perfbench's verify_draws stream (two skewed vg, one
+# theta = 0 vg, one prr), whose empirical sups are pinned bit for bit: the
+# default sweep golden covers only the default specs.
+VERIFY_CELLS = json.loads((Path(__file__).parent / "golden" / "verify_cells.json").read_text())
+TEST_FUNCTIONS = {"SineTest": SineTest, "CosineTest": CosineTest}
+
+
+@pytest.mark.parametrize(
+    "cell", VERIFY_CELLS, ids=[f"{i}-{c['family']}-n{c['n']}" for i, c in enumerate(VERIFY_CELLS)]
+)
+def test_fresh_spec_cells_are_bit_identical_to_golden(cell):
+    spec = cat.make_spec(cell["family"], **cell["params"])
+    h = TEST_FUNCTIONS[cell["test_fn"]["kind"]](cell["test_fn"]["freq"])
+    rep = vf.verify(spec, cell["n"], h)
+    assert (rep.empirical_sup.hex(), rep.passed) == (cell["empirical"], cell["pass"])
+
+
 class TestMeshReuse:
     """A sweep solves every test function of a spec on one mesh; the rows
     must be exactly those of independent verify calls."""

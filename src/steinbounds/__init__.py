@@ -35,7 +35,7 @@ from .engine import (
     recursion_oracle,
     value_coupled_bound,
 )
-from .errors import NumericError, ValidityError, VerificationFailure
+from .errors import NumericError, ValidityError
 from .solver import (
     CosineTest,
     Mesh,

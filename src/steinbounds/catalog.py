@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import kve as _sp_kve
+from scipy.special import betainc, kve as _sp_kve
 
 from . import special as sf
 from .engine import (
@@ -238,20 +238,30 @@ def _bracket(spec: DistributionSpec, p: float) -> tuple[float, float]:
     return left, right
 
 
-def quantile(spec: DistributionSpec, p: float, tol: float = 1e-10) -> float:
-    """p-quantile by bisection on the numeric CDF."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("quantile requires 0 < p < 1")
-    lo, hi = _bracket(spec, p)
+_BISECTION_TOL = 1e-10  # relative width at which a bisection stops (absolute below 1)
+
+
+def _bisect(cdf, p: float, lo: float, hi: float) -> float:
+    """The point of [lo, hi] where the increasing cdf crosses p, by
+    bisection down to _BISECTION_TOL * max(1, |lo|, |hi|)."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if numeric_cdf(spec, mid) < p:
+        if cdf(mid) < p:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * max(1.0, abs(lo), abs(hi)):
+        if hi - lo <= _BISECTION_TOL * max(1.0, abs(lo), abs(hi)):
             break
     return 0.5 * (lo + hi)
+
+
+def quantile(spec: DistributionSpec, p: float) -> float:
+    """p-quantile by bisection on the numeric CDF."""
+    if not 0.0 < p < 1.0:
+        raise ValueError("quantile requires 0 < p < 1")
+    # numeric_cdf is looked up at call time, so a wrapper installed on the
+    # module name (perfbench/spans.py) sees every evaluation
+    return _bisect(lambda x: numeric_cdf(spec, x), p, *_bracket(spec, p))
 
 
 # ---------------------------------------------------------------------------
@@ -419,20 +429,9 @@ def gamma_onestep_bound(n: int, r: float) -> BoundCoefficients:
 
 
 @functools.lru_cache(maxsize=None)
-def beta_median(alpha: float, beta: float, tol: float = 1e-10) -> float:
-    """Median of the beta(alpha, beta) law by bisection on the numeric CDF."""
-    from scipy.special import betainc
-
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if betainc(alpha, beta, mid) < 0.5:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
+def beta_median(alpha: float, beta: float) -> float:
+    """Median of the beta(alpha, beta) law by bisection on its CDF."""
+    return _bisect(lambda x: betainc(alpha, beta, x), 0.5, 0.0, 1.0)
 
 
 def _beta_log_b(alpha: float, beta: float) -> float:
@@ -1104,8 +1103,8 @@ def refined_small_case_constants(family: str, **params) -> dict:
     """Verbatim special-case constants for exponential, beta and arcsine.
 
     Keys are the bounded quantity ("f", "f'", "f''"); values are
-    BoundCoefficients.  The arcsine entry carries an extra "as_printed"
-    field holding the unresolved min-form alternatives exactly as listed.
+    BoundCoefficients.  The beta "f_lipschitz" entry ||h'||/(alpha + beta)
+    bounds ||f|| (sharp for linear h), not ||f'||.
     """
     if family == "exponential":
         lam = float(params["lam"])
@@ -1125,11 +1124,6 @@ def refined_small_case_constants(family: str, **params) -> dict:
         return {
             "f'": coefficients(h1=4.0),
             "f''": coefficients(h1=6.0 * math.pi, h2=1.5 * math.pi),
-            # Listed as a bound on f' alongside the 4||h'|| bound; most
-            # likely a bound on f.  Stored unresolved.
-            "as_printed": {
-                "f'_min": [coefficients(h1=1.0), coefficients(**{"h~": 1.0 / math.pi})]
-            },
         }
     raise ValueError(f"no refined constants table for family {family!r}")
 
@@ -1184,10 +1178,11 @@ def make_spec(family: str, **params) -> DistributionSpec:
     return REGISTRY[family](**params)
 
 
-def catalog_json(spec: DistributionSpec, levels: int = 5) -> dict:
-    """Serializable description: family, params, support, scheme constants,
-    validity window."""
+def catalog_json(spec: DistributionSpec) -> dict:
+    """Serializable description: family, params, support, scheme constants
+    of the first five levels, validity window."""
     sch = spec.scheme
+    levels = 5
 
     def sample(fn):
         if fn is None:

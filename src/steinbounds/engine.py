@@ -104,10 +104,6 @@ class NormSymbol:
         return NormSymbol("f'")
 
     @property
-    def is_solution_side(self) -> bool:
-        return self.kind in ("f", "f'")
-
-    @property
     def slot(self) -> str:
         """Short name used by the CLI norm vectors and serialized output."""
         if self.kind == "h^":
@@ -164,10 +160,6 @@ class BoundCoefficients:
     def symbols(self):
         return [s for s, _ in self.items()]
 
-    @property
-    def has_solution_terms(self) -> bool:
-        return any(s.is_solution_side for s in self.terms)
-
     def evaluate(self, norms: Mapping[NormSymbol, float]) -> float:
         """Substitute norm values; a missing slot is an error, never zero."""
         total = 0.0
@@ -195,15 +187,6 @@ class BoundCoefficients:
             if abs(a - b) > atol + rtol * max(abs(a), abs(b)):
                 return False
         return True
-
-    def scaled(self, factor: float) -> "BoundCoefficients":
-        return BoundCoefficients({s: c * factor for s, c in self.terms.items()})
-
-    def __add__(self, other: "BoundCoefficients") -> "BoundCoefficients":
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out.get(s, 0.0) + c
-        return BoundCoefficients(out)
 
 
 def coefficients(**slots: float) -> BoundCoefficients:

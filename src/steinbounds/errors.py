@@ -8,7 +8,3 @@ class ValidityError(ValueError):
 
 class NumericError(RuntimeError):
     """Quadrature or propagation failed to reach its accuracy contract."""
-
-
-class VerificationFailure(RuntimeError):
-    """A computed bound was violated by an empirical supremum."""

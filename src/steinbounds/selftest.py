@@ -29,6 +29,7 @@ from .engine import (
 from .errors import ValidityError
 from .solver import PolyProbe, solve
 from .verifier import (
+    DEFAULT_SWEEP_FAMILIES,
     check_bessel_inequalities,
     check_mills_ratio,
     check_operator_identity,
@@ -210,26 +211,12 @@ def criterion_5_probe_regressions() -> tuple[bool, str]:
     return worst <= 1e-8, "max grid errors " + ", ".join(f"{k}: {v:.2e}" for k, v in errs.items())
 
 
-_IDENTITY_FAMILIES = (
-    ("normal", {}),
-    ("gamma", {"r": 2.0, "lam": 1.0}),
-    ("exponential", {"lam": 1.5}),
-    ("beta", {"alpha": 2.0, "beta": 3.0}),
-    ("arcsine", {}),
-    ("student_t", {"d": 9.0, "delta": 3.0}),
-    ("inverse_gamma", {"alpha": 9.0, "beta": 2.0}),
-    ("prr", {"s": 1.0}),
-    ("vg", {"r": 3.0, "theta": 0.5, "sigma": 1.0}),
-    ("quartic", {}),
-)
-
-
 def criterion_6_operator_identities() -> tuple[bool, str]:
     worst = 0.0
     worst_case = ""
-    for fam, params in _IDENTITY_FAMILIES:
+    for fam, params in DEFAULT_SWEEP_FAMILIES:
         spec = cat.make_spec(fam, **params)
-        grid = identity_grid(spec, 100)
+        grid = identity_grid(spec)
         for k in range(4):
             for probe in default_identity_probes():
                 res = check_operator_identity(spec, k, probe, grid)
@@ -239,7 +226,7 @@ def criterion_6_operator_identities() -> tuple[bool, str]:
 
 
 def criterion_7_inequality_grids() -> tuple[bool, str]:
-    mills = check_mills_ratio(10_000, 50.0)
+    mills = check_mills_ratio()
     triples = ((1.0, 1.0, 0.5), (0.25, 2.0, 1.0), (2.5, 1.5, -0.75))
     bessel = [check_bessel_inequalities(nu, a, b) for nu, a, b in triples]
     quart = check_quartic_identities()
@@ -324,7 +311,7 @@ CRITERIA = (
 )
 
 
-def run_selftest(verbose: bool = True) -> bool:
+def run_selftest() -> bool:
     all_ok = True
     for name, fn in CRITERIA:
         start = time.monotonic()
@@ -334,8 +321,6 @@ def run_selftest(verbose: bool = True) -> bool:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         elapsed = time.monotonic() - start
         all_ok &= ok
-        if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail} ({elapsed:.1f}s)")
-    if verbose:
-        print("selftest:", "all criteria passed" if all_ok else "FAILURES present")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail} ({elapsed:.1f}s)")
+    print("selftest:", "all criteria passed" if all_ok else "FAILURES present")
     return all_ok

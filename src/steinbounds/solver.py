@@ -9,7 +9,7 @@ with sixth-order central differences (Richardson extrapolated); every
 higher order is exact algebra on the level equations.
 
 Grids are quantile-based: they cover [q(1e-8), q(1 - 1e-8)] plus a 20%
-margin clipped to the support, 20001 points by default.
+margin clipped to the support, with a fixed DEFAULT_POINTS = 20001 points.
 
 Everything that depends on the law but not on the test function lives in
 a ``Mesh``, built once per spec by ``build_mesh``: the grid, the median
@@ -31,6 +31,7 @@ error estimates sum to ``diagnostics["quad_error"]``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -67,7 +68,9 @@ GL_ORDER = 12  # Gauss-Legendre nodes per grid panel
 # exceeds this cap (base solution accuracy ~1e-11, so the propagated noise
 # stays ~1e-5 at worst).
 _CUMULATIVE_AMPLIFICATION_CAP = 1.0e6
-_VG_EXCLUSION = 1.0e-3  # minimum band excluded around the vg origin
+_INTERIOR_EXCLUSION = 1.0e-3  # band excluded around a delicate point inside the grid
+_FILL_DEGREE = 6  # degree of the polynomial extension over masked bands
+_RESIDUAL_TRIM = 10  # grid points left out at either end of the residual check
 
 
 # ---------------------------------------------------------------------------
@@ -80,13 +83,15 @@ class SineTest:
     """h(x) = sin(a x); every derivative norm over the real line is a^j."""
 
     freq: float = 1.0
+    wave = staticmethod(np.sin)
+    prefix = "sine"
 
     def value(self, x):
-        return np.sin(self.freq * np.asarray(x, dtype=float))
+        return self.wave(self.freq * np.asarray(x, dtype=float))
 
     def deriv(self, x, order: int):
         a = self.freq
-        return a ** order * np.sin(a * np.asarray(x, dtype=float) + order * math.pi / 2.0)
+        return a ** order * self.wave(a * np.asarray(x, dtype=float) + order * math.pi / 2.0)
 
     def norm(self, order: int) -> float:
         return self.freq ** order if order else 1.0
@@ -96,29 +101,14 @@ class SineTest:
 
     @property
     def name(self) -> str:
-        return f"sine:{self.freq:g}"
+        return f"{self.prefix}:{self.freq:g}"
 
 
-@dataclass(frozen=True)
-class CosineTest:
-    freq: float = 1.0
+class CosineTest(SineTest):
+    """h(x) = cos(a x), with the norms of the sine test."""
 
-    def value(self, x):
-        return np.cos(self.freq * np.asarray(x, dtype=float))
-
-    def deriv(self, x, order: int):
-        a = self.freq
-        return a ** order * np.cos(a * np.asarray(x, dtype=float) + order * math.pi / 2.0)
-
-    def norm(self, order: int) -> float:
-        return self.freq ** order if order else 1.0
-
-    def centered_norm(self, mean_value: float) -> float:
-        return 1.0 + abs(mean_value)
-
-    @property
-    def name(self) -> str:
-        return f"cosine:{self.freq:g}"
+    wave = staticmethod(np.cos)
+    prefix = "cosine"
 
 
 @dataclass(frozen=True)
@@ -232,7 +222,7 @@ def _cumulative(mesh, panels, fn: _Integrand, anchor: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def build_grid(spec: DistributionSpec, n_points: int = DEFAULT_POINTS) -> np.ndarray:
+def build_grid(spec: DistributionSpec) -> np.ndarray:
     lo_s, hi_s = spec.support
     qlo = quantile(spec, COVERAGE_TAIL)
     qhi = quantile(spec, 1.0 - COVERAGE_TAIL)
@@ -243,14 +233,16 @@ def build_grid(spec: DistributionSpec, n_points: int = DEFAULT_POINTS) -> np.nda
         lo = qlo  # no room for margin on this side
     if hi > hi_s:
         hi = qhi
-    if spec.family == "vg" and lo < 0.0 < hi:
-        # keep the origin on the grid (the solution representation switches
-        # forms there) while staying strictly uniform
-        dx = (hi - lo) / (n_points - 1)
-        k_left = int(math.ceil(-lo / dx))
-        k_right = int(math.ceil(hi / dx))
-        return dx * np.arange(-k_left, k_right + 1)
-    return np.linspace(lo, hi, n_points)
+    inside = [d for d in spec.delicate_points if lo < d < hi]
+    if inside:
+        # keep the delicate point on the grid (the vg representation
+        # switches forms at the origin) while staying strictly uniform
+        (d,) = inside
+        dx = (hi - lo) / (DEFAULT_POINTS - 1)
+        k_left = int(math.ceil((d - lo) / dx))
+        k_right = int(math.ceil((hi - d) / dx))
+        return d + dx * np.arange(-k_left, k_right + 1)
+    return np.linspace(lo, hi, DEFAULT_POINTS)
 
 
 @dataclass
@@ -268,11 +260,16 @@ class Mesh:
 
     spec: DistributionSpec
     grid: np.ndarray
-    split: float | None
     xs: np.ndarray
     half: np.ndarray
     weights: np.ndarray
     _memo: dict = field(default_factory=dict, repr=False)
+
+    @functools.cached_property
+    def median(self) -> float:
+        """The law's median, where the split integral switches from the
+        lower to the upper support end (computed on first use)."""
+        return quantile(self.spec, 0.5)
 
     def factor(self, name: str, fn, at: str = "nodes") -> np.ndarray:
         """fn at the panel nodes xs (at="nodes") or on the grid
@@ -300,13 +297,11 @@ class Mesh:
         return {"nodes": self.xs, "grid": self.grid}[at]
 
 
-def build_mesh(spec: DistributionSpec, n_points: int = DEFAULT_POINTS) -> Mesh:
-    """Grid, form split and panel nodes of spec, shared by every solve
-    on it."""
+def build_mesh(spec: DistributionSpec) -> Mesh:
+    """Grid and panel nodes of spec, shared by every solve on it."""
     if not spec.solvable:
         raise ValidityError(f"family {spec.family} has no 1-D solver support")
-    grid = build_grid(spec, n_points)
-    split = quantile(spec, 0.5) if spec.operator_order == 1 or spec.family == "prr" else None
+    grid = build_grid(spec)
     nodes, weights = np.polynomial.legendre.leggauss(GL_ORDER)
     a, b = grid[:-1], grid[1:]
     half = 0.5 * (b - a)
@@ -314,7 +309,7 @@ def build_mesh(spec: DistributionSpec, n_points: int = DEFAULT_POINTS) -> Mesh:
     xs = mid[:, None] + half[:, None] * nodes[None, :]
     for arr in (grid, half, xs):
         arr.flags.writeable = False
-    return Mesh(spec=spec, grid=grid, split=split, xs=xs, half=half, weights=weights)
+    return Mesh(spec=spec, grid=grid, xs=xs, half=half, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +349,18 @@ def empirical_sup(sol: SteinSolution, order: int) -> tuple[float, bool]:
     return float(vals[idx]), bool(idx < edge or idx >= n - edge)
 
 
-def residual_norm(sol: SteinSolution, spec: DistributionSpec, h, trim: int = 10) -> float:
-    """Max residual of the order-0 equation on interior grid points, using
-    the propagated derivative values."""
-    x = sol.grid[trim:-trim]
-    f = sol.derivs[0][trim:-trim]
+def residual_norm(sol: SteinSolution, spec: DistributionSpec, h) -> float:
+    """Max residual of the order-0 equation on the grid less its
+    _RESIDUAL_TRIM points at either end, using the propagated derivative
+    values."""
+    inner = slice(_RESIDUAL_TRIM, -_RESIDUAL_TRIM)
+    x = sol.grid[inner]
+    f = sol.derivs[0][inner]
     htilde = np.asarray(h.value(x)) - sol.diagnostics["mean_value"]
     a2, a1, a0 = spec.op_coeffs(0)
-    res = a1(x) * sol.derivs[1][trim:-trim] + a0(x) * f - htilde
+    res = a1(x) * sol.derivs[1][inner] + a0(x) * f - htilde
     if spec.operator_order == 2:
-        res = res + a2(x) * sol.derivs[2][trim:-trim]
+        res = res + a2(x) * sol.derivs[2][inner]
     return float(np.max(np.abs(res)))
 
 
@@ -372,13 +369,11 @@ def residual_norm(sol: SteinSolution, spec: DistributionSpec, h, trim: int = 10)
 # ---------------------------------------------------------------------------
 
 
-def solve(
-    spec: DistributionSpec, h, n_points: int = DEFAULT_POINTS, *, mesh: Mesh | None = None
-) -> SteinSolution:
+def solve(spec: DistributionSpec, h, *, mesh: Mesh | None = None) -> SteinSolution:
     """Distinguished solution of the order-0 Stein equation on the grid
     (on mesh's grid when one is given: it must have been built for spec)."""
     if mesh is None:
-        mesh = build_mesh(spec, n_points)
+        mesh = build_mesh(spec)
     elif mesh.spec is not spec:
         raise ValueError("the mesh was built for a different spec")
     mean_value = expectation(spec, h)
@@ -413,14 +408,14 @@ def _split_integral(mesh, h, eh):
         mesh, fac * (np.asarray(h.value(mesh.xs)) - eh), fn, delicate=spec.delicate_points
     )
     from_ends = [_cumulative(mesh, panels, fn, end) for end in spec.support]
-    return np.where(grid <= mesh.split, *from_ends), fn.error
+    return np.where(grid <= mesh.median, *from_ends), fn.error
 
 
 def _solve_first_order(mesh, h, eh):
     spec = mesh.spec
     numer, err = _split_integral(mesh, h, eh)
     f = numer / mesh.factor("s_density", lambda x: spec.weight_s(x) * spec.density(x), at="grid")
-    return f, {"quad_error": err, "form_split": mesh.split}
+    return f, {"quad_error": err, "form_split": mesh.median}
 
 
 def _solve_vg(mesh, h, eh):
@@ -534,7 +529,7 @@ def _solve_prr(mesh, h, eh):
     fac = mesh.factor("v_kappa", lambda xs: v_fn(xs) * mesh.factor("density", kappa))
     panels = _panel_integrals(mesh, g_spline(mesh.xs) / fac, fn, delicate=spec.delicate_points)
     f = mesh.factor("v", v_fn, at="grid") * _cumulative(mesh, panels, fn, 0.0) / s
-    return f, {"quad_error": err_g + fn.error, "form_split": mesh.split}
+    return f, {"quad_error": err_g + fn.error, "form_split": mesh.median}
 
 
 # ---------------------------------------------------------------------------
@@ -574,10 +569,10 @@ def _seed_first_derivative(grid: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fill_masked(grid, vals, mask, split_points=(), degree: int = 6):
-    """One-sided polynomial extension (least squares, given degree) over
-    masked runs; runs are split at any interior split point so each side
-    is extended from its own neighbours."""
+def _fill_masked(grid, vals, mask, split_points=()):
+    """One-sided polynomial extension (least squares, degree _FILL_DEGREE)
+    over masked runs; runs are split at any interior split point so each
+    side is extended from its own neighbours."""
     if not mask.any():
         return vals, 0
     vals = vals.copy()
@@ -613,11 +608,11 @@ def _fill_masked(grid, vals, mask, split_points=(), degree: int = 6):
         else:
             raise NumericError("masked propagation band has no clean neighbourhood")
         sel = sel[~mask[sel]]
-        if len(sel) <= degree + 2:
+        if len(sel) <= _FILL_DEGREE + 2:
             raise NumericError("not enough clean points to extend the masked band")
         x0 = grid[sel].mean()
         scale = max(grid[sel].max() - grid[sel].min(), 1e-300)
-        coef = npoly.polyfit((grid[sel] - x0) / scale, vals[sel], degree)
+        coef = npoly.polyfit((grid[sel] - x0) / scale, vals[sel], _FILL_DEGREE)
         vals[run] = npoly.polyval((grid[run] - x0) / scale, coef)
         filled += len(run)
     return vals, filled
@@ -629,7 +624,8 @@ def propagate_derivatives(sol: SteinSolution, spec: DistributionSpec, h, max_ord
 
     Points where the top-derivative coefficient is too small relative to
     the other operator coefficients (vanishing leading coefficient at a
-    support edge, or the interior zero of the vg operator) are excluded
+    support edge, or at a delicate point inside the grid: the interior
+    zero of the vg operator) are excluded
     from the algebra and filled by one-sided degree-6 polynomial
     extension.  diagnostics["filled_by_order"][k] counts the filled
     points of order k, and diagnostics["filled_points"] their total.
@@ -648,10 +644,12 @@ def propagate_derivatives(sol: SteinSolution, spec: DistributionSpec, h, max_ord
     filled = {k: 0 for k in fs} | sol.diagnostics.get("filled_by_order", {})
     amp_prod = np.ones_like(grid)
     near_singular = np.zeros(len(grid), dtype=bool)
-    if spec.delicate_points:
-        span = grid[-1] - grid[0]
-        for d in spec.delicate_points:
-            near_singular |= np.abs(grid - d) < 0.15 * span
+    interior = np.zeros(len(grid), dtype=bool)
+    span = grid[-1] - grid[0]
+    for d in spec.delicate_points:
+        near_singular |= np.abs(grid - d) < 0.15 * span
+        if grid[0] < d < grid[-1]:
+            interior |= np.abs(grid - d) < _INTERIOR_EXCLUSION
     for k in range(0, max(0, max_order - p + 1)):
         a2, a1, a0 = spec.op_coeffs(k)
         rhs = (np.asarray(h.value(grid)) - eh) if k == 0 else np.asarray(h.deriv(grid, k))
@@ -670,9 +668,7 @@ def propagate_derivatives(sol: SteinSolution, spec: DistributionSpec, h, max_ord
             amp_prod = amp_prod * np.maximum(numer_scale / np.abs(denom), 1.0)
         if k + p in fs:
             continue
-        mask = ((amp_prod > _CUMULATIVE_AMPLIFICATION_CAP) & near_singular) | ~np.isfinite(top)
-        if spec.family == "vg":
-            mask |= np.abs(grid) < _VG_EXCLUSION
+        mask = ((amp_prod > _CUMULATIVE_AMPLIFICATION_CAP) & near_singular) | ~np.isfinite(top) | interior
         fs[k + p], filled[k + p] = _fill_masked(grid, top, mask, split_points=spec.delicate_points)
     diags = dict(sol.diagnostics)
     diags["filled_by_order"] = filled

@@ -2,8 +2,7 @@
 
 Everything here is a thin, contract-checked layer over ``scipy.special``:
 gamma and log-gamma, double factorials, Pochhammer products, modified
-Bessel functions (plus log-space variants for tail quadrature) and the
-standard normal pdf/cdf/Mill's-ratio triple.  The confluent
+Bessel functions and the standard normal pdf/cdf/Mill's-ratio triple.  The confluent
 hypergeometric U function on the parameter slice we actually use is a
 fixed double-exponential quadrature rule of its own.  ``integrate``, over
 ``scipy.integrate.quad``, is the package's one adaptive quadrature rule.
@@ -80,15 +79,6 @@ def double_factorial(n: int) -> int:
     return math.prod(range(n, 0, -2))
 
 
-def log_double_factorial(n: int) -> float:
-    """log(n!!), safe for n far beyond the float overflow threshold."""
-    if n < -1:
-        raise ValueError(f"log_double_factorial requires n >= -1, got {n}")
-    if n in (-1, 0):
-        return 0.0
-    return math.fsum(math.log(k) for k in range(n, 0, -2))
-
-
 def pochhammer_k(x: float, n: int, k: float) -> float:
     """Step-k rising product x (x+k) (x+2k) ... (x+(n-1)k); 1 when n = 0.
 
@@ -143,7 +133,7 @@ def bessel_i(nu: float, x):
     """Modified Bessel function of the first kind I_nu(x), x >= 0.
 
     Relative error <= 1e-10 for 1e-8 <= x <= 700 and |nu| <= 60; larger
-    arguments overflow and should go through :func:`log_bessel_i`.
+    arguments overflow.
     """
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
@@ -161,24 +151,6 @@ def bessel_k(nu: float, x):
     if np.any(x_arr <= 0.0):
         raise ValueError("bessel_k requires x > 0 (K diverges at the origin)")
     out = _sp.kv(nu, x_arr)
-    return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
-
-
-def log_bessel_i(nu: float, x):
-    """log I_nu(x) via the exponentially scaled ive; safe for huge x."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0):
-        raise ValueError("log_bessel_i requires x >= 0")
-    out = np.log(_sp.ive(nu, x_arr)) + x_arr
-    return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
-
-
-def log_bessel_k(nu: float, x):
-    """log K_nu(x) via the exponentially scaled kve; safe for huge x."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0.0):
-        raise ValueError("log_bessel_k requires x > 0")
-    out = np.log(_sp.kve(nu, x_arr)) - x_arr
     return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
 

@@ -21,10 +21,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 from scipy.special import ive as _sp_ive, kve as _sp_kve
 
 from . import special as sf
-from .catalog import DistributionSpec, bessel_tail_constant, make_spec, quartic_normalizer
+from .catalog import DistributionSpec, bessel_tail_constant, make_spec, quantile, quartic_normalizer
 from .closedform import bound_for
 from .engine import BoundCoefficients, NormSymbol
 from .errors import ValidityError
@@ -113,6 +114,14 @@ def norms_for(h, coeffs: BoundCoefficients, mean_value: float) -> dict[NormSymbo
     return norms
 
 
+def _coefficient_rows(coeffs: BoundCoefficients) -> list[dict]:
+    """One {symbol, order, centered, value} row per term of a bound."""
+    return [
+        {"symbol": sym.slot, "order": sym.order, "centered": sym.kind == "h~", "value": c}
+        for sym, c in coeffs.items()
+    ]
+
+
 def verify(
     spec: DistributionSpec,
     n: int,
@@ -130,10 +139,7 @@ def verify(
         family=spec.family, param_string=spec.param_string(), n=n, mode=mode, test_fn=h.name
     )
     coeffs = bound_for(spec, n, mode)
-    report.coefficients = [
-        {"symbol": sym.slot, "order": sym.order, "centered": sym.kind == "h~", "value": c}
-        for sym, c in coeffs.items()
-    ]
+    report.coefficients = _coefficient_rows(coeffs)
     # whether a norm slot can be priced does not depend on E h(Z), so a
     # bound that cannot be priced fails here, before a solve starts
     norms_for(h, coeffs, 0.0)
@@ -167,12 +173,10 @@ DEFAULT_SWEEP_FAMILIES: tuple[tuple[str, dict], ...] = (
 )
 
 
-def sweep(
-    specs=None, orders=range(5), test_fns=None, mode: str | None = None
-) -> list[VerificationReport]:
-    """Cartesian verification sweep; validity violations become table rows
-    rather than crashes.  One mesh per spec, one solve per (spec, test
-    function), reused across orders."""
+def sweep(specs=None, orders=range(5), test_fns=None) -> list[VerificationReport]:
+    """Cartesian verification sweep of each spec's default mode; validity
+    violations become table rows rather than crashes.  One mesh per spec,
+    one solve per (spec, test function), reused across orders."""
     if specs is None:
         specs = [make_spec(fam, **params) for fam, params in DEFAULT_SWEEP_FAMILIES]
     if test_fns is None:
@@ -180,14 +184,15 @@ def sweep(
     orders = list(orders)
     reports: list[VerificationReport] = []
     for spec in specs:
-        reports.extend(_sweep_spec(spec, orders, test_fns, mode or spec.default_mode))
+        reports.extend(_sweep_spec(spec, orders, test_fns))
     reports.sort(key=lambda r: (r.family, r.param_string, r.test_fn, r.n))
     return reports
 
 
-def _sweep_spec(spec, orders, test_fns, mode) -> list[VerificationReport]:
+def _sweep_spec(spec, orders, test_fns) -> list[VerificationReport]:
     """The sweep rows of one spec.  The mesh lives only as long as this
     call, so a sweep holds one spec's mesh at a time."""
+    mode = spec.default_mode
     valid_orders, rejected = [], []
     for n in orders:
         try:
@@ -219,8 +224,10 @@ def _sweep_spec(spec, orders, test_fns, mode) -> list[VerificationReport]:
 # ---------------------------------------------------------------------------
 
 
-def check_mills_ratio(n_points: int = 10_000, t_max: float = 50.0) -> dict:
-    """Sandwich t/(1+t^2) <= mills(t) <= min(sqrt(pi/2), 1/t) on (0, t_max]."""
+def check_mills_ratio() -> dict:
+    """Sandwich t/(1+t^2) <= mills(t) <= min(sqrt(pi/2), 1/t) at 10,000
+    even steps of (0, 50]."""
+    n_points, t_max = 10_000, 50.0
     t = np.linspace(t_max / n_points, t_max, n_points)
     mills = sf.mills_ratio(t)
     lower = t / (1.0 + t * t)
@@ -263,8 +270,9 @@ def _bessel_lhs(nu: float, alpha: float, beta: float, x: float) -> tuple[float, 
     return (abs(k_fac * up), abs(i_fac * down), abs(dk_fac * up), abs(di_fac * down))
 
 
-def check_bessel_inequalities(nu: float, alpha: float, beta: float, grid=None) -> dict:
-    """Grid check of the four uniform bounds on the Bessel-kernel integrals.
+def check_bessel_inequalities(nu: float, alpha: float, beta: float) -> dict:
+    """Check of the four uniform bounds on the Bessel-kernel integrals at
+    50 geometric steps of [0.01, 30].
 
     Requires nu > -1/2 and 0 < |beta| < alpha.  Bounds:
     2/(alpha (2 nu + 1)), K(nu, gamma)/alpha, 2 (gamma + 1)/(2 nu + 1),
@@ -272,8 +280,7 @@ def check_bessel_inequalities(nu: float, alpha: float, beta: float, grid=None) -
     """
     if not (nu > -0.5 and 0.0 < abs(beta) < alpha):
         raise ValueError("need nu > -1/2 and 0 < |beta| < alpha")
-    if grid is None:
-        grid = np.geomspace(0.01, 30.0, 50)
+    grid = np.geomspace(0.01, 30.0, 50)
     gamma = beta / alpha
     k_const = bessel_tail_constant(nu, gamma)
     rhs = (
@@ -284,7 +291,7 @@ def check_bessel_inequalities(nu: float, alpha: float, beta: float, grid=None) -
     )
     margins = [math.inf] * 4
     violations = [0] * 4
-    for x in np.asarray(grid, dtype=float):
+    for x in grid:
         lhs = _bessel_lhs(nu, alpha, beta, float(x))
         for i in range(4):
             margins[i] = min(margins[i], rhs[i] - lhs[i])
@@ -299,13 +306,12 @@ def check_bessel_inequalities(nu: float, alpha: float, beta: float, grid=None) -
     }
 
 
-def check_quartic_identities(grid=None) -> dict:
+def check_quartic_identities() -> dict:
     """Quartic-density identities: the Gaussian-reparameterized density and
-    partial-mass formulas, plus the two weighted-min inequalities."""
+    partial-mass formulas, plus the two weighted-min inequalities, on 201
+    even steps of [-4, 4]."""
     c1 = quartic_normalizer()
-    if grid is None:
-        grid = np.linspace(-4.0, 4.0, 201)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.linspace(-4.0, 4.0, 201)
 
     density = c1 * np.exp(-grid ** 4 / 12.0)
     gauss_form = c1 * math.sqrt(2.0 * math.pi) * sf.norm_pdf(grid ** 2 / math.sqrt(6.0))
@@ -343,32 +349,21 @@ def check_quartic_identities(grid=None) -> dict:
 _FD_STEP = (2.0 ** -52) ** (1.0 / 7.0)  # standard eps^(1/7) step for 6th order
 
 
-class _SineProbe:
-    name = "sin"
-
-    def deriv(self, x, order):
-        return np.sin(np.asarray(x, dtype=float) + order * math.pi / 2.0)
-
-
 class _GaussProbe:
-    """exp(-x^2/4) with derivatives via the polynomial recursion
-    P_{n+1} = P_n' - (x/2) P_n."""
+    """exp(-x^2/4) with derivatives up to order 8 via the polynomial
+    recursion P_{n+1} = P_n' - (x/2) P_n."""
 
     name = "gauss"
 
-    def __init__(self, max_order: int = 8):
-        from numpy.polynomial import polynomial as npoly
-
+    def __init__(self):
         self._polys = [(1.0,)]
-        for _ in range(max_order):
+        for _ in range(8):
             p = self._polys[-1]
             der = npoly.polyder(p) if len(p) > 1 else (0.0,)
             shifted = npoly.polysub(der, npoly.polymul((0.0, 0.5), p))
             self._polys.append(tuple(np.atleast_1d(shifted)))
 
     def deriv(self, x, order):
-        from numpy.polynomial import polynomial as npoly
-
         x = np.asarray(x, dtype=float)
         return npoly.polyval(x, self._polys[order]) * np.exp(-x * x / 4.0)
 
@@ -400,14 +395,13 @@ def check_operator_identity(spec: DistributionSpec, k: int, probe, grid) -> floa
 
 
 def default_identity_probes():
-    return [_SineProbe(), _GaussProbe()]
+    return [SineTest(1.0), _GaussProbe()]
 
 
-def identity_grid(spec: DistributionSpec, n_points: int = 100) -> np.ndarray:
-    """A plausibility window for the identity check (the identity is
-    algebraic, so the grid just needs moderate coefficient sizes)."""
-    from .catalog import quantile
-
+def identity_grid(spec: DistributionSpec) -> np.ndarray:
+    """100 points across a plausibility window for the identity check
+    (the identity is algebraic, so the grid just needs moderate
+    coefficient sizes)."""
     lo, hi = spec.support
     if not spec.solvable:
         raise ValueError("the operator identity check is for 1-D families")
@@ -416,7 +410,7 @@ def identity_grid(spec: DistributionSpec, n_points: int = 100) -> np.ndarray:
     pad = 0.05 * (b - a)
     a = max(a - pad, lo + 1e-6) if np.isfinite(lo) else a - pad
     b = min(b + pad, hi - 1e-6) if np.isfinite(hi) else b + pad
-    return np.linspace(a, b, n_points)
+    return np.linspace(a, b, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -425,17 +419,19 @@ def identity_grid(spec: DistributionSpec, n_points: int = 100) -> np.ndarray:
 
 
 def _round10(v):
+    """v with every float, also inside dicts, lists and tuples, rounded
+    to 10 significant digits (tuples become lists)."""
     if isinstance(v, float):
         return float(f"{v:.10g}")
     if isinstance(v, dict):
         return {k: _round10(x) for k, x in v.items()}
-    if isinstance(v, list):
+    if isinstance(v, (list, tuple)):
         return [_round10(x) for x in v]
     return v
 
 
 def reports_to_json(reports: list[VerificationReport]) -> str:
-    payload = [{k: _round10(v) for k, v in r.as_dict().items()} for r in reports]
+    payload = [_round10(r.as_dict()) for r in reports]
     return json.dumps(payload, indent=2)
 
 

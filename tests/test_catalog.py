@@ -308,9 +308,7 @@ class TestRefinedConstants:
         assert table["f'"].get(NormSymbol.test_deriv(1)) == pytest.approx(4.0)
         assert table["f''"].get(NormSymbol.test_deriv(1)) == pytest.approx(6.0 * math.pi, rel=1e-13)
         assert table["f''"].get(NormSymbol.test_deriv(2)) == pytest.approx(1.5 * math.pi, rel=1e-13)
-        alts = table["as_printed"]["f'_min"]
-        assert alts[0].get(NormSymbol.test_deriv(1)) == pytest.approx(1.0)
-        assert alts[1].get(NormSymbol.centered()) == pytest.approx(1.0 / math.pi, rel=1e-13)
+        assert set(table) == {"f'", "f''"}
 
     def test_beta_median_bound(self):
         table = cat.refined_small_case_constants("beta", alpha=2.0, beta=3.0)

@@ -202,3 +202,15 @@ class TestVerifyCommand:
         assert code == 0
         payload = json.loads(path.read_text())
         assert payload[0]["pass"] is True
+
+
+CLI_GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(CLI_GOLDEN))
+def test_output_is_byte_identical_to_golden(capsys, command):
+    # coeffs, bound and verify in every format, and three catalog entries;
+    # the mvn cases pin that the integer dim prints as 2.0 in a coeffs
+    # document and as 2 in the catalog
+    code, out, _ = run_cli(capsys, *command.split())
+    assert (code, out) == (CLI_GOLDEN[command]["exit"], CLI_GOLDEN[command]["stdout"])

@@ -89,7 +89,7 @@ class TestBoundCoefficients:
         bc = BoundCoefficients({NormSymbol.solution(): 2.0, NormSymbol.test_deriv(1): 1.0})
         subbed = bc.substitute({NormSymbol.solution(): coefficients(**{"h~": SQ})})
         assert subbed.get(NormSymbol.centered()) == pytest.approx(2.0 * SQ)
-        assert not subbed.has_solution_terms
+        assert NormSymbol.solution() not in subbed.terms
 
 
 class TestValueCoupledChain:

@@ -70,7 +70,7 @@ def test_iterated_operator_identity_over_the_parameter_window(family):
     @given(params=_params(family))
     def check(params):
         spec = cat.make_spec(family, **params)
-        grid = identity_grid(spec, 100)
+        grid = identity_grid(spec)
         for k in range(4):
             for probe in default_identity_probes():
                 res = check_operator_identity(spec, k, probe, grid)

@@ -125,6 +125,13 @@ class TestGrids:
         grid = sv.build_grid(spec)
         assert np.min(np.abs(grid)) == 0.0
 
+    def test_interior_delicate_point_is_on_a_uniform_grid(self):
+        # the grid rule keys on the spec's delicate points, not on its family
+        spec = replace(cat.make_spec("normal"), delicate_points=(0.25,))
+        grid = sv.build_grid(spec)
+        assert 0.25 in grid
+        assert np.ptp(np.diff(grid)) < 1e-12
+
 
 RESIDUAL_FAMILIES = [
     ("normal", {}),

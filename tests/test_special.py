@@ -55,11 +55,6 @@ class TestDoubleFactorial:
         for n in range(1, 21):
             assert sf.double_factorial(n) * sf.double_factorial(n - 1) == math.factorial(n)
 
-    def test_log_variant(self):
-        assert sf.log_double_factorial(301) == pytest.approx(
-            math.fsum(math.log(k) for k in range(301, 0, -2)), rel=1e-14
-        )
-
 
 class TestPochhammer:
     def test_examples(self):
@@ -120,15 +115,6 @@ class TestBessel:
                 ip = 0.5 * (float(iv(nu - 1.0, x)) + sf.bessel_i(nu + 1.0, x))
                 w = sf.bessel_i(nu, x) * kp - ip * sf.bessel_k(nu, x)
                 assert w == pytest.approx(-1.0 / x, rel=1e-8)
-
-    def test_log_variants_match_and_extend(self):
-        assert math.exp(sf.log_bessel_k(1.0, 50.0)) == pytest.approx(sf.bessel_k(1.0, 50.0), rel=1e-12)
-        assert math.exp(sf.log_bessel_i(1.0, 50.0)) == pytest.approx(sf.bessel_i(1.0, 50.0), rel=1e-12)
-        # beyond the unscaled overflow threshold, against the closed form
-        # log I_{1/2}(x) = log(sqrt(2/(pi x)) sinh x) = x + log(sqrt(2/(pi x))/2)
-        val = sf.log_bessel_i(0.5, 800.0)
-        oracle = math.log(math.sqrt(2.0 / (math.pi * 800.0)) / 2.0) + 800.0
-        assert val == pytest.approx(oracle, rel=1e-10)
 
 
 class TestHypU:

@@ -213,6 +213,38 @@ class TestOffCatalogParameters:
             assert rep.passed, (family, n, rep.margin)
 
 
+class TestRefinedConstantsAgainstSolves:
+    """Every entry of refined_small_case_constants bounds the grid sup of
+    its derivative of a solve.  The keys name the bounded derivative: "f",
+    "f'" and "f''", and "f_lipschitz", which bounds ||f||.  As a bound on
+    ||f'||, f_lipschitz reaches 1.16 on beta(2, 3) at sine:3.  The
+    tightest cells are exponential f at lam = 2.5, sine:0.3 (0.986, the
+    endpoint value |f(0)| = |E h|) and beta f_lipschitz at sine:0.3
+    (0.996)."""
+
+    ORDERS = {"f": 0, "f_lipschitz": 0, "f'": 1, "f''": 2}
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [
+            ("exponential", {"lam": 1.0}),
+            ("exponential", {"lam": 2.5}),
+            ("beta", {"alpha": 2.0, "beta": 3.0}),
+            ("arcsine", {}),
+        ],
+    )
+    def test_every_entry_holds(self, family, params):
+        spec = cat.make_spec(family, **params)
+        table = cat.refined_small_case_constants(family, **params)
+        mesh = sv.build_mesh(spec)
+        for h in (SineTest(0.3), SineTest(1.0), SineTest(3.0), CosineTest(1.0)):
+            sol = sv.propagate_derivatives(sv.solve(spec, h, mesh=mesh), spec, h, 2)
+            for key, coeffs in table.items():
+                bound = coeffs.evaluate(vf.norms_for(h, coeffs, sol.diagnostics["mean_value"]))
+                sup, _ = sv.empirical_sup(sol, self.ORDERS[key])
+                assert sup <= bound, (key, h.name, sup, bound)
+
+
 class TestSingularPoints:
     """Cells whose integrands are singular or kinked next to the grid:
     QUADPACK meets those points at an interval end, so each verdict rests
@@ -274,7 +306,7 @@ class TestMonotoneOrders:
 
 class TestMillsGrid:
     def test_sandwich_holds(self):
-        out = vf.check_mills_ratio(10_000, 50.0)
+        out = vf.check_mills_ratio()
         assert out["pass"]
         assert out["min_lower_margin"] >= 0.0
         assert out["min_upper_margin"] >= 0.0
@@ -334,7 +366,7 @@ class TestQuarticIdentities:
 class TestOperatorIdentity:
     def test_quartic_level_one(self):
         spec = cat.make_spec("quartic")
-        grid = vf.identity_grid(spec, 100)
+        grid = vf.identity_grid(spec)
         for probe in vf.default_identity_probes():
             assert vf.check_operator_identity(spec, 1, probe, grid) < 1e-6
 
@@ -344,7 +376,7 @@ class TestOperatorIdentity:
 
     def test_prr_derivative_coupling(self):
         spec = cat.make_spec("prr", s=2.5)
-        grid = vf.identity_grid(spec, 100)
+        grid = vf.identity_grid(spec)
         assert vf.check_operator_identity(spec, 0, vf.default_identity_probes()[0], grid) < 1e-6
 
 

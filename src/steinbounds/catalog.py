@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
@@ -52,6 +53,7 @@ __all__ = [
     "param_names",
     "REGISTRY",
     "FAMILIES",
+    "DEFAULT_SPECS",
     "numeric_cdf",
     "quantile",
     "beta_median",
@@ -209,33 +211,21 @@ _BRACKET_LIMIT = 1e12
 
 def _bracket(spec: DistributionSpec, p: float) -> tuple[float, float]:
     """An interval that holds the p-quantile: the support edges, with each
-    infinite edge found by doubling from -1 or 1.  A numeric CDF that does
-    not reach p within +-1e12 (a density of too little mass) raises
-    NumericError."""
-    lo, hi = spec.support
-    if np.isfinite(lo) and np.isfinite(hi):
-        return lo, hi
-    left = lo if np.isfinite(lo) else -1.0
-    right = hi if np.isfinite(hi) else 1.0
-    if not np.isfinite(lo):
-        while numeric_cdf(spec, left) > p:
-            left *= 2.0
-            if left < -_BRACKET_LIMIT:
+    infinite edge found by doubling from -1 or 1, the left edge first.  A
+    numeric CDF that does not reach p within +-1e12 (a density of too
+    little mass) raises NumericError."""
+    edges = list(spec.support)
+    for i, side, start, short in ((0, "left", -1.0, operator.gt), (1, "right", 1.0, operator.lt)):
+        if np.isfinite(edges[i]):
+            continue
+        edges[i] = start
+        while short(numeric_cdf(spec, edges[i]), p):
+            edges[i] *= 2.0
+            if abs(edges[i]) > _BRACKET_LIMIT:
                 raise NumericError(
-                    f"{spec.family}{spec.params}: no left bracket for the {p}-quantile above {-_BRACKET_LIMIT:g}"
+                    f"{spec.family}{spec.params}: no {side} bracket for the {p}-quantile within +-{_BRACKET_LIMIT:g}"
                 )
-    else:
-        left = lo
-    if not np.isfinite(hi):
-        while numeric_cdf(spec, right) < p:
-            right *= 2.0
-            if right > _BRACKET_LIMIT:
-                raise NumericError(
-                    f"{spec.family}{spec.params}: no right bracket for the {p}-quantile below {_BRACKET_LIMIT:g}"
-                )
-    else:
-        right = hi
-    return left, right
+    return edges[0], edges[1]
 
 
 _BISECTION_TOL = 1e-10  # relative width at which a bisection stops (absolute below 1)
@@ -1157,6 +1147,24 @@ REGISTRY: dict[str, Callable[..., DistributionSpec]] = {
 }
 
 FAMILIES = tuple(sorted(REGISTRY))
+
+# The default specs: every family once, plus the skewed variance-gamma law
+# of the general-theta (lemma25) chain.  ``steinbounds catalog`` lists them
+# all, in this order; the solvable ones are the default sweep's.
+DEFAULT_SPECS: tuple[tuple[str, dict], ...] = (
+    ("normal", {}),
+    ("gamma", {"r": 2.0, "lam": 1.0}),
+    ("exponential", {"lam": 1.0}),
+    ("beta", {"alpha": 2.0, "beta": 3.0}),
+    ("arcsine", {}),
+    ("student_t", {"d": 9.0, "delta": 3.0}),
+    ("inverse_gamma", {"alpha": 9.0, "beta": 2.0}),
+    ("prr", {"s": 1.0}),
+    ("vg", {"r": 3.0, "theta": 0.0, "sigma": 1.0}),
+    ("quartic", {}),
+    ("mvn", {"dim": 2}),
+    ("vg", {"r": 3.0, "theta": 0.5, "sigma": 1.0}),
+)
 
 
 def param_names(family: str) -> tuple[str, ...]:

@@ -14,11 +14,19 @@ import json
 import sys
 
 from . import catalog as cat
-from .closedform import MODE_TOKENS, bound_for
+from .closedform import MODE_TOKENS, bound_for, resolve_mode
 from .engine import parse_slot
 from .errors import NumericError, ValidityError
 from .solver import parse_test_function
-from .verifier import _coefficient_rows, _round10, reports_to_csv, reports_to_json, sweep, verify
+from .verifier import (
+    _coefficient_rows,
+    _round10,
+    default_sweep_specs,
+    reports_to_csv,
+    reports_to_json,
+    sweep,
+    verify,
+)
 
 EXIT_PARSE = 1
 EXIT_VALIDITY = 2
@@ -100,24 +108,28 @@ def _coeff_document(spec, n, mode, coeffs, extra=None) -> dict:
     return _round10(doc)
 
 
-def _coeff_csv(spec, n, mode, coeffs) -> str:
+def _coeff_csv(spec, n, mode, rows) -> str:
+    """One CSV row per (symbol, value) pair of rows."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["family", "param_string", "n", "mode", "symbol", "value"])
-    for sym, value in coeffs.items():
-        writer.writerow([spec.family, spec.param_string(), n, mode, sym.slot, _fmt(value)])
+    for symbol, value in rows:
+        writer.writerow([spec.family, spec.param_string(), n, mode, symbol, _fmt(value)])
     return buf.getvalue()
+
+
+def _coeff_rows(coeffs) -> list[tuple[str, float]]:
+    return [(sym.slot, value) for sym, value in coeffs.items()]
 
 
 def _cmd_coeffs(args) -> int:
     spec = _spec_from_args(args)
-    mode = args.mode
+    mode = resolve_mode(spec, args.mode)
     coeffs = bound_for(spec, args.n, mode)
-    mode = mode if mode != "default" else spec.default_mode
     if args.format == "json":
         _emit(json.dumps(_coeff_document(spec, args.n, mode, coeffs), indent=2), args.output)
     elif args.format == "csv":
-        _emit(_coeff_csv(spec, args.n, mode, coeffs), args.output)
+        _emit(_coeff_csv(spec, args.n, mode, _coeff_rows(coeffs)), args.output)
     else:
         lines = [f"{sym.label}: {_fmt(value)}" for sym, value in coeffs.items()]
         _emit("\n".join(lines), args.output)
@@ -126,9 +138,8 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_bound(args) -> int:
     spec = _spec_from_args(args)
-    mode = args.mode
+    mode = resolve_mode(spec, args.mode)
     coeffs = bound_for(spec, args.n, mode)
-    mode = mode if mode != "default" else spec.default_mode
     norms = _parse_norms(args.norms)
     try:
         value = coeffs.evaluate(norms)
@@ -138,9 +149,7 @@ def _cmd_bound(args) -> int:
         doc = _coeff_document(spec, args.n, mode, coeffs, extra={"bound": value})
         _emit(json.dumps(doc, indent=2), args.output)
     elif args.format == "csv":
-        buf = _coeff_csv(spec, args.n, mode, coeffs)
-        buf += f"{spec.family},{spec.param_string()},{args.n},{mode},bound,{_fmt(value)}\n"
-        _emit(buf, args.output)
+        _emit(_coeff_csv(spec, args.n, mode, _coeff_rows(coeffs) + [("bound", value)]), args.output)
     else:
         terms = " + ".join(f"{_fmt(c)}*{sym.label}" for sym, c in coeffs.items())
         _emit(f"bound = {_fmt(value)}\n      = {terms}", args.output)
@@ -150,7 +159,7 @@ def _cmd_bound(args) -> int:
 def _cmd_verify(args) -> int:
     spec = _spec_from_args(args)
     h = parse_test_function(args.test)
-    report = verify(spec, args.n, h, mode=None if args.mode == "default" else args.mode)
+    report = verify(spec, args.n, h, mode=args.mode)
     if args.format == "json":
         _emit(reports_to_json([report]), args.output)
     elif args.format == "csv":
@@ -168,14 +177,9 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     specs = None
     if args.families:
-        specs = []
         wanted = set(args.families.split(","))
-        from .verifier import DEFAULT_SWEEP_FAMILIES
-
-        for fam, params in DEFAULT_SWEEP_FAMILIES:
-            if fam in wanted:
-                specs.append(cat.make_spec(fam, **params))
-        unknown = wanted - {fam for fam, _ in DEFAULT_SWEEP_FAMILIES}
+        specs = [spec for spec in default_sweep_specs() if spec.family in wanted]
+        unknown = wanted - {spec.family for spec in specs}
         if unknown:
             raise ValidityError(f"families not in the default sweep: {sorted(unknown)}")
     test_fns = None
@@ -206,21 +210,7 @@ def _cmd_catalog(args) -> int:
         spec = _spec_from_args(args)
         docs = cat.catalog_json(spec)
     else:
-        docs = []
-        for fam, params in (
-            ("normal", {}),
-            ("gamma", {"r": 2.0, "lam": 1.0}),
-            ("exponential", {"lam": 1.0}),
-            ("beta", {"alpha": 2.0, "beta": 3.0}),
-            ("arcsine", {}),
-            ("student_t", {"d": 9.0, "delta": 3.0}),
-            ("inverse_gamma", {"alpha": 9.0, "beta": 2.0}),
-            ("prr", {"s": 1.0}),
-            ("vg", {"r": 3.0, "theta": 0.0, "sigma": 1.0}),
-            ("quartic", {}),
-            ("mvn", {"dim": 2}),
-        ):
-            docs.append(cat.catalog_json(cat.make_spec(fam, **params)))
+        docs = [cat.catalog_json(cat.make_spec(fam, **params)) for fam, params in cat.DEFAULT_SPECS]
     _emit(json.dumps(_round10(docs), indent=2), args.output)
     return 0
 

@@ -7,7 +7,8 @@ the generic engine.  Their coefficient-by-coefficient agreement is a
 test, not an assumption.
 
 :func:`bound_for` is the public entry point: it checks the order, resolves
-the default mode token and evaluates the family's mode-table row.
+the default mode token (:func:`resolve_mode`, which the verifier and the
+CLI share) and evaluates the family's mode-table row.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import ValidityError
 __all__ = [
     "closed_form_bound",
     "bound_for",
+    "resolve_mode",
     "MODE_TOKENS",
 ]
 
@@ -310,6 +312,13 @@ MODE_TOKENS = (
     "two-prev",
 )
 
+
+def resolve_mode(spec: cat.DistributionSpec, token: str | None) -> str:
+    """The mode token a request names: None and "default" select the
+    family's default mode, every other token names itself."""
+    return spec.default_mode if token is None or token == "default" else token
+
+
 def bound_for(spec: cat.DistributionSpec, n: int, mode: str | None = None) -> BoundCoefficients:
     """Bound on ||f^(n)|| for a catalog family under a mode token.
 
@@ -319,8 +328,7 @@ def bound_for(spec: cat.DistributionSpec, n: int, mode: str | None = None) -> Bo
     """
     if n < 0:
         raise ValidityError("derivative order must be >= 0")
-    if mode is None or mode == "default":
-        mode = spec.default_mode
+    mode = resolve_mode(spec, mode)
     if mode not in spec.modes:
         if mode in MODE_TOKENS:
             raise ValidityError(f"{spec.family} does not support mode {mode}")

@@ -29,12 +29,12 @@ from .engine import (
 from .errors import ValidityError
 from .solver import PolyProbe, solve
 from .verifier import (
-    DEFAULT_SWEEP_FAMILIES,
     check_bessel_inequalities,
     check_mills_ratio,
     check_operator_identity,
     check_quartic_identities,
     default_identity_probes,
+    default_sweep_specs,
     identity_grid,
     sweep,
 )
@@ -214,14 +214,13 @@ def criterion_5_probe_regressions() -> tuple[bool, str]:
 def criterion_6_operator_identities() -> tuple[bool, str]:
     worst = 0.0
     worst_case = ""
-    for fam, params in DEFAULT_SWEEP_FAMILIES:
-        spec = cat.make_spec(fam, **params)
+    for spec in default_sweep_specs():
         grid = identity_grid(spec)
         for k in range(4):
             for probe in default_identity_probes():
                 res = check_operator_identity(spec, k, probe, grid)
                 if res > worst:
-                    worst, worst_case = res, f"{fam} level {k} probe {probe.name}"
+                    worst, worst_case = res, f"{spec.family} level {k} probe {probe.name}"
     return worst <= 1e-6, f"worst residual {worst:.2e} ({worst_case})"
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -170,16 +170,29 @@ def expectation(spec: DistributionSpec, h) -> float:
     return total
 
 
-class _Integrand:
-    """A solve's integrand and its adaptive integrals: each range is
-    integrated once, and every error estimate is kept."""
+class _Integral:
+    """The integral of one integrand of a solve over the mesh.
 
-    def __init__(self, fn):
+    Each grid panel is summed by Gauss-Legendre from the integrand's
+    values at the mesh nodes; near a delicate point d (integrable
+    singularity, kink) it is F(b) - F(a) instead, F(x) being the adaptive
+    integral from d to x, so QUADPACK meets d at an end.  Each adaptive
+    range is integrated once, and every error estimate is kept.
+    """
+
+    def __init__(self, mesh, fn, node_values, delicate):
+        self.grid = grid = mesh.grid
         self.fn = fn
         self.done: dict[tuple[float, float], tuple[float, float]] = {}
+        self.panels = (node_values @ mesh.weights) * mesh.half
+        a, b = grid[:-1], grid[1:]
+        radius = 4.0 * np.max(b - a)
+        for d in delicate:
+            for i in np.nonzero((a - radius <= d) & (d <= b + radius))[0]:
+                self.panels[i] = self._over(d, b[i]) - self._over(d, a[i])
 
-    def over(self, a: float, b: float) -> float:
-        """The integral from a to b (either may be the larger)."""
+    def _over(self, a: float, b: float) -> float:
+        """The adaptive integral from a to b (either may be the larger)."""
         if (a, b) not in self.done:
             self.done[a, b] = sf.integrate(lambda t: float(self.fn(t)), a, b, epsabs=1e-14, epsrel=1e-10)
         return self.done[a, b][0]
@@ -188,33 +201,18 @@ class _Integrand:
     def error(self) -> float:
         return sum(err for _, err in self.done.values())
 
-
-def _panel_integrals(mesh, vals, fn: _Integrand, delicate=()):
-    """Integral over each grid panel by Gauss-Legendre, from the
-    integrand's values at the mesh nodes; near a delicate point d
-    (integrable singularity, kink) it is F(b) - F(a) instead, F(x) being
-    the adaptive integral from d to x, so QUADPACK meets d at an end."""
-    out = (vals @ mesh.weights) * mesh.half
-    a, b = mesh.grid[:-1], mesh.grid[1:]
-    radius = 4.0 * np.max(b - a)
-    for d in delicate:
-        for i in np.nonzero((a - radius <= d) & (d <= b + radius))[0]:
-            out[i] = fn.over(d, b[i]) - fn.over(d, a[i])
-    return out
-
-
-def _cumulative(mesh, panels, fn: _Integrand, anchor: float) -> np.ndarray:
-    """The integral from anchor to x at every grid point x.  anchor is a
-    grid point or lies beyond the grid (a support end, maybe infinite),
-    and the panel sums run outward from it, so the small integrals next
-    to it keep their digits."""
-    grid = mesh.grid
-    k = min(int(np.searchsorted(grid, anchor)), len(grid) - 1)
-    out = np.empty_like(grid)
-    out[k] = fn.over(anchor, grid[k])
-    out[k + 1:] = out[k] + np.cumsum(panels[k:])
-    out[:k] = out[k] - np.cumsum(panels[:k][::-1])[::-1]
-    return out
+    def from_anchor(self, anchor: float) -> np.ndarray:
+        """The integral from anchor to x at every grid point x.  anchor is
+        a grid point or lies beyond the grid (a support end, maybe
+        infinite), and the panel sums run outward from it, so the small
+        integrals next to it keep their digits."""
+        grid, panels = self.grid, self.panels
+        k = min(int(np.searchsorted(grid, anchor)), len(grid) - 1)
+        out = np.empty_like(grid)
+        out[k] = self._over(anchor, grid[k])
+        out[k + 1:] = out[k] + np.cumsum(panels[k:])
+        out[:k] = out[k] - np.cumsum(panels[:k][::-1])[::-1]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +317,15 @@ def build_mesh(spec: DistributionSpec) -> Mesh:
 
 @dataclass
 class SteinSolution:
-    """Distinguished solution sampled on a grid, with derivative values
-    propagated through the iterated equations."""
+    """Distinguished solution of spec's Stein equation for the test
+    function h, sampled on a grid, with derivative values propagated
+    through the iterated equations."""
 
     grid: np.ndarray
     derivs: dict[int, np.ndarray]
-    diagnostics: dict = field(default_factory=dict)
+    spec: DistributionSpec
+    h: object
+    diagnostics: dict
 
     @property
     def max_order(self) -> int:
@@ -349,14 +350,15 @@ def empirical_sup(sol: SteinSolution, order: int) -> tuple[float, bool]:
     return float(vals[idx]), bool(idx < edge or idx >= n - edge)
 
 
-def residual_norm(sol: SteinSolution, spec: DistributionSpec, h) -> float:
+def residual_norm(sol: SteinSolution) -> float:
     """Max residual of the order-0 equation on the grid less its
     _RESIDUAL_TRIM points at either end, using the propagated derivative
     values."""
+    spec = sol.spec
     inner = slice(_RESIDUAL_TRIM, -_RESIDUAL_TRIM)
     x = sol.grid[inner]
     f = sol.derivs[0][inner]
-    htilde = np.asarray(h.value(x)) - sol.diagnostics["mean_value"]
+    htilde = np.asarray(sol.h.value(x)) - sol.diagnostics["mean_value"]
     a2, a1, a0 = spec.op_coeffs(0)
     res = a1(x) * sol.derivs[1][inner] + a0(x) * f - htilde
     if spec.operator_order == 2:
@@ -388,7 +390,7 @@ def solve(spec: DistributionSpec, h, *, mesh: Mesh | None = None) -> SteinSoluti
     else:
         raise ValueError(f"no solver for family {spec.family}")
     diags["mean_value"] = mean_value
-    return SteinSolution(grid=mesh.grid, derivs=derivs, diagnostics=diags)
+    return SteinSolution(grid=mesh.grid, derivs=derivs, spec=spec, h=h, diagnostics=diags)
 
 
 def _split_integral(mesh, h, eh):
@@ -402,13 +404,10 @@ def _split_integral(mesh, h, eh):
     def weighted(x):
         return spec.density(x) * (np.asarray(h.value(x)) - eh)
 
-    fn = _Integrand(weighted)
     fac = mesh.factor("density", spec.density)
-    panels = _panel_integrals(
-        mesh, fac * (np.asarray(h.value(mesh.xs)) - eh), fn, delicate=spec.delicate_points
-    )
-    from_ends = [_cumulative(mesh, panels, fn, end) for end in spec.support]
-    return np.where(grid <= mesh.median, *from_ends), fn.error
+    integral = _Integral(mesh, weighted, fac * (np.asarray(h.value(mesh.xs)) - eh), spec.delicate_points)
+    from_ends = [integral.from_anchor(end) for end in spec.support]
+    return np.where(grid <= mesh.median, *from_ends), integral.error
 
 
 def _solve_first_order(mesh, h, eh):
@@ -481,18 +480,15 @@ def _solve_vg(mesh, h, eh):
     fac_i = mesh.factor("vg_i", lambda xs: factor_i(xs, mesh.by_abs(ive)))
     fac_k = mesh.factor("vg_k", lambda xs: factor_k(xs, mesh.by_abs(kve)))
     h_nodes = htilde(mesh.xs)
-    fn_i, fn_k = _Integrand(kernel_i), _Integrand(kernel_k)
-    panels_i = _panel_integrals(mesh, fac_i * h_nodes, fn_i, delicate=(0.0,))
-    panels_k = _panel_integrals(mesh, fac_k * h_nodes, fn_k, delicate=(0.0,))
+    int_i = _Integral(mesh, kernel_i, fac_i * h_nodes, (0.0,))
+    int_k = _Integral(mesh, kernel_k, fac_k * h_nodes, (0.0,))
     # the I-kernel integral is anchored at the origin: anchoring it at a
     # grid edge would difference huge tail values and destroy the small
     # near-origin integrals.  The K-kernel integral runs to +inf for
     # x >= 0 and to -inf for x < 0.
     pos = grid >= 0
-    a_int = _cumulative(mesh, panels_i, fn_i, 0.0)
-    b_side = np.where(
-        pos, _cumulative(mesh, panels_k, fn_k, math.inf), _cumulative(mesh, panels_k, fn_k, -math.inf)
-    )
+    a_int = int_i.from_anchor(0.0)
+    b_side = np.where(pos, int_k.from_anchor(math.inf), int_k.from_anchor(-math.inf))
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         k_part, i_part, dk_part, di_part = mesh.factor("vg_grid", prefactors, at="grid")
@@ -503,7 +499,7 @@ def _solve_vg(mesh, h, eh):
     i_part0 = (alpha / 2.0) ** nu / (sf.gamma_fn(nu + 1.0) * s2)
     f[i0] = i_part0 * b_side[i0]
     f1[i0] = (h.value(0.0) - eh) / (s2 * r) - (theta / s2) * f[i0]
-    return {0: f, 1: f1}, {"quad_error": fn_i.error + fn_k.error, "origin_index": i0}
+    return {0: f, 1: f1}, {"quad_error": int_i.error + int_k.error, "origin_index": i0}
 
 
 def _solve_prr(mesh, h, eh):
@@ -523,13 +519,12 @@ def _solve_prr(mesh, h, eh):
         y = np.asarray(y, dtype=float)
         return g_spline(y) / v_kappa(y)
 
-    fn = _Integrand(outer)
     # kappa at the nodes is the split integral's factor: U is evaluated
     # there once for it and once for v
     fac = mesh.factor("v_kappa", lambda xs: v_fn(xs) * mesh.factor("density", kappa))
-    panels = _panel_integrals(mesh, g_spline(mesh.xs) / fac, fn, delicate=spec.delicate_points)
-    f = mesh.factor("v", v_fn, at="grid") * _cumulative(mesh, panels, fn, 0.0) / s
-    return f, {"quad_error": err_g + fn.error, "form_split": mesh.median}
+    integral = _Integral(mesh, outer, g_spline(mesh.xs) / fac, spec.delicate_points)
+    f = mesh.factor("v", v_fn, at="grid") * integral.from_anchor(0.0) / s
+    return f, {"quad_error": err_g + integral.error, "form_split": mesh.median}
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +613,7 @@ def _fill_masked(grid, vals, mask, split_points=()):
     return vals, filled
 
 
-def propagate_derivatives(sol: SteinSolution, spec: DistributionSpec, h, max_order: int) -> SteinSolution:
+def propagate_derivatives(sol: SteinSolution, max_order: int) -> SteinSolution:
     """Extend sol.derivs up to max_order by solving each level equation
     pointwise for its top derivative.
 
@@ -630,6 +625,7 @@ def propagate_derivatives(sol: SteinSolution, spec: DistributionSpec, h, max_ord
     extension.  diagnostics["filled_by_order"][k] counts the filled
     points of order k, and diagnostics["filled_points"] their total.
     """
+    spec, h = sol.spec, sol.h
     cap = spec.propagation_cap()
     if cap is not None and max_order > cap:
         raise ValidityError(
@@ -673,10 +669,10 @@ def propagate_derivatives(sol: SteinSolution, spec: DistributionSpec, h, max_ord
     diags = dict(sol.diagnostics)
     diags["filled_by_order"] = filled
     diags["filled_points"] = sum(filled.values())
-    out = SteinSolution(grid=grid, derivs=fs, diagnostics=diags)
+    out = replace(sol, derivs=fs, diagnostics=diags)
     if max(fs) >= p:
         scale = 1.0 + float(np.max(np.abs(np.asarray(h.value(grid)) - eh)))
-        res = residual_norm(out, spec, h)
+        res = residual_norm(out)
         diags["residual"] = res
         if not res <= 1e-5 * scale:  # a NaN residual fails too
             raise NumericError(f"unstable propagation detected: residual {res:.2e}")

@@ -25,8 +25,8 @@ from numpy.polynomial import polynomial as npoly
 from scipy.special import ive as _sp_ive, kve as _sp_kve
 
 from . import special as sf
-from .catalog import DistributionSpec, bessel_tail_constant, make_spec, quantile, quartic_normalizer
-from .closedform import bound_for
+from .catalog import DEFAULT_SPECS, DistributionSpec, bessel_tail_constant, make_spec, quantile, quartic_normalizer
+from .closedform import bound_for, resolve_mode
 from .engine import BoundCoefficients, NormSymbol
 from .errors import ValidityError
 from .solver import (
@@ -45,7 +45,7 @@ __all__ = [
     "norms_for",
     "verify",
     "sweep",
-    "DEFAULT_SWEEP_FAMILIES",
+    "default_sweep_specs",
     "check_mills_ratio",
     "check_bessel_inequalities",
     "check_quartic_identities",
@@ -132,9 +132,12 @@ def verify(
     """Bound vs. empirical sup-norm for one (family, order, test function).
 
     E h(Z) comes from the solution's diagnostics; without a solution, one
-    is solved, but only after the bound is known to be priceable.
+    is solved, but only after the bound is known to be priceable.  A
+    solution of another spec or test function raises ValueError.
     """
-    mode = mode or spec.default_mode
+    if solution is not None and (solution.spec is not spec or solution.h != h):
+        raise ValueError("the solution was solved for a different spec or test function")
+    mode = resolve_mode(spec, mode)
     report = VerificationReport(
         family=spec.family, param_string=spec.param_string(), n=n, mode=mode, test_fn=h.name
     )
@@ -147,7 +150,7 @@ def verify(
         solution = solve(spec, h)
     report.bound_value = coeffs.evaluate(norms_for(h, coeffs, solution.diagnostics["mean_value"]))
     if solution.max_order < max(n, spec.operator_order):
-        solution = propagate_derivatives(solution, spec, h, max(n, spec.operator_order))
+        solution = propagate_derivatives(solution, max(n, spec.operator_order))
     emp, flag = empirical_sup(solution, n)
     report.empirical_sup = emp
     report.boundary_flag = flag
@@ -158,27 +161,19 @@ def verify(
     return report
 
 
-DEFAULT_SWEEP_FAMILIES: tuple[tuple[str, dict], ...] = (
-    ("normal", {}),
-    ("gamma", {"r": 2.0, "lam": 1.0}),
-    ("exponential", {"lam": 1.0}),
-    ("beta", {"alpha": 2.0, "beta": 3.0}),
-    ("arcsine", {}),
-    ("student_t", {"d": 9.0, "delta": 3.0}),
-    ("inverse_gamma", {"alpha": 9.0, "beta": 2.0}),
-    ("prr", {"s": 1.0}),
-    ("vg", {"r": 3.0, "theta": 0.0, "sigma": 1.0}),
-    ("vg", {"r": 3.0, "theta": 0.5, "sigma": 1.0}),
-    ("quartic", {}),
-)
+def default_sweep_specs() -> list[DistributionSpec]:
+    """The solvable entries of catalog.DEFAULT_SPECS, in its order."""
+    specs = [make_spec(fam, **params) for fam, params in DEFAULT_SPECS]
+    return [spec for spec in specs if spec.solvable]
 
 
 def sweep(specs=None, orders=range(5), test_fns=None) -> list[VerificationReport]:
-    """Cartesian verification sweep of each spec's default mode; validity
-    violations become table rows rather than crashes.  One mesh per spec,
-    one solve per (spec, test function), reused across orders."""
+    """Cartesian verification sweep of each spec's default mode (by
+    default of the default sweep specs); validity violations become table
+    rows rather than crashes.  One mesh per spec, one solve per (spec,
+    test function), reused across orders."""
     if specs is None:
-        specs = [make_spec(fam, **params) for fam, params in DEFAULT_SWEEP_FAMILIES]
+        specs = default_sweep_specs()
     if test_fns is None:
         test_fns = [SineTest(1.0), SineTest(2.0), CosineTest(1.0)]
     orders = list(orders)
@@ -212,9 +207,7 @@ def _sweep_spec(spec, orders, test_fns) -> list[VerificationReport]:
             )
         if valid_orders:
             solution = solve(spec, h, mesh=mesh)
-            solution = propagate_derivatives(
-                solution, spec, h, max(max(valid_orders), spec.operator_order)
-            )
+            solution = propagate_derivatives(solution, max(max(valid_orders), spec.operator_order))
             reports.extend(verify(spec, n, h, mode=mode, solution=solution) for n in valid_orders)
     return reports
 

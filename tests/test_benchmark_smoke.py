@@ -1,8 +1,9 @@
 """The benchmark harness under perfbench/ drives the package by name: it
 wraps the functions listed in perfbench/spans.py and patches
-verifier.solve.  A pass of its cheapest workload, traced, checks that
-every one of those names still resolves and that the bound table still
-matches its reference."""
+verifier.solve.  Traced passes of its two cheapest workloads check that
+every one of those names still resolves, that the wrappers still fit the
+signatures they wrap, and that the bound table and the verify cells still
+match their references."""
 
 import importlib
 import json
@@ -10,28 +11,49 @@ import subprocess
 import sys
 from pathlib import Path
 
-from steinbounds import solver, verifier
+from steinbounds import catalog, solver, verifier
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_coeff_table_pass():
+def _traced_pass(workload: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/worker.py", "--workload", "coeff_table", "--seed", "1", "--trace"],
+        [sys.executable, "perfbench/worker.py", "--workload", workload, "--seed", "1", "--trace"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _perfbench_module(name: str):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+
+
+def test_traced_coeff_table_pass():
+    out = _traced_pass("coeff_table")
     assert (out["attempted"], out["failed"]) == (626, 0), out["problems"]
     assert out["trace"]["calls"]["closedform.bound_for"] > 0
 
 
+def test_traced_verify_draws_pass():
+    # the one tier-1 run of the tracer's propagate_derivatives wrapper,
+    # which reads the solution from the first positional argument
+    out = _traced_pass("verify_draws")
+    assert (out["attempted"], out["failed"]) == (24, 0), out["problems"]
+    assert out["trace"]["calls"]["solver.propagate_derivatives"] == 24
+
+
+def test_benchmark_specs_are_the_default_specs():
+    # the benchmark keeps its own copy of the default spec list
+    assert _perfbench_module("workloads").COEFF_SPECS == catalog.DEFAULT_SPECS
+
+
 def test_traced_names_resolve():
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        spans = importlib.import_module("spans")
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
+    spans = _perfbench_module("spans")
     for module, name, _ in spans.TRACED:
         assert callable(getattr(importlib.import_module(f"steinbounds.{module}"), name)), (module, name)
     # perfbench's sweep workload patches verifier.solve to time each solve

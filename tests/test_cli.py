@@ -1,11 +1,13 @@
 """Command-line interface: documented examples, formats, exit codes."""
 
+import csv
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from steinbounds.catalog import make_spec
+from steinbounds.catalog import DEFAULT_SPECS, make_spec
 from steinbounds.cli import main
 
 
@@ -166,8 +168,13 @@ class TestCatalogCommand:
         docs = json.loads(out)
         assert {d["family"] for d in docs} >= {"normal", "vg", "quartic", "mvn"}
 
+    def test_listing_is_the_default_specs_in_order(self, capsys):
+        code, out, _ = run_cli(capsys, "catalog")
+        assert code == 0
+        assert [(d["family"], d["params"]) for d in json.loads(out)] == list(DEFAULT_SPECS)
+
     def test_full_catalog_golden(self, capsys):
-        # byte-for-byte the listing of the eleven default catalog specs
+        # byte-for-byte the listing of the twelve default catalog specs
         golden = Path(__file__).parent / "golden" / "catalog.json"
         code, out, _ = run_cli(capsys, "catalog")
         assert code == 0
@@ -183,6 +190,12 @@ class TestSweepCommand:
         code, out, _ = run_cli(capsys, "sweep", "--format", "json")
         assert code == 0
         assert out == golden.read_text()
+
+
+    def test_family_without_solver_is_not_swept(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--families", "mvn")
+        assert code == 2
+        assert "not in the default sweep" in err
 
 
 class TestVerifyCommand:
@@ -214,3 +227,10 @@ def test_output_is_byte_identical_to_golden(capsys, command):
     # document and as 2 in the catalog
     code, out, _ = run_cli(capsys, *command.split())
     assert (code, out) == (CLI_GOLDEN[command]["exit"], CLI_GOLDEN[command]["stdout"])
+
+
+def test_csv_rows_are_as_wide_as_their_header():
+    for command, entry in CLI_GOLDEN.items():
+        if "--format csv" in command:
+            rows = [row for row in csv.reader(io.StringIO(entry["stdout"])) if row]
+            assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows), command

@@ -94,7 +94,7 @@ class TestProbes:
     def test_normal_quadratic_probe_propagates_exactly(self):
         spec = cat.make_spec("normal")
         h = PolyProbe((-1.0, 0.0, 1.0), "x2-1")
-        sol = propagate_derivatives(solve(spec, h), spec, h, 2)
+        sol = propagate_derivatives(solve(spec, h), 2)
         assert np.max(np.abs(sol.derivs[1] + 1.0)) < 1e-8
         assert np.max(np.abs(sol.derivs[2])) < 1e-8
 
@@ -155,9 +155,9 @@ class TestResiduals:
     def test_order_zero_equation_residual(self, family, params):
         spec = cat.make_spec(family, **params)
         h = SineTest(1.0)
-        sol = propagate_derivatives(solve(spec, h), spec, h, max(2, spec.operator_order))
+        sol = propagate_derivatives(solve(spec, h), max(2, spec.operator_order))
         htilde_norm = 1.0 + abs(sol.diagnostics["mean_value"])
-        assert residual_norm(sol, spec, h) <= 1e-6 * (1.0 + htilde_norm)
+        assert residual_norm(sol) <= 1e-6 * (1.0 + htilde_norm)
 
 
 class TestPropagationAgainstFiniteDifferences:
@@ -169,7 +169,7 @@ class TestPropagationAgainstFiniteDifferences:
     def test_second_derivative(self, family, params):
         spec = cat.make_spec(family, **params)
         h = SineTest(1.0)
-        sol = propagate_derivatives(solve(spec, h), spec, h, 2)
+        sol = propagate_derivatives(solve(spec, h), 2)
         g = sol.grid
         fd = _fd6(sol.derivs[1], g[1] - g[0])
         n = len(g)
@@ -227,8 +227,8 @@ class TestPropagationContract:
         from steinbounds.errors import ValidityError
 
         with pytest.raises(ValidityError):
-            propagate_derivatives(sol, spec, h, 4)
-        sol = propagate_derivatives(sol, spec, h, 3)
+            propagate_derivatives(sol, 4)
+        sol = propagate_derivatives(sol, 3)
         assert sol.diagnostics["residual"] < 1e-6
 
     def test_unusable_solution_detected(self):
@@ -239,7 +239,7 @@ class TestPropagationContract:
         from steinbounds.errors import NumericError
 
         with pytest.raises(NumericError):
-            propagate_derivatives(sol, spec, h, 2)
+            propagate_derivatives(sol, 2)
 
 
 class TestBoundedByBaseConstant:
@@ -255,7 +255,7 @@ class TestCsvExport:
     def test_roundtrip(self, tmp_path):
         spec = cat.make_spec("normal")
         h = SineTest(1.0)
-        sol = propagate_derivatives(solve(spec, h), spec, h, 2)
+        sol = propagate_derivatives(solve(spec, h), 2)
         path = tmp_path / "solution.csv"
         sol.to_csv(path)
         header = path.read_text().splitlines()[0]
@@ -307,10 +307,10 @@ class TestSplitIntegralAtSingularEdges:
 
 class TestQuadratureErrorBudget:
     def test_every_adaptive_error_is_kept(self):
-        for family, params in vf.DEFAULT_SWEEP_FAMILIES:
-            sol = solve(cat.make_spec(family, **params), SineTest(1.0))
+        for spec in vf.default_sweep_specs():
+            sol = solve(spec, SineTest(1.0))
             err = sol.diagnostics["quad_error"]
-            assert math.isfinite(err) and err < 1e-8, (family, params, err)
+            assert math.isfinite(err) and err < 1e-8, (spec.family, spec.params, err)
 
     def test_singular_edge_tail_is_the_first_delicate_value(self, monkeypatch):
         # the integral from the singular end 0 to the first grid point is

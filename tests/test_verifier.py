@@ -64,6 +64,26 @@ class TestVerify:
         assert 0.0 < rep.empirical_sup < rep.bound_value
         assert rep.margin == pytest.approx(rep.bound_value - rep.empirical_sup)
 
+    def test_default_token_reports_the_default_mode(self):
+        spec = cat.make_spec("gamma", r=2.0, lam=1.0)
+        assert vf.verify(spec, 1, SineTest(1.0), mode="default").mode == spec.default_mode
+
+    def test_solution_of_another_spec_is_rejected(self):
+        # the normal cosine:2 solution has sup 0.8647 at n=1, the gamma
+        # sine:1 cell's own 0.3046: a verdict on it would be meaningless
+        foreign = sv.propagate_derivatives(sv.solve(cat.make_spec("normal"), CosineTest(2.0)), 2)
+        with pytest.raises(ValueError, match="different spec or test function"):
+            vf.verify(cat.make_spec("gamma", r=2.0, lam=1.0), 1, SineTest(1.0), solution=foreign)
+
+    def test_solution_of_another_test_function_is_rejected(self):
+        spec = cat.make_spec("gamma", r=2.0, lam=1.0)
+        sol = sv.solve(spec, CosineTest(1.0))
+        for h in (SineTest(1.0), CosineTest(2.0)):
+            with pytest.raises(ValueError, match="different spec or test function"):
+                vf.verify(spec, 1, h, solution=sol)
+        # an equal test function is the same problem
+        assert vf.verify(spec, 1, CosineTest(1.0), solution=sol).passed
+
     def test_symbolic_norm_terms_are_rejected(self):
         h = SineTest(1.0)
         leftover = coefficients(**{"f'": 1.0})
@@ -113,6 +133,14 @@ class TestSweep:
         assert len(reports) == 1
         assert reports[0].error is not None
         assert reports[0].passed is None
+
+    def test_default_specs_are_the_solvable_defaults(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(vf, "_sweep_spec", lambda spec, orders, test_fns: seen.append(spec) or [])
+        vf.sweep()
+        # mvn is the one default spec without a 1-D solver
+        assert [(s.family, s.params) for s in seen] == [e for e in cat.DEFAULT_SPECS if e[0] != "mvn"]
+        assert len(seen) == 11
 
     def test_small_sweep_passes_and_sorts(self):
         specs = [cat.make_spec("normal"), cat.make_spec("quartic")]
@@ -207,7 +235,7 @@ class TestOffCatalogParameters:
         from steinbounds.solver import propagate_derivatives, solve
 
         sol = solve(spec, h)
-        sol = propagate_derivatives(sol, spec, h, max(max(orders), spec.operator_order))
+        sol = propagate_derivatives(sol, max(max(orders), spec.operator_order))
         for n in orders:
             rep = vf.verify(spec, n, h, solution=sol)
             assert rep.passed, (family, n, rep.margin)
@@ -238,7 +266,7 @@ class TestRefinedConstantsAgainstSolves:
         table = cat.refined_small_case_constants(family, **params)
         mesh = sv.build_mesh(spec)
         for h in (SineTest(0.3), SineTest(1.0), SineTest(3.0), CosineTest(1.0)):
-            sol = sv.propagate_derivatives(sv.solve(spec, h, mesh=mesh), spec, h, 2)
+            sol = sv.propagate_derivatives(sv.solve(spec, h, mesh=mesh), 2)
             for key, coeffs in table.items():
                 bound = coeffs.evaluate(vf.norms_for(h, coeffs, sol.diagnostics["mean_value"]))
                 sup, _ = sv.empirical_sup(sol, self.ORDERS[key])

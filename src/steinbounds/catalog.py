@@ -32,7 +32,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import betainc, kve as _sp_kve
+from scipy.special import betainc, betaincinv, gammainccinv, gammaincinv, ndtri, stdtrit
+from scipy.special import kve as _sp_kve
 
 from . import special as sf
 from .engine import (
@@ -122,10 +123,14 @@ class DistributionSpec:
     gamma, exponential, beta, arcsine, Student t, inverse-gamma) these,
     rhs_terms and scheme.a are derived by _pearson; prr, vg and quartic
     write their own.  pdf is None for a law without 1-D
-    solver support; kernel_v is the homogeneous-solution factor of the
-    double-integral representation (second-order families solved that
-    way).  modes maps each supported mode token to its Mode; extras are
-    family-specific entries of the catalog JSON.
+    solver support; ppf, the inverse CDF, is set where it has a closed
+    form (the Pearson laws) and quantile() tabulates the CDF elsewhere;
+    kernel_v is the homogeneous-solution factor of the double-integral
+    representation (second-order families solved that way), and
+    density_over_v, where set, is the density divided by it (a solve
+    then evaluates kernel_v once per point for both).  modes maps each
+    supported mode token to its Mode; extras are family-specific entries
+    of the catalog JSON.
     """
 
     family: str
@@ -137,10 +142,12 @@ class DistributionSpec:
     modes: Mapping[str, Mode]
     default_mode: str
     pdf: Callable | None = None
+    ppf: Callable[[float], float] | None = None
     op_coeffs: Callable[[int], tuple] | None = None
     t_coeffs: Callable[[int], tuple] | None = None
     rhs_terms: Callable[[int], list] | None = None
     kernel_v: Callable | None = None
+    density_over_v: Callable | None = None
     delicate_points: tuple[float, ...] = ()
     extras: dict = field(default_factory=dict)
 
@@ -190,11 +197,13 @@ class DistributionSpec:
 
 
 # ---------------------------------------------------------------------------
-# Numeric CDF / quantiles (bisection on the quadrature CDF).
+# Numeric CDF and quantiles.
 # ---------------------------------------------------------------------------
 
 
 def numeric_cdf(spec: DistributionSpec, x: float) -> float:
+    """The CDF at x by one adaptive integral of the density: the
+    independent oracle of the quantile routes below."""
     lo, hi = spec.support
     if x <= lo:
         return 0.0
@@ -206,26 +215,150 @@ def numeric_cdf(spec: DistributionSpec, x: float) -> float:
     return min(max(val, 0.0), 1.0)
 
 
+def _two_tailed(lower, upper):
+    """A ppf from an inverse CDF (lower, of p) and an inverse survival
+    function (upper, of the tail 1 - p, exact in floating point for p >=
+    1/2): each quantile comes from its own tail, so a tail of 1e-8 keeps
+    its digits."""
+    return lambda p: float(lower(p)) if p <= 0.5 else float(upper(1.0 - p))
+
+
 _BRACKET_LIMIT = 1e12
 
 
-def _bracket(spec: DistributionSpec, p: float) -> tuple[float, float]:
-    """An interval that holds the p-quantile: the support edges, with each
-    infinite edge found by doubling from -1 or 1, the left edge first.  A
-    numeric CDF that does not reach p within +-1e12 (a density of too
-    little mass) raises NumericError."""
-    edges = list(spec.support)
-    for i, side, start, short in ((0, "left", -1.0, operator.gt), (1, "right", 1.0, operator.lt)):
+def quantile(spec: DistributionSpec, p: float) -> float:
+    """The p-quantile: spec.ppf where the law has a closed-form inverse,
+    else a root of the tabulated CDF (_table_quantile).  A quantile that
+    rounds onto a finite support end moves to the nearest double inside
+    the support, where the density and the solver's weights are finite;
+    one beyond +-1e12 (a tail too heavy for any grid) raises NumericError."""
+    if not 0.0 < p < 1.0:
+        raise ValueError("quantile requires 0 < p < 1")
+    x = spec.ppf(p) if spec.ppf is not None else _table_quantile(spec, p)
+    if not abs(x) <= _BRACKET_LIMIT:
+        raise NumericError(f"{spec.family}{spec.params}: the {p}-quantile {x:g} lies beyond +-{_BRACKET_LIMIT:g}")
+    lo, hi = spec.support
+    return float(min(max(x, np.nextafter(lo, hi)), np.nextafter(hi, lo)))
+
+
+_TAIL_EPSREL = 1e-12  # relative tolerance of the adaptive integrals of the table
+_DOUBLINGS = 40  # 1, 2, ..., 2^39: the doublings within _BRACKET_LIMIT
+_TABLE_PANELS = 256
+_MASS_TOL = 1e-9  # largest |mass - 1| the table accepts
+_NEWTON_STEPS = 60
+_NEWTON_GTOL = 1e-14  # the Newton iteration stops once |F(x) - p| <= this times min(p, 1 - p)
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 12-point rule of the table's panels, on first use: computing it
+    at import costs the bound-only callers about 1 MB of memory."""
+    return np.polynomial.legendre.leggauss(12)
+
+
+def _adaptive(spec: DistributionSpec, a: float, b: float) -> float:
+    """The integral of the density from a to b, either the larger or
+    infinite, to _TAIL_EPSREL relative (no absolute floor: a tail of 1e-8
+    needs digits below QUADPACK's default 1.49e-8)."""
+    return sf.integrate(spec.density, a, b, spec.delicate_points, epsabs=0.0, epsrel=_TAIL_EPSREL)[0]
+
+
+def _bracket(spec: DistributionSpec, p: float) -> tuple[float, float, float, float]:
+    """(lo, hi, mass below lo, mass above hi) for an interval that holds the
+    p-quantile: the support ends, each infinite one replaced by the first of
+    -+1, -+2, -+4, ... beyond which lies at most p (left) or 1 - p (right)
+    of the mass, each tail one adaptive integral.  The search starts past
+    the last doubling where |x| times the density (a tail estimate, one
+    vectorised call) is still above the target.  A tail that stays too
+    heavy out to +-1e12 (a density of too much mass) raises NumericError."""
+    edges, tails = list(spec.support), [0.0, 0.0]
+    for i, side, start, most in ((0, "left", -1.0, p), (1, "right", 1.0, 1.0 - p)):
         if np.isfinite(edges[i]):
             continue
-        edges[i] = start
-        while short(numeric_cdf(spec, edges[i]), p):
+        doublings = start * 2.0 ** np.arange(_DOUBLINGS)
+        heavy = np.nonzero(np.abs(doublings) * spec.density(doublings) > most)[0]
+        edges[i] = doublings[min(heavy[-1] + 1, _DOUBLINGS - 1)] if heavy.size else start
+        while (tail := abs(_adaptive(spec, spec.support[i], edges[i]))) > most:
             edges[i] *= 2.0
             if abs(edges[i]) > _BRACKET_LIMIT:
                 raise NumericError(
                     f"{spec.family}{spec.params}: no {side} bracket for the {p}-quantile within +-{_BRACKET_LIMIT:g}"
                 )
-    return edges[0], edges[1]
+        tails[i] = tail
+    return edges[0], edges[1], tails[0], tails[1]
+
+
+def _table_quantile(spec: DistributionSpec, p: float) -> float:
+    """The p-quantile of a law without a closed-form inverse.
+
+    One vectorised table per call: _TABLE_PANELS Gauss-Legendre panels on
+    the bracket, with every delicate point on a panel edge and each panel
+    that touches one an adaptive integral (QUADPACK meets the point at an
+    end, as in the solver's panel integrals); each tail beyond the
+    bracket is one adaptive integral.  A lower quantile (p <= 1/2) is a
+    root of the CDF, summed from the left, and an upper one a root of the
+    survival function, summed from the right, so a tail of 1e-8 keeps its
+    digits.  Inside the crossing panel a safeguarded Newton iteration
+    (bisection when a step leaves the bracket) finishes, with the density
+    as the derivative.
+    """
+    lo, hi, mass_lo, mass_hi = _bracket(spec, p)
+    # equal panels between the delicate points, so the panel next to one is
+    # as wide as the one that touches it
+    cuts = [lo, *sorted(d for d in spec.delicate_points if lo < d < hi), hi]
+    counts = np.maximum(1, np.round(_TABLE_PANELS * np.diff(cuts) / (hi - lo))).astype(int)
+    edges = np.concatenate([np.linspace(u, v, n + 1)[:-1] for u, v, n in zip(cuts, cuts[1:], counts)] + [[hi]])
+    nodes, weights = _gauss_legendre()
+    a, b = edges[:-1], edges[1:]
+    half = 0.5 * (b - a)
+    xs = (0.5 * (a + b))[:, None] + half[:, None] * nodes
+    mass = (spec.density(xs) @ weights) * half
+    delicate = np.zeros(len(a), dtype=bool)
+    for d in spec.delicate_points:
+        delicate |= (a <= d) & (d <= b)
+    for i in np.nonzero(delicate)[0]:
+        mass[i] = _adaptive(spec, a[i], b[i])
+    total = mass_lo + mass.sum() + mass_hi
+    if not abs(total - 1.0) <= _MASS_TOL:  # a NaN total fails too
+        raise NumericError(f"{spec.family}{spec.params}: the density integrates to {float(total):.12g}, not 1")
+    # g = F - p (lower) or (1 - p) - S (upper) at the edges: increasing,
+    # and in either case its panel integrals are the masses
+    if p <= 0.5:
+        g = mass_lo + np.concatenate(([0.0], np.cumsum(mass))) - p
+    else:
+        g = (1.0 - p) - (mass_hi + np.concatenate((np.cumsum(mass[::-1])[::-1], [0.0])))
+    i = min(max(int(np.searchsorted(g, 0.0)) - 1, 0), len(a) - 1)
+    left, right = a[i], b[i]
+    # the anchor is the edge on the quantile's tail side
+    anchor, g_anchor = (left, g[i]) if p <= 0.5 else (right, g[i + 1])
+
+    def g_at(x: float) -> float:
+        if delicate[i]:
+            return g_anchor + _adaptive(spec, anchor, x)
+        h = 0.5 * (x - anchor)
+        return g_anchor + h * float(spec.density(0.5 * (x + anchor) + h * nodes) @ weights)
+
+    span = g[i + 1] - g[i]
+    x = left - g[i] * (right - left) / span if span > 0.0 else 0.5 * (left + right)
+    x = min(max(x, left), right)
+    g_tol = _NEWTON_GTOL * min(p, 1.0 - p)
+    for _ in range(_NEWTON_STEPS):
+        gx = g_at(x)
+        if abs(gx) <= g_tol:
+            break
+        if gx < 0.0:
+            left = x
+        else:
+            right = x
+        density = float(spec.density(x))
+        newton = x - gx / density if density > 0.0 else math.nan
+        if not left < newton < right:
+            x = 0.5 * (left + right)
+            continue
+        if abs(newton - x) <= 1e-15 * abs(x):
+            return newton
+        x = newton
+    return x
 
 
 _BISECTION_TOL = 1e-10  # relative width at which a bisection stops (absolute below 1)
@@ -243,15 +376,6 @@ def _bisect(cdf, p: float, lo: float, hi: float) -> float:
         if hi - lo <= _BISECTION_TOL * max(1.0, abs(lo), abs(hi)):
             break
     return 0.5 * (lo + hi)
-
-
-def quantile(spec: DistributionSpec, p: float) -> float:
-    """p-quantile by bisection on the numeric CDF."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("quantile requires 0 < p < 1")
-    # numeric_cdf is looked up at call time, so a wrapper installed on the
-    # module name (perfbench/spans.py) sees every evaluation
-    return _bisect(lambda x: numeric_cdf(spec, x), p, *_bracket(spec, p))
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +455,7 @@ def _normal_spec() -> DistributionSpec:
         },
         default_mode="lemma23ii",
         pdf=sf.norm_pdf,
+        ppf=_two_tailed(ndtri, lambda q: -ndtri(q)),
         **levels,
     )
 
@@ -360,7 +485,9 @@ def normal_literature_bound(n: int, which: str) -> BoundCoefficients:
 
 
 def gamma_solution_constant(r: float) -> float:
-    """Sharp order-0 constant e^r Gamma(r) / r^r, evaluated in log space."""
+    """Order-0 constant e^r Gamma(r) / r^r on ||h~||, evaluated in log
+    space.  It is not sharp: the exact gamma(2, 1) value is 0.951 against
+    1.847."""
     return math.exp(r + sf.log_gamma(r) - r * math.log(r))
 
 
@@ -396,6 +523,7 @@ def _gamma_spec(r: float, lam: float) -> DistributionSpec:
         },
         default_mode="lemma23i",
         pdf=density,
+        ppf=_two_tailed(lambda p: gammaincinv(r, p) / lam, lambda q: gammainccinv(r, q) / lam),
         delicate_points=(0.0,),
         **levels,
     )
@@ -492,6 +620,8 @@ def _beta_spec(alpha: float, beta: float) -> DistributionSpec:
         modes={"lemma23i": _value_chain(scheme, "i"), "lemma23iii": _value_chain(scheme, "iii")},
         default_mode="lemma23i",
         pdf=density,
+        # the upper quantile is 1 - (the lower quantile of beta(beta, alpha))
+        ppf=_two_tailed(lambda p: betaincinv(alpha, beta, p), lambda q: 1.0 - betaincinv(beta, alpha, q)),
         delicate_points=(0.0, 1.0),
         **levels,
     )
@@ -517,6 +647,7 @@ def _student_t_spec(d: float, delta: float) -> DistributionSpec:
     if d <= 0 or delta <= 0:
         raise ValueError("student-t requires d > 0 and delta > 0")
     log_norm = sf.log_gamma((d + 1.0) / 2.0) - sf.log_gamma(d / 2.0) - 0.5 * math.log(math.pi * delta * delta)
+    t_scale = delta / math.sqrt(d)
 
     def density(x):
         if isinstance(x, float) or np.ndim(x) == 0:
@@ -558,6 +689,8 @@ def _student_t_spec(d: float, delta: float) -> DistributionSpec:
         },
         default_mode="lemma23i",
         pdf=density,
+        # x = t delta / sqrt(d), t a Student t variable with d degrees of freedom
+        ppf=_two_tailed(lambda p: stdtrit(d, p) * t_scale, lambda q: -stdtrit(d, q) * t_scale),
         **levels,
     )
 
@@ -611,6 +744,8 @@ def _inverse_gamma_spec(alpha: float, beta: float) -> DistributionSpec:
         modes={"lemma23i": _value_chain(scheme, "i", int(math.floor((alpha - 1.0 - 1e-9) / 2.0)))},
         default_mode="lemma23i",
         pdf=density,
+        # x = beta / y, y a gamma(alpha, 1) variable: the tails swap
+        ppf=_two_tailed(lambda p: beta / gammainccinv(alpha, p), lambda q: beta / gammaincinv(alpha, q)),
         delicate_points=(0.0,),
         **levels,
     )
@@ -677,9 +812,7 @@ def _prr_spec(s: float) -> DistributionSpec:
             u = float(spline(x)) if x <= x_hi else _prr_u_function(s, x)
             return float(norm * np.exp(-max(x * x / (2.0 * s), 1e-300)) * u)
         arr = np.asarray(x, dtype=float)
-        z = np.maximum(arr * arr / (2.0 * s), 1e-300)
-        out = norm * np.exp(-z) * np.asarray(_prr_u_function(s, arr))
-        out = np.where(arr > 0, out, 0.0)
+        out = density_over_v(arr) * kernel_v(arr)
         return out if arr.ndim else float(out)
 
     def kernel_v(x):
@@ -687,6 +820,13 @@ def _prr_spec(s: float) -> DistributionSpec:
         arr = np.asarray(x, dtype=float)
         out = np.asarray(_prr_u_function(s, arr))
         return out if arr.ndim else float(out)
+
+    def density_over_v(x):
+        """norm e^(-x^2/(2s)) on x > 0 and 0 elsewhere: the density is this
+        times U (the rounding of the scalar branch's product)."""
+        arr = np.asarray(x, dtype=float)
+        z = np.maximum(arr * arr / (2.0 * s), 1e-300)
+        return np.where(arr > 0, norm * np.exp(-z), 0.0)
 
     def op_coeffs(k):
         return (
@@ -734,6 +874,7 @@ def _prr_spec(s: float) -> DistributionSpec:
         t_coeffs=t_coeffs,
         rhs_terms=level_rhs,
         kernel_v=kernel_v,
+        density_over_v=density_over_v,
         delicate_points=(0.0,),
     )
 

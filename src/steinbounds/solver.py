@@ -10,6 +10,9 @@ higher order is exact algebra on the level equations.
 
 Grids are quantile-based: they cover [q(1e-8), q(1 - 1e-8)] plus a 20%
 margin clipped to the support, with a fixed DEFAULT_POINTS = 20001 points.
+catalog.quantile gives each end from its own tail (closed-form inverses
+for the Pearson laws, a tabulated CDF for the others), and an end that
+meets a finite support end stops one double inside it.
 
 Everything that depends on the law but not on the test function lives in
 a ``Mesh``, built once per spec by ``build_mesh``: the grid, the median
@@ -509,6 +512,10 @@ def _solve_prr(mesh, h, eh):
     s = spec.params["s"]
     kappa = spec.density
     v_fn = spec.kernel_v
+    # U is evaluated once at the nodes: the density factor of the split
+    # integral is density_over_v * U, and v * kappa is U times that
+    u = mesh.factor("v_nodes", v_fn)
+    mesh.factor("density", lambda xs: spec.density_over_v(xs) * u)
     g_vals, err_g = _split_integral(mesh, h, eh)
     g_spline = CubicSpline(grid, g_vals)
 
@@ -519,9 +526,7 @@ def _solve_prr(mesh, h, eh):
         y = np.asarray(y, dtype=float)
         return g_spline(y) / v_kappa(y)
 
-    # kappa at the nodes is the split integral's factor: U is evaluated
-    # there once for it and once for v
-    fac = mesh.factor("v_kappa", lambda xs: v_fn(xs) * mesh.factor("density", kappa))
+    fac = mesh.factor("v_kappa", lambda xs: u * mesh.factor("density", kappa))
     integral = _Integral(mesh, outer, g_spline(mesh.xs) / fac, spec.delicate_points)
     f = mesh.factor("v", v_fn, at="grid") * integral.from_anchor(0.0) / s
     return f, {"quad_error": err_g + integral.error, "form_split": mesh.median}

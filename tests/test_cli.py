@@ -109,14 +109,14 @@ class TestExitCodes:
         assert code == 2
         assert "order 1" in err
 
-    def test_quantile_without_a_bracket_is_numeric_error(self, capsys):
-        # student_t with d = 0.5 has tails so heavy that its numeric CDF
-        # stays below 1 - 1e-8 out to 1e12, so the grid has no right edge
+    def test_quantile_beyond_the_grid_limit_is_numeric_error(self, capsys):
+        # student_t with d = 0.5 has tails so heavy that its 1 - 1e-8
+        # quantile lies beyond 1e12, so no grid can cover the law
         code, _, err = run_cli(
             capsys, "verify", "--family", "student_t", "--d", "0.5", "--delta", "1", "--n", "0",
         )
         assert code == 4
-        assert "no right bracket" in err
+        assert "lies beyond +-1e+12" in err
 
     def test_nan_residual_is_numeric_error(self, capsys):
         # the I-kernel exponential of this skewed vg overflows on the left

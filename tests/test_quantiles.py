@@ -67,18 +67,27 @@ def test_scalar_density_branch_equals_array_branch(family):
 
 
 def test_non_finite_cdf_integral_raises():
-    nan_tail = replace(cat.make_spec("normal"), pdf=lambda x: sf.norm_pdf(x) if x < 1.0 else np.nan)
+    nan_tail = replace(cat.make_spec("normal"), pdf=lambda x: sf.norm_pdf(x) if x < 1.0 else np.nan, ppf=None)
     assert cat.numeric_cdf(nan_tail, 0.5) == pytest.approx(0.6914624612740131)
     with pytest.raises(NumericError, match="CDF integral"):
         cat.numeric_cdf(nan_tail, 2.0)
 
 
-def test_quantile_beyond_the_mass_raises():
-    # a density of mass 0.5: its CDF never reaches 0.75, so no bracket exists
-    half = replace(cat.make_spec("normal"), pdf=lambda x: 0.5 * sf.norm_pdf(x))
-    assert cat.quantile(half, 0.25) == pytest.approx(0.0, abs=1e-9)
-    with pytest.raises(NumericError, match="no right bracket"):
-        cat.quantile(half, 0.75)
+def test_quantile_of_a_density_without_unit_mass_raises():
+    # a density of mass 0.5 has no quantiles: the tabulated CDF checks the
+    # mass (ppf=None makes the normal law take the tabulated route)
+    half = replace(cat.make_spec("normal"), pdf=lambda x: 0.5 * sf.norm_pdf(x), ppf=None)
+    for p in (0.25, 0.75):
+        with pytest.raises(NumericError, match="integrates to 0.5"):
+            cat.quantile(half, p)
+
+
+def test_table_quantile_of_the_normal_law_matches_ndtri():
+    # the tabulated route against the closed form, both tails and the middle
+    spec = cat.make_spec("normal")
+    table = replace(spec, ppf=None)
+    for p in (1e-8, 0.025, 0.5, 0.975, 1.0 - 1e-8):
+        assert cat.quantile(table, p) == pytest.approx(cat.quantile(spec, p), rel=1e-13, abs=1e-15)
 
 
 # A skewed vg law of perfbench's verify_draws stream whose mass lies right

@@ -371,15 +371,21 @@ class TestMeshFactorsAreEvaluatedOnce:
         distinct = np.unique(np.abs(mesh.grid)).size
         assert bessel_i == bessel_k == [distinct, distinct]
 
-    def test_prr_density_once_at_the_nodes(self):
-        calls = []
+    def test_prr_u_once_at_the_nodes(self):
+        # the density factor and v * kappa both come from one U node factor
+        u_calls, density_calls = [], []
         base = cat.make_spec("prr", s=5.0)
 
+        def kernel_v(x):
+            u_calls.append(np.shape(x))
+            return base.kernel_v(x)
+
         def density(x):
-            calls.append(x)
+            density_calls.append(np.shape(x))
             return base.density(x)
 
-        spec = replace(base, pdf=density)
+        spec = replace(base, pdf=density, kernel_v=kernel_v)
         mesh = sv.build_mesh(spec)
         solve(spec, SineTest(1.0), mesh=mesh)
-        assert sum(np.shape(x) == mesh.xs.shape for x in calls) == 1
+        assert u_calls.count(mesh.xs.shape) == 1
+        assert mesh.xs.shape not in density_calls

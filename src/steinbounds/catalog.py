@@ -1,17 +1,19 @@
 """Distribution catalog.
 
 One spec object per supported family, holding everything the rest of the
-package needs: the density and support, the level-k operator coefficients
-of the iterated Stein equations, the coupling shape and cumulative
-coupling sequences, per-level base constants, the base-case substitutions
-that resolve leftover solution norms, and the mode table: every bound the
-family supports, keyed by its public mode token, with its order window.
+package needs: the density and support, the Stein operator, the coupling
+shape and cumulative coupling sequences, per-level base constants, the
+base-case substitutions that resolve leftover solution norms, and the
+mode table: every bound the family supports, keyed by its public mode
+token, with its order window.
 
-The seven first-order families (normal, gamma, exponential, beta,
-arcsine, Student t, inverse-gamma) are Pearson laws: their level-k
-operators, couplings, right-hand sides and chain weights all come from
-_pearson and five numbers per family.  prr, vg and quartic keep their own
-level callables.
+Every solvable family states its order-0 operator once, as three
+polynomial coefficients and a split (a SteinOperator), and one Leibniz
+expansion derives the operator, right-hand side and coupling of each
+level of the iterated equations from them.  The seven first-order
+families (normal, gamma, exponential, beta, arcsine, Student t,
+inverse-gamma) are Pearson laws: _pearson builds their operators and
+chain weights from five numbers per family.
 
 The bounds outside the three generic chains (quartic-tail, multivariate
 normal, one-step gamma, normal literature bounds) live here, next to their
@@ -27,9 +29,8 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-import operator
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 from scipy.special import betainc, betaincinv, gammainccinv, gammaincinv, ndtri, stdtrit
@@ -49,6 +50,8 @@ from .errors import NumericError, ValidityError
 
 __all__ = [
     "DistributionSpec",
+    "SteinOperator",
+    "Level",
     "Mode",
     "make_spec",
     "param_names",
@@ -72,15 +75,6 @@ __all__ = [
     "normal_literature_bound",
     "catalog_json",
 ]
-
-
-def _constf(c: float):
-    def fn(x):
-        arr = np.asarray(x, dtype=float)
-        out = np.full(arr.shape, c)
-        return out if arr.ndim else float(c)
-
-    return fn
 
 
 @dataclass(frozen=True)
@@ -108,6 +102,107 @@ def _deriv_chain(scheme: IterationScheme, letter: str) -> Mode:
     return Mode(lambda n: deriv_coupled_bound(scheme, letter, n), chain=letter)
 
 
+# ---------------------------------------------------------------------------
+# Polynomial-coefficient Stein operators: the level-k algebra.
+# ---------------------------------------------------------------------------
+
+
+class Level(NamedTuple):
+    """The level-k equation L_k f^(k) = h^(k) + sum c f^(k + offset), the
+    sum over rhs = ((offset, c), ...), and the coupling T_k = L_(k+1) D -
+    D L_k, so that d/dx[L_k g] = L_(k+1) g' - T_k g.  operator and coupling
+    hold the coefficients of (D^2, D, 1); every coefficient is a
+    numpy.polynomial array, lowest degree first."""
+
+    operator: tuple[np.ndarray, np.ndarray, np.ndarray]
+    rhs: tuple[tuple[int, np.ndarray], ...]
+    coupling: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _polynomial(c: list[float]) -> np.ndarray:
+    """The coefficient list c as a numpy.polynomial array, less its
+    trailing zeros (one stays)."""
+    n = len(c)
+    while n > 1 and not c[n - 1]:
+        n -= 1
+    return np.array(c[:n])
+
+
+@dataclass(frozen=True, eq=False)
+class SteinOperator:
+    """L = a2 D^2 + a1 D + a0, each coefficient a numpy.polynomial array
+    (lowest degree first), and split: the share of the Leibniz term
+    k a1' f^(k) that the level equations carry on their right-hand side
+    (0 for the Pearson laws and quartic, 1 for PRR, 1/2 for vg, whose
+    coupling is I - theta D).  Every level is derived from these, on
+    first request."""
+
+    a2: np.ndarray
+    a1: np.ndarray
+    a0: np.ndarray
+    split: float = 0.0
+    _levels: dict = field(default_factory=dict, init=False, repr=False)
+
+    @functools.cached_property
+    def _derivatives(self) -> list[list[list[float]]]:
+        """[A, A', A'', ...] down to the first derivative that is zero for
+        every degree, A the rows a2, a1, a0 zero-padded to one length.  They
+        are Python floats: a chain weight is one short sum of them, and
+        numpy's cost per call would dwarf it."""
+        size = max(len(self.a2), len(self.a1), len(self.a0))
+        ders = [[[float(c) for c in a] + [0.0] * (size - len(a)) for a in (self.a2, self.a1, self.a0)]]
+        for _ in range(size):
+            ders.append([[n * c for n, c in enumerate(row)][1:] + [0.0] for row in ders[-1]])
+        return ders
+
+    def _leibniz(self, k: int, i: int, d: int = 0) -> list[float]:
+        """The coefficient of f^(k+2-i) in the k-th derivative of L f,
+        differentiated d more times: by Leibniz's rule the sum over j of
+        C(k, j) g_j, g_j the j-th derivative of the coefficient (a2, a1 or
+        a0) of D^(2-i+j), less the split share of k a1' on f^(k).  The
+        binomials are nested, C(k, j) (g_j + (k-j)/(j+1) (g_(j+1) + ...)),
+        and this grouping fixes the rounding of every coefficient."""
+        ders = self._derivatives
+        acc = [0.0] * len(ders[0][0])
+        for j in range(i, max(0, i - 2) - 1, -1):
+            g = ders[min(j + d, len(ders) - 1)][i - j]
+            keep = 1.0 - self.split if (i, j) == (2, 1) else 1.0
+            ratio = (k - j) / (j + 1)
+            acc = [keep * u + ratio * v for u, v in zip(g, acc)]
+        scale = math.comb(k, max(0, i - 2))
+        return [scale * v for v in acc]
+
+    def level(self, k: int) -> Level:
+        """The level-k equation: the k-th derivative of L f = h - E h(Z),
+
+            sum_j C(k,j) (a2^(j) f^(k+2-j) + a1^(j) f^(k+1-j) + a0^(j) f^(k-j)) = h^(k).
+
+        Its terms on f^(k+2), f^(k+1) and f^(k) form L_k, less the split
+        share of k a1' f^(k); that share and the terms on lower derivatives
+        move to the right-hand side (terms that vanish are left out)."""
+        if k not in self._levels:
+            leibniz = self._leibniz
+            op = [leibniz(k, i) for i in range(3)]
+            moved = [(2 - i, [-c for c in leibniz(k, i)]) for i in range(3, k + 3)]
+            a1_slope = self._derivatives[1][1]
+            moved.append((0, [-(k * (self.split * c)) for c in a1_slope]))
+            # with (c2, c1, c0) = op, D L_k g = c2 g''' + (c2' + c1) g'' +
+            # (c1' + c0) g' + c0' g, and L_(k+1) D has the same g''' term
+            up = [leibniz(k + 1, i) for i in range(3)]
+            slope = [leibniz(k, i, 1) for i in range(3)]
+            coupling = (
+                [u - s - c for u, s, c in zip(up[1], slope[0], op[1])],
+                [u - s - c for u, s, c in zip(up[2], slope[1], op[2])],
+                [-s for s in slope[2]],
+            )
+            self._levels[k] = Level(
+                tuple(map(_polynomial, op)),
+                tuple((offset, _polynomial(c)) for offset, c in moved if any(c)),
+                tuple(map(_polynomial, coupling)),
+            )
+        return self._levels[k]
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """Catalog entry: parameters, support, operators, iteration scheme, modes.
@@ -117,20 +212,18 @@ class DistributionSpec:
     "custom" (outside the three generic chains).  operator_order is the
     differential order of every level operator.
 
-    op_coeffs(k) gives the coefficient callables (a2, a1, a0) of the
-    level-k operator and t_coeffs(k) the coupling-operator coefficients
-    (t0, t1): T_k f = t0 f + t1 f'.  For the first-order families (normal,
-    gamma, exponential, beta, arcsine, Student t, inverse-gamma) these,
-    rhs_terms and scheme.a are derived by _pearson; prr, vg and quartic
-    write their own.  pdf is None for a law without 1-D
-    solver support; ppf, the inverse CDF, is set where it has a closed
-    form (the Pearson laws) and quantile() tabulates the CDF elsewhere;
-    kernel_v is the homogeneous-solution factor of the double-integral
-    representation (second-order families solved that way), and
-    density_over_v, where set, is the density divided by it (a solve
-    then evaluates kernel_v once per point for both).  modes maps each
-    supported mode token to its Mode; extras are family-specific entries
-    of the catalog JSON.
+    operator is the order-0 Stein operator of a solvable family, three
+    polynomials and a split; operator.level(k) derives the level-k
+    operator, right-hand side and coupling from them, and for the Pearson
+    laws _pearson reads scheme.a off the same expansion.  pdf is None for
+    a law without 1-D solver support; ppf, the inverse CDF, is set where
+    it has a closed form (the Pearson laws) and quantile() tabulates the
+    CDF elsewhere; kernel_v is the homogeneous-solution factor of the
+    double-integral representation (second-order families solved that
+    way), and density_over_v, where set, is the density divided by it (a
+    solve then evaluates kernel_v once per point for both).  modes maps
+    each supported mode token to its Mode; extras are family-specific
+    entries of the catalog JSON.
     """
 
     family: str
@@ -143,9 +236,7 @@ class DistributionSpec:
     default_mode: str
     pdf: Callable | None = None
     ppf: Callable[[float], float] | None = None
-    op_coeffs: Callable[[int], tuple] | None = None
-    t_coeffs: Callable[[int], tuple] | None = None
-    rhs_terms: Callable[[int], list] | None = None
+    operator: SteinOperator | None = None
     kernel_v: Callable | None = None
     density_over_v: Callable | None = None
     delicate_points: tuple[float, ...] = ()
@@ -154,19 +245,6 @@ class DistributionSpec:
     # -- distribution ------------------------------------------------------
     def density(self, x):
         return self.pdf(x)
-
-    def weight_s(self, x):
-        """Leading-coefficient weight s(x) of the order-0 operator."""
-        a2, a1, a0 = self.op_coeffs(0)
-        return a1(x) if self.operator_order == 1 else a2(x)
-
-    def level_rhs(self, k: int):
-        """Extra right-hand-side terms of the level-k equation.
-
-        Returns [(offset, coeff_fn), ...] meaning the level-k right-hand
-        side is h^(k) + sum coeff_fn(x) * f^(k+offset); empty at k = 0.
-        """
-        return self.rhs_terms(k) if k >= 1 else []
 
     # -- bounding modes -----------------------------------------------------
     def max_order(self, mode: str) -> int | None:
@@ -203,13 +281,18 @@ class DistributionSpec:
 
 def numeric_cdf(spec: DistributionSpec, x: float) -> float:
     """The CDF at x by one adaptive integral of the density: the
-    independent oracle of the quantile routes below."""
+    independent oracle of the quantile routes below.  The range is split
+    at the delicate points and at the doublings -+1, -+2, ..., -+2^39 of
+    _bracket, so no piece is so long that QUADPACK misses the mass in it
+    (one piece from -inf to 1e6 reads 0 for the normal law)."""
     lo, hi = spec.support
     if x <= lo:
         return 0.0
     if x >= hi:
         return 1.0
-    val, _ = sf.integrate(spec.density, lo, x, breaks=spec.delicate_points)
+    doublings = [2.0 ** k for k in range(_DOUBLINGS)]
+    breaks = (*spec.delicate_points, *doublings, *(-t for t in doublings))
+    val, _ = sf.integrate(spec.density, lo, x, breaks=breaks)
     if not math.isfinite(val):
         raise NumericError(f"{spec.family}{spec.params}: the CDF integral up to {x:g} is {val}")
     return min(max(val, 0.0), 1.0)
@@ -384,46 +467,19 @@ def _bisect(cdf, p: float, lo: float, hi: float) -> float:
 
 
 def _pearson(q2: float, q1: float, q0: float, b0: float, m: float):
-    """Level-k operator algebra of a Pearson law, with tau(x) = q2 x^2 +
-    q1 x + q0 and drift b0 - m x.
+    """The operator of a Pearson law: L f = tau f' + (b0 - m x) f with
+    tau(x) = q2 x^2 + q1 x + q0.  Returns (a, fields), fields being the
+    DistributionSpec entries of a first-order value-coupled family.
 
-    Differentiating L_k f = tau f' + (b_k - m_k x) f gives L_{k+1} f' -
-    T_k f with b_k = b0 + k q1, m_k = m - 2k q2 and T_k = m_k, so the
-    level-k right-hand side carries c_k f^(k-1), c_k = k (m - (k-1) q2),
-    and the chain weights are a(j) = |c_{j+1}|.  Returns (a, fields),
-    fields being the DistributionSpec entries of a first-order
-    value-coupled family.
-
-    The groupings (tau in Horner form, b_k - m_k x, c_k as written) fix
-    the rounding of every coefficient, and with it the pinned sweep.
+    Its level k carries c_k f^(k-1) on the right-hand side, c_k = k (m -
+    (k-1) q2), and the chain weights are a(j) = |c_(j+1)|, read off the
+    Leibniz expansion.
     """
-
-    def tau(x):
-        x = np.asarray(x, dtype=float)
-        return (q2 * x + q1) * x + q0
-
-    def m_k(k):
-        return m - 2 * k * q2
-
-    def c(k):
-        return k * (m - (k - 1) * q2)
-
-    def op_coeffs(k):
-        b_k, slope = b0 + k * q1, m_k(k)
-        return (None, tau, lambda x: b_k - slope * np.asarray(x, dtype=float))
-
-    def t_coeffs(k):
-        return (_constf(m_k(k)), _constf(0.0))
-
-    def rhs_terms(k):
-        return [(-1, _constf(c(k)))]
-
-    fields = dict(
-        operator_order=1, coupling_kind="value", op_coeffs=op_coeffs, t_coeffs=t_coeffs, rhs_terms=rhs_terms
-    )
+    operator = SteinOperator(np.zeros(1), np.array([q0, q1, q2]), np.array([b0, -m]))
+    fields = dict(operator_order=1, coupling_kind="value", operator=operator)
     # the chains call a(j) in their inner loops; the cache makes a repeat
     # call one C-level lookup instead of two Python frames
-    return functools.lru_cache(maxsize=None)(lambda j: abs(c(j + 1))), fields
+    return functools.lru_cache(maxsize=None)(lambda j: abs(operator._leibniz(j + 1, 3)[0])), fields
 
 
 # ---------------------------------------------------------------------------
@@ -828,19 +884,6 @@ def _prr_spec(s: float) -> DistributionSpec:
         z = np.maximum(arr * arr / (2.0 * s), 1e-300)
         return np.where(arr > 0, norm * np.exp(-z), 0.0)
 
-    def op_coeffs(k):
-        return (
-            _constf(s),
-            lambda x: -np.asarray(x, dtype=float),
-            _constf(-2.0 * (s - 1.0)),
-        )
-
-    def t_coeffs(k):
-        return (_constf(0.0), _constf(1.0))
-
-    def level_rhs(k):
-        return [(0, _constf(float(k)))]
-
     subs = {}
     if s >= 1.0:
         subs[NormSymbol.solution_deriv()] = BoundCoefficients(
@@ -870,9 +913,8 @@ def _prr_spec(s: float) -> DistributionSpec:
         modes=modes,
         default_mode="lemma24i" if s >= 1.0 else "lemma24ii",
         pdf=density,
-        op_coeffs=op_coeffs,
-        t_coeffs=t_coeffs,
-        rhs_terms=level_rhs,
+        # the level equations carry k f^(k) on the right-hand side
+        operator=SteinOperator(np.array([s]), np.array([0.0, -1.0]), np.array([-2.0 * (s - 1.0)]), split=1.0),
         kernel_v=kernel_v,
         density_over_v=density_over_v,
         delicate_points=(0.0,),
@@ -961,23 +1003,6 @@ def _vg_spec(r: float, theta: float, sigma: float) -> DistributionSpec:
         scale = np.exp(log_norm + beta * arr - alpha * ax + nu * np.log(ax / half_scale))
         return np.where(scale > 0.0, scale * _sp_kve(nu, alpha * ax), 0.0)
 
-    def op_coeffs(k):
-        s2 = sigma * sigma
-        return (
-            lambda x: s2 * np.asarray(x, dtype=float),
-            lambda x: s2 * (r + k) + 2.0 * theta * np.asarray(x, dtype=float),
-            lambda x: (r + k) * theta - np.asarray(x, dtype=float),
-        )
-
-    # The level equations carry -k theta f^(k): the coupling operator that
-    # the operator algebra actually produces is I - theta D.  Only the
-    # cumulative magnitudes a_j = j, b_j = j|theta| enter the bounds.
-    def t_coeffs(k):
-        return (_constf(1.0), _constf(-theta))
-
-    def level_rhs(k):
-        return [(-1, _constf(float(k))), (0, _constf(-float(k) * theta))]
-
     b0_over_root, b0_over_s2 = vg_base_constants(r, theta, sigma)
     subs = {
         NormSymbol.solution(): BoundCoefficients(
@@ -1021,9 +1046,12 @@ def _vg_spec(r: float, theta: float, sigma: float) -> DistributionSpec:
         modes={"lemma23ii": _value_chain(scheme, "ii"), "lemma25": mixed} if theta == 0.0 else {"lemma25": mixed},
         default_mode="lemma23ii" if theta == 0.0 else "lemma25",
         pdf=density,
-        op_coeffs=op_coeffs,
-        t_coeffs=t_coeffs,
-        rhs_terms=level_rhs,
+        # The level equations carry -k theta f^(k): the coupling operator
+        # that the operator algebra actually produces is I - theta D.  Only
+        # the cumulative magnitudes a_j = j, b_j = j|theta| enter the bounds.
+        operator=SteinOperator(
+            np.array([0.0, sigma * sigma]), np.array([sigma * sigma * r, 2.0 * theta]), np.array([r * theta, -1.0]), 0.5
+        ),
         delicate_points=(0.0,),
         extras={"base_bounds": {"f": b0_over_root, "f'": b0_over_s2}},
     )
@@ -1080,20 +1108,6 @@ def _quartic_spec() -> DistributionSpec:
         out = c1 * np.exp(-(arr ** 4) / 12.0)
         return out if arr.ndim else float(out)
 
-    def op_coeffs(k):
-        return (None, _constf(1.0), lambda x: -np.asarray(x, dtype=float) ** 3 / 3.0)
-
-    def t_coeffs(k):
-        return (lambda x: np.asarray(x, dtype=float) ** 2, _constf(0.0))
-
-    def level_rhs(k):
-        terms = [(-1, lambda x: k * np.asarray(x, dtype=float) ** 2)]
-        if k >= 2:
-            terms.append((-2, lambda x: k * (k - 1.0) * np.asarray(x, dtype=float)))
-        if k >= 3:
-            terms.append((-3, _constf(k * (k - 1.0) * (k - 2.0) / 3.0)))
-        return terms
-
     def variant(name, last=None):
         return Mode(functools.partial(quartic_bounds, variant=name), last)
 
@@ -1112,9 +1126,7 @@ def _quartic_spec() -> DistributionSpec:
         },
         default_mode="iterated",
         pdf=density,
-        op_coeffs=op_coeffs,
-        t_coeffs=t_coeffs,
-        rhs_terms=level_rhs,
+        operator=SteinOperator(np.zeros(1), np.ones(1), np.array([0.0, 0.0, 0.0, -1.0 / 3.0])),
         extras={"c1": c1},
     )
 

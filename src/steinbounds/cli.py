@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", default="default", choices=MODE_TOKENS)
-    p.add_argument("--test", default="sine:1", help="sine:a, cosine:a, probe:x, probe:x2-1")
+    p.add_argument("--test", default="sine:1", help="sine:a, cosine:a")
     p.add_argument("--format", default="text", choices=("text", "json", "csv"))
     p.add_argument("--output", default=None)
     p.set_defaults(fn=_cmd_verify)

@@ -3,10 +3,11 @@
 Computes the distinguished (bounded) solution of each 1-D Stein equation
 for a given test function through the family's explicit integral
 representation, then walks derivative values up through the iterated
-equations by pointwise algebra rather than repeated numerical
-differentiation.  Second-order operators seed the first derivative once
-with sixth-order central differences (Richardson extrapolated); every
-higher order is exact algebra on the level equations.
+equations (spec.operator.level(k)) by pointwise algebra rather than
+repeated numerical differentiation.  The variance-gamma solve returns the
+first derivative analytically, and PRR seeds it once with sixth-order
+central differences (Richardson extrapolated); every higher order is
+exact algebra on the level equations.
 
 Grids are quantile-based: they cover [q(1e-8), q(1 - 1e-8)] plus a 20%
 margin clipped to the support, with a fixed DEFAULT_POINTS = 20001 points.
@@ -140,18 +141,12 @@ class PolyProbe:
 
 
 def parse_test_function(token: str):
-    """Parse a CLI selector: sine:a, cosine:a, probe:x, probe:x2-1."""
+    """Parse a CLI selector: sine:a or cosine:a."""
     kind, _, arg = token.partition(":")
     if kind == "sine":
         return SineTest(float(arg or 1.0))
     if kind == "cosine":
         return CosineTest(float(arg or 1.0))
-    if kind == "probe":
-        if arg == "x":
-            return PolyProbe((0.0, 1.0), "x")
-        if arg == "x2-1":
-            return PolyProbe((-1.0, 0.0, 1.0), "x2-1")
-        raise ValueError(f"unknown probe {arg!r} (supported: x, x2-1)")
     raise ValueError(f"unknown test function {token!r}")
 
 
@@ -334,12 +329,6 @@ class SteinSolution:
     def max_order(self) -> int:
         return max(self.derivs)
 
-    def to_csv(self, path) -> None:
-        orders = sorted(self.derivs)
-        header = "x," + ",".join("f" if k == 0 else f"f{k}" for k in orders)
-        data = np.column_stack([self.grid] + [self.derivs[k] for k in orders])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
-
 
 def empirical_sup(sol: SteinSolution, order: int) -> tuple[float, bool]:
     """Grid sup of |f^(order)| plus a flag when the maximizer sits within
@@ -362,10 +351,10 @@ def residual_norm(sol: SteinSolution) -> float:
     x = sol.grid[inner]
     f = sol.derivs[0][inner]
     htilde = np.asarray(sol.h.value(x)) - sol.diagnostics["mean_value"]
-    a2, a1, a0 = spec.op_coeffs(0)
-    res = a1(x) * sol.derivs[1][inner] + a0(x) * f - htilde
+    op = spec.operator
+    res = npoly.polyval(x, op.a1) * sol.derivs[1][inner] + npoly.polyval(x, op.a0) * f - htilde
     if spec.operator_order == 2:
-        res = res + a2(x) * sol.derivs[2][inner]
+        res = res + npoly.polyval(x, op.a2) * sol.derivs[2][inner]
     return float(np.max(np.abs(res)))
 
 
@@ -416,7 +405,7 @@ def _split_integral(mesh, h, eh):
 def _solve_first_order(mesh, h, eh):
     spec = mesh.spec
     numer, err = _split_integral(mesh, h, eh)
-    f = numer / mesh.factor("s_density", lambda x: spec.weight_s(x) * spec.density(x), at="grid")
+    f = numer / mesh.factor("s_density", lambda x: npoly.polyval(x, spec.operator.a1) * spec.density(x), at="grid")
     return f, {"quad_error": err, "form_split": mesh.median}
 
 
@@ -652,18 +641,15 @@ def propagate_derivatives(sol: SteinSolution, max_order: int) -> SteinSolution:
         if grid[0] < d < grid[-1]:
             interior |= np.abs(grid - d) < _INTERIOR_EXCLUSION
     for k in range(0, max(0, max_order - p + 1)):
-        a2, a1, a0 = spec.op_coeffs(k)
+        level = spec.operator.level(k)
         rhs = (np.asarray(h.value(grid)) - eh) if k == 0 else np.asarray(h.deriv(grid, k))
-        for off, cfn in spec.level_rhs(k):
-            rhs = rhs + cfn(grid) * fs[k + off]
-        if p == 1:
-            denom = np.asarray(a1(grid), dtype=float)
-            lower = a0(grid) * fs[k]
-            numer_scale = np.abs(a0(grid))
-        else:
-            denom = np.asarray(a2(grid), dtype=float)
-            lower = a1(grid) * fs[k + 1] + a0(grid) * fs[k]
-            numer_scale = np.abs(a1(grid)) + np.abs(a0(grid))
+        for off, c in level.rhs:
+            rhs = rhs + npoly.polyval(grid, c) * fs[k + off]
+        # the top coefficient, on f^(k+p), divides; the rest act on f^(k+p-1), ..., f^(k)
+        denom, *rest = (npoly.polyval(grid, c) for c in level.operator[2 - p:])
+        terms = [c * fs[k + p - 1 - i] for i, c in enumerate(rest)]
+        lower = sum(terms[1:], terms[0])
+        numer_scale = sum(map(np.abs, rest[1:]), np.abs(rest[0]))
         with np.errstate(divide="ignore", invalid="ignore"):
             top = (rhs - lower) / denom
             amp_prod = amp_prod * np.maximum(numer_scale / np.abs(denom), 1.0)

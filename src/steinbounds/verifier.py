@@ -361,13 +361,11 @@ class _GaussProbe:
         return npoly.polyval(x, self._polys[order]) * np.exp(-x * x / 4.0)
 
 
-def _apply_operator(spec: DistributionSpec, k: int, probe, x, shift: int = 0):
-    """L_k applied to the probe's shift-th derivative, evaluated at x."""
-    a2, a1, a0 = spec.op_coeffs(k)
-    out = a1(x) * probe.deriv(x, shift + 1) + a0(x) * probe.deriv(x, shift)
-    if spec.operator_order == 2:
-        out = out + a2(x) * probe.deriv(x, shift + 2)
-    return out
+def _apply_operator(coeffs, probe, x, shift: int = 0):
+    """The operator with coefficients (c2, c1, c0) of (D^2, D, 1) applied
+    to the probe's shift-th derivative, evaluated at x."""
+    c2, c1, c0 = (npoly.polyval(x, c) for c in coeffs)
+    return c1 * probe.deriv(x, shift + 1) + c0 * probe.deriv(x, shift) + c2 * probe.deriv(x, shift + 2)
 
 
 def check_operator_identity(spec: DistributionSpec, k: int, probe, grid) -> float:
@@ -375,14 +373,14 @@ def check_operator_identity(spec: DistributionSpec, k: int, probe, grid) -> floa
     with the left side differentiated by a sixth-order stencil."""
     grid = np.asarray(grid, dtype=float)
     h = _FD_STEP
+    level = spec.operator.level(k)
     lhs = np.zeros_like(grid)
     for w, off in zip(_FD6_CENTRAL, range(-3, 4)):
         if w != 0.0:
-            lhs += w * _apply_operator(spec, k, probe, grid + off * h)
+            lhs += w * _apply_operator(level.operator, probe, grid + off * h)
     lhs /= h
-    t0, t1 = spec.t_coeffs(k)
-    rhs = _apply_operator(spec, k + 1, probe, grid, shift=1) - (
-        t0(grid) * probe.deriv(grid, 0) + t1(grid) * probe.deriv(grid, 1)
+    rhs = _apply_operator(spec.operator.level(k + 1).operator, probe, grid, shift=1) - _apply_operator(
+        level.coupling, probe, grid
     )
     return float(np.max(np.abs(lhs - rhs)))
 

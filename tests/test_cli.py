@@ -152,7 +152,7 @@ class TestExitCodes:
         assert "symbolic" in err
         code, _, err = run_cli(capsys, "verify", "--family", "normal", "--n", "1", "--test", "probe:x")
         assert code == 1
-        assert "unbounded" in err
+        assert "unknown test function" in err
 
 
 class TestCatalogCommand:

@@ -29,6 +29,8 @@ from .engine import (
 from .errors import ValidityError
 from .solver import PolyProbe, solve
 from .verifier import (
+    ADJOINT_TOLERANCE,
+    check_adjoint_density,
     check_bessel_inequalities,
     check_mills_ratio,
     check_operator_identity,
@@ -212,8 +214,8 @@ def criterion_5_probe_regressions() -> tuple[bool, str]:
 
 
 def criterion_6_operator_identities() -> tuple[bool, str]:
-    worst = 0.0
-    worst_case = ""
+    worst = worst_adjoint = 0.0
+    worst_case = worst_adjoint_family = ""
     for spec in default_sweep_specs():
         grid = identity_grid(spec)
         for k in range(4):
@@ -221,7 +223,15 @@ def criterion_6_operator_identities() -> tuple[bool, str]:
                 res = check_operator_identity(spec, k, probe, grid)
                 if res > worst:
                     worst, worst_case = res, f"{spec.family} level {k} probe {probe.name}"
-    return worst <= 1e-6, f"worst residual {worst:.2e} ({worst_case})"
+        adjoint = check_adjoint_density(spec, grid)
+        if not adjoint <= worst_adjoint:  # a NaN residual is the worst
+            worst_adjoint, worst_adjoint_family = adjoint, spec.family
+    ok = worst <= 1e-6 and worst_adjoint <= ADJOINT_TOLERANCE
+    detail = (
+        f"worst residual {worst:.2e} ({worst_case}); "
+        f"adjoint density equation worst {worst_adjoint:.2e} ({worst_adjoint_family})"
+    )
+    return ok, detail
 
 
 def criterion_7_inequality_grids() -> tuple[bool, str]:

@@ -19,12 +19,22 @@ Everything that depends on the law but not on the test function lives in
 a ``Mesh``, built once per spec by ``build_mesh``: the grid, the median
 at which the first-order and PRR representations switch forms, the
 Gauss-Legendre panel nodes and a memo of every h-independent array of a
-solve, at the nodes or on the grid.  Each is evaluated once per mesh,
-and a part that depends on |x| only (the vg Bessel functions) once per
-distinct |x|: the vg grid is symmetric steps about the origin, so a
-symmetric law needs half the evaluations.  The map h -> f is linear, so
-each solve multiplies the shared factors by h - E h(Z); a sweep solves
-every test function of a spec on one mesh.
+solve, at the nodes or on the grid.  Each is evaluated once per mesh.
+The map h -> f is linear, so each solve multiplies the shared factors by
+h - E h(Z); a sweep solves every test function of a spec on one mesh.
+
+The vg Bessel kernels are evaluated on the grid only: the scaled ive and
+kve at orders nu and nu + 1, once per distinct |x| (the vg grid is
+symmetric steps dx * k about the origin, so a symmetric law needs about
+half the points).  I_nu and K_nu solve the modified Bessel equation
+z^2 w'' + z w' - (z^2 + nu^2) w = 0, so every node takes its values from
+the grid values at its panel end by a 10-term Taylor step of at most
+alpha dx / 2, with coefficients from the equation's recurrence; only the
+nodes within 24 grid steps of the origin, where the series converges
+slowly, call scipy.  The grid prefactors read the same four arrays, so
+a vg mesh costs four Bessel evaluations per distinct |x| of the grid
+plus two per near-origin node: 41k points for vg(3, 0, 1), whose mesh
+has 240k nodes.
 
 One rule covers the adaptive integrals (the tails beyond the grid and the
 panels next to a delicate point d, an integrable singularity or a kink):
@@ -75,6 +85,8 @@ _CUMULATIVE_AMPLIFICATION_CAP = 1.0e6
 _INTERIOR_EXCLUSION = 1.0e-3  # band excluded around a delicate point inside the grid
 _FILL_DEGREE = 6  # degree of the polynomial extension over masked bands
 _RESIDUAL_TRIM = 10  # grid points left out at either end of the residual check
+_TAYLOR_TERMS = 10  # terms of the vg node Bessel series about a panel end
+_DIRECT_STEPS = 24  # vg nodes this many grid steps from the origin call scipy
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +260,11 @@ class Mesh:
     xs holds the GL_ORDER Gauss-Legendre nodes of every grid panel (one
     row per panel), half the panel half-widths and weights the rule's
     weights.  Every h-independent array of a solve, at the nodes or on
-    the grid, is a mesh factor: ``factor`` evaluates it once per mesh,
-    and its parts that depend on |x| only go through ``by_abs``, once per
-    distinct |x|.  The arrays are shared by every solve on the mesh (the
-    grid also by their solutions), so they are read-only.
+    the grid, is a mesh factor: ``factor`` evaluates it once per mesh.
+    A grid factor that depends on |x| only goes through ``by_abs``, once
+    per distinct |x| (the vg Bessel values; the nodes take theirs from
+    the grid by Taylor steps).  The arrays are shared by every solve on
+    the mesh (the grid also by their solutions), so they are read-only.
     """
 
     spec: DistributionSpec
@@ -276,18 +289,13 @@ class Mesh:
             self._memo[name] = factor
         return self._memo[name]
 
-    def by_abs(self, fn, at: str = "nodes") -> np.ndarray:
-        """fn(|x|) at every point x of the nodes or the grid, fn evaluated
-        once per distinct |x|.  The grids that straddle the origin are
-        symmetric steps dx * k, and so are the Gauss-Legendre nodes of
-        mirrored panels, so about half the points need no evaluation."""
-        key = ("|x|", at)
-        if key not in self._memo:
-            points = self._points(at)
-            distinct, inverse = np.unique(np.abs(points), return_inverse=True)
-            self._memo[key] = distinct, inverse.reshape(points.shape)
-        distinct, inverse = self._memo[key]
-        return fn(distinct)[inverse]
+    def by_abs(self, fn) -> np.ndarray:
+        """fn(|x|) at every grid point x (along the last axis of fn's
+        result), fn evaluated once per distinct |x|.  A grid that straddles
+        the origin is symmetric steps dx * k, so about half its points need
+        no evaluation."""
+        distinct, inverse = np.unique(np.abs(self.grid), return_inverse=True)
+        return fn(distinct)[..., inverse]
 
     def _points(self, at: str) -> np.ndarray:
         return {"nodes": self.xs, "grid": self.grid}[at]
@@ -409,6 +417,70 @@ def _solve_first_order(mesh, h, eh):
     return f, {"quad_error": err, "form_split": mesh.median}
 
 
+def _vg_scaled_bessels(mesh, nu, alpha):
+    """ive and kve at orders nu and nu + 1 of alpha |x| on the grid (a
+    mesh factor, evaluated once per distinct |x|), stacked in that order."""
+
+    def scaled(a):
+        z = alpha * a
+        return np.stack([_sp.ive(nu, z), _sp.ive(nu + 1.0, z), _sp.kve(nu, z), _sp.kve(nu + 1.0, z)])
+
+    return mesh.factor("vg_bessel", lambda grid: mesh.by_abs(scaled), at="grid")
+
+
+def _bessel_taylor(z0, nu, c0, c1):
+    """The _TAYLOR_TERMS Taylor coefficients in t of w(z0 + t), for w a
+    solution of z^2 w'' + z w' - (z^2 + nu^2) w = 0 (DLMF 10.25.1) with
+    w(z0) = c0 and w'(z0) = c1; every argument is an array over z0."""
+    z2 = z0 * z0
+    c = [c0, c1]
+    for k in range(_TAYLOR_TERMS - 2):
+        top = (z2 - k * k + nu * nu) * c[k] - z0 * ((k + 1) * (2 * k + 1)) * c[k + 1]
+        if k >= 1:
+            top = top + 2.0 * z0 * c[k - 1]
+        if k >= 2:
+            top = top + c[k - 2]
+        c.append(top / (z2 * ((k + 1) * (k + 2))))
+    return c
+
+
+def _vg_node_bessels(mesh, nu, alpha):
+    """ive(nu, alpha |y|) and kve(nu, alpha |y|) at every node y.
+
+    Each node's values are a Taylor series in t = alpha (|y| - |g|) about
+    the panel end g on the node's side, |t| <= alpha dx / 2, whose
+    coefficients follow from the grid values at orders nu and nu + 1 by
+    the Bessel equation's recurrence; the scaling makes a node value
+    e^(-t) (for ive) or e^t (for kve) times the series.  The series
+    converges like (|t| / alpha |g|)^k, so nodes within _DIRECT_STEPS grid
+    steps of the origin are evaluated directly.
+    """
+    grid, xs = mesh.grid, mesh.xs
+    i_n, i_n1, k_n, k_n1 = _vg_scaled_bessels(mesh, nu, alpha)
+    z0 = alpha * np.abs(grid)
+    ive, kve = np.empty_like(xs), np.empty_like(xs)
+    mid = GL_ORDER // 2
+    # the left half-panel columns expand about the panel's left end, the
+    # right ones about its right end (z0 = 0 gives garbage: those nodes
+    # are near the origin and replaced below)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c_i = _bessel_taylor(z0, nu, i_n, i_n1 + nu / z0 * i_n)
+        c_k = _bessel_taylor(z0, nu, k_n, nu / z0 * k_n - k_n1)
+        for cols, ends in ((slice(None, mid), slice(None, -1)), (slice(mid, None), slice(1, None))):
+            t = alpha * (np.abs(xs[:, cols]) - np.abs(grid[ends, None]))
+            for out, coeffs, sign in ((ive, c_i, -1.0), (kve, c_k, 1.0)):
+                series = np.zeros_like(t)
+                for c in coeffs[::-1]:  # Horner, in place
+                    series *= t
+                    series += c[ends, None]
+                out[:, cols] = np.exp(sign * t) * series
+    near = np.abs(xs) < _DIRECT_STEPS * (grid[1] - grid[0])
+    z = alpha * np.abs(xs[near])
+    ive[near] = _sp.ive(nu, z)
+    kve[near] = _sp.kve(nu, z)
+    return ive, kve
+
+
 def _solve_vg(mesh, h, eh):
     spec, grid = mesh.spec, mesh.grid
     r, theta, sigma = spec.params["r"], spec.params["theta"], spec.params["sigma"]
@@ -423,23 +495,18 @@ def _solve_vg(mesh, h, eh):
     # Scaled kernels: exp(beta y) I_nu(alpha |y|) = ive * exp(beta y + alpha |y|)
     # and exp(beta y) K_nu(alpha |y|) = kve * exp(beta y - alpha |y|).  The
     # K-kernel exponent is <= 0 whenever |beta| < alpha, so the tail
-    # quadratures cannot overflow.  The Bessel parts depend on |y| only:
-    # at the nodes they are evaluated once per distinct |y|.
-    def ive(ay):
-        return _sp.ive(nu, alpha * ay)
-
-    def kve(ay):
-        return _sp.kve(nu, alpha * np.maximum(ay, 1e-300))
-
+    # quadratures cannot overflow.
     def factor_i(y, bessel=None):
         y = np.asarray(y, dtype=float)
         ay = np.abs(y)
-        return np.exp(beta * y + alpha * ay) * ay ** nu * (ive(ay) if bessel is None else bessel)
+        bessel = _sp.ive(nu, alpha * ay) if bessel is None else bessel
+        return np.exp(beta * y + alpha * ay) * ay ** nu * bessel
 
     def factor_k(y, bessel=None):
         y = np.asarray(y, dtype=float)
         ay = np.maximum(np.abs(y), 1e-300)
-        return np.exp(beta * y - alpha * ay) * ay ** nu * (kve(ay) if bessel is None else bessel)
+        bessel = _sp.kve(nu, alpha * ay) if bessel is None else bessel
+        return np.exp(beta * y - alpha * ay) * ay ** nu * bessel
 
     def kernel_i(y):
         return factor_i(y) * htilde(y)
@@ -447,30 +514,41 @@ def _solve_vg(mesh, h, eh):
     def kernel_k(y):
         return factor_k(y) * htilde(y)
 
+    def node_factors(xs):
+        ive, kve = _vg_node_bessels(mesh, nu, alpha)
+        with np.errstate(over="ignore"):  # checked below
+            return np.stack([factor_i(xs, ive), factor_k(xs, kve)])
+
     def prefactors(x):
         """exp(-beta x) / (s2 |x|^nu) times K_nu(alpha |x|) and I_nu(alpha
         |x|), and their exact derivatives (the first-derivative cross
-        terms of the two integrals cancel identically)."""
-        safe = np.maximum(np.abs(x), 1e-300)
+        terms of the two integrals cancel identically), from the scaled
+        grid values: each exponent pair is one exp."""
+        i_n, i_n1, k_n, k_n1 = _vg_scaled_bessels(mesh, nu, alpha)
+        ax = np.abs(x)
         sgn = np.where(x >= 0, 1.0, -1.0)
-        expf = np.exp(-beta * x) / (s2 * safe ** nu)
-        kv_n = mesh.by_abs(lambda a: sf.bessel_k(nu, alpha * np.maximum(a, 1e-300)), "grid")
-        kv_n1 = mesh.by_abs(lambda a: sf.bessel_k(nu + 1.0, alpha * np.maximum(a, 1e-300)), "grid")
-        iv_n = mesh.by_abs(lambda a: sf.bessel_i(nu, alpha * a), "grid")
-        iv_n1 = mesh.by_abs(lambda a: sf.bessel_i(nu + 1.0, alpha * a), "grid")
+        power = s2 * np.maximum(ax, 1e-300) ** nu
+        exp_k = np.exp(-beta * x - alpha * ax) / power
+        exp_i = np.exp(-beta * x + alpha * ax) / power
         return np.stack([
-            expf * kv_n,
-            expf * iv_n,
-            -expf * (beta * kv_n + sgn * alpha * kv_n1),
-            expf * (sgn * alpha * iv_n1 - beta * iv_n),
+            exp_k * k_n,
+            exp_i * i_n,
+            -exp_k * (beta * k_n + sgn * alpha * k_n1),
+            exp_i * (sgn * alpha * i_n1 - beta * i_n),
         ])
 
     i0 = int(np.argmin(np.abs(grid)))
     if abs(grid[i0]) > 1e-12:
         raise NumericError("vg grid must contain the origin")
     # factors first: their evaluation is the memory peak of a vg solve
-    fac_i = mesh.factor("vg_i", lambda xs: factor_i(xs, mesh.by_abs(ive)))
-    fac_k = mesh.factor("vg_k", lambda xs: factor_k(xs, mesh.by_abs(kve)))
+    fac_i, fac_k = mesh.factor("vg_nodes", node_factors)
+    for name, fac in (("I", fac_i), ("K", fac_k)):
+        if not np.all(np.isfinite(fac)):
+            y = mesh.xs[~np.isfinite(fac)]
+            raise NumericError(
+                f"vg {name}-kernel factor overflows the double range at |y| = {np.min(np.abs(y)):.4g}"
+                f" (grid reaches [{grid[0]:.4g}, {grid[-1]:.4g}])"
+            )
     h_nodes = htilde(mesh.xs)
     int_i = _Integral(mesh, kernel_i, fac_i * h_nodes, (0.0,))
     int_k = _Integral(mesh, kernel_k, fac_k * h_nodes, (0.0,))

@@ -9,7 +9,10 @@ passes iff margin >= -1e-9 * bound.
 Also here: grid checks of the Gaussian Mill's-ratio sandwich, the four
 Bessel-kernel integral inequalities, the quartic-density identities, and
 the finite-difference check of the operator-splitting identity
-d/dx[L_k f] = L_{k+1} f' - T_k f that underlies the whole iteration.
+d/dx[L_k f] = L_{k+1} f' - T_k f that underlies the whole iteration, and
+the check that each density solves its operator's adjoint equation (the
+identity holds for any polynomials, as T_k is derived from L_k and
+L_{k+1}; a wrong operator coefficient fails the adjoint check).
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ __all__ = [
     "check_bessel_inequalities",
     "check_quartic_identities",
     "check_operator_identity",
+    "check_adjoint_density",
     "reports_to_json",
     "reports_to_csv",
 ]
@@ -402,6 +406,42 @@ def identity_grid(spec: DistributionSpec) -> np.ndarray:
     a = max(a - pad, lo + 1e-6) if np.isfinite(lo) else a - pad
     b = min(b + pad, hi - 1e-6) if np.isfinite(hi) else b + pad
     return np.linspace(a, b, 100)
+
+
+ADJOINT_TOLERANCE = 1e-8  # relative residual of the density's adjoint equation
+
+
+def check_adjoint_density(spec: DistributionSpec, grid) -> float:
+    """Worst residual of (a2 p)'' - (a1 p)' + a0 p = 0 over the grid (the
+    density p solves the adjoint of its order-0 operator, as E L f(Z) = 0
+    for every f), relative to the size of its three terms.
+
+    The derivatives are sixth-order central stencils with a step well
+    inside the law's spread and the distance to a support end or to an
+    interior delicate point, so the stencil resolves the density; grid
+    points next to an interior delicate point (the vg origin, where the
+    density is not smooth) drop.
+    """
+    op = spec.operator
+    lo, hi = spec.support
+    spread = quantile(spec, 0.95) - quantile(spec, 0.05)
+    xs = np.asarray(grid, dtype=float)
+    near = np.array([min([abs(x - d) for d in spec.delicate_points if lo < d < hi], default=np.inf) for x in xs])
+    xs, near = xs[near > 0.05 * spread], near[near > 0.05 * spread]
+    scale = np.minimum.reduce([np.full_like(xs, spread), xs - lo, hi - xs, near])
+    step = (1e-2 if spec.operator_order == 2 else 1e-3) * scale
+    step = (xs + step) - xs  # a multiple of the ulp of x: the stencil points are exact
+
+    def d(fn, x):
+        return sum(w * fn(x + off * step) for w, off in zip(_FD6_CENTRAL, range(-3, 4)) if w != 0.0) / step
+
+    def times_p(c):
+        return lambda x: npoly.polyval(x, c) * spec.density(x)
+
+    lhs = d(lambda x: d(times_p(op.a2), x) - times_p(op.a1)(x), xs)
+    rhs = -times_p(op.a0)(xs)
+    size = sum(np.abs(times_p(c)(xs)) / scale ** (2 - i) for i, c in enumerate((op.a2, op.a1, op.a0)))
+    return float(np.max(np.abs(lhs - rhs) / size))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -118,17 +119,18 @@ class TestExitCodes:
         assert code == 4
         assert "lies beyond +-1e+12" in err
 
-    def test_nan_residual_is_numeric_error(self, capsys):
+    def test_overflowing_vg_kernel_is_numeric_error(self, capsys):
         # the I-kernel exponential of this skewed vg overflows on the left
-        # tail, so the solve is NaN there: that is a numeric failure, not
-        # a verdict
-        with pytest.warns(RuntimeWarning):
+        # tail: the solve stops with a typed error naming the overflow
+        # before any integral runs, and without a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, out, err = run_cli(
                 capsys, "verify", "--family", "vg", "--r", "3.33489", "--theta", "-1.41193",
                 "--sigma", "0.516807", "--n", "0", "--test", "sine:1",
             )
         assert code == 4
-        assert "residual nan" in err
+        assert "vg I-kernel factor overflows" in err
         assert out == ""
 
     def test_symmetric_vg_mixed_chain_beyond_base_bounds(self, capsys):

@@ -8,18 +8,23 @@ the parameter windows of perfbench's verify_draws workload (selftest
 criterion 2), not just at criterion 6's one spec per family.  The identity
 holds for any polynomials, because T_k is derived from L_k and L_{k+1}: a
 wrong coefficient (delta in place of delta^2 for Student t, or a wrong vg
-drift) only the adjoint equation catches.
+drift) only the adjoint equation catches (here, and in criterion 6 at the
+default specs).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial import polynomial as npoly
 
 from steinbounds import catalog as cat
-from steinbounds.solver import _FD6_CENTRAL
-from steinbounds.verifier import check_operator_identity, default_identity_probes, identity_grid
+from steinbounds.verifier import (
+    ADJOINT_TOLERANCE,
+    check_adjoint_density,
+    check_operator_identity,
+    default_identity_probes,
+    identity_grid,
+)
 
 PEARSON_WINDOWS = {
     "normal": {},
@@ -54,28 +59,9 @@ def test_density_solves_the_adjoint_equation(family):
     @given(params=_params(family))
     def check(params):
         spec = cat.make_spec(family, **params)
-        op = spec.operator
-        lo, hi = spec.support
-        q05, q95 = cat.quantile(spec, 0.05), cat.quantile(spec, 0.95)
-        xs = np.linspace(q05, q95, 9)
-        # a step well inside the spread of the law and the distance to a
-        # support edge or to the vg origin, so the stencil resolves the
-        # density (points next to the origin, where it is not smooth, drop)
-        near = np.array([min([abs(x - d) for d in spec.delicate_points if lo < d < hi], default=np.inf) for x in xs])
-        xs, near = xs[near > 0.05 * (q95 - q05)], near[near > 0.05 * (q95 - q05)]
-        scale = np.minimum.reduce([np.full_like(xs, q95 - q05), xs - lo, hi - xs, near])
-        step = (1e-2 if spec.operator_order == 2 else 1e-3) * scale
-
-        def d(fn, x):
-            return sum(w * fn(x + off * step) for w, off in zip(_FD6_CENTRAL, range(-3, 4)) if w != 0.0) / step
-
-        def times_p(c):
-            return lambda x: npoly.polyval(x, c) * spec.density(x)
-
-        lhs = d(lambda x: d(times_p(op.a2), x) - times_p(op.a1)(x), xs)
-        rhs = -times_p(op.a0)(xs)
-        size = sum(np.abs(times_p(c)(xs)) / scale ** (2 - i) for i, c in enumerate((op.a2, op.a1, op.a0)))
-        assert np.all(np.abs(lhs - rhs) <= 1e-8 * size), (params, np.max(np.abs(lhs - rhs) / size))
+        xs = np.linspace(cat.quantile(spec, 0.05), cat.quantile(spec, 0.95), 9)
+        res = check_adjoint_density(spec, xs)
+        assert res <= ADJOINT_TOLERANCE, (params, res)
 
     check()
 

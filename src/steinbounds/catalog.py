@@ -374,16 +374,22 @@ def _bracket(spec: DistributionSpec, p: float) -> tuple[float, float, float, flo
 def _table_quantile(spec: DistributionSpec, p: float) -> float:
     """The p-quantile of a law without a closed-form inverse.
 
-    One vectorised table per call: _TABLE_PANELS Gauss-Legendre panels on
-    the bracket, with every delicate point on a panel edge and each panel
-    that touches one an adaptive integral (QUADPACK meets the point at an
-    end, as in the solver's panel integrals); each tail beyond the
-    bracket is one adaptive integral.  A lower quantile (p <= 1/2) is a
+    One vectorised table per call: _TABLE_PANELS 12-point Gauss-Legendre
+    panels on the bracket, with every delicate point on a panel edge and
+    each panel that touches one an adaptive integral (QUADPACK meets the
+    point at an end, as in the solver's panel integrals); each tail beyond
+    the bracket is one adaptive integral.  A lower quantile (p <= 1/2) is a
     root of the CDF, summed from the left, and an upper one a root of the
     survival function, summed from the right, so a tail of 1e-8 keeps its
     digits.  Inside the crossing panel a safeguarded Newton iteration
     (bisection when a step leaves the bracket) finishes, with the density
     as the derivative.
+
+    The table keeps 12 nodes where the solver's mesh has 7: its 256 panels
+    are up to 0.5 wide (the default sweep's mesh panels 5e-5 to 2.6e-3),
+    and on such panels the 7-point Gauss-Kronrod rule misses a panel's
+    mass by up to 4.1e-9 relative for vg(3.33489, -1.41193, 0.516807) and
+    6.3e-11 for vg(0.6, 1.5, 0.5), against 4.5e-14 and 1.7e-15 with 12.
     """
     lo, hi, mass_lo, mass_hi = _bracket(spec, p)
     # equal panels between the delicate points, so the panel next to one is

@@ -18,8 +18,9 @@ meets a finite support end stops one double inside it.
 Everything that depends on the law but not on the test function lives in
 a ``Mesh``, built once per spec by ``build_mesh``: the grid, the median
 at which the first-order and PRR representations switch forms, the
-Gauss-Legendre panel nodes and a memo of every h-independent array of a
-solve, at the nodes or on the grid.  Each is evaluated once per mesh.
+PANEL_NODES = 7 Gauss-Kronrod nodes of every panel (140k for the 20000
+panels) and a memo of every h-independent array of a solve, at the nodes
+or on the grid.  Each is evaluated once per mesh.
 The map h -> f is linear, so each solve multiplies the shared factors by
 h - E h(Z); a sweep solves every test function of a spec on one mesh.
 
@@ -33,14 +34,18 @@ alpha dx / 2, with coefficients from the equation's recurrence; only the
 nodes within 24 grid steps of the origin, where the series converges
 slowly, call scipy.  The grid prefactors read the same four arrays, so
 a vg mesh costs four Bessel evaluations per distinct |x| of the grid
-plus two per near-origin node: 41k points for vg(3, 0, 1), whose mesh
-has 240k nodes.
+plus two per near-origin node: 40.7k points for vg(3, 0, 1), whose mesh
+has 140k nodes, 336 of them near the origin.
 
-One rule covers the adaptive integrals (the tails beyond the grid and the
-panels next to a delicate point d, an integrable singularity or a kink):
-each goes through ``special.integrate``, from d where d is near, so
-QUADPACK meets d at an endpoint; each is done once per solve, and their
-error estimates sum to ``diagnostics["quad_error"]``.
+Two rules integrate.  Every grid panel is summed by the 7-point
+Gauss-Kronrod rule (G3/K7), whose embedded 3-point Gauss rule gives the
+panel an error estimate; the largest sum of them, relative to the sum of
+|panel|, is ``diagnostics["panel_error"]``.  The adaptive integrals (the
+tails beyond the grid and the panels next to a delicate point d, an
+integrable singularity or a kink) each go through ``special.integrate``,
+from d where d is near, so QUADPACK meets d at an endpoint; each is done
+once per solve, and their error estimates sum to
+``diagnostics["quad_error"]``.
 """
 
 from __future__ import annotations
@@ -76,7 +81,24 @@ __all__ = [
 DEFAULT_POINTS = 20001
 COVERAGE_TAIL = 1e-8
 MARGIN = 0.2
-GL_ORDER = 12  # Gauss-Legendre nodes per grid panel
+PANEL_NODES = 7  # Gauss-Kronrod nodes per grid panel
+# G3/K7 on [-1, 1]: the 7-point Kronrod extension of 3-point Gauss-Legendre
+# (Piessens et al., QUADPACK, 1983), exact to degree 11.  _WEIGHTS holds the
+# Kronrod weights and, on the same nodes, the Gauss ones (zero at the
+# Kronrod-only nodes), so each panel's error estimate costs no evaluation.
+_NODES = np.array([
+    -0.96049126870802028342, -0.77459666924148337704, -0.43424374934680255800, 0.0,
+    0.43424374934680255800, 0.77459666924148337704, 0.96049126870802028342,
+])
+_WEIGHTS = np.array([
+    [0.10465622602646726519, 0.0],
+    [0.26848808986833344073, 5.0 / 9.0],
+    [0.40139741477596222291, 0.0],
+    [0.45091653865847414235, 8.0 / 9.0],
+    [0.40139741477596222291, 0.0],
+    [0.26848808986833344073, 5.0 / 9.0],
+    [0.10465622602646726519, 0.0],
+])
 # A grid point is excluded from algebraic propagation once the cumulative
 # error amplification across all divisions by the leading coefficient
 # exceeds this cap (base solution accuracy ~1e-11, so the propagated noise
@@ -183,23 +205,31 @@ def expectation(spec: DistributionSpec, h) -> float:
 class _Integral:
     """The integral of one integrand of a solve over the mesh.
 
-    Each grid panel is summed by Gauss-Legendre from the integrand's
-    values at the mesh nodes; near a delicate point d (integrable
-    singularity, kink) it is F(b) - F(a) instead, F(x) being the adaptive
-    integral from d to x, so QUADPACK meets d at an end.  Each adaptive
-    range is integrated once, and every error estimate is kept.
+    Each grid panel is summed by the G3/K7 rule from the integrand's
+    values at the mesh's PANEL_NODES nodes per panel; near a delicate
+    point d (integrable singularity, kink) it is F(b) - F(a) instead, F(x)
+    being the adaptive integral from d to x, so QUADPACK meets d at an
+    end.  Each adaptive range is integrated once, and ``error`` sums the
+    adaptive error estimates.  ``panel_error`` is the G3/K7 panels' own
+    estimate, relative to the sum of |panel|: a vg I-kernel integral
+    reaches 2.3e25 (vg(3, 0.5, 1)) where a prefactor of 1e-25 multiplies
+    it, so only a relative figure says how well the rule resolves it.
     """
 
     def __init__(self, mesh, fn, node_values, delicate):
         self.grid = grid = mesh.grid
         self.fn = fn
         self.done: dict[tuple[float, float], tuple[float, float]] = {}
-        self.panels = (node_values @ mesh.weights) * mesh.half
+        self.panels, gauss = (node_values @ mesh.weights).T * mesh.half
+        estimate = _panel_error(node_values, mesh, self.panels, gauss)
         a, b = grid[:-1], grid[1:]
         radius = 4.0 * np.max(b - a)
         for d in delicate:
             for i in np.nonzero((a - radius <= d) & (d <= b + radius))[0]:
                 self.panels[i] = self._over(d, b[i]) - self._over(d, a[i])
+                estimate[i] = 0.0  # its adaptive integrals carry their own
+        total = np.sum(np.abs(self.panels))
+        self.panel_error = float(np.sum(estimate) / total) if total > 0.0 else 0.0
 
     def _over(self, a: float, b: float) -> float:
         """The adaptive integral from a to b (either may be the larger)."""
@@ -223,6 +253,31 @@ class _Integral:
         out[k + 1:] = out[k] + np.cumsum(panels[k:])
         out[:k] = out[k] - np.cumsum(panels[:k][::-1])[::-1]
         return out
+
+
+def _panel_error(node_values, mesh, kronrod, gauss):
+    """Each panel's error estimate, as QUADPACK's Gauss-Kronrod rules make
+    it (Piessens et al., 1983): |K7 - G3| scaled by (200 |K7 - G3| /
+    resasc)^1.5 and capped at resasc, the K7 integral of |f - its panel
+    mean|."""
+    raw = np.abs(kronrod - gauss)
+    mean = 0.5 * kronrod / mesh.half
+    # column by column: a (panels, 7) temporary costs three times as much
+    asc = sum(w * np.abs(column - mean) for w, column in zip(mesh.weights[:, 0], node_values.T)) * mesh.half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.minimum(1.0, 200.0 * raw / asc)
+        scaled = asc * ratio * np.sqrt(ratio)
+    return np.where(asc > 0.0, scaled, raw)
+
+
+def _error_budget(*integrals) -> dict:
+    """The diagnostics of a solve's integrals: quad_error, the sum of their
+    adaptive error estimates, and panel_error, the largest relative panel
+    estimate."""
+    return {
+        "quad_error": sum(integral.error for integral in integrals),
+        "panel_error": max(integral.panel_error for integral in integrals),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +312,11 @@ def build_grid(spec: DistributionSpec) -> np.ndarray:
 class Mesh:
     """The test-function-independent part of a solve for one spec.
 
-    xs holds the GL_ORDER Gauss-Legendre nodes of every grid panel (one
+    xs holds the PANEL_NODES Gauss-Kronrod nodes of every grid panel (one
     row per panel), half the panel half-widths and weights the rule's
-    weights.  Every h-independent array of a solve, at the nodes or on
-    the grid, is a mesh factor: ``factor`` evaluates it once per mesh.
+    weights, one column for K7 and one for its embedded G3.  Every
+    h-independent array of a solve, at the nodes or on the grid, is a
+    mesh factor: ``factor`` evaluates it once per mesh.
     A grid factor that depends on |x| only goes through ``by_abs``, once
     per distinct |x| (the vg Bessel values; the nodes take theirs from
     the grid by Taylor steps).  The arrays are shared by every solve on
@@ -306,14 +362,13 @@ def build_mesh(spec: DistributionSpec) -> Mesh:
     if not spec.solvable:
         raise ValidityError(f"family {spec.family} has no 1-D solver support")
     grid = build_grid(spec)
-    nodes, weights = np.polynomial.legendre.leggauss(GL_ORDER)
     a, b = grid[:-1], grid[1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    xs = mid[:, None] + half[:, None] * nodes[None, :]
+    xs = mid[:, None] + half[:, None] * _NODES[None, :]
     for arr in (grid, half, xs):
         arr.flags.writeable = False
-    return Mesh(spec=spec, grid=grid, xs=xs, half=half, weights=weights)
+    return Mesh(spec=spec, grid=grid, xs=xs, half=half, weights=_WEIGHTS)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +452,8 @@ def _split_integral(mesh, h, eh):
     """The integral of p * (h - E h) at every grid point: from the lower
     support end up to x left of the median, minus the one from x to the
     upper end on its right (the two agree, as E[h - E h] = 0, and each
-    side integrates its own tail).  Returns the values and the error
-    estimate of its adaptive integrals."""
+    side integrates its own tail).  Returns the values and the _Integral,
+    which holds the error estimates."""
     spec, grid = mesh.spec, mesh.grid
 
     def weighted(x):
@@ -407,14 +462,14 @@ def _split_integral(mesh, h, eh):
     fac = mesh.factor("density", spec.density)
     integral = _Integral(mesh, weighted, fac * (np.asarray(h.value(mesh.xs)) - eh), spec.delicate_points)
     from_ends = [integral.from_anchor(end) for end in spec.support]
-    return np.where(grid <= mesh.median, *from_ends), integral.error
+    return np.where(grid <= mesh.median, *from_ends), integral
 
 
 def _solve_first_order(mesh, h, eh):
     spec = mesh.spec
-    numer, err = _split_integral(mesh, h, eh)
+    numer, integral = _split_integral(mesh, h, eh)
     f = numer / mesh.factor("s_density", lambda x: npoly.polyval(x, spec.operator.a1) * spec.density(x), at="grid")
-    return f, {"quad_error": err, "form_split": mesh.median}
+    return f, _error_budget(integral) | {"form_split": mesh.median}
 
 
 def _vg_scaled_bessels(mesh, nu, alpha):
@@ -459,10 +514,10 @@ def _vg_node_bessels(mesh, nu, alpha):
     i_n, i_n1, k_n, k_n1 = _vg_scaled_bessels(mesh, nu, alpha)
     z0 = alpha * np.abs(grid)
     ive, kve = np.empty_like(xs), np.empty_like(xs)
-    mid = GL_ORDER // 2
-    # the left half-panel columns expand about the panel's left end, the
-    # right ones about its right end (z0 = 0 gives garbage: those nodes
-    # are near the origin and replaced below)
+    mid = PANEL_NODES // 2
+    # the columns left of the panel centre expand about the panel's left
+    # end, the centre and those right of it about its right end (z0 = 0
+    # gives garbage: those nodes are near the origin and replaced below)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c_i = _bessel_taylor(z0, nu, i_n, i_n1 + nu / z0 * i_n)
         c_k = _bessel_taylor(z0, nu, k_n, nu / z0 * k_n - k_n1)
@@ -569,7 +624,7 @@ def _solve_vg(mesh, h, eh):
     i_part0 = (alpha / 2.0) ** nu / (sf.gamma_fn(nu + 1.0) * s2)
     f[i0] = i_part0 * b_side[i0]
     f1[i0] = (h.value(0.0) - eh) / (s2 * r) - (theta / s2) * f[i0]
-    return {0: f, 1: f1}, {"quad_error": int_i.error + int_k.error, "origin_index": i0}
+    return {0: f, 1: f1}, _error_budget(int_i, int_k) | {"origin_index": i0}
 
 
 def _solve_prr(mesh, h, eh):
@@ -583,7 +638,7 @@ def _solve_prr(mesh, h, eh):
     # integral is density_over_v * U, and v * kappa is U times that
     u = mesh.factor("v_nodes", v_fn)
     mesh.factor("density", lambda xs: spec.density_over_v(xs) * u)
-    g_vals, err_g = _split_integral(mesh, h, eh)
+    g_vals, inner = _split_integral(mesh, h, eh)
     g_spline = CubicSpline(grid, g_vals)
 
     def v_kappa(y):
@@ -596,7 +651,7 @@ def _solve_prr(mesh, h, eh):
     fac = mesh.factor("v_kappa", lambda xs: u * mesh.factor("density", kappa))
     integral = _Integral(mesh, outer, g_spline(mesh.xs) / fac, spec.delicate_points)
     f = mesh.factor("v", v_fn, at="grid") * integral.from_anchor(0.0) / s
-    return f, {"quad_error": err_g + integral.error, "form_split": mesh.median}
+    return f, _error_budget(inner, integral) | {"form_split": mesh.median}
 
 
 # ---------------------------------------------------------------------------

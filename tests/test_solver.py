@@ -1,7 +1,9 @@
 """Solver: expectations, probe regressions, propagation, representations."""
 
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -321,6 +323,62 @@ class TestQuadratureErrorBudget:
         assert len(ranges) == len(set(ranges))
 
 
+def _rule_cases():
+    """(spec, h) of every default-sweep spec with sine:1 and of every cell
+    of tests/golden/verify_cells.json with its own test function."""
+    cells = json.loads((Path(__file__).parent / "golden" / "verify_cells.json").read_text())
+    kinds = {"SineTest": SineTest, "CosineTest": CosineTest}
+    cases = [(spec, SineTest(1.0)) for spec in vf.default_sweep_specs()]
+    cases += [(cat.make_spec(c["family"], **c["params"]), kinds[c["test_fn"]["kind"]](c["test_fn"]["freq"])) for c in cells]
+    return cases
+
+
+class TestPanelRule:
+    """The G3/K7 panel rule, checked without derivative propagation: the
+    solve's own values (f, and vg's analytic f') against a 20-point
+    Gauss-Legendre reference mesh, and the panels' embedded error
+    estimate, small on every such solve and above the true error of the
+    K7 sum on coarse panels.  Both tolerances are set once and are never
+    widened: the worst f today is 2.6e-15 (skewed vg) and the worst
+    estimate 1.2e-11 (arcsine)."""
+
+    VALUE_TOL = 1e-14  # times sup|f^(k)| of the reference
+    PANEL_TOL = 1e-10  # diagnostics["panel_error"]: estimate over sum |panel|
+
+    @pytest.mark.parametrize("spec,h", _rule_cases(), ids=lambda c: getattr(c, "family", None) or c.name)
+    def test_agrees_with_a_gauss_legendre_20_reference(self, monkeypatch, spec, h):
+        sol = solve(spec, h)
+        assert sol.diagnostics["panel_error"] <= self.PANEL_TOL
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        monkeypatch.setattr(sv, "_NODES", nodes)
+        monkeypatch.setattr(sv, "_WEIGHTS", np.stack([weights, weights], axis=1))
+        monkeypatch.setattr(sv, "PANEL_NODES", 20)
+        ref = solve(spec, h)
+        assert sorted(sol.derivs) == sorted(ref.derivs)
+        for k, want in ref.derivs.items():
+            assert np.max(np.abs(sol.derivs[k] - want)) <= self.VALUE_TOL * np.max(np.abs(want)), k
+
+    @pytest.mark.parametrize(
+        "fn,exact",
+        [
+            (lambda x: 1.0 / (x + 0.01), math.log(101.0)),
+            (lambda x: np.exp(8.0 * x), math.expm1(8.0) / 8.0),
+            (lambda x: np.sqrt(x + 1e-3), (1.001 ** 1.5 - 1e-3 ** 1.5) / 1.5),
+            (lambda x: np.cos(40.0 * x), math.sin(40.0) / 40.0),
+        ],
+    )
+    @pytest.mark.parametrize("points", [3, 6, 11])
+    def test_the_estimate_bounds_the_panel_sum_error(self, fn, exact, points):
+        # coarse panels on [0, 1], so the K7 sum's error stands above rounding
+        grid = np.linspace(0.0, 1.0, points)
+        half = 0.5 * np.diff(grid)
+        xs = (grid[:-1] + half)[:, None] + half[:, None] * sv._NODES
+        mesh = sv.Mesh(spec=None, grid=grid, xs=xs, half=half, weights=sv._WEIGHTS)
+        integral = sv._Integral(mesh, fn, fn(xs), ())
+        error = abs(np.sum(integral.panels) - exact)
+        assert 0.0 < error <= integral.panel_error * np.sum(np.abs(integral.panels))
+
+
 class TestVgNodeBessels:
     """Every vg node takes its ive and kve from the grid values at its panel
     end by a Taylor step; the result is as accurate as scipy's direct
@@ -352,8 +410,8 @@ class TestVgNodeBessels:
         mesh, nu, alpha, ive, kve = self.node_bessels(2.75, 1.25, 0.5625)
         z = alpha * np.abs(mesh.xs)
         dx = mesh.grid[1] - mesh.grid[0]
-        mid = sv.GL_ORDER // 2
-        ends = np.where(np.arange(sv.GL_ORDER) < mid, mesh.grid[:-1, None], mesh.grid[1:, None])
+        mid = sv.PANEL_NODES // 2
+        ends = np.where(np.arange(sv.PANEL_NODES) < mid, mesh.grid[:-1, None], mesh.grid[1:, None])
         z_end = alpha * np.abs(ends)
         targets = (0.02, 0.5, 1.0, 1.9, 1.97, 2.0, 2.03, 2.1, 5.0, 10.0, 13.2, 17.0, 18.0, 19.0, 20.0, 20.7, 21.0, 30.0, 100.0, 230.0)
         mpmath.mp.dps = 30

@@ -13,7 +13,8 @@ expansion derives the operator, right-hand side and coupling of each
 level of the iterated equations from them.  The seven first-order
 families (normal, gamma, exponential, beta, arcsine, Student t,
 inverse-gamma) are Pearson laws: _pearson builds their operators and
-chain weights from five numbers per family.
+chain weights from five numbers per family, and their densities, for
+Python floats and arrays alike, from one numpy expression each.
 
 The bounds outside the three generic chains (quartic-tail, multivariate
 normal, one-step gamma, normal literature bounds) live here, next to their
@@ -220,10 +221,10 @@ class DistributionSpec:
     it has a closed form (the Pearson laws) and quantile() tabulates the
     CDF elsewhere; kernel_v is the homogeneous-solution factor of the
     double-integral representation (second-order families solved that
-    way), and density_over_v, where set, is the density divided by it (a
-    solve then evaluates kernel_v once per point for both).  modes maps
-    each supported mode token to its Mode; extras are family-specific
-    entries of the catalog JSON.
+    way), kernel_v_slope its derivative, and density_over_v the density
+    divided by it (a solve then evaluates kernel_v once per point for
+    both).  modes maps each supported mode token to its Mode; extras are
+    family-specific entries of the catalog JSON.
     """
 
     family: str
@@ -238,6 +239,7 @@ class DistributionSpec:
     ppf: Callable[[float], float] | None = None
     operator: SteinOperator | None = None
     kernel_v: Callable | None = None
+    kernel_v_slope: Callable | None = None
     density_over_v: Callable | None = None
     delicate_points: tuple[float, ...] = ()
     extras: dict = field(default_factory=dict)
@@ -472,17 +474,54 @@ def _bisect(cdf, p: float, lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _pearson(q2: float, q1: float, q0: float, b0: float, m: float):
+def _on_support(expr, support: tuple[float, float]):
+    """The density expr as a spec's pdf: 0 outside the open support, an
+    array for an array and a Python float for a 0-d input (Python float,
+    numpy scalar or 0-d array), which expr gets as a Python float.
+
+    expr is called on points of the open support only.  It must be made
+    of numpy ufuncs and the four arithmetic operators: a ufunc runs the
+    same loop on a float as on an array, and the operators round
+    correctly, so the two routes agree bit for bit (math.exp, say, does
+    not agree with numpy.exp on a few percent of arguments).  An overflow
+    in it can only drive the density to 0, so it is not reported."""
+    lo, hi = support
+
+    def density(x):
+        if isinstance(x, float) or np.ndim(x) == 0:
+            x = float(x)
+            return float(expr(x)) if lo < x < hi else 0.0
+        arr = np.asarray(x, dtype=float)
+        out = np.zeros(arr.shape)
+        inside = (lo < arr) & (arr < hi)
+        with np.errstate(over="ignore"):
+            out[inside] = expr(arr[inside])
+        return out
+
+    return density
+
+
+def _pearson(q2: float, q1: float, q0: float, b0: float, m: float, support: tuple[float, float], density):
     """The operator of a Pearson law: L f = tau f' + (b0 - m x) f with
-    tau(x) = q2 x^2 + q1 x + q0.  Returns (a, fields), fields being the
-    DistributionSpec entries of a first-order value-coupled family.
+    tau(x) = q2 x^2 + q1 x + q0, density being the law's density on the
+    open support, in numpy ufuncs.  Returns (a, fields), fields being the
+    DistributionSpec entries of a first-order value-coupled family: the
+    operator, the support, the pdf (_on_support) and the finite support
+    ends as delicate points.
 
     Its level k carries c_k f^(k-1) on the right-hand side, c_k = k (m -
     (k-1) q2), and the chain weights are a(j) = |c_(j+1)|, read off the
     Leibniz expansion.
     """
     operator = SteinOperator(np.zeros(1), np.array([q0, q1, q2]), np.array([b0, -m]))
-    fields = dict(operator_order=1, coupling_kind="value", operator=operator)
+    fields = dict(
+        operator_order=1,
+        coupling_kind="value",
+        operator=operator,
+        support=support,
+        pdf=_on_support(density, support),
+        delicate_points=tuple(end for end in support if math.isfinite(end)),
+    )
     # the chains call a(j) in their inner loops; the cache makes a repeat
     # call one C-level lookup instead of two Python frames
     return functools.lru_cache(maxsize=None)(lambda j: abs(operator._leibniz(j + 1, 3)[0])), fields
@@ -495,7 +534,7 @@ def _pearson(q2: float, q1: float, q0: float, b0: float, m: float):
 
 def _normal_spec() -> DistributionSpec:
     root = math.sqrt(math.pi / 2.0)
-    a, levels = _pearson(0.0, 0.0, 1.0, 0.0, 1.0)
+    a, fields = _pearson(0.0, 0.0, 1.0, 0.0, 1.0, (-math.inf, math.inf), sf.norm_pdf)
     scheme = IterationScheme(
         a=a,
         c_level=lambda l: root,
@@ -508,7 +547,6 @@ def _normal_spec() -> DistributionSpec:
     return DistributionSpec(
         family="normal",
         params={},
-        support=(-math.inf, math.inf),
         scheme=scheme,
         modes={
             "lemma23i": _value_chain(scheme, "i"),
@@ -516,9 +554,8 @@ def _normal_spec() -> DistributionSpec:
             **{w: Mode(functools.partial(normal_literature_bound, which=w)) for w in literature},
         },
         default_mode="lemma23ii",
-        pdf=sf.norm_pdf,
         ppf=_two_tailed(ndtri, lambda q: -ndtri(q)),
-        **levels,
+        **fields,
     )
 
 
@@ -558,18 +595,9 @@ def _gamma_spec(r: float, lam: float) -> DistributionSpec:
     if r <= 0 or lam <= 0:
         raise ValueError("gamma requires r > 0 and lambda > 0")
     log_norm = r * math.log(lam) - sf.log_gamma(r)
-
-    def density(x):
-        if isinstance(x, float) or np.ndim(x) == 0:
-            x = float(x)
-            return float(np.exp(log_norm + (r - 1.0) * np.log(x) - lam * x)) if x > 0 else 0.0
-        arr = np.asarray(x, dtype=float)
-        out = np.zeros(arr.shape)
-        pos = arr > 0
-        out[pos] = np.exp(log_norm + (r - 1.0) * np.log(arr[pos]) - lam * arr[pos])
-        return out
-
-    a, levels = _pearson(0.0, 1.0, 0.0, r, lam)
+    a, fields = _pearson(
+        0.0, 1.0, 0.0, r, lam, (0.0, math.inf), lambda x: np.exp(log_norm + (r - 1.0) * np.log(x) - lam * x)
+    )
     scheme = IterationScheme(
         a=a,
         c_level=lambda l: gamma_solution_constant(r + l),
@@ -577,17 +605,14 @@ def _gamma_spec(r: float, lam: float) -> DistributionSpec:
     return DistributionSpec(
         family="gamma",
         params={"r": r, "lam": lam},
-        support=(0.0, math.inf),
         scheme=scheme,
         modes={
             "lemma23i": _value_chain(scheme, "i"),
             "onestep": Mode(lambda n: gamma_onestep_bound(n, r)),
         },
         default_mode="lemma23i",
-        pdf=density,
         ppf=_two_tailed(lambda p: gammaincinv(r, p) / lam, lambda q: gammainccinv(r, q) / lam),
-        delicate_points=(0.0,),
-        **levels,
+        **fields,
     )
 
 
@@ -614,22 +639,17 @@ def beta_median(alpha: float, beta: float) -> float:
     return _bisect(lambda x: betainc(alpha, beta, x), 0.5, 0.0, 1.0)
 
 
-def _beta_log_b(alpha: float, beta: float) -> float:
-    """log B(alpha, beta)."""
-    return sf.log_gamma(alpha) + sf.log_gamma(beta) - sf.log_gamma(alpha + beta)
-
-
-def _beta_density_value(alpha: float, beta: float, log_b: float, x: float) -> float:
-    if not 0.0 < x < 1.0:
-        return 0.0
-    return math.exp((alpha - 1.0) * math.log(x) + (beta - 1.0) * math.log1p(-x) - log_b)
+def _beta_density(alpha: float, beta: float):
+    """The beta(alpha, beta) density on (0, 1), in numpy ufuncs."""
+    log_b = sf.log_gamma(alpha) + sf.log_gamma(beta) - sf.log_gamma(alpha + beta)
+    return lambda x: np.exp((alpha - 1.0) * np.log(x) + (beta - 1.0) * np.log1p(-x) - log_b)
 
 
 @functools.lru_cache(maxsize=None)
 def beta_solution_constant(alpha: float, beta: float) -> float:
     """Order-0 constant 1 / (2 m (1 - m) p(m)) at the median m."""
     m = beta_median(alpha, beta)
-    return 1.0 / (2.0 * m * (1.0 - m) * _beta_density_value(alpha, beta, _beta_log_b(alpha, beta), m))
+    return 1.0 / (2.0 * m * (1.0 - m) * float(_beta_density(alpha, beta)(m)))
 
 
 def beta_lipschitz_constant(alpha: float, beta: float) -> float:
@@ -656,19 +676,7 @@ def _beta_spec(alpha: float, beta: float) -> DistributionSpec:
     alpha, beta = float(alpha), float(beta)
     if alpha <= 0 or beta <= 0:
         raise ValueError("beta requires alpha > 0 and beta > 0")
-    log_b = _beta_log_b(alpha, beta)
-
-    def density(x):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim:
-            out = np.zeros(arr.shape)
-            inside = (arr > 0) & (arr < 1)
-            xi = arr[inside]
-            out[inside] = np.exp((alpha - 1.0) * np.log(xi) + (beta - 1.0) * np.log1p(-xi) - log_b)
-            return out
-        return _beta_density_value(alpha, beta, log_b, float(arr))
-
-    a, levels = _pearson(-1.0, 1.0, 0.0, alpha, alpha + beta)
+    a, fields = _pearson(-1.0, 1.0, 0.0, alpha, alpha + beta, (0.0, 1.0), _beta_density(alpha, beta))
     scheme = IterationScheme(
         a=a,
         c_level=lambda l: beta_solution_constant(alpha + l, beta + l),
@@ -677,15 +685,12 @@ def _beta_spec(alpha: float, beta: float) -> DistributionSpec:
     return DistributionSpec(
         family="beta",
         params={"alpha": alpha, "beta": beta},
-        support=(0.0, 1.0),
         scheme=scheme,
         modes={"lemma23i": _value_chain(scheme, "i"), "lemma23iii": _value_chain(scheme, "iii")},
         default_mode="lemma23i",
-        pdf=density,
         # the upper quantile is 1 - (the lower quantile of beta(beta, alpha))
         ppf=_two_tailed(lambda p: betaincinv(alpha, beta, p), lambda q: 1.0 - betaincinv(beta, alpha, q)),
-        delicate_points=(0.0, 1.0),
-        **levels,
+        **fields,
     )
 
 
@@ -710,14 +715,10 @@ def _student_t_spec(d: float, delta: float) -> DistributionSpec:
         raise ValueError("student-t requires d > 0 and delta > 0")
     log_norm = sf.log_gamma((d + 1.0) / 2.0) - sf.log_gamma(d / 2.0) - 0.5 * math.log(math.pi * delta * delta)
     t_scale = delta / math.sqrt(d)
-
-    def density(x):
-        if isinstance(x, float) or np.ndim(x) == 0:
-            return float(np.exp(log_norm - 0.5 * (d + 1.0) * np.log1p(np.square(float(x) / delta))))
-        arr = np.asarray(x, dtype=float)
-        return np.exp(log_norm - 0.5 * (d + 1.0) * np.log1p((arr / delta) ** 2))
-
-    a, levels = _pearson(1.0, 0.0, delta * delta, 0.0, d - 1.0)
+    a, fields = _pearson(
+        1.0, 0.0, delta * delta, 0.0, d - 1.0, (-math.inf, math.inf),
+        lambda x: np.exp(log_norm - 0.5 * (d + 1.0) * np.log1p(np.square(x / delta))),
+    )
 
     def level_d(l):
         """d - 2l, the degrees of freedom of level l; every level constant needs it > 0."""
@@ -743,17 +744,15 @@ def _student_t_spec(d: float, delta: float) -> DistributionSpec:
     return DistributionSpec(
         family="student_t",
         params={"d": d, "delta": delta},
-        support=(-math.inf, math.inf),
         scheme=scheme,
         modes={
             "lemma23i": _value_chain(scheme, "i", cap),
             "lemma23ii": _value_chain(scheme, "ii", cap + 1),  # the f'-chain needs d - 2(n-1) > 0
         },
         default_mode="lemma23i",
-        pdf=density,
         # x = t delta / sqrt(d), t a Student t variable with d degrees of freedom
         ppf=_two_tailed(lambda p: stdtrit(d, p) * t_scale, lambda q: -stdtrit(d, q) * t_scale),
-        **levels,
+        **fields,
     )
 
 
@@ -776,20 +775,11 @@ def _inverse_gamma_spec(alpha: float, beta: float) -> DistributionSpec:
         raise ValueError("inverse-gamma requires alpha > 0 and beta > 0")
     log_norm = alpha * math.log(beta) - sf.log_gamma(alpha)
 
-    def density(x):
-        if isinstance(x, float) or np.ndim(x) == 0:
-            x = float(x)
-            return float(np.exp(log_norm - (alpha + 1.0) * np.log(x) - beta / x)) if x > 0 else 0.0
-        arr = np.asarray(x, dtype=float)
-        out = np.zeros(arr.shape)
-        pos = arr > 0
-        xi = arr[pos]
-        # beta / xi overflows to inf for subnormal xi, and exp(-inf) = 0 is right
-        with np.errstate(over="ignore"):
-            out[pos] = np.exp(log_norm - (alpha + 1.0) * np.log(xi) - beta / xi)
-        return out
-
-    a, levels = _pearson(1.0, 0.0, 0.0, beta, alpha - 1.0)
+    a, fields = _pearson(
+        1.0, 0.0, 0.0, beta, alpha - 1.0, (0.0, math.inf),
+        # beta / x overflows to inf for subnormal x, and exp(-inf) = 0 is right
+        lambda x: np.exp(log_norm - (alpha + 1.0) * np.log(x) - beta / x),
+    )
 
     def c_level(l):
         if alpha - 2 * l <= 1:
@@ -800,16 +790,13 @@ def _inverse_gamma_spec(alpha: float, beta: float) -> DistributionSpec:
     return DistributionSpec(
         family="inverse_gamma",
         params={"alpha": alpha, "beta": beta},
-        support=(0.0, math.inf),
         scheme=scheme,
         # alpha > 2n + 1
         modes={"lemma23i": _value_chain(scheme, "i", int(math.floor((alpha - 1.0 - 1e-9) / 2.0)))},
         default_mode="lemma23i",
-        pdf=density,
         # x = beta / y, y a gamma(alpha, 1) variable: the tails swap
         ppf=_two_tailed(lambda p: beta / gammainccinv(alpha, p), lambda q: beta / gammaincinv(alpha, q)),
-        delicate_points=(0.0,),
-        **levels,
+        **fields,
     )
 
 
@@ -859,6 +846,15 @@ def _prr_u_function(s: float, x):
     return out if np.ndim(x) else float(out)
 
 
+def _prr_u_slope(s: float, x: np.ndarray) -> np.ndarray:
+    """d/dx of the tabled U(s-1, 1/2, x^2/(2s)) on the table's range: the
+    derivative of the quintic table itself, so it is the slope of the very
+    v that _prr_u_function gives.  Every PRR grid lies inside the table
+    (its end is 4.7 at s = 1/2 against 14, and 13.1 at s = 20 against
+    56.6)."""
+    return _prr_u_table(s)[0].derivative()(x)
+
+
 def _prr_spec(s: float) -> DistributionSpec:
     s = float(s)
     if not (s == 0.5 or 1.0 <= s <= 20.0):
@@ -874,14 +870,7 @@ def _prr_spec(s: float) -> DistributionSpec:
             u = float(spline(x)) if x <= x_hi else _prr_u_function(s, x)
             return float(norm * np.exp(-max(x * x / (2.0 * s), 1e-300)) * u)
         arr = np.asarray(x, dtype=float)
-        out = density_over_v(arr) * kernel_v(arr)
-        return out if arr.ndim else float(out)
-
-    def kernel_v(x):
-        """Homogeneous-solution factor in the double-integral representation."""
-        arr = np.asarray(x, dtype=float)
-        out = np.asarray(_prr_u_function(s, arr))
-        return out if arr.ndim else float(out)
+        return density_over_v(arr) * _prr_u_function(s, arr)
 
     def density_over_v(x):
         """norm e^(-x^2/(2s)) on x > 0 and 0 elsewhere: the density is this
@@ -921,7 +910,8 @@ def _prr_spec(s: float) -> DistributionSpec:
         pdf=density,
         # the level equations carry k f^(k) on the right-hand side
         operator=SteinOperator(np.array([s]), np.array([0.0, -1.0]), np.array([-2.0 * (s - 1.0)]), split=1.0),
-        kernel_v=kernel_v,
+        kernel_v=functools.partial(_prr_u_function, s),
+        kernel_v_slope=functools.partial(_prr_u_slope, s),
         density_over_v=density_over_v,
         delicate_points=(0.0,),
     )
@@ -1108,11 +1098,7 @@ def quartic_a_coeffs(n: int) -> tuple[float, ...]:
 
 def _quartic_spec() -> DistributionSpec:
     c1 = quartic_normalizer()
-
-    def density(x):
-        arr = np.asarray(x, dtype=float)
-        out = c1 * np.exp(-(arr ** 4) / 12.0)
-        return out if arr.ndim else float(out)
+    support = (-math.inf, math.inf)
 
     def variant(name, last=None):
         return Mode(functools.partial(quartic_bounds, variant=name), last)
@@ -1120,7 +1106,7 @@ def _quartic_spec() -> DistributionSpec:
     return DistributionSpec(
         family="quartic",
         params={},
-        support=(-math.inf, math.inf),
+        support=support,
         operator_order=1,
         coupling_kind="custom",
         scheme=IterationScheme(a=lambda j: float(j)),
@@ -1131,7 +1117,7 @@ def _quartic_spec() -> DistributionSpec:
             "lipschitz_iterated": variant("lipschitz_iterated", last=2),
         },
         default_mode="iterated",
-        pdf=density,
+        pdf=_on_support(lambda x: c1 * np.exp(-np.power(x, 4) / 12.0), support),
         operator=SteinOperator(np.zeros(1), np.ones(1), np.array([0.0, 0.0, 0.0, -1.0 / 3.0])),
         extras={"c1": c1},
     )
@@ -1219,8 +1205,8 @@ def mvn_bounds(n: int, row_norms, mode: str) -> BoundCoefficients:
     chain step.
     """
     row_norms = [float(v) for v in row_norms]
-    if not row_norms or any(v < 0 for v in row_norms):
-        raise ValueError("row_norms must be nonempty nonnegative reals")
+    if not row_norms or not all(0.0 <= v < math.inf for v in row_norms):  # a NaN fails too
+        raise ValueError("row_norms must be nonempty finite nonnegative reals")
     if mode == "partial":
         if n < 1:
             raise ValidityError("the flat partial-derivative bound starts at order 1")
@@ -1332,7 +1318,9 @@ def param_names(family: str) -> tuple[str, ...]:
 
 
 def make_spec(family: str, **params) -> DistributionSpec:
-    """Build a catalog entry; unknown families or parameters are rejected."""
+    """Build a catalog entry; unknown families or parameters, missing
+    ones and non-finite values (a NaN or infinite parameter or row norm)
+    are rejected with ValueError."""
     if family not in REGISTRY:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
     signature = inspect.signature(REGISTRY[family]).parameters
@@ -1342,6 +1330,9 @@ def make_spec(family: str, **params) -> DistributionSpec:
     missing = {name for name, p in signature.items() if p.default is p.empty} - set(params)
     if missing:
         raise ValueError(f"{family} requires parameters {sorted(missing)}")
+    for name, value in params.items():
+        if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValueError(f"{family} parameter {name} must be finite, got {value}")
     return REGISTRY[family](**params)
 
 

@@ -4,10 +4,10 @@ Computes the distinguished (bounded) solution of each 1-D Stein equation
 for a given test function through the family's explicit integral
 representation, then walks derivative values up through the iterated
 equations (spec.operator.level(k)) by pointwise algebra rather than
-repeated numerical differentiation.  The variance-gamma solve returns the
-first derivative analytically, and PRR seeds it once with sixth-order
-central differences (Richardson extrapolated); every higher order is
-exact algebra on the level equations.
+numerical differentiation.  The second-order solves return the first
+derivative from their representations too (vg from the derivatives of
+its Bessel prefactors, PRR from the slope of its U table), so every
+order above them is exact algebra on the level equations.
 
 Grids are quantile-based: they cover [q(1e-8), q(1 - 1e-8)] plus a 20%
 margin clipped to the support, with a fixed DEFAULT_POINTS = 20001 points.
@@ -440,34 +440,33 @@ def solve(spec: DistributionSpec, h, *, mesh: Mesh | None = None) -> SteinSoluti
     elif spec.family == "vg":
         derivs, diags = _solve_vg(mesh, h, mean_value)
     elif spec.family == "prr":
-        f, diags = _solve_prr(mesh, h, mean_value)
-        derivs = {0: f}
+        derivs, diags = _solve_prr(mesh, h, mean_value)
     else:
         raise ValueError(f"no solver for family {spec.family}")
     diags["mean_value"] = mean_value
     return SteinSolution(grid=mesh.grid, derivs=derivs, spec=spec, h=h, diagnostics=diags)
 
 
-def _split_integral(mesh, h, eh):
+def _split_integral(mesh, h, eh, density):
     """The integral of p * (h - E h) at every grid point: from the lower
     support end up to x left of the median, minus the one from x to the
     upper end on its right (the two agree, as E[h - E h] = 0, and each
-    side integrates its own tail).  Returns the values and the _Integral,
-    which holds the error estimates."""
+    side integrates its own tail).  density is p at the mesh nodes (a mesh
+    factor).  Returns the values and the _Integral, which holds the error
+    estimates."""
     spec, grid = mesh.spec, mesh.grid
 
     def weighted(x):
         return spec.density(x) * (np.asarray(h.value(x)) - eh)
 
-    fac = mesh.factor("density", spec.density)
-    integral = _Integral(mesh, weighted, fac * (np.asarray(h.value(mesh.xs)) - eh), spec.delicate_points)
+    integral = _Integral(mesh, weighted, density * (np.asarray(h.value(mesh.xs)) - eh), spec.delicate_points)
     from_ends = [integral.from_anchor(end) for end in spec.support]
     return np.where(grid <= mesh.median, *from_ends), integral
 
 
 def _solve_first_order(mesh, h, eh):
     spec = mesh.spec
-    numer, integral = _split_integral(mesh, h, eh)
+    numer, integral = _split_integral(mesh, h, eh, mesh.factor("density", spec.density))
     f = numer / mesh.factor("s_density", lambda x: npoly.polyval(x, spec.operator.a1) * spec.density(x), at="grid")
     return f, _error_budget(integral) | {"form_split": mesh.median}
 
@@ -628,70 +627,37 @@ def _solve_vg(mesh, h, eh):
 
 
 def _solve_prr(mesh, h, eh):
-    """f = v/s * (integral of g / (v kappa)) from 0, where g is the split
-    integral of kappa * (h - E h), kappa being the density."""
+    """f = (v/s) A with A(x) the integral of g / (v kappa) from 0 to x,
+    where g is the split integral of kappa * (h - E h), kappa being the
+    density, and f' = (v' A + g / kappa) / s, v' the slope of the same U
+    table that gives v."""
     spec, grid = mesh.spec, mesh.grid
     s = spec.params["s"]
-    kappa = spec.density
-    v_fn = spec.kernel_v
-    # U is evaluated once at the nodes: the density factor of the split
-    # integral is density_over_v * U, and v * kappa is U times that
-    u = mesh.factor("v_nodes", v_fn)
-    mesh.factor("density", lambda xs: spec.density_over_v(xs) * u)
-    g_vals, inner = _split_integral(mesh, h, eh)
+    # U is evaluated once at the nodes and once on the grid: kappa is
+    # density_over_v * U at both, and v * kappa is U times that
+    u = mesh.factor("v_nodes", spec.kernel_v)
+    kappa = mesh.factor("prr_density", lambda xs: spec.density_over_v(xs) * u)
+    g_vals, inner = _split_integral(mesh, h, eh, kappa)
     g_spline = CubicSpline(grid, g_vals)
 
-    def v_kappa(y):
-        return v_fn(y) * kappa(y)
-
     def outer(y):
-        y = np.asarray(y, dtype=float)
-        return g_spline(y) / v_kappa(y)
+        return g_spline(y) / (spec.kernel_v(y) * spec.density(y))
 
-    fac = mesh.factor("v_kappa", lambda xs: u * mesh.factor("density", kappa))
+    fac = mesh.factor("v_kappa", lambda xs: u * kappa)
     integral = _Integral(mesh, outer, g_spline(mesh.xs) / fac, spec.delicate_points)
-    f = mesh.factor("v", v_fn, at="grid") * integral.from_anchor(0.0) / s
-    return f, _error_budget(inner, integral) | {"form_split": mesh.median}
+    a_vals = integral.from_anchor(0.0)
+    v = mesh.factor("v", spec.kernel_v, at="grid")
+    kappa_grid = mesh.factor("prr_density_grid", lambda x: spec.density_over_v(x) * v, at="grid")
+    f = v * a_vals / s
+    f1 = (mesh.factor("v_slope", spec.kernel_v_slope, at="grid") * a_vals + g_vals / kappa_grid) / s
+    return {0: f, 1: f1}, _error_budget(inner, integral) | {"form_split": mesh.median}
 
 
 # ---------------------------------------------------------------------------
 # Derivative propagation through the iterated equations.
 # ---------------------------------------------------------------------------
 
-_FD6_CENTRAL = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-_FD6_FORWARD = np.array([-49.0 / 20.0, 6.0, -15.0 / 2.0, 20.0 / 3.0, -15.0 / 4.0, 6.0 / 5.0, -1.0 / 6.0])
-
-
-def _fd6(y: np.ndarray, dx: float, stride: int = 1) -> np.ndarray:
-    """Sixth-order first derivative on a uniform grid (central stencil,
-    one-sided at the edges)."""
-    n = len(y)
-    out = np.full(n, np.nan)
-    w = 3 * stride
-    if n < 7 * stride:
-        raise NumericError("grid too short for sixth-order differencing")
-    acc = np.zeros(n - 2 * w)
-    for c, off in zip(_FD6_CENTRAL, range(-3, 4)):
-        if c != 0.0:
-            acc += c * y[w + off * stride: n - w + off * stride]
-    out[w:n - w] = acc / (dx * stride)
-    for i in range(w):
-        out[i] = np.dot(_FD6_FORWARD, y[i: i + 7]) / dx
-        out[n - 1 - i] = -np.dot(_FD6_FORWARD, y[n - 1 - i: n - 8 - i: -1]) / dx
-    return out
-
-
-def _seed_first_derivative(grid: np.ndarray, f: np.ndarray) -> np.ndarray:
-    dx = grid[1] - grid[0]
-    d1 = _fd6(f, dx, stride=1)
-    d2 = _fd6(f, dx, stride=2)
-    out = d1.copy()
-    good = ~np.isnan(d2)
-    out[good] = (64.0 * d1[good] - d2[good]) / 63.0
-    return out
-
-
-def _fill_masked(grid, vals, mask, split_points=()):
+def _fill_masked(grid, vals, mask, split_points):
     """One-sided polynomial extension (least squares, degree _FILL_DEGREE)
     over masked runs; runs are split at any interior split point so each
     side is extended from its own neighbours."""
@@ -742,7 +708,9 @@ def _fill_masked(grid, vals, mask, split_points=()):
 
 def propagate_derivatives(sol: SteinSolution, max_order: int) -> SteinSolution:
     """Extend sol.derivs up to max_order by solving each level equation
-    pointwise for its top derivative.
+    pointwise for its top derivative.  The solve supplies every order
+    below the operator order (f, and f' for vg and PRR), so no derivative
+    here is a numerical one.
 
     Points where the top-derivative coefficient is too small relative to
     the other operator coefficients (vanishing leading coefficient at a
@@ -762,8 +730,6 @@ def propagate_derivatives(sol: SteinSolution, max_order: int) -> SteinSolution:
     eh = sol.diagnostics["mean_value"]
     p = spec.operator_order
     fs = dict(sol.derivs)
-    if p == 2 and 1 not in fs:
-        fs[1] = _seed_first_derivative(grid, fs[0])
     filled = {k: 0 for k in fs} | sol.diagnostics.get("filled_by_order", {})
     amp_prod = np.ones_like(grid)
     near_singular = np.zeros(len(grid), dtype=bool)
@@ -789,7 +755,7 @@ def propagate_derivatives(sol: SteinSolution, max_order: int) -> SteinSolution:
         if k + p in fs:
             continue
         mask = ((amp_prod > _CUMULATIVE_AMPLIFICATION_CAP) & near_singular) | ~np.isfinite(top) | interior
-        fs[k + p], filled[k + p] = _fill_masked(grid, top, mask, split_points=spec.delicate_points)
+        fs[k + p], filled[k + p] = _fill_masked(grid, top, mask, spec.delicate_points)
     diags = dict(sol.diagnostics)
     diags["filled_by_order"] = filled
     diags["filled_points"] = sum(filled.values())

@@ -33,7 +33,6 @@ from .closedform import bound_for, resolve_mode
 from .engine import BoundCoefficients, NormSymbol
 from .errors import ValidityError
 from .solver import (
-    _FD6_CENTRAL,
     CosineTest,
     SineTest,
     SteinSolution,
@@ -344,6 +343,9 @@ def check_quartic_identities() -> dict:
 # ---------------------------------------------------------------------------
 
 _FD_STEP = (2.0 ** -52) ** (1.0 / 7.0)  # standard eps^(1/7) step for 6th order
+# The sixth-order central first-derivative stencil at offsets -3..3: the
+# identity and adjoint checks' independent differentiation.
+_FD6_CENTRAL = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 
 
 class _GaussProbe:

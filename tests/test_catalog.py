@@ -12,6 +12,7 @@ from steinbounds import catalog as cat
 from steinbounds import closedform as cf
 from steinbounds.engine import NormSymbol, mixed_coupled_bound, value_coupled_bound, deriv_coupled_bound
 from steinbounds.errors import ValidityError
+from steinbounds.solver import build_grid
 from steinbounds.special import hyp_u, log_gamma
 
 ALL_SOLVABLE = [
@@ -52,6 +53,12 @@ class TestRegistry:
             cat.make_spec("prr", s=0.7)
         with pytest.raises(ValueError):
             cat.make_spec("vg", r=1.0, theta=0.0, sigma=0.0)
+
+    def test_non_finite_values_are_named(self):
+        with pytest.raises(ValueError, match="beta parameter alpha must be finite"):
+            cat.make_spec("beta", alpha=math.nan, beta=2.0)
+        with pytest.raises(ValueError, match="mvn parameter row_norms must be finite"):
+            cat.make_spec("mvn", dim=2, row_norms=(1.0, math.nan))
 
 
 class TestDensities:
@@ -101,6 +108,11 @@ class TestPrrUTable:
         for x, v in zip(xs[2:], got[2:]):
             assert v == hyp_u(s - 1.0, 0.5, x * x / (2.0 * s))
             assert cat._prr_u_function(s, float(x)) == v
+
+    def test_slope_table_covers_every_grid(self):
+        # PRR's f' reads v' off the table: every grid ends inside it
+        for s in (0.5, 1.0, 20.0):
+            assert build_grid(cat.make_spec("prr", s=s))[-1] < cat._prr_u_table(s)[1]
 
 
 class TestVgScaleConstant:
@@ -282,6 +294,11 @@ class TestMvnBounds:
     def test_order_zero_unsupported(self):
         with pytest.raises(ValidityError):
             cat.mvn_bounds(0, [1.0], "partial")
+
+    @pytest.mark.parametrize("norms", [[1.0, math.nan], [math.nan, 1.0], [1.0, math.inf]])
+    def test_non_finite_row_norm_is_rejected(self, norms):
+        with pytest.raises(ValueError, match="finite"):
+            cat.mvn_bounds(1, norms, "first")
 
 
 class TestRefinedConstants:

@@ -88,6 +88,25 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "coeffs", "--family", "gamma", "--r", "2", "--n", "1")
         assert code == 1  # lam missing
 
+    @pytest.mark.parametrize("norms", ["1,nan", "nan,1"])
+    def test_non_finite_row_norm_is_parse_error(self, capsys, norms):
+        # max() skipped a NaN after the first entry, and the call printed a bound
+        code, out, err = run_cli(
+            capsys, "coeffs", "--family", "mvn", "--dim", "2", "--row-norms", norms, "--n", "1", "--mode", "first"
+        )
+        assert (code, out) == (1, "")
+        assert "row_norms must be finite" in err
+
+    @pytest.mark.parametrize("family,args,name", [
+        ("gamma", ["--r", "nan", "--lam", "1"], "r"),
+        ("student_t", ["--d", "nan", "--delta", "1"], "d"),
+        ("vg", ["--r", "3", "--theta", "inf", "--sigma", "1"], "theta"),
+    ])
+    def test_non_finite_parameter_is_parse_error(self, capsys, family, args, name):
+        code, out, err = run_cli(capsys, "coeffs", "--family", family, *args, "--n", "1")
+        assert (code, out) == (1, "")
+        assert f"{family} parameter {name} must be finite" in err
+
     def test_validity_window_violation(self, capsys):
         code, _, err = run_cli(
             capsys, "coeffs", "--family", "inverse_gamma", "--alpha", "9",

@@ -17,6 +17,7 @@ exactly and the identities hold with ==:
 """
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -103,9 +104,11 @@ def test_differentiating_level_k_gives_level_k_plus_one(family):
 
 @given(q2=EIGHTHS, q1=EIGHTHS, q0=EIGHTHS, b0=EIGHTHS, m=EIGHTHS)
 def test_pearson_levels_are_the_closed_forms(q2, q1, q0, b0, m):
-    a, fields = _pearson(q2, q1, q0, b0, m)
+    a, fields = _pearson(q2, q1, q0, b0, m, (0.0, math.inf), np.exp)
     operator = fields["operator"]
     assert fields["operator_order"] == 1 and fields["coupling_kind"] == "value"
+    assert fields["support"] == (0.0, math.inf) and fields["delicate_points"] == (0.0,)
+    assert fields["pdf"](-1.0) == 0.0 and fields["pdf"](1.0) == float(np.exp(1.0))
     for k in range(MAX_LEVEL + 1):
         level = operator.level(k)
         c_k = k * (m - (k - 1) * q2)

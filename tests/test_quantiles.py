@@ -22,16 +22,22 @@ from steinbounds.errors import NumericError
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "quantiles.json").read_text())
 
-# The families whose density has a Python-float branch, over the parameter
-# ranges of perfbench's verify_draws workload (selftest criterion 2).
+# The parameter window of every solvable family: those of perfbench's
+# verify_draws workload (selftest criterion 2), beta's [0.3, 4] for both
+# parameters, and none for the laws without parameters.
 SCALAR_BRANCH_WINDOWS = {
+    "normal": {},
     "gamma": {"r": (0.3, 6.0), "lam": (0.3, 3.0)},
     "exponential": {"lam": (0.3, 3.0)},
+    "beta": {"alpha": (0.3, 4.0), "beta": (0.3, 4.0)},
+    "arcsine": {},
     "student_t": {"d": (5.0, 25.0), "delta": (0.5, 4.0)},
     "inverse_gamma": {"alpha": (4.0, 22.0), "beta": (0.3, 4.0)},
     "vg": {"r": (0.5, 6.0), "theta": (-1.5, 1.5), "sigma": (0.5, 2.0)},
     "prr": {"s": (1.0, 20.0)},
+    "quartic": {},
 }
+SOLVABLE = sorted({fam for fam, params in cat.DEFAULT_SPECS if cat.make_spec(fam, **params).solvable})
 
 POINTS = st.one_of(
     st.floats(min_value=-60.0, max_value=60.0, allow_nan=False),
@@ -48,7 +54,12 @@ def test_quantiles_are_bit_identical_to_golden(key):
     assert got == entry["quantiles"]
 
 
-@pytest.mark.parametrize("family", sorted(SCALAR_BRANCH_WINDOWS))
+def test_scalar_branch_windows_cover_every_solvable_family():
+    assert {fam for fam, _ in cat.DEFAULT_SPECS} == set(cat.REGISTRY)
+    assert sorted(SCALAR_BRANCH_WINDOWS) == SOLVABLE
+
+
+@pytest.mark.parametrize("family", SOLVABLE)
 def test_scalar_density_branch_equals_array_branch(family):
     window = SCALAR_BRANCH_WINDOWS[family]
     params = st.fixed_dictionaries({name: st.floats(lo, hi) for name, (lo, hi) in window.items()})

@@ -21,7 +21,6 @@ from steinbounds.solver import (
     CosineTest,
     PolyProbe,
     SineTest,
-    _fd6,
     empirical_sup,
     expectation,
     parse_test_function,
@@ -167,6 +166,14 @@ class TestResiduals:
         assert residual_norm(sol) <= 1e-6 * (1.0 + htilde_norm)
 
 
+def _fd6(y, dx):
+    """The sixth-order central first derivative on a uniform grid (the
+    verifier's stencil), NaN at the three points next to either end."""
+    out = np.full(len(y), np.nan)
+    out[3:-3] = sum(w * y[3 + off: len(y) - 3 + off] for w, off in zip(vf._FD6_CENTRAL, range(-3, 4)) if w) / dx
+    return out
+
+
 class TestPropagationAgainstFiniteDifferences:
     @pytest.mark.parametrize(
         "family,params",
@@ -186,8 +193,13 @@ class TestPropagationAgainstFiniteDifferences:
             mask &= np.abs(g) > 0.1  # the comparison stencil degrades at the origin
         assert np.max(np.abs(sol.derivs[2] - fd)[mask]) < 1e-5
 
-    def test_vg_analytic_first_derivative(self):
-        spec = cat.make_spec("vg", r=3.0, theta=0.0, sigma=1.0)
+    @pytest.mark.parametrize(
+        "family,params", [("vg", {"r": 3.0, "theta": 0.0, "sigma": 1.0}), ("prr", {"s": 1.0}), ("prr", {"s": 4.90839})]
+    )
+    def test_analytic_first_derivative(self, family, params):
+        # vg's f' comes from its Bessel prefactors, PRR's from the slope of
+        # its U table: both against differences of the solved f
+        spec = cat.make_spec(family, **params)
         h = SineTest(1.0)
         sol = solve(spec, h)
         g = sol.grid

@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import catalog as cat
@@ -49,17 +50,6 @@ def _numeric_params() -> tuple[str, ...]:
     return tuple(dict.fromkeys(name for name in names if name != "row_norms"))
 
 
-def _add_param_args(p: argparse.ArgumentParser) -> None:
-    for name in _numeric_params():
-        p.add_argument(f"--{name}", type=float, default=None)
-    p.add_argument("--row-norms", type=str, default=None, help="comma list (mvn only)")
-
-
-def _add_family_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True, choices=cat.FAMILIES)
-    _add_param_args(p)
-
-
 def _spec_from_args(args) -> cat.DistributionSpec:
     params = {k: getattr(args, k) for k in _numeric_params() if getattr(args, k) is not None}
     if args.row_norms is not None:
@@ -83,7 +73,12 @@ def _parse_norms(text: str) -> dict:
         slot, _, value = item.partition("=")
         if not value:
             raise ValidityError(f"norm entry {item!r} is not slot=value")
-        out[parse_slot(slot.strip())] = float(value)
+        norm, sym = float(value), parse_slot(slot.strip())
+        if sym in out:
+            raise ValidityError(f"norm slot {slot.strip()!r} is given twice")
+        if not (math.isfinite(norm) and norm >= 0.0):
+            raise ValidityError(f"norm entry {item!r} must be finite and >= 0")
+        out[sym] = norm
     return out
 
 
@@ -95,86 +90,82 @@ def _emit(text: str, path: str | None) -> None:
         print(text)
 
 
-def _coeff_document(spec, n, mode, coeffs, extra=None) -> dict:
+def _cmd_coeffs(args) -> int:
+    """coeffs prints a bound's coefficient document; bound, which has
+    --norms, adds the bound's value at those norms to it: a JSON key, a
+    last CSV row, or the text form bound = value = its terms."""
+    spec = _spec_from_args(args)
+    mode = resolve_mode(spec, args.mode)
+    coeffs = bound_for(spec, args.n, mode)
     doc = {
         "family": spec.family,
         "params": {k: float(v) for k, v in spec.params.items()},
-        "n": n,
+        "n": args.n,
         "mode": mode,
         "coefficients": _coefficient_rows(coeffs),
     }
-    if extra:
-        doc.update(extra)
-    return _round10(doc)
-
-
-def _coeff_csv(spec, n, mode, rows) -> str:
-    """One CSV row per (symbol, value) pair of rows."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["family", "param_string", "n", "mode", "symbol", "value"])
-    for symbol, value in rows:
-        writer.writerow([spec.family, spec.param_string(), n, mode, symbol, _fmt(value)])
-    return buf.getvalue()
-
-
-def _coeff_rows(coeffs) -> list[tuple[str, float]]:
-    return [(sym.slot, value) for sym, value in coeffs.items()]
-
-
-def _cmd_coeffs(args) -> int:
-    spec = _spec_from_args(args)
-    mode = resolve_mode(spec, args.mode)
-    coeffs = bound_for(spec, args.n, mode)
+    rows = [(sym.slot, c) for sym, c in coeffs.items()]
+    if args.norms is not None:
+        norms = _parse_norms(args.norms)
+        try:
+            doc["bound"] = coeffs.evaluate(norms)
+        except KeyError as exc:
+            raise ValidityError(str(exc))
+        rows.append(("bound", doc["bound"]))
     if args.format == "json":
-        _emit(json.dumps(_coeff_document(spec, args.n, mode, coeffs), indent=2), args.output)
+        text = json.dumps(_round10(doc), indent=2)
     elif args.format == "csv":
-        _emit(_coeff_csv(spec, args.n, mode, _coeff_rows(coeffs)), args.output)
-    else:
-        lines = [f"{sym.label}: {_fmt(value)}" for sym, value in coeffs.items()]
-        _emit("\n".join(lines), args.output)
-    return 0
-
-
-def _cmd_bound(args) -> int:
-    spec = _spec_from_args(args)
-    mode = resolve_mode(spec, args.mode)
-    coeffs = bound_for(spec, args.n, mode)
-    norms = _parse_norms(args.norms)
-    try:
-        value = coeffs.evaluate(norms)
-    except KeyError as exc:
-        raise ValidityError(str(exc))
-    if args.format == "json":
-        doc = _coeff_document(spec, args.n, mode, coeffs, extra={"bound": value})
-        _emit(json.dumps(doc, indent=2), args.output)
-    elif args.format == "csv":
-        _emit(_coeff_csv(spec, args.n, mode, _coeff_rows(coeffs) + [("bound", value)]), args.output)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["family", "param_string", "n", "mode", "symbol", "value"])
+        for symbol, value in rows:
+            writer.writerow([spec.family, spec.param_string(), args.n, mode, symbol, _fmt(value)])
+        text = buf.getvalue()
+    elif args.norms is None:
+        text = "\n".join(f"{sym.label}: {_fmt(c)}" for sym, c in coeffs.items())
     else:
         terms = " + ".join(f"{_fmt(c)}*{sym.label}" for sym, c in coeffs.items())
-        _emit(f"bound = {_fmt(value)}\n      = {terms}", args.output)
+        text = f"bound = {_fmt(doc['bound'])}\n      = {terms}"
+    _emit(text, args.output)
     return 0
+
+
+def _emit_reports(reports, args, line) -> int:
+    """reports in args.format (text: one line(report) per report) to
+    args.output; exit 3 when a verified report failed."""
+    if args.format == "json":
+        text = reports_to_json(reports)
+    elif args.format == "csv":
+        text = reports_to_csv(reports)
+    else:
+        text = "\n".join(map(line, reports))
+    _emit(text, args.output)
+    return EXIT_VERIFICATION if any(r.passed is False for r in reports) else 0
 
 
 def _cmd_verify(args) -> int:
     spec = _spec_from_args(args)
-    h = parse_test_function(args.test)
-    report = verify(spec, args.n, h, mode=args.mode)
-    if args.format == "json":
-        _emit(reports_to_json([report]), args.output)
-    elif args.format == "csv":
-        _emit(reports_to_csv([report]), args.output)
-    else:
-        _emit(
-            f"{report.family}({report.param_string}) n={report.n} {report.test_fn}: "
-            f"bound={_fmt(report.bound_value)} empirical={_fmt(report.empirical_sup)} "
-            f"margin={_fmt(report.margin)} pass={report.passed}",
-            args.output,
-        )
-    return 0 if report.passed else EXIT_VERIFICATION
+    report = verify(spec, args.n, parse_test_function(args.test), mode=args.mode)
+    return _emit_reports([report], args, _verify_line)
+
+
+def _verify_line(r) -> str:
+    return (
+        f"{r.family}({r.param_string}) n={r.n} {r.test_fn}: bound={_fmt(r.bound_value)} "
+        f"empirical={_fmt(r.empirical_sup)} margin={_fmt(r.margin)} pass={r.passed}"
+    )
+
+
+def _sweep_line(r) -> str:
+    head = f"{r.family}({r.param_string}) n={r.n} {r.test_fn}: "
+    if r.error:
+        return f"{head}skipped ({r.error})"
+    return f"{head}bound={_fmt(r.bound_value)} empirical={_fmt(r.empirical_sup)} pass={r.passed}"
 
 
 def _cmd_sweep(args) -> int:
+    if args.max_order < 0:
+        raise ValidityError("derivative order must be >= 0")
     specs = None
     if args.families:
         wanted = set(args.families.split(","))
@@ -186,23 +177,7 @@ def _cmd_sweep(args) -> int:
     if args.tests:
         test_fns = [parse_test_function(t) for t in args.tests.split(",")]
     reports = sweep(specs=specs, orders=range(args.max_order + 1), test_fns=test_fns)
-    if args.format == "json":
-        _emit(reports_to_json(reports), args.output)
-    elif args.format == "csv":
-        _emit(reports_to_csv(reports), args.output)
-    else:
-        lines = []
-        for r in reports:
-            if r.error:
-                lines.append(f"{r.family}({r.param_string}) n={r.n} {r.test_fn}: skipped ({r.error})")
-            else:
-                lines.append(
-                    f"{r.family}({r.param_string}) n={r.n} {r.test_fn}: "
-                    f"bound={_fmt(r.bound_value)} empirical={_fmt(r.empirical_sup)} pass={r.passed}"
-                )
-        _emit("\n".join(lines), args.output)
-    failures = [r for r in reports if r.passed is False]
-    return EXIT_VERIFICATION if failures else 0
+    return _emit_reports(reports, args, _sweep_line)
 
 
 def _cmd_catalog(args) -> int:
@@ -222,55 +197,50 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else EXIT_VERIFICATION
 
 
+# Every option but --family and the law's parameters, declared once; a
+# subcommand gets its listed options in their listed order (its --help order).
+_OPTIONS = {
+    "--n": dict(type=int, required=True),
+    "--mode": dict(default="default", choices=MODE_TOKENS),
+    "--norms": dict(required=True, help="comma list, e.g. h~=1,h1=1,h2=1"),
+    "--test": dict(default="sine:1", help="sine:a, cosine:a"),
+    "--families": dict(default=None, help="comma list (default: the full catalog sweep)"),
+    "--max-order": dict(type=int, default=4),
+    "--tests": dict(default=None, help="comma list of test selectors"),
+    "--format": dict(default="text", choices=("text", "json", "csv")),
+    "--output": dict(default=None),
+}
+
+_COMMANDS = (
+    ("coeffs", _cmd_coeffs, "print a bound's coefficients, one norm per line",
+     ("--family", "--n", "--mode", "--format", "--output")),
+    ("bound", _cmd_coeffs, "evaluate a bound against supplied norm values",
+     ("--family", "--n", "--mode", "--norms", "--format", "--output")),
+    ("verify", _cmd_verify, "bound vs. empirical sup for one case",
+     ("--family", "--n", "--mode", "--test", "--format", "--output")),
+    ("sweep", _cmd_sweep, "full verification sweep",
+     ("--families", "--max-order", "--tests", "--format", "--output")),
+    ("catalog", _cmd_catalog, "dump catalog entries as JSON", ("--family", "--output")),
+    ("selftest", _cmd_selftest, "run the oracle-equivalence and identity suites", ()),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _CliParser(prog="steinbounds", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-
-    p = sub.add_parser("coeffs", help="print a bound's coefficients, one norm per line", **common)
-    _add_family_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", default="default", choices=MODE_TOKENS)
-    p.add_argument("--format", default="text", choices=("text", "json", "csv"))
-    p.add_argument("--output", default=None)
-    p.set_defaults(fn=_cmd_coeffs)
-
-    p = sub.add_parser("bound", help="evaluate a bound against supplied norm values", **common)
-    _add_family_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", default="default", choices=MODE_TOKENS)
-    p.add_argument("--norms", required=True, help="comma list, e.g. h~=1,h1=1,h2=1")
-    p.add_argument("--format", default="text", choices=("text", "json", "csv"))
-    p.add_argument("--output", default=None)
-    p.set_defaults(fn=_cmd_bound)
-
-    p = sub.add_parser("verify", help="bound vs. empirical sup for one case", **common)
-    _add_family_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", default="default", choices=MODE_TOKENS)
-    p.add_argument("--test", default="sine:1", help="sine:a, cosine:a")
-    p.add_argument("--format", default="text", choices=("text", "json", "csv"))
-    p.add_argument("--output", default=None)
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("sweep", help="full verification sweep", **common)
-    p.add_argument("--families", default=None, help="comma list (default: the full catalog sweep)")
-    p.add_argument("--max-order", type=int, default=4)
-    p.add_argument("--tests", default=None, help="comma list of test selectors")
-    p.add_argument("--format", default="text", choices=("text", "json", "csv"))
-    p.add_argument("--output", default=None)
-    p.set_defaults(fn=_cmd_sweep)
-
-    p = sub.add_parser("catalog", help="dump catalog entries as JSON", **common)
-    p.add_argument("--family", default=None, choices=cat.FAMILIES)
-    _add_param_args(p)
-    p.add_argument("--output", default=None)
-    p.set_defaults(fn=_cmd_catalog)
-
-    p = sub.add_parser("selftest", help="run the oracle-equivalence and identity suites", **common)
-    p.set_defaults(fn=_cmd_selftest)
-
+    for name, fn, help_text, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        for option in options:
+            if option == "--family":
+                # --family and the law's parameters; catalog without a
+                # family lists every default spec
+                p.add_argument("--family", required=name != "catalog", choices=cat.FAMILIES)
+                for param in _numeric_params():
+                    p.add_argument(f"--{param}", type=float, default=None)
+                p.add_argument("--row-norms", type=str, default=None, help="comma list (mvn only)")
+            else:
+                p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(fn=fn, norms=None)
     return parser
 
 

@@ -118,21 +118,27 @@ _DIRECT_STEPS = 24  # vg nodes this many grid steps from the origin call scipy
 
 @dataclass(frozen=True)
 class SineTest:
-    """h(x) = sin(a x); every derivative norm over the real line is a^j."""
+    """h(x) = sin(a x); every derivative norm over the real line is |a|^j.
+    x is a float or an array, and the values follow numpy's rule: a
+    float in gives a float out."""
 
     freq: float = 1.0
     wave = staticmethod(np.sin)
     prefix = "sine"
 
+    def __post_init__(self):
+        if not math.isfinite(self.freq):
+            raise ValueError(f"{self.prefix} test function frequency must be finite, got {self.freq}")
+
     def value(self, x):
-        return self.wave(self.freq * np.asarray(x, dtype=float))
+        return self.wave(self.freq * x)
 
     def deriv(self, x, order: int):
         a = self.freq
-        return a ** order * self.wave(a * np.asarray(x, dtype=float) + order * math.pi / 2.0)
+        return a ** order * self.wave(a * x + order * math.pi / 2.0)
 
     def norm(self, order: int) -> float:
-        return self.freq ** order if order else 1.0
+        return abs(self.freq) ** order if order else 1.0
 
     def centered_norm(self, mean_value: float) -> float:
         return 1.0 + abs(mean_value)
@@ -157,11 +163,11 @@ class PolyProbe:
     label: str = "poly"
 
     def value(self, x):
-        return npoly.polyval(np.asarray(x, dtype=float), self.coeffs)
+        return npoly.polyval(x, self.coeffs)
 
     def deriv(self, x, order: int):
         c = npoly.polyder(self.coeffs, order) if order else self.coeffs
-        return npoly.polyval(np.asarray(x, dtype=float), c)
+        return npoly.polyval(x, c)
 
     def norm(self, order: int) -> float:
         raise ValueError("polynomial probes are unbounded; no analytic sup-norms")
@@ -193,7 +199,7 @@ def expectation(spec: DistributionSpec, h) -> float:
     """E h(Z) by adaptive quadrature over the support (abs error <= 1e-10)."""
 
     def integrand(t):
-        return float(spec.density(t)) * float(np.asarray(h.value(t)))
+        return float(spec.density(t)) * h.value(t)
 
     lo, hi = spec.support
     total, err = sf.integrate(integrand, lo, hi, spec.delicate_points, epsabs=1e-12, epsrel=1e-11)
@@ -220,7 +226,7 @@ class _Integral:
         self.grid = grid = mesh.grid
         self.fn = fn
         self.done: dict[tuple[float, float], tuple[float, float]] = {}
-        self.panels, gauss = (node_values @ mesh.weights).T * mesh.half
+        self.panels, gauss = (node_values @ _WEIGHTS).T * mesh.half
         estimate = _panel_error(node_values, mesh, self.panels, gauss)
         a, b = grid[:-1], grid[1:]
         radius = 4.0 * np.max(b - a)
@@ -263,7 +269,7 @@ def _panel_error(node_values, mesh, kronrod, gauss):
     raw = np.abs(kronrod - gauss)
     mean = 0.5 * kronrod / mesh.half
     # column by column: a (panels, 7) temporary costs three times as much
-    asc = sum(w * np.abs(column - mean) for w, column in zip(mesh.weights[:, 0], node_values.T)) * mesh.half
+    asc = sum(w * np.abs(column - mean) for w, column in zip(_WEIGHTS[:, 0], node_values.T)) * mesh.half
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.minimum(1.0, 200.0 * raw / asc)
         scaled = asc * ratio * np.sqrt(ratio)
@@ -313,10 +319,10 @@ class Mesh:
     """The test-function-independent part of a solve for one spec.
 
     xs holds the PANEL_NODES Gauss-Kronrod nodes of every grid panel (one
-    row per panel), half the panel half-widths and weights the rule's
-    weights, one column for K7 and one for its embedded G3.  Every
-    h-independent array of a solve, at the nodes or on the grid, is a
-    mesh factor: ``factor`` evaluates it once per mesh.
+    row per panel) and half the panel half-widths; every mesh shares the
+    rule's weights, _WEIGHTS.  Every h-independent array of a solve, at
+    the nodes or on the grid, is a mesh factor: ``factor`` evaluates it
+    once per mesh.
     A grid factor that depends on |x| only goes through ``by_abs``, once
     per distinct |x| (the vg Bessel values; the nodes take theirs from
     the grid by Taylor steps).  The arrays are shared by every solve on
@@ -327,7 +333,6 @@ class Mesh:
     grid: np.ndarray
     xs: np.ndarray
     half: np.ndarray
-    weights: np.ndarray
     _memo: dict = field(default_factory=dict, repr=False)
 
     @functools.cached_property
@@ -368,7 +373,7 @@ def build_mesh(spec: DistributionSpec) -> Mesh:
     xs = mid[:, None] + half[:, None] * _NODES[None, :]
     for arr in (grid, half, xs):
         arr.flags.writeable = False
-    return Mesh(spec=spec, grid=grid, xs=xs, half=half, weights=_WEIGHTS)
+    return Mesh(spec=spec, grid=grid, xs=xs, half=half)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +418,7 @@ def residual_norm(sol: SteinSolution) -> float:
     inner = slice(_RESIDUAL_TRIM, -_RESIDUAL_TRIM)
     x = sol.grid[inner]
     f = sol.derivs[0][inner]
-    htilde = np.asarray(sol.h.value(x)) - sol.diagnostics["mean_value"]
+    htilde = sol.h.value(x) - sol.diagnostics["mean_value"]
     op = spec.operator
     res = npoly.polyval(x, op.a1) * sol.derivs[1][inner] + npoly.polyval(x, op.a0) * f - htilde
     if spec.operator_order == 2:
@@ -457,9 +462,9 @@ def _split_integral(mesh, h, eh, density):
     spec, grid = mesh.spec, mesh.grid
 
     def weighted(x):
-        return spec.density(x) * (np.asarray(h.value(x)) - eh)
+        return spec.density(x) * (h.value(x) - eh)
 
-    integral = _Integral(mesh, weighted, density * (np.asarray(h.value(mesh.xs)) - eh), spec.delicate_points)
+    integral = _Integral(mesh, weighted, density * (h.value(mesh.xs) - eh), spec.delicate_points)
     from_ends = [integral.from_anchor(end) for end in spec.support]
     return np.where(grid <= mesh.median, *from_ends), integral
 
@@ -544,20 +549,18 @@ def _solve_vg(mesh, h, eh):
     beta = theta / s2
 
     def htilde(x):
-        return np.asarray(h.value(x)) - eh
+        return h.value(x) - eh
 
     # Scaled kernels: exp(beta y) I_nu(alpha |y|) = ive * exp(beta y + alpha |y|)
     # and exp(beta y) K_nu(alpha |y|) = kve * exp(beta y - alpha |y|).  The
     # K-kernel exponent is <= 0 whenever |beta| < alpha, so the tail
     # quadratures cannot overflow.
     def factor_i(y, bessel=None):
-        y = np.asarray(y, dtype=float)
         ay = np.abs(y)
         bessel = _sp.ive(nu, alpha * ay) if bessel is None else bessel
         return np.exp(beta * y + alpha * ay) * ay ** nu * bessel
 
     def factor_k(y, bessel=None):
-        y = np.asarray(y, dtype=float)
         ay = np.maximum(np.abs(y), 1e-300)
         bessel = _sp.kve(nu, alpha * ay) if bessel is None else bessel
         return np.exp(beta * y - alpha * ay) * ay ** nu * bessel
@@ -741,7 +744,7 @@ def propagate_derivatives(sol: SteinSolution, max_order: int) -> SteinSolution:
             interior |= np.abs(grid - d) < _INTERIOR_EXCLUSION
     for k in range(0, max(0, max_order - p + 1)):
         level = spec.operator.level(k)
-        rhs = (np.asarray(h.value(grid)) - eh) if k == 0 else np.asarray(h.deriv(grid, k))
+        rhs = (h.value(grid) - eh) if k == 0 else h.deriv(grid, k)
         for off, c in level.rhs:
             rhs = rhs + npoly.polyval(grid, c) * fs[k + off]
         # the top coefficient, on f^(k+p), divides; the rest act on f^(k+p-1), ..., f^(k)
@@ -761,7 +764,7 @@ def propagate_derivatives(sol: SteinSolution, max_order: int) -> SteinSolution:
     diags["filled_points"] = sum(filled.values())
     out = replace(sol, derivs=fs, diagnostics=diags)
     if max(fs) >= p:
-        scale = 1.0 + float(np.max(np.abs(np.asarray(h.value(grid)) - eh)))
+        scale = 1.0 + float(np.max(np.abs(h.value(grid) - eh)))
         res = residual_norm(out)
         diags["residual"] = res
         if not res <= 1e-5 * scale:  # a NaN residual fails too

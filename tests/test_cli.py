@@ -77,8 +77,41 @@ class TestBound:
         assert code == 2
         assert "h^(2)" in err
 
+    def test_bound_is_the_coefficient_document_plus_its_value(self, capsys):
+        case = ("--family", "vg", "--r", "3", "--theta", "0.5", "--sigma", "1", "--n", "3")
+        norms = ("--norms", "h~=1.5,h1=0.25,h2=2")
+        _, coeffs, _ = run_cli(capsys, "coeffs", *case, "--format", "json")
+        _, bound, _ = run_cli(capsys, "bound", *case, *norms, "--format", "json")
+        doc = json.loads(bound)
+        assert doc.pop("bound") == pytest.approx(65.61944115)
+        assert doc == json.loads(coeffs)
+        _, coeffs, _ = run_cli(capsys, "coeffs", *case, "--format", "csv")
+        _, bound, _ = run_cli(capsys, "bound", *case, *norms, "--format", "csv")
+        coeff_rows, bound_rows = ([row for row in out.splitlines() if row] for out in (coeffs, bound))
+        assert bound_rows[:-1] == coeff_rows
+        assert bound_rows[-1] == 'vg,"r=3,theta=0.5,sigma=1",3,lemma25,bound,65.61944115'
+
+    @pytest.mark.parametrize("norms,message", [
+        ("h~=-1", "'h~=-1' must be finite and >= 0"),
+        ("h~=nan", "'h~=nan' must be finite and >= 0"),
+        ("h~=inf", "'h~=inf' must be finite and >= 0"),
+        ("h~=1,h~=2", "slot 'h~' is given twice"),
+    ])
+    def test_bad_norm_value_is_validity_error(self, capsys, norms, message):
+        # each printed a bound and exited 0 (h~=1,h~=2 kept the last value)
+        code, out, err = run_cli(capsys, "bound", "--family", "normal", "--n", "1", "--norms", norms)
+        assert (code, out) == (2, "")
+        assert message in err
+
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["", "coeffs", "bound", "verify", "sweep", "catalog", "selftest"])
+    def test_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: steinbounds {command}".rstrip())
+
     def test_parse_error_unknown_family(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["coeffs", "--family", "cauchy", "--n", "1"])
@@ -213,6 +246,13 @@ class TestSweepCommand:
         assert out == golden.read_text()
 
 
+    def test_negative_max_order_is_validity_error(self, capsys):
+        # printed nothing and exited 0, where verify --n -1 exits 2
+        code, out, err = run_cli(capsys, "sweep", "--families", "normal", "--max-order", "-1")
+        assert (code, out) == (2, "")
+        assert "derivative order must be >= 0" in err
+        assert run_cli(capsys, "verify", "--family", "normal", "--n", "-1")[:2] == (2, "")
+
     def test_family_without_solver_is_not_swept(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--families", "mvn")
         assert code == 2
@@ -226,6 +266,22 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "pass=True" in out
+
+    def test_negative_frequency_has_the_norms_of_the_positive_one(self, capsys):
+        # sin(-x) has the derivative norms of sin(x); a norm of (-1)^j made
+        # the bound 2.04912397
+        case = ("verify", "--family", "normal", "--n", "2", "--mode", "lemma23i", "--test")
+        lines = [run_cli(capsys, *case, test)[1] for test in ("sine:-1", "sine:1")]
+        assert [line.split()[3] for line in lines] == ["bound=8.332309277"] * 2
+
+    @pytest.mark.parametrize("test", ["sine:nan", "sine:inf", "cosine:-inf"])
+    def test_non_finite_frequency_is_parse_error(self, capsys, test):
+        # exited 4 from the propagation step, with a RuntimeWarning for inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "verify", "--family", "normal", "--n", "1", "--test", test)
+        assert (code, out) == (1, "")
+        assert "frequency must be finite" in err
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

@@ -56,6 +56,25 @@ class TestTestFunctions:
         with pytest.raises(ValueError):
             parse_test_function("tanh:1")
 
+    @pytest.mark.parametrize("h", [SineTest(1.7), CosineTest(-0.6), PolyProbe((0.5, -1.0, 0.25, 2.0))], ids=str)
+    def test_a_float_gives_the_array_value(self, h):
+        x = np.linspace(-3.0, 3.0, 13)
+        for k in range(5):
+            want = h.value(x) if k == 0 else h.deriv(x, k)
+            got = [h.value(float(t)) if k == 0 else h.deriv(float(t), k) for t in x]
+            assert [float(v).hex() for v in got] == [float(v).hex() for v in want], k
+
+    @pytest.mark.parametrize("cls", [SineTest, CosineTest])
+    def test_norms_of_a_negative_frequency(self, cls):
+        # sin(-a x) and cos(-a x) have the derivative norms of a > 0
+        assert [cls(-1.5).norm(j) for j in range(4)] == [cls(1.5).norm(j) for j in range(4)] == [1.0, 1.5, 2.25, 3.375]
+
+    @pytest.mark.parametrize("cls", [SineTest, CosineTest])
+    @pytest.mark.parametrize("freq", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequency_is_rejected(self, cls, freq):
+        with pytest.raises(ValueError, match=f"frequency must be finite, got {freq}"):
+            cls(freq)
+
 
 class TestExpectation:
     def test_odd_integrand_vanishes(self):
@@ -206,6 +225,57 @@ class TestPropagationAgainstFiniteDifferences:
         fd = _fd6(sol.derivs[0], g[1] - g[0])
         mask = (np.abs(g) > 0.1) & (np.abs(g) < 0.8 * g[-1])
         assert np.max(np.abs(sol.derivs[1] - fd)[mask]) < 1e-7
+
+
+class TestVgLaplaceOracle:
+    """vg(2, 0, sigma) is the Laplace law of scale sigma.  Its operator
+    sigma^2 x f'' + 2 sigma^2 f' - x f is sigma^2 (x f)'' - x f, so g = x f
+    solves sigma^2 g'' - g = h - E h:
+      sin(w x):  f = -sin(w x) / ((1 + sigma^2 w^2) x),
+      cos(w x):  f = (1 - cos(w x)) / ((1 + sigma^2 w^2) x).
+    Every f^(n) is compared at every grid point, the filled band around
+    the origin included, relative to sup |f^(n)|.  Tolerances per order,
+    set from the worst measured case (1e-10 for n <= 2 from 6.8e-11 at
+    sine:2, sigma=1; 5e-9 for n=3 from 2.5e-9 and 5e-8 for n=4 from 2.7e-8,
+    both at cosine:1)."""
+
+    TOL = (1e-10, 1e-10, 1e-10, 5e-9, 5e-8)
+    T, W = np.polynomial.legendre.leggauss(80)
+
+    @classmethod
+    def exact(cls, h, sigma, x, n):
+        """f^(n)(x) from sin(w x)/x = w int_0^1 cos(w x t) dt and (1 -
+        cos(w x))/x = w int_0^1 sin(w x t) dt, differentiated under the
+        integral (Gauss-Legendre in t: no cancellation at the origin)."""
+        t, wt = 0.5 * (cls.T + 1.0), 0.5 * cls.W
+        w = h.freq
+        cosine = isinstance(h, CosineTest)
+        kernel = (np.sin if cosine else np.cos)(w * np.multiply.outer(x, t) + n * math.pi / 2.0)
+        value = w ** (n + 1) * (kernel * t ** n) @ wt / (1.0 + sigma * sigma * w * w)
+        return value if cosine else -value
+
+    def test_exact_solution_against_mpmath(self):
+        for h in (SineTest(2.0), CosineTest(1.0)):
+            c = 1.0 + 0.36 * h.freq ** 2
+            if isinstance(h, CosineTest):
+                f = lambda t: (1 - mpmath.cos(h.freq * t)) / (c * t)
+            else:
+                f = lambda t: -mpmath.sin(h.freq * t) / (c * t)
+            for x in (-7.3, 0.05, 1.9):
+                for n in range(5):
+                    with mpmath.workdps(40):
+                        want = float(mpmath.diff(f, mpmath.mpf(x), n))
+                    assert self.exact(h, 0.6, np.array([x]), n)[0] == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.6])
+    def test_every_order_matches_the_closed_form(self, sigma):
+        spec = cat.make_spec("vg", r=2.0, theta=0.0, sigma=sigma)
+        mesh = sv.build_mesh(spec)
+        for h in (SineTest(1.0), CosineTest(1.0), SineTest(2.0)):
+            sol = propagate_derivatives(solve(spec, h, mesh=mesh), 4)
+            for n, tol in enumerate(self.TOL):
+                want = self.exact(h, sigma, sol.grid, n)
+                assert np.max(np.abs(sol.derivs[n] - want)) <= tol * np.max(np.abs(want)), (h.name, n)
 
 
 class TestVgRepresentationSymmetry:
@@ -385,7 +455,7 @@ class TestPanelRule:
         grid = np.linspace(0.0, 1.0, points)
         half = 0.5 * np.diff(grid)
         xs = (grid[:-1] + half)[:, None] + half[:, None] * sv._NODES
-        mesh = sv.Mesh(spec=None, grid=grid, xs=xs, half=half, weights=sv._WEIGHTS)
+        mesh = sv.Mesh(spec=None, grid=grid, xs=xs, half=half)
         integral = sv._Integral(mesh, fn, fn(xs), ())
         error = abs(np.sum(integral.panels) - exact)
         assert 0.0 < error <= integral.panel_error * np.sum(np.abs(integral.panels))

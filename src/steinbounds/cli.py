@@ -83,11 +83,13 @@ def _parse_norms(text: str) -> dict:
 
 
 def _emit(text: str, path: str | None) -> None:
+    """text, ending in exactly one newline, to path or to stdout."""
+    text = text if text.endswith("\n") else text + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _cmd_coeffs(args) -> int:
@@ -175,7 +177,8 @@ def _cmd_sweep(args) -> int:
             raise ValidityError(f"families not in the default sweep: {sorted(unknown)}")
     test_fns = None
     if args.tests:
-        test_fns = [parse_test_function(t) for t in args.tests.split(",")]
+        # a repeated test function (sine:1,sine:1.0) gives its rows once
+        test_fns = list(dict.fromkeys(parse_test_function(t) for t in args.tests.split(",")))
     reports = sweep(specs=specs, orders=range(args.max_order + 1), test_fns=test_fns)
     return _emit_reports(reports, args, _sweep_line)
 

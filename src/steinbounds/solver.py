@@ -24,18 +24,19 @@ or on the grid.  Each is evaluated once per mesh.
 The map h -> f is linear, so each solve multiplies the shared factors by
 h - E h(Z); a sweep solves every test function of a spec on one mesh.
 
-The vg Bessel kernels are evaluated on the grid only: the scaled ive and
-kve at orders nu and nu + 1, once per distinct |x| (the vg grid is
-symmetric steps dx * k about the origin, so a symmetric law needs about
-half the points).  I_nu and K_nu solve the modified Bessel equation
-z^2 w'' + z w' - (z^2 + nu^2) w = 0, so every node takes its values from
-the grid values at its panel end by a 10-term Taylor step of at most
-alpha dx / 2, with coefficients from the equation's recurrence; only the
-nodes within 24 grid steps of the origin, where the series converges
-slowly, call scipy.  The grid prefactors read the same four arrays, so
-a vg mesh costs four Bessel evaluations per distinct |x| of the grid
-plus two per near-origin node: 40.7k points for vg(3, 0, 1), whose mesh
-has 140k nodes, 336 of them near the origin.
+scipy evaluates the vg Bessel kernels (the scaled ive and kve at orders
+nu and nu + 1) at sparse anchors only: every grid step within 256 steps
+of the origin, then every 16th.  The vg grid is exactly dx * k, so each
+grid value is indexed by its step |k|.  I_nu and K_nu solve the modified
+Bessel equation z^2 w'' + z w' - (z^2 + nu^2) w = 0, so every other grid
+value and every node takes its values from its nearest anchor by one
+12-term Taylor step of at most 8.5 grid steps, with coefficients from the
+equation's recurrence; the orders nu + 1 on the grid come from the
+series' derivative.  Only the nodes within 24 grid steps of the origin,
+where the series converges slowly, call scipy.  A vg mesh so costs four
+Bessel evaluations per anchor plus two per near-origin node: 4.1k points
+for vg(3, 0, 1), whose grid has 10k distinct |x| and whose mesh has 140k
+nodes, 336 of them near the origin.
 
 Two rules integrate.  Every grid panel is summed by the 7-point
 Gauss-Kronrod rule (G3/K7), whose embedded 3-point Gauss rule gives the
@@ -107,7 +108,9 @@ _CUMULATIVE_AMPLIFICATION_CAP = 1.0e6
 _INTERIOR_EXCLUSION = 1.0e-3  # band excluded around a delicate point inside the grid
 _FILL_DEGREE = 6  # degree of the polynomial extension over masked bands
 _RESIDUAL_TRIM = 10  # grid points left out at either end of the residual check
-_TAYLOR_TERMS = 10  # terms of the vg node Bessel series about a panel end
+_TAYLOR_TERMS = 12  # terms of the vg Bessel series about an anchor
+_DIRECT_BAND = 256  # vg grid steps from the origin that are all Bessel anchors
+_ANCHOR_STEPS = 16  # grid steps between the vg Bessel anchors beyond that band
 _DIRECT_STEPS = 24  # vg nodes this many grid steps from the origin call scipy
 
 
@@ -322,11 +325,8 @@ class Mesh:
     row per panel) and half the panel half-widths; every mesh shares the
     rule's weights, _WEIGHTS.  Every h-independent array of a solve, at
     the nodes or on the grid, is a mesh factor: ``factor`` evaluates it
-    once per mesh.
-    A grid factor that depends on |x| only goes through ``by_abs``, once
-    per distinct |x| (the vg Bessel values; the nodes take theirs from
-    the grid by Taylor steps).  The arrays are shared by every solve on
-    the mesh (the grid also by their solutions), so they are read-only.
+    once per mesh.  The arrays are shared by every solve on the mesh (the
+    grid also by their solutions), so they are read-only.
     """
 
     spec: DistributionSpec
@@ -349,14 +349,6 @@ class Mesh:
             factor.flags.writeable = False
             self._memo[name] = factor
         return self._memo[name]
-
-    def by_abs(self, fn) -> np.ndarray:
-        """fn(|x|) at every grid point x (along the last axis of fn's
-        result), fn evaluated once per distinct |x|.  A grid that straddles
-        the origin is symmetric steps dx * k, so about half its points need
-        no evaluation."""
-        distinct, inverse = np.unique(np.abs(self.grid), return_inverse=True)
-        return fn(distinct)[..., inverse]
 
     def _points(self, at: str) -> np.ndarray:
         return {"nodes": self.xs, "grid": self.grid}[at]
@@ -476,15 +468,87 @@ def _solve_first_order(mesh, h, eh):
     return f, _error_budget(integral) | {"form_split": mesh.median}
 
 
+def _vg_steps(grid):
+    """dx and the integer step |k| of every point of a vg grid, which is
+    exactly dx * k (build_grid steps from the origin, so dx is the point
+    right of the origin)."""
+    i0 = int(np.argmin(np.abs(grid)))
+    return grid[i0 + 1], np.abs(np.arange(grid.size) - i0)
+
+
+def _nearest_anchor(steps):
+    """The index, among the anchors (every step below _DIRECT_BAND, then
+    every _ANCHOR_STEPS-th), of the anchor nearest to each step count."""
+    far = _DIRECT_BAND + np.rint((steps - _DIRECT_BAND) / _ANCHOR_STEPS)
+    return np.where(steps < _DIRECT_BAND, np.rint(steps), far).astype(np.intp)
+
+
+def _vg_anchors(mesh, nu, alpha):
+    """The vg Bessel anchors: every grid step k below _DIRECT_BAND, then
+    every _ANCHOR_STEPS-th out to the first at or past the grid's last
+    step.  Returns z0 = alpha dx k at each, scipy's ive and kve at orders
+    nu and nu + 1 there (a mesh factor: the only grid Bessel values scipy
+    evaluates), and the _TAYLOR_TERMS coefficients in t of the scaled
+    e^(-z0) I_nu(z0 + t) and e^(z0) K_nu(z0 + t) about each."""
+
+    def direct(grid):
+        dx, steps = _vg_steps(grid)
+        z = alpha * (dx * np.r_[0:_DIRECT_BAND, _DIRECT_BAND:steps.max() + _ANCHOR_STEPS:_ANCHOR_STEPS])
+        return np.stack([z, _sp.ive(nu, z), _sp.ive(nu + 1.0, z), _sp.kve(nu, z), _sp.kve(nu + 1.0, z)])
+
+    anchors = mesh.factor("vg_anchors", direct, at="grid")
+    z0, i_n, i_n1, k_n, k_n1 = anchors
+    with np.errstate(divide="ignore", invalid="ignore"):
+        series = (
+            _bessel_taylor(z0, nu, i_n, i_n1 + nu / z0 * i_n),
+            _bessel_taylor(z0, nu, k_n, nu / z0 * k_n - k_n1),
+        )
+    # z0 = 0 has no series; what steps from the origin (its grid value and
+    # the nodes next to it) takes scipy's values
+    c_i, c_k = ([np.where(z0 > 0.0, c, 0.0) for c in coeffs] for coeffs in series)
+    return z0, anchors[1:], c_i, c_k
+
+
+def _taylor_step(coeffs, near, t):
+    """The series of coeffs (one array over the anchors per power of t)
+    about anchor near, at t; near and t broadcast along their last axis."""
+    series = np.zeros_like(t)
+    for c in coeffs[::-1]:  # Horner, in place
+        series *= t
+        series += c[near]
+    return series
+
+
 def _vg_scaled_bessels(mesh, nu, alpha):
     """ive and kve at orders nu and nu + 1 of alpha |x| on the grid (a
-    mesh factor, evaluated once per distinct |x|), stacked in that order."""
+    mesh factor), stacked in that order.  Each value is evaluated once per
+    grid step |k| and steps from its nearest anchor; the orders nu + 1
+    follow from the series' derivative, I_(nu+1) = I_nu' - (nu / z) I_nu
+    and K_(nu+1) = -K_nu' + (nu / z) K_nu (DLMF 10.29.2)."""
 
-    def scaled(a):
-        z = alpha * a
-        return np.stack([_sp.ive(nu, z), _sp.ive(nu + 1.0, z), _sp.kve(nu, z), _sp.kve(nu + 1.0, z)])
+    def scaled(grid):
+        dx, steps = _vg_steps(grid)
+        z0, direct, c_i, c_k = _vg_anchors(mesh, nu, alpha)
+        k = np.arange(steps.max() + 1)
+        near = _nearest_anchor(k)
+        z = alpha * (dx * k)
+        t = z - z0[near]
 
-    return mesh.factor("vg_bessel", lambda grid: mesh.by_abs(scaled), at="grid")
+        def step(coeffs, sign):
+            """e^(sign t) times the series and its derivative in t"""
+            scale = np.exp(sign * t)
+            slope = [j * c for j, c in enumerate(coeffs) if j]
+            return scale * _taylor_step(coeffs, near, t), scale * _taylor_step(slope, near, t)
+
+        i_n, di = step(c_i, -1.0)
+        k_n, dk = step(c_k, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.stack([i_n, di - nu / z * i_n, k_n, nu / z * k_n - dk])
+        at = t == 0.0  # the anchors keep scipy's values
+        out[:, at] = direct[:, near[at]]
+        return out[:, steps]
+
+    return mesh.factor("vg_bessel", scaled, at="grid")
 
 
 def _bessel_taylor(z0, nu, c0, c1):
@@ -506,38 +570,33 @@ def _bessel_taylor(z0, nu, c0, c1):
 def _vg_node_bessels(mesh, nu, alpha):
     """ive(nu, alpha |y|) and kve(nu, alpha |y|) at every node y.
 
-    Each node's values are a Taylor series in t = alpha (|y| - |g|) about
-    the panel end g on the node's side, |t| <= alpha dx / 2, whose
-    coefficients follow from the grid values at orders nu and nu + 1 by
-    the Bessel equation's recurrence; the scaling makes a node value
+    Each node's values are a Taylor series in t = alpha |y| - z0 about the
+    anchor z0 nearest to the panel end on the node's side, whose
+    coefficients follow from the anchor's values at orders nu and nu + 1
+    by the Bessel equation's recurrence; the scaling makes a node value
     e^(-t) (for ive) or e^t (for kve) times the series.  The series
-    converges like (|t| / alpha |g|)^k, so nodes within _DIRECT_STEPS grid
-    steps of the origin are evaluated directly.
+    converges like (|t| / z0)^k, so nodes within _DIRECT_STEPS grid steps
+    of the origin are evaluated directly.  The series run on (column,
+    panel) arrays, contiguous along the panels.
     """
-    grid, xs = mesh.grid, mesh.xs
-    i_n, i_n1, k_n, k_n1 = _vg_scaled_bessels(mesh, nu, alpha)
-    z0 = alpha * np.abs(grid)
-    ive, kve = np.empty_like(xs), np.empty_like(xs)
+    dx, steps = _vg_steps(mesh.grid)
+    z0, _, c_i, c_k = _vg_anchors(mesh, nu, alpha)
+    ax = np.abs(np.ascontiguousarray(mesh.xs.T))
+    z = alpha * ax
+    ive, kve = np.empty_like(z), np.empty_like(z)
     mid = PANEL_NODES // 2
-    # the columns left of the panel centre expand about the panel's left
-    # end, the centre and those right of it about its right end (z0 = 0
-    # gives garbage: those nodes are near the origin and replaced below)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c_i = _bessel_taylor(z0, nu, i_n, i_n1 + nu / z0 * i_n)
-        c_k = _bessel_taylor(z0, nu, k_n, nu / z0 * k_n - k_n1)
-        for cols, ends in ((slice(None, mid), slice(None, -1)), (slice(mid, None), slice(1, None))):
-            t = alpha * (np.abs(xs[:, cols]) - np.abs(grid[ends, None]))
-            for out, coeffs, sign in ((ive, c_i, -1.0), (kve, c_k, 1.0)):
-                series = np.zeros_like(t)
-                for c in coeffs[::-1]:  # Horner, in place
-                    series *= t
-                    series += c[ends, None]
-                out[:, cols] = np.exp(sign * t) * series
-    near = np.abs(xs) < _DIRECT_STEPS * (grid[1] - grid[0])
-    z = alpha * np.abs(xs[near])
-    ive[near] = _sp.ive(nu, z)
-    kve[near] = _sp.kve(nu, z)
-    return ive, kve
+    # the columns left of the panel centre step from the anchor nearest
+    # the panel's left end, the centre and those right of it from the one
+    # nearest its right end
+    for rows, ends in ((slice(None, mid), steps[:-1]), (slice(mid, None), steps[1:])):
+        near = _nearest_anchor(ends)
+        t = z[rows] - z0[near]
+        ive[rows] = np.exp(-t) * _taylor_step(c_i, near, t)
+        kve[rows] = np.exp(t) * _taylor_step(c_k, near, t)
+    near = ax < _DIRECT_STEPS * dx
+    ive[near] = _sp.ive(nu, z[near])
+    kve[near] = _sp.kve(nu, z[near])
+    return ive.T, kve.T
 
 
 def _solve_vg(mesh, h, eh):

@@ -258,6 +258,12 @@ class TestSweepCommand:
         assert code == 2
         assert "not in the default sweep" in err
 
+    def test_a_repeated_test_function_gives_its_rows_once(self, capsys):
+        # sine:1 and sine:1.0 are one test function, whose row printed twice
+        code, out, _ = run_cli(capsys, "sweep", "--families", "normal", "--tests", "sine:1,sine:1.0", "--max-order", "0")
+        assert code == 0
+        assert len(out.splitlines()) == 1 and "sine:1" in out
+
 
 class TestVerifyCommand:
     def test_normal_verify_passes(self, capsys):
@@ -292,6 +298,17 @@ class TestVerifyCommand:
         assert code == 0
         payload = json.loads(path.read_text())
         assert payload[0]["pass"] is True
+
+
+@pytest.mark.parametrize("command", ["coeffs", "verify"])
+def test_stdout_is_the_output_file(capsys, tmp_path, command):
+    # CSV text ends in a newline, and stdout added a second one
+    args = [command, "--family", "normal", "--n", "1", "--format", "csv"]
+    path = tmp_path / "out.csv"
+    _, out, _ = run_cli(capsys, *args)
+    run_cli(capsys, *args, "--output", str(path))
+    assert out == path.read_text()
+    assert out.endswith("\n") and not out.endswith("\n\n")
 
 
 CLI_GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())

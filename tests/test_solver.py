@@ -462,19 +462,54 @@ class TestPanelRule:
 
 
 class TestVgNodeBessels:
-    """Every vg node takes its ive and kve from the grid values at its panel
-    end by a Taylor step; the result is as accurate as scipy's direct
-    (AMOS) evaluation."""
+    """scipy evaluates the vg Bessel kernels at the anchors only (every grid
+    step near the origin, then every _ANCHOR_STEPS-th); every other grid
+    value and every node takes its ive and kve from its nearest anchor by
+    one Taylor step.  The result is as accurate as scipy's direct (AMOS)
+    evaluation."""
 
-    TOLERANCE = 5e-13  # vs direct scipy; the worst of 72 draws of the window read 2.1e-13
-    SERIES_ERROR = 1e-14  # vs mpmath: what the series may add to the grid values' error
+    TOLERANCE = 5e-13  # vs direct scipy; the worst of 72 draws and 11 corners of the window read 2.0e-13
+    SERIES_ERROR = 1e-14  # vs mpmath: what the series may add to the anchor values' error
+    # the seams spec: AMOS switches methods near z = 2 and z = 17-21
+    SEAMS = (2.75, 1.25, 0.5625)
+    TARGETS = (0.02, 0.5, 1.0, 1.9, 1.97, 2.0, 2.03, 2.1, 5.0, 10.0, 13.2, 17.0, 18.0, 19.0, 20.0, 20.7, 21.0, 30.0, 100.0, 230.0)
 
     @staticmethod
-    def node_bessels(r, theta, sigma):
+    def mesh_of(r, theta, sigma):
         mesh = sv.build_mesh(cat.make_spec("vg", r=r, theta=theta, sigma=sigma))
         nu, s2 = (r - 1.0) / 2.0, sigma * sigma
-        alpha = math.sqrt(theta * theta + s2) / s2
+        return mesh, nu, math.sqrt(theta * theta + s2) / s2
+
+    @classmethod
+    def node_bessels(cls, r, theta, sigma):
+        mesh, nu, alpha = cls.mesh_of(r, theta, sigma)
         return mesh, nu, alpha, *sv._vg_node_bessels(mesh, nu, alpha)
+
+    @staticmethod
+    def anchor_z(mesh, nu, alpha, steps):
+        """z at the anchor that each value at the given step counts steps from."""
+        return sv._vg_anchors(mesh, nu, alpha)[0][sv._nearest_anchor(steps)]
+
+    @staticmethod
+    def check_against_mpmath(values, z, z_anchor, orders, nu, targets, spacing):
+        """At the value nearest each target z, values[name] is within
+        SERIES_ERROR of mpmath beyond the larger of AMOS's errors at its z
+        and at its anchor's."""
+        mpmath.mp.dps = 30
+        scale = {"ive": lambda x: mpmath.exp(-x), "kve": mpmath.exp}
+        bessel = {"ive": mpmath.besseli, "kve": mpmath.besselk}
+        for target in targets:
+            i = np.unravel_index(np.argmin(np.abs(z - target)), z.shape)
+            assert abs(z[i] - target) <= spacing
+            for (name, order), taylor in zip(orders, values):
+
+                def error(value, x):
+                    x = mpmath.mpf(float(x))
+                    return float(abs(value / (bessel[name](nu + order, x) * scale[name](x)) - 1))
+
+                direct = getattr(_sp, name)
+                amos = max(error(direct(nu + order, z[i]), z[i]), error(direct(nu + order, z_anchor[i]), z_anchor[i]))
+                assert error(taylor[i], z[i]) <= amos + TestVgNodeBessels.SERIES_ERROR, (name, order, z[i])
 
     # criterion 2's vg window
     @settings(max_examples=10)
@@ -485,39 +520,51 @@ class TestVgNodeBessels:
         assert np.max(np.abs(ive / _sp.ive(nu, z) - 1.0)) <= self.TOLERANCE
         assert np.max(np.abs(kve / _sp.kve(nu, z) - 1.0)) <= self.TOLERANCE
 
+    @settings(max_examples=10)
+    @given(r=st.floats(0.5, 6.0), theta=st.floats(-1.5, 1.5), sigma=st.floats(0.5, 2.0))
+    def test_every_grid_value_agrees_with_scipy(self, r, theta, sigma):
+        mesh, nu, alpha = self.mesh_of(r, theta, sigma)
+        values = sv._vg_scaled_bessels(mesh, nu, alpha)
+        z = alpha * np.abs(mesh.grid)
+        direct = np.stack([_sp.ive(nu, z), _sp.ive(nu + 1.0, z), _sp.kve(nu, z), _sp.kve(nu + 1.0, z)])
+        origin = z == 0.0  # an anchor: scipy's value, NaN or inf for some nu
+        assert np.array_equal(values[:, origin], direct[:, origin], equal_nan=True)
+        assert np.max(np.abs(values[:, ~origin] / direct[:, ~origin] - 1.0)) <= self.TOLERANCE
+
+    @settings(max_examples=10)
+    @given(r=st.floats(0.5, 6.0), theta=st.floats(-1.5, 1.5), sigma=st.floats(0.5, 2.0))
+    def test_the_grid_is_integer_steps_from_the_origin(self, r, theta, sigma):
+        # the anchors and the Taylor steps index the grid by its step |k|
+        grid = sv.build_grid(cat.make_spec("vg", r=r, theta=theta, sigma=sigma))
+        dx, steps = sv._vg_steps(grid)
+        assert np.array_equal(np.abs(grid), dx * steps)
+
     def test_nodes_against_mpmath_at_the_amos_seams(self):
-        # AMOS switches methods near z = 2 and z = 17-21.  A node's Taylor
-        # value inherits the error of the grid values at its panel end, so
-        # it is held to the larger of AMOS's errors at the node and there.
-        mesh, nu, alpha, ive, kve = self.node_bessels(2.75, 1.25, 0.5625)
+        mesh, nu, alpha, ive, kve = self.node_bessels(*self.SEAMS)
         z = alpha * np.abs(mesh.xs)
-        dx = mesh.grid[1] - mesh.grid[0]
+        _, steps = sv._vg_steps(mesh.grid)
         mid = sv.PANEL_NODES // 2
-        ends = np.where(np.arange(sv.PANEL_NODES) < mid, mesh.grid[:-1, None], mesh.grid[1:, None])
-        z_end = alpha * np.abs(ends)
-        targets = (0.02, 0.5, 1.0, 1.9, 1.97, 2.0, 2.03, 2.1, 5.0, 10.0, 13.2, 17.0, 18.0, 19.0, 20.0, 20.7, 21.0, 30.0, 100.0, 230.0)
-        mpmath.mp.dps = 30
-        exact = {
-            "ive": lambda x: mpmath.besseli(nu, x) * mpmath.exp(-x),
-            "kve": lambda x: mpmath.besselk(nu, x) * mpmath.exp(x),
-        }
-        for target in targets:
-            i = np.unravel_index(np.argmin(np.abs(z - target)), z.shape)
-            assert abs(z[i] - target) <= alpha * dx
-            for name, taylor in (("ive", ive), ("kve", kve)):
+        ends = np.where(np.arange(sv.PANEL_NODES) < mid, steps[:-1, None], steps[1:, None])
+        dx = mesh.grid[1] - mesh.grid[0]
+        z_anchor = self.anchor_z(mesh, nu, alpha, ends)
+        self.check_against_mpmath((ive, kve), z, z_anchor, (("ive", 0), ("kve", 0)), nu, self.TARGETS, alpha * dx)
 
-                def error(value, x):
-                    return float(abs(value / exact[name](mpmath.mpf(float(x))) - 1))
-
-                direct = getattr(_sp, name)
-                amos = max(error(direct(nu, z[i]), z[i]), error(direct(nu, z_end[i]), z_end[i]))
-                assert error(taylor[i], z[i]) <= amos + self.SERIES_ERROR, (name, z[i])
+    def test_grid_values_against_mpmath_at_the_amos_seams(self):
+        mesh, nu, alpha = self.mesh_of(*self.SEAMS)
+        z = alpha * np.abs(mesh.grid)
+        _, steps = sv._vg_steps(mesh.grid)
+        z_anchor = self.anchor_z(mesh, nu, alpha, steps)
+        orders = (("ive", 0), ("ive", 1), ("kve", 0), ("kve", 1))
+        values = sv._vg_scaled_bessels(mesh, nu, alpha)
+        dx = mesh.grid[1] - mesh.grid[0]
+        self.check_against_mpmath(values, z, z_anchor, orders, nu, self.TARGETS, alpha * dx)
 
 
 class TestMeshFactorsAreEvaluatedOnce:
     """Every h-independent array of a solve is a mesh factor: evaluated
-    once per mesh, and the vg Bessel values once per distinct |x| of the
-    grid, the nodes taking theirs from the grid by Taylor steps."""
+    once per mesh, and the vg Bessel values by scipy at the anchors only,
+    the grid and the nodes taking theirs from the anchors by Taylor
+    steps."""
 
     @staticmethod
     def record_points(monkeypatch, module, name):
@@ -538,19 +585,29 @@ class TestMeshFactorsAreEvaluatedOnce:
         for h in (SineTest(1.0), SineTest(2.0), CosineTest(1.0)):
             solve(spec, h, mesh=mesh)
 
-    def test_vg_scaled_bessels_at_the_distinct_grid_abs_and_the_near_origin_nodes(self, monkeypatch):
+    @staticmethod
+    def bessel_points(mesh):
+        """The anchors (every step of the direct band, then every
+        _ANCHOR_STEPS-th out to the first at or past the grid's last
+        step) and the nodes near the origin."""
+        dx, steps = sv._vg_steps(mesh.grid)
+        anchors = sv._DIRECT_BAND + len(range(sv._DIRECT_BAND, steps.max() + sv._ANCHOR_STEPS, sv._ANCHOR_STEPS))
+        near = np.count_nonzero(np.abs(mesh.xs) < sv._DIRECT_STEPS * dx)
+        return anchors, near
+
+    def test_vg_scaled_bessels_at_the_anchors_and_the_near_origin_nodes(self, monkeypatch):
         spec = cat.make_spec("vg", r=3.0, theta=0.0, sigma=1.0)
         mesh = sv.build_mesh(spec)
-        distinct = np.unique(np.abs(mesh.grid)).size
-        near = np.count_nonzero(np.abs(mesh.xs) < sv._DIRECT_STEPS * (mesh.grid[1] - mesh.grid[0]))
-        assert distinct < 0.6 * mesh.grid.size and 0 < near < 0.01 * mesh.xs.size
+        anchors, near = self.bessel_points(mesh)
+        assert 0 < near < 0.01 * mesh.xs.size
+        assert 4 * anchors + 2 * near <= 5000  # 40.7k when every distinct |x| of the grid called scipy
         ive = self.record_points(monkeypatch, sv._sp, "ive")
         kve = self.record_points(monkeypatch, sv._sp, "kve")
         self.three_solves(spec, mesh)
-        # orders nu and nu + 1 on the grid, then order nu at the nodes that
-        # the series cannot reach; scalars are the adaptive quadratures'
+        # orders nu and nu + 1 at the anchors, then order nu at the nodes
+        # that the series cannot reach; scalars are the adaptive quadratures'
         arrays = [n for n in ive if n], [n for n in kve if n]
-        assert arrays == ([distinct, distinct, near], [distinct, distinct, near])
+        assert arrays == ([anchors, anchors, near], [anchors, anchors, near])
 
     def test_vg_solver_calls_no_unscaled_bessel(self, monkeypatch):
         spec = cat.make_spec("vg", r=3.0, theta=0.5, sigma=1.0)
@@ -560,9 +617,9 @@ class TestMeshFactorsAreEvaluatedOnce:
         ive = self.record_points(monkeypatch, sv._sp, "ive")
         self.three_solves(spec, mesh)
         assert bessel_i == bessel_k == []
-        distinct = np.unique(np.abs(mesh.grid)).size
-        assert [n for n in ive if n][:2] == [distinct, distinct]
-        assert sum(ive) < 2.1 * distinct
+        anchors, near = self.bessel_points(mesh)
+        assert [n for n in ive if n] == [anchors, anchors, near]
+        assert sum(ive) == 2 * anchors + near
 
     def test_prr_u_once_at_the_nodes(self):
         # the density factor and v * kappa both come from one U node factor

@@ -10,13 +10,10 @@ from .catalog import (
     DistributionSpec,
     FAMILIES,
     catalog_json,
-    gamma_onestep_bound,
     langevin_exponents,
     make_spec,
-    mvn_bounds,
     quantile,
     quartic_a_coeffs,
-    quartic_bounds,
     refined_small_case_constants,
     vg_base_constants,
 )

@@ -18,8 +18,9 @@ Python floats and arrays alike, from one numpy expression each.
 
 The bounds outside the three generic chains (quartic-tail, multivariate
 normal, one-step gamma, normal literature bounds) live here, next to their
-families.  Families are built by the constructors in REGISTRY, whose
-signatures are the parameter lists.
+families, one function per mode-table row; closedform.bound_for is the
+one public route to every row.  Families are built by the constructors
+in REGISTRY, whose signatures are the parameter lists.
 
 The catalog is immutable after construction and every evaluator here is
 pure.
@@ -70,10 +71,6 @@ __all__ = [
     "quartic_a_coeffs",
     "refined_small_case_constants",
     "langevin_exponents",
-    "gamma_onestep_bound",
-    "quartic_bounds",
-    "mvn_bounds",
-    "normal_literature_bound",
     "catalog_json",
 ]
 
@@ -259,14 +256,6 @@ class DistributionSpec:
         unlimited); propagation past it is a validity error."""
         caps = [entry.last for entry in self.modes.values()]
         return None if None in caps else max(caps)
-
-    def check_order(self, n: int, mode: str) -> None:
-        cap = self.max_order(mode)
-        if cap is not None and n > cap:
-            raise ValidityError(
-                f"{self.family}{self.params}: order {n} exceeds the validity "
-                f"window for mode {mode!r} (max {cap})"
-            )
 
     @property
     def solvable(self) -> bool:
@@ -543,7 +532,23 @@ def _normal_spec() -> DistributionSpec:
             NormSymbol.solution(): BoundCoefficients({NormSymbol.centered(): root})
         },
     )
-    literature = ("next-over-n", "gamma-ratio", "two-prev")
+
+    # sharp normal-family estimates quoted from prior work
+    def next_over_n(n):
+        """||f^(n)|| <= ||h^(n+1)|| / (n+1)."""
+        return BoundCoefficients({NormSymbol.test_deriv(n + 1): 1.0 / (n + 1)})
+
+    def gamma_ratio(n):
+        """||f^(n)|| <= Gamma((n+1)/2)/(sqrt(2) Gamma(n/2+1)) ||h^(n+1)||."""
+        ratio = math.exp(sf.log_gamma((n + 1.0) / 2.0) - sf.log_gamma(n / 2.0 + 1.0)) / math.sqrt(2.0)
+        return BoundCoefficients({NormSymbol.test_deriv(n + 1): ratio})
+
+    def two_prev(n):
+        """||f^(n)|| <= 2 ||h^(n-1)||  (n >= 2)."""
+        if n < 2:
+            raise ValidityError("the derivative-dropping estimate starts at order 2")
+        return BoundCoefficients({NormSymbol.test_deriv(n - 1): 2.0})
+
     return DistributionSpec(
         family="normal",
         params={},
@@ -551,31 +556,14 @@ def _normal_spec() -> DistributionSpec:
         modes={
             "lemma23i": _value_chain(scheme, "i"),
             "lemma23ii": _value_chain(scheme, "ii"),
-            **{w: Mode(functools.partial(normal_literature_bound, which=w)) for w in literature},
+            "next-over-n": Mode(next_over_n),
+            "gamma-ratio": Mode(gamma_ratio),
+            "two-prev": Mode(two_prev),
         },
         default_mode="lemma23ii",
         ppf=_two_tailed(ndtri, lambda q: -ndtri(q)),
         **fields,
     )
-
-
-def normal_literature_bound(n: int, which: str) -> BoundCoefficients:
-    """Sharp normal-family estimates quoted from prior work.
-
-    which "next-over-n": ||f^(n)|| <= ||h^(n+1)|| / (n+1);
-    "gamma-ratio":       ||f^(n)|| <= Gamma((n+1)/2)/(sqrt(2) Gamma(n/2+1)) ||h^(n+1)||;
-    "two-prev":          ||f^(n)|| <= 2 ||h^(n-1)||  (n >= 2).
-    """
-    if which == "next-over-n":
-        return BoundCoefficients({NormSymbol.test_deriv(n + 1): 1.0 / (n + 1)})
-    if which == "gamma-ratio":
-        ratio = math.exp(sf.log_gamma((n + 1.0) / 2.0) - sf.log_gamma(n / 2.0 + 1.0)) / math.sqrt(2.0)
-        return BoundCoefficients({NormSymbol.test_deriv(n + 1): ratio})
-    if which == "two-prev":
-        if n < 2:
-            raise ValidityError("the derivative-dropping estimate starts at order 2")
-        return BoundCoefficients({NormSymbol.test_deriv(n - 1): 2.0})
-    raise ValueError(f"unknown normal literature bound {which!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -602,13 +590,21 @@ def _gamma_spec(r: float, lam: float) -> DistributionSpec:
         a=a,
         c_level=lambda l: gamma_solution_constant(r + l),
     )
+
+    def onestep(n):
+        """Single-coefficient bound 2 e^(r+n) Gamma(r+n) / (r+n)^(r+n) on
+        the n-th test-derivative norm (valid for n >= 1; free of lam)."""
+        if n < 1:
+            raise ValidityError("the one-step gamma bound starts at order 1")
+        return BoundCoefficients({NormSymbol.test_deriv(n): 2.0 * gamma_solution_constant(r + n)})
+
     return DistributionSpec(
         family="gamma",
         params={"r": r, "lam": lam},
         scheme=scheme,
         modes={
             "lemma23i": _value_chain(scheme, "i"),
-            "onestep": Mode(lambda n: gamma_onestep_bound(n, r)),
+            "onestep": Mode(onestep),
         },
         default_mode="lemma23i",
         ppf=_two_tailed(lambda p: gammaincinv(r, p) / lam, lambda q: gammainccinv(r, q) / lam),
@@ -618,14 +614,6 @@ def _gamma_spec(r: float, lam: float) -> DistributionSpec:
 
 def _exponential_spec(lam: float) -> DistributionSpec:
     return replace(_gamma_spec(1.0, lam), family="exponential", params={"lam": float(lam)})
-
-
-def gamma_onestep_bound(n: int, r: float) -> BoundCoefficients:
-    """Single-coefficient bound 2 e^(r+n) Gamma(r+n) / (r+n)^(r+n) on the
-    n-th test-derivative norm (valid for n >= 1; rate-independent of lam)."""
-    if n < 1:
-        raise ValidityError("the one-step gamma bound starts at order 1")
-    return BoundCoefficients({NormSymbol.test_deriv(n): 2.0 * gamma_solution_constant(r + n)})
 
 
 # ---------------------------------------------------------------------------
@@ -1097,11 +1085,33 @@ def quartic_a_coeffs(n: int) -> tuple[float, ...]:
 
 
 def _quartic_spec() -> DistributionSpec:
+    """The quartic-tail family and its sup-norm bounds: "bounded" is
+    1/(2 c1) times the order-n chain weights, "iterated" 2 times the
+    order-(n-1) weights (tighter; order 0 falls back to "bounded"),
+    "lipschitz" the order-0..2 constants on ||h'||, and
+    "lipschitz_iterated" the order-2 constant 8 on ||h'|| that one chain
+    step yields."""
     c1 = quartic_normalizer()
     support = (-math.inf, math.inf)
 
-    def variant(name, last=None):
-        return Mode(functools.partial(quartic_bounds, variant=name), last)
+    def bounded(n):
+        weights = quartic_a_coeffs(n)
+        return BoundCoefficients({NormSymbol.test_norm(j): w / (2.0 * c1) for j, w in enumerate(weights)})
+
+    def iterated(n):
+        if n == 0:
+            return bounded(0)
+        weights = quartic_a_coeffs(n - 1)
+        return BoundCoefficients({NormSymbol.test_norm(j): 2.0 * w for j, w in enumerate(weights)})
+
+    def lipschitz(n):
+        table = (math.sqrt(3.0 * math.pi) / 2.0, math.sqrt(2.0) * 3.0 ** 0.25 * sf.gamma_fn(0.25), 4.0)
+        return BoundCoefficients({NormSymbol.test_deriv(1): table[n]})
+
+    def lipschitz_iterated(n):
+        if n != 2:
+            raise ValidityError("the iterated Lipschitz constant is a second-derivative bound")
+        return BoundCoefficients({NormSymbol.test_deriv(1): 8.0})
 
     return DistributionSpec(
         family="quartic",
@@ -1111,10 +1121,10 @@ def _quartic_spec() -> DistributionSpec:
         coupling_kind="custom",
         scheme=IterationScheme(a=lambda j: float(j)),
         modes={
-            "bounded": variant("bounded"),
-            "iterated": variant("iterated"),
-            "lipschitz": variant("lipschitz", last=2),
-            "lipschitz_iterated": variant("lipschitz_iterated", last=2),
+            "bounded": Mode(bounded),
+            "iterated": Mode(iterated),
+            "lipschitz": Mode(lipschitz, last=2),
+            "lipschitz_iterated": Mode(lipschitz_iterated, last=2),
         },
         default_mode="iterated",
         pdf=_on_support(lambda x: c1 * np.exp(-np.power(x, 4) / 12.0), support),
@@ -1123,58 +1133,48 @@ def _quartic_spec() -> DistributionSpec:
     )
 
 
-def quartic_bounds(order: int, variant: str = "iterated") -> BoundCoefficients:
-    """Sup-norm bounds for the quartic-tail family.
-
-    variant "bounded": constant 1/(2 c1) times the order-n chain weights.
-    variant "iterated": constant 2 times the order-(n-1) chain weights
-    (tighter; order 0 falls back to "bounded").
-    variant "lipschitz": the order-0..2 constants on ||h'||.
-    variant "lipschitz_iterated": the order-2 constant 8 on ||h'|| that
-    one chain step yields.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    c1 = quartic_normalizer()
-    if variant == "bounded" or (variant == "iterated" and order == 0):
-        weights = quartic_a_coeffs(order)
-        return BoundCoefficients({NormSymbol.test_norm(j): w / (2.0 * c1) for j, w in enumerate(weights)})
-    if variant == "iterated":
-        weights = quartic_a_coeffs(order - 1)
-        return BoundCoefficients({NormSymbol.test_norm(j): 2.0 * w for j, w in enumerate(weights)})
-    if variant == "lipschitz":
-        table = {
-            0: math.sqrt(3.0 * math.pi) / 2.0,
-            1: math.sqrt(2.0) * 3.0 ** 0.25 * sf.gamma_fn(0.25),
-            2: 4.0,
-        }
-        if order not in table:
-            raise ValidityError("lipschitz constants listed for orders 0, 1, 2 only")
-        return BoundCoefficients({NormSymbol.test_deriv(1): table[order]})
-    if variant == "lipschitz_iterated":
-        if order != 2:
-            raise ValidityError("the iterated Lipschitz constant is a second-derivative bound")
-        return BoundCoefficients({NormSymbol.test_deriv(1): 8.0})
-    raise ValueError(f"unknown quartic variant {variant!r}")
-
-
 # ---------------------------------------------------------------------------
 # Multivariate normal (bounds only; no 1-D solver support).
 # ---------------------------------------------------------------------------
 
 
 def _mvn_spec(dim: int, row_norms: tuple[float, ...] | None = None) -> DistributionSpec:
+    """The multivariate-normal estimates.  row_norms are the covariance
+    row norms [sum_j sigma_ij^2]^(1/2) for the differentiation directions
+    (all 1 by default): "partial" gives 1/n on the n-th mixed partial of
+    h; "first" gives the order-1 bound against ||h~||; "lower" trades one
+    derivative for the smallest row norm; "iterated" is the
+    identity-covariance second-derivative estimate obtained by one chain
+    step."""
+    if not (float(dim).is_integer() and dim >= 1):
+        raise ValueError(f"mvn requires an integral dim >= 1, got {dim}")
     dim = int(dim)
-    if dim < 1:
-        raise ValueError("mvn requires dim >= 1")
-    if row_norms is None:
-        row_norms = tuple(1.0 for _ in range(dim))
-    row_norms = tuple(float(v) for v in row_norms)
-    if len(row_norms) != dim or any(v < 0 for v in row_norms):
-        raise ValueError("row_norms must be dim nonnegative reals")
+    row_norms = tuple(float(v) for v in ((1.0,) * dim if row_norms is None else row_norms))
+    if len(row_norms) != dim or not all(0.0 <= v < math.inf for v in row_norms):  # a NaN fails too
+        raise ValueError("row_norms must be dim finite nonnegative reals")
 
-    def estimate(mode, last=None):
-        return Mode(functools.partial(mvn_bounds, row_norms=row_norms, mode=mode), last)
+    def partial(n):
+        if n < 1:
+            raise ValidityError("the flat partial-derivative bound starts at order 1")
+        return BoundCoefficients({NormSymbol.test_deriv(n): 1.0 / n})
+
+    def first(n):
+        return BoundCoefficients({NormSymbol.centered(): sf.SQRT_PI_OVER_2 * max(row_norms)})
+
+    def lower(n):
+        if n < 2:
+            raise ValidityError("the derivative-trading bound starts at order 2")
+        ratio = math.exp(sf.log_gamma(n / 2.0) - sf.log_gamma((n + 1.0) / 2.0)) / math.sqrt(2.0)
+        return BoundCoefficients({NormSymbol.test_deriv(n - 1): ratio * min(row_norms)})
+
+    def iterated(n):
+        if n != 2:
+            raise ValidityError("the iterated estimate is stated for the second derivatives")
+        if any(abs(v - 1.0) > 1e-12 for v in row_norms):
+            raise ValidityError("the iterated estimate assumes identity covariance")
+        return BoundCoefficients(
+            {NormSymbol.test_deriv(1): sf.SQRT_PI_OVER_2, NormSymbol.centered(): math.pi / 2.0}
+        )
 
     return DistributionSpec(
         family="mvn",
@@ -1184,49 +1184,14 @@ def _mvn_spec(dim: int, row_norms: tuple[float, ...] | None = None) -> Distribut
         coupling_kind="custom",
         scheme=IterationScheme(a=lambda j: float(j)),
         modes={
-            "partial": estimate("partial"),
-            "first": estimate("first"),
-            "lower": estimate("lower"),
-            "iterated": estimate("iterated", last=2),
+            "partial": Mode(partial),
+            "first": Mode(first),
+            "lower": Mode(lower),
+            "iterated": Mode(iterated, last=2),
         },
         default_mode="partial",
         extras={"row_norms": list(row_norms)},
     )
-
-
-def mvn_bounds(n: int, row_norms, mode: str) -> BoundCoefficients:
-    """Coefficient forms of the multivariate-normal estimates.
-
-    row_norms are the covariance row norms [sum_j sigma_ij^2]^(1/2) for
-    the differentiation directions.  "partial" gives 1/n on the n-th
-    mixed partial of h; "first" gives the order-1 bound against ||h~||;
-    "lower" trades one derivative for the smallest row norm; "iterated"
-    is the identity-covariance second-derivative estimate obtained by one
-    chain step.
-    """
-    row_norms = [float(v) for v in row_norms]
-    if not row_norms or not all(0.0 <= v < math.inf for v in row_norms):  # a NaN fails too
-        raise ValueError("row_norms must be nonempty finite nonnegative reals")
-    if mode == "partial":
-        if n < 1:
-            raise ValidityError("the flat partial-derivative bound starts at order 1")
-        return BoundCoefficients({NormSymbol.test_deriv(n): 1.0 / n})
-    if mode == "first":
-        return BoundCoefficients({NormSymbol.centered(): sf.SQRT_PI_OVER_2 * max(row_norms)})
-    if mode == "lower":
-        if n < 2:
-            raise ValidityError("the derivative-trading bound starts at order 2")
-        ratio = math.exp(sf.log_gamma(n / 2.0) - sf.log_gamma((n + 1.0) / 2.0)) / math.sqrt(2.0)
-        return BoundCoefficients({NormSymbol.test_deriv(n - 1): ratio * min(row_norms)})
-    if mode == "iterated":
-        if n != 2:
-            raise ValidityError("the iterated estimate is stated for the second derivatives")
-        if any(abs(v - 1.0) > 1e-12 for v in row_norms):
-            raise ValidityError("the iterated estimate assumes identity covariance")
-        return BoundCoefficients(
-            {NormSymbol.test_deriv(1): sf.SQRT_PI_OVER_2, NormSymbol.centered(): math.pi / 2.0}
-        )
-    raise ValueError(f"unknown mvn mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------

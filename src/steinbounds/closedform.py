@@ -6,9 +6,10 @@ same chain, evaluated here by :func:`closed_form_bound` without touching
 the generic engine.  Their coefficient-by-coefficient agreement is a
 test, not an assumption.
 
-:func:`bound_for` is the public entry point: it checks the order, resolves
-the default mode token (:func:`resolve_mode`, which the verifier and the
-CLI share) and evaluates the family's mode-table row.
+:func:`bound_for` is the one public route to every bound, the
+family-specific rows included: it checks the order against the row's
+window, resolves the default mode token (:func:`resolve_mode`, which the
+verifier and the CLI share) and evaluates the family's mode-table row.
 """
 
 from __future__ import annotations
@@ -329,9 +330,14 @@ def bound_for(spec: cat.DistributionSpec, n: int, mode: str | None = None) -> Bo
     if n < 0:
         raise ValidityError("derivative order must be >= 0")
     mode = resolve_mode(spec, mode)
-    if mode not in spec.modes:
+    row = spec.modes.get(mode)
+    if row is None:
         if mode in MODE_TOKENS:
             raise ValidityError(f"{spec.family} does not support mode {mode}")
         raise ValueError(f"unknown mode token {mode!r}")
-    spec.check_order(n, mode)
-    return spec.modes[mode].bound(n)
+    if row.last is not None and n > row.last:
+        raise ValidityError(
+            f"{spec.family}{spec.params}: order {n} exceeds the validity "
+            f"window for mode {mode!r} (max {row.last})"
+        )
+    return row.bound(n)

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import catalog as cat
 from . import special as sf
-from .catalog import gamma_onestep_bound, mvn_bounds, quartic_bounds
 from .closedform import bound_for, closed_form_bound
 from .engine import (
     IterationScheme,
@@ -147,13 +146,12 @@ def criterion_3_exact_constants() -> tuple[bool, str]:
     prr = cat.make_spec("prr", s=1.0)
     c_prr = deriv_coupled_bound(prr.scheme, "i", 1).get(NormSymbol.plain())
     checks.append(("prr first-derivative sqrt(2 pi)", abs(c_prr - math.sqrt(2.0 * math.pi)), 1e-14))
-    c_gam = gamma_onestep_bound(1, 1.0).get(NormSymbol.test_deriv(1))
+    c_gam = bound_for(cat.make_spec("gamma", r=1.0, lam=1.0), 1, "onestep").get(NormSymbol.test_deriv(1))
     checks.append(("gamma one-step e^2/2 at (1,1)", abs(c_gam - math.e ** 2 / 2.0) / (math.e ** 2 / 2.0), 1e-12))
+    quartic = cat.make_spec("quartic")
     lip = [
-        quartic_bounds(0, "lipschitz").get(NormSymbol.test_deriv(1)),
-        quartic_bounds(1, "lipschitz").get(NormSymbol.test_deriv(1)),
-        quartic_bounds(2, "lipschitz").get(NormSymbol.test_deriv(1)),
-        quartic_bounds(2, "lipschitz_iterated").get(NormSymbol.test_deriv(1)),
+        bound_for(quartic, n, token).get(NormSymbol.test_deriv(1))
+        for n, token in ((0, "lipschitz"), (1, "lipschitz"), (2, "lipschitz"), (2, "lipschitz_iterated"))
     ]
     expect = [
         math.sqrt(3.0 * math.pi) / 2.0,
@@ -163,7 +161,7 @@ def criterion_3_exact_constants() -> tuple[bool, str]:
     ]
     for i, (got, want) in enumerate(zip(lip, expect)):
         checks.append((f"quartic lipschitz[{i}]", abs(got - want) / want, 1e-14))
-    mvn = mvn_bounds(2, [1.0, 1.0], "iterated")
+    mvn = bound_for(cat.make_spec("mvn", dim=2), 2, "iterated")
     checks.append(("mvn iterate sqrt(pi/2)", abs(mvn.get(NormSymbol.test_deriv(1)) - math.sqrt(math.pi / 2.0)), 1e-14))
     checks.append(("mvn iterate pi/2", abs(mvn.get(NormSymbol.centered()) - math.pi / 2.0), 1e-14))
     bad = [name for name, err, tol in checks if err > tol]
@@ -256,10 +254,8 @@ def criterion_8_growth_rates() -> tuple[bool, str]:
     # [0.3, 3] band is asserted on the sequence normalized at n = 1 (the
     # growth-rate content), with the raw range reported alongside.
     r = 1.0
-    gam = [
-        gamma_onestep_bound(n, r).get(NormSymbol.test_deriv(n)) * math.sqrt(r + n)
-        for n in range(1, 51)
-    ]
+    gamma = cat.make_spec("gamma", r=r, lam=1.0)
+    gam = [bound_for(gamma, n, "onestep").get(NormSymbol.test_deriv(n)) * math.sqrt(r + n) for n in range(1, 51)]
     gam_ratios = [q / gam[0] for q in gam]
     gam_ok = all(0.3 <= q <= 3.0 for q in gam_ratios)
 

@@ -385,10 +385,6 @@ class SteinSolution:
     h: object
     diagnostics: dict
 
-    @property
-    def max_order(self) -> int:
-        return max(self.derivs)
-
 
 def empirical_sup(sol: SteinSolution, order: int) -> tuple[float, bool]:
     """Grid sup of |f^(order)| plus a flag when the maximizer sits within

@@ -125,43 +125,34 @@ def _coefficient_rows(coeffs: BoundCoefficients) -> list[dict]:
     ]
 
 
-def verify(
-    spec: DistributionSpec,
-    n: int,
-    h,
-    mode: str | None = None,
-    solution: SteinSolution | None = None,
-) -> VerificationReport:
+def verify(spec: DistributionSpec, n: int, h, mode: str | None = None) -> VerificationReport:
     """Bound vs. empirical sup-norm for one (family, order, test function).
 
-    E h(Z) comes from the solution's diagnostics; without a solution, one
-    is solved, but only after the bound is known to be priceable.  A
-    solution of another spec or test function raises ValueError.
+    The solve starts only once the bound is known to be priceable.
     """
-    if solution is not None and (solution.spec is not spec or solution.h != h):
-        raise ValueError("the solution was solved for a different spec or test function")
     mode = resolve_mode(spec, mode)
-    report = VerificationReport(
-        family=spec.family, param_string=spec.param_string(), n=n, mode=mode, test_fn=h.name
-    )
     coeffs = bound_for(spec, n, mode)
-    report.coefficients = _coefficient_rows(coeffs)
     # whether a norm slot can be priced does not depend on E h(Z), so a
     # bound that cannot be priced fails here, before a solve starts
     norms_for(h, coeffs, 0.0)
-    if solution is None:
-        solution = solve(spec, h)
-    report.bound_value = coeffs.evaluate(norms_for(h, coeffs, solution.diagnostics["mean_value"]))
-    if solution.max_order < max(n, spec.operator_order):
-        solution = propagate_derivatives(solution, max(n, spec.operator_order))
+    solution = propagate_derivatives(solve(spec, h), max(n, spec.operator_order))
+    return _cell(n, mode, coeffs, solution)
+
+
+def _cell(n: int, mode: str, coeffs: BoundCoefficients, solution: SteinSolution) -> VerificationReport:
+    """The report of one cell: coeffs, the order-n bound of mode, priced
+    at the solution's E h(Z) against the grid sup of its n-th derivative
+    (propagated up to n)."""
+    spec, h = solution.spec, solution.h
+    bound = coeffs.evaluate(norms_for(h, coeffs, solution.diagnostics["mean_value"]))
     emp, flag = empirical_sup(solution, n)
-    report.empirical_sup = emp
-    report.boundary_flag = flag
-    report.margin = report.bound_value - emp
-    report.passed = report.margin >= -PASS_TOLERANCE * report.bound_value
-    report.residual = solution.diagnostics["residual"]
-    report.filled_points = solution.diagnostics["filled_by_order"][n]
-    return report
+    margin = bound - emp
+    return VerificationReport(
+        family=spec.family, param_string=spec.param_string(), n=n, mode=mode, test_fn=h.name,
+        bound_value=bound, empirical_sup=emp, margin=margin, passed=margin >= -PASS_TOLERANCE * bound,
+        boundary_flag=flag, residual=solution.diagnostics["residual"],
+        filled_points=solution.diagnostics["filled_by_order"][n], coefficients=_coefficient_rows(coeffs),
+    )
 
 
 def default_sweep_specs() -> list[DistributionSpec]:
@@ -173,8 +164,8 @@ def default_sweep_specs() -> list[DistributionSpec]:
 def sweep(specs=None, orders=range(5), test_fns=None) -> list[VerificationReport]:
     """Cartesian verification sweep of each spec's default mode (by
     default of the default sweep specs); validity violations become table
-    rows rather than crashes.  One mesh per spec, one solve per (spec,
-    test function), reused across orders."""
+    rows rather than crashes.  One bound per (spec, order), one mesh per
+    spec, one solve per (spec, test function), reused across orders."""
     if specs is None:
         specs = default_sweep_specs()
     if test_fns is None:
@@ -191,14 +182,13 @@ def _sweep_spec(spec, orders, test_fns) -> list[VerificationReport]:
     """The sweep rows of one spec.  The mesh lives only as long as this
     call, so a sweep holds one spec's mesh at a time."""
     mode = spec.default_mode
-    valid_orders, rejected = [], []
+    bounds, rejected = [], []
     for n in orders:
         try:
-            bound_for(spec, n, mode)
-            valid_orders.append(n)
+            bounds.append((n, bound_for(spec, n, mode)))
         except ValidityError as exc:
             rejected.append((n, str(exc)))
-    mesh = build_mesh(spec) if valid_orders else None
+    mesh = build_mesh(spec) if bounds else None
     reports = []
     for h in test_fns:
         for n, error in rejected:
@@ -208,10 +198,10 @@ def _sweep_spec(spec, orders, test_fns) -> list[VerificationReport]:
                     test_fn=h.name, error=error,
                 )
             )
-        if valid_orders:
+        if bounds:
             solution = solve(spec, h, mesh=mesh)
-            solution = propagate_derivatives(solution, max(max(valid_orders), spec.operator_order))
-            reports.extend(verify(spec, n, h, mode=mode, solution=solution) for n in valid_orders)
+            solution = propagate_derivatives(solution, max(max(n for n, _ in bounds), spec.operator_order))
+            reports.extend(_cell(n, mode, coeffs, solution) for n, coeffs in bounds)
     return reports
 
 

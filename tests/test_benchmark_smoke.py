@@ -1,9 +1,9 @@
 """The benchmark harness under perfbench/ drives the package by name: it
 wraps the functions listed in perfbench/spans.py and patches
-verifier.solve.  Traced passes of its two cheapest workloads check that
-every one of those names still resolves, that the wrappers still fit the
-signatures they wrap, and that the bound table and the verify cells still
-match their references."""
+verifier.solve.  Traced passes of its three workloads check that every
+one of those names still resolves, that the wrappers and the patch still
+fit the signatures they wrap, and that the bound table, the verify cells
+and the sweep rows still match their references."""
 
 import importlib
 import json
@@ -45,6 +45,16 @@ def test_traced_verify_draws_pass():
     out = _traced_pass("verify_draws")
     assert (out["attempted"], out["failed"]) == (24, 0), out["problems"]
     assert out["trace"]["calls"]["solver.propagate_derivatives"] == 24
+
+
+def test_traced_sweep_pass():
+    # the one tier-1 run of the patched verifier.solve: one solve per
+    # (spec, test function), one bound per (spec, order)
+    out = _traced_pass("sweep")
+    assert (out["attempted"], out["failed"]) == (165, 0), out["problems"]
+    calls = out["trace"]["calls"]
+    assert (calls["solver.solve"], calls["closedform.bound_for"]) == (33, 55)
+    assert "verifier.verify" not in calls
 
 
 def test_benchmark_specs_are_the_default_specs():

@@ -160,8 +160,8 @@ class TestWindows:
         spec = cat.make_spec("student_t", d=9.0, delta=3.0)
         assert spec.max_order("lemma23i") == 4
         assert spec.max_order("lemma23ii") == 5
-        with pytest.raises(ValidityError):
-            spec.check_order(5, "lemma23i")
+        with pytest.raises(ValidityError, match="exceeds the validity window"):
+            cf.bound_for(spec, 5, "lemma23i")
 
     def test_inverse_gamma_window(self):
         spec = cat.make_spec("inverse_gamma", alpha=9.0, beta=2.0)
@@ -252,53 +252,67 @@ class TestQuarticCoefficients:
 
 class TestQuarticBounds:
     def test_bounded_order_zero(self):
-        bc = cat.quartic_bounds(0, "bounded")
+        bc = cf.bound_for(cat.make_spec("quartic"), 0, "bounded")
         assert bc.get(NormSymbol.centered()) == pytest.approx(1.6870050989000126, rel=1e-12)
 
     def test_iterated_order_zero_falls_back(self):
-        bc = cat.quartic_bounds(0, "iterated")
+        bc = cf.bound_for(cat.make_spec("quartic"), 0, "iterated")
         assert bc.get(NormSymbol.centered()) == pytest.approx(1.6870050989000126, rel=1e-12)
 
     def test_iterated_order_one(self):
-        bc = cat.quartic_bounds(1, "iterated")
+        bc = cf.bound_for(cat.make_spec("quartic"), 1, "iterated")
         assert bc.items() == [(NormSymbol.centered(), pytest.approx(2.0))]
 
     def test_lipschitz_table(self):
-        assert cat.quartic_bounds(2, "lipschitz").get(NormSymbol.test_deriv(1)) == 4.0
-        assert cat.quartic_bounds(2, "lipschitz_iterated").get(NormSymbol.test_deriv(1)) == 8.0
+        spec = cat.make_spec("quartic")
+        assert cf.bound_for(spec, 2, "lipschitz").get(NormSymbol.test_deriv(1)) == 4.0
+        assert cf.bound_for(spec, 2, "lipschitz_iterated").get(NormSymbol.test_deriv(1)) == 8.0
         with pytest.raises(ValidityError):
-            cat.quartic_bounds(3, "lipschitz")
+            cf.bound_for(spec, 3, "lipschitz")
 
 
 class TestMvnBounds:
     def test_flat_partial(self):
-        bc = cat.mvn_bounds(2, [1.0, 1.0], "partial")
+        bc = cf.bound_for(cat.make_spec("mvn", dim=2), 2, "partial")
         assert bc.items() == [(NormSymbol.test_deriv(2), pytest.approx(0.5))]
 
     def test_first_derivative(self):
-        bc = cat.mvn_bounds(1, [2.0, 1.0], "first")
+        bc = cf.bound_for(cat.make_spec("mvn", dim=2, row_norms=(2.0, 1.0)), 1, "first")
         assert bc.get(NormSymbol.centered()) == pytest.approx(2.0 * math.sqrt(math.pi / 2.0), rel=1e-13)
 
     def test_derivative_trading(self):
-        bc = cat.mvn_bounds(2, [1.0, 1.0], "lower")
+        bc = cf.bound_for(cat.make_spec("mvn", dim=2), 2, "lower")
         # Gamma(1)/(sqrt(2) Gamma(1.5)) = sqrt(2/pi)
         assert bc.get(NormSymbol.test_deriv(1)) == pytest.approx(0.7978845608028654, rel=1e-12)
 
     def test_iterated_identity_covariance(self):
-        bc = cat.mvn_bounds(2, [1.0, 1.0, 1.0], "iterated")
+        bc = cf.bound_for(cat.make_spec("mvn", dim=3), 2, "iterated")
         assert bc.get(NormSymbol.test_deriv(1)) == pytest.approx(1.2533141373155003, rel=1e-12)
         assert bc.get(NormSymbol.centered()) == pytest.approx(math.pi / 2.0, rel=1e-12)
         with pytest.raises(ValidityError):
-            cat.mvn_bounds(2, [2.0, 1.0], "iterated")
+            cf.bound_for(cat.make_spec("mvn", dim=2, row_norms=(2.0, 1.0)), 2, "iterated")
 
     def test_order_zero_unsupported(self):
         with pytest.raises(ValidityError):
-            cat.mvn_bounds(0, [1.0], "partial")
+            cf.bound_for(cat.make_spec("mvn", dim=1), 0, "partial")
 
     @pytest.mark.parametrize("norms", [[1.0, math.nan], [math.nan, 1.0], [1.0, math.inf]])
     def test_non_finite_row_norm_is_rejected(self, norms):
         with pytest.raises(ValueError, match="finite"):
-            cat.mvn_bounds(1, norms, "first")
+            cf.bound_for(cat.make_spec("mvn", dim=2, row_norms=norms), 1, "first")
+
+    @pytest.mark.parametrize("norms", [(math.nan, 1.0), (1.0, math.inf), (1.0, -0.5), (1.0,)])
+    def test_constructor_rejects_bad_row_norms(self, norms):
+        # the constructor is the one row-norm check, without make_spec's
+        # finiteness check in front of it
+        with pytest.raises(ValueError, match="row_norms must be dim finite nonnegative reals"):
+            cat.REGISTRY["mvn"](2, norms)
+
+    def test_non_integral_dim_is_rejected(self):
+        with pytest.raises(ValueError, match="dim"):
+            cat.make_spec("mvn", dim=2.5)
+        spec = cat.make_spec("mvn", dim=2.0)
+        assert spec.params == {"dim": 2} and spec.extras["row_norms"] == [1.0, 1.0]
 
 
 class TestRefinedConstants:
@@ -349,15 +363,15 @@ class TestLangevinExponents:
 
 class TestGammaOneStep:
     def test_reference_values(self):
-        bc = cat.gamma_onestep_bound(1, 1.0)
+        bc = cf.bound_for(cat.make_spec("gamma", r=1.0, lam=1.0), 1, "onestep")
         assert bc.get(NormSymbol.test_deriv(1)) == pytest.approx(math.e ** 2 / 2.0, rel=1e-12)
-        bc = cat.gamma_onestep_bound(1, 2.0)
+        bc = cf.bound_for(cat.make_spec("gamma", r=2.0, lam=1.0), 1, "onestep")
         # 2 e^3 Gamma(3) / 27; mpmath 2.975635099731506
         assert bc.get(NormSymbol.test_deriv(1)) == pytest.approx(2.9756350997315063, rel=1e-12)
 
     def test_starts_at_order_one(self):
         with pytest.raises(ValidityError):
-            cat.gamma_onestep_bound(0, 1.0)
+            cf.bound_for(cat.make_spec("gamma", r=1.0, lam=1.0), 0, "onestep")
 
 
 class TestEngineAgainstClosedForms:
@@ -444,6 +458,12 @@ class TestBoundTable:
                         ), (key, label)
         assert accepted == set(reference)
         assert len(accepted) == 626
+
+    def test_mode_tokens_are_the_mode_table_keys(self):
+        # the --mode choices cannot drift from the tables
+        keys = {token for family, params in cat.DEFAULT_SPECS for token in cat.make_spec(family, **params).modes}
+        assert set(cf.MODE_TOKENS) == {"default"} | keys
+        assert len(cf.MODE_TOKENS) == len(set(cf.MODE_TOKENS))
 
 
 class TestCatalogJson:

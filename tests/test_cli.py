@@ -130,6 +130,14 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert "row_norms must be finite" in err
 
+    def test_non_integral_dim_is_parse_error(self, capsys):
+        # dim 2.5 built a dim-2 spec, and the call printed a bound
+        code, out, err = run_cli(capsys, "coeffs", "--family", "mvn", "--dim", "2.5", "--n", "1", "--mode", "first")
+        assert (code, out) == (1, "")
+        assert "integral dim" in err
+        code, out, _ = run_cli(capsys, "coeffs", "--family", "mvn", "--dim", "2", "--n", "1", "--mode", "first")
+        assert code == 0 and out
+
     @pytest.mark.parametrize("family,args,name", [
         ("gamma", ["--r", "nan", "--lam", "1"], "r"),
         ("student_t", ["--d", "nan", "--delta", "1"], "d"),

@@ -68,22 +68,6 @@ class TestVerify:
         spec = cat.make_spec("gamma", r=2.0, lam=1.0)
         assert vf.verify(spec, 1, SineTest(1.0), mode="default").mode == spec.default_mode
 
-    def test_solution_of_another_spec_is_rejected(self):
-        # the normal cosine:2 solution has sup 0.8647 at n=1, the gamma
-        # sine:1 cell's own 0.3046: a verdict on it would be meaningless
-        foreign = sv.propagate_derivatives(sv.solve(cat.make_spec("normal"), CosineTest(2.0)), 2)
-        with pytest.raises(ValueError, match="different spec or test function"):
-            vf.verify(cat.make_spec("gamma", r=2.0, lam=1.0), 1, SineTest(1.0), solution=foreign)
-
-    def test_solution_of_another_test_function_is_rejected(self):
-        spec = cat.make_spec("gamma", r=2.0, lam=1.0)
-        sol = sv.solve(spec, CosineTest(1.0))
-        for h in (SineTest(1.0), CosineTest(2.0)):
-            with pytest.raises(ValueError, match="different spec or test function"):
-                vf.verify(spec, 1, h, solution=sol)
-        # an equal test function is the same problem
-        assert vf.verify(spec, 1, CosineTest(1.0), solution=sol).passed
-
     def test_symbolic_norm_terms_are_rejected(self):
         h = SineTest(1.0)
         leftover = coefficients(**{"f'": 1.0})
@@ -214,6 +198,15 @@ class TestMeshReuse:
         assert (len(grids), len(quantiles)) == (1, 3)
         assert len(expectations) == len(solves) == 3
 
+    def test_one_bound_per_spec_and_order(self, monkeypatch):
+        # the rows of every test function price the bounds of the window
+        # probe: one bound_for call per order
+        bounds = count_calls(monkeypatch, bound_for)
+        test_fns = [SineTest(1.0), SineTest(2.0), CosineTest(1.0)]
+        reports = vf.sweep(specs=[cat.make_spec("normal")], orders=range(5), test_fns=test_fns)
+        assert len(reports) == 15 and all(r.passed for r in reports)
+        assert [args[1] for args in bounds] == [0, 1, 2, 3, 4]
+
 
 class TestOffCatalogParameters:
     """Bound-vs-empirical checks away from the default sweep's parameters
@@ -230,15 +223,10 @@ class TestOffCatalogParameters:
         ],
     )
     def test_bounds_hold(self, family, params, orders):
-        spec = cat.make_spec(family, **params)
-        h = SineTest(2.0)
-        from steinbounds.solver import propagate_derivatives, solve
-
-        sol = solve(spec, h)
-        sol = propagate_derivatives(sol, max(max(orders), spec.operator_order))
-        for n in orders:
-            rep = vf.verify(spec, n, h, solution=sol)
-            assert rep.passed, (family, n, rep.margin)
+        reports = vf.sweep(specs=[cat.make_spec(family, **params)], orders=orders, test_fns=[SineTest(2.0)])
+        assert [rep.n for rep in reports] == list(orders)
+        for rep in reports:
+            assert rep.passed, (family, rep.n, rep.margin, rep.error)
 
 
 class TestRefinedConstantsAgainstSolves:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from . import catalog as cat
 from . import special as sf
@@ -323,12 +324,19 @@ def resolve_mode(spec: cat.DistributionSpec, token: str | None) -> str:
 def bound_for(spec: cat.DistributionSpec, n: int, mode: str | None = None) -> BoundCoefficients:
     """Bound on ||f^(n)|| for a catalog family under a mode token.
 
-    None or "default" selects the family's default mode.  A token the
-    family's mode table lacks, or an order outside the row's window,
-    raises ValidityError; a string that is no mode token raises ValueError.
+    None or "default" selects the family's default mode.  The order is an
+    integer or an integral float (2.0, as JSON may give it); a bool, a
+    non-integral value, a negative value, a token the family's mode table
+    lacks or an order outside the row's window raises ValidityError; a
+    string that is no mode token raises ValueError.
     """
-    if n < 0:
-        raise ValidityError("derivative order must be >= 0")
+    try:
+        order = operator.index(n)
+    except TypeError:
+        order = int(n) if isinstance(n, float) and n.is_integer() else None
+    if order is None or isinstance(n, bool) or order < 0:
+        raise ValidityError(f"derivative order must be an integer >= 0, got {n!r}")
+    n = order
     mode = resolve_mode(spec, mode)
     row = spec.modes.get(mode)
     if row is None:

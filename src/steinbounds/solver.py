@@ -43,10 +43,13 @@ Gauss-Kronrod rule (G3/K7), whose embedded 3-point Gauss rule gives the
 panel an error estimate; the largest sum of them, relative to the sum of
 |panel|, is ``diagnostics["panel_error"]``.  The adaptive integrals (the
 tails beyond the grid and the panels next to a delicate point d, an
-integrable singularity or a kink) each go through ``special.integrate``,
-from d where d is near, so QUADPACK meets d at an endpoint; each is done
-once per solve, and their error estimates sum to
-``diagnostics["quad_error"]``.
+integrable singularity or a kink) each go through ``special.integrate``
+(QUADPACK's QAGS and QAGI in numpy, which call an integrand on arrays of
+nodes), from d where d is near, so the rule meets d at an endpoint; each
+is done once per solve, and their error estimates sum to
+``diagnostics["quad_error"]``.  The PRR solve interpolates its inner
+integral between grid points by a cubic Hermite interpolant
+(``special.Hermite``) with the integrand as its exact slope.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy import special as _sp
-from scipy.interpolate import CubicSpline
 
 from . import special as sf
 from .catalog import DistributionSpec, quantile
@@ -202,7 +204,7 @@ def expectation(spec: DistributionSpec, h) -> float:
     """E h(Z) by adaptive quadrature over the support (abs error <= 1e-10)."""
 
     def integrand(t):
-        return float(spec.density(t)) * h.value(t)
+        return spec.density(t) * h.value(t)
 
     lo, hi = spec.support
     total, err = sf.integrate(integrand, lo, hi, spec.delicate_points, epsabs=1e-12, epsrel=1e-11)
@@ -243,7 +245,7 @@ class _Integral:
     def _over(self, a: float, b: float) -> float:
         """The adaptive integral from a to b (either may be the larger)."""
         if (a, b) not in self.done:
-            self.done[a, b] = sf.integrate(lambda t: float(self.fn(t)), a, b, epsabs=1e-14, epsrel=1e-10)
+            self.done[a, b] = sf.integrate(self.fn, a, b, epsabs=1e-14, epsrel=1e-10)
         return self.done[a, b][0]
 
     @property
@@ -688,7 +690,8 @@ def _solve_prr(mesh, h, eh):
     """f = (v/s) A with A(x) the integral of g / (v kappa) from 0 to x,
     where g is the split integral of kappa * (h - E h), kappa being the
     density, and f' = (v' A + g / kappa) / s, v' the slope of the same U
-    table that gives v."""
+    table that gives v.  Between grid points g is its cubic Hermite
+    interpolant, with the exact slope g' = kappa * (h - E h)."""
     spec, grid = mesh.spec, mesh.grid
     s = spec.params["s"]
     # U is evaluated once at the nodes and once on the grid: kappa is
@@ -696,16 +699,16 @@ def _solve_prr(mesh, h, eh):
     u = mesh.factor("v_nodes", spec.kernel_v)
     kappa = mesh.factor("prr_density", lambda xs: spec.density_over_v(xs) * u)
     g_vals, inner = _split_integral(mesh, h, eh, kappa)
-    g_spline = CubicSpline(grid, g_vals)
-
-    def outer(y):
-        return g_spline(y) / (spec.kernel_v(y) * spec.density(y))
-
-    fac = mesh.factor("v_kappa", lambda xs: u * kappa)
-    integral = _Integral(mesh, outer, g_spline(mesh.xs) / fac, spec.delicate_points)
-    a_vals = integral.from_anchor(0.0)
     v = mesh.factor("v", spec.kernel_v, at="grid")
     kappa_grid = mesh.factor("prr_density_grid", lambda x: spec.density_over_v(x) * v, at="grid")
+    g = sf.Hermite(grid, g_vals, kappa_grid * (h.value(grid) - eh))
+
+    def outer(y):
+        return g(y) / (spec.kernel_v(y) * spec.density(y))
+
+    fac = mesh.factor("v_kappa", lambda xs: u * kappa)
+    integral = _Integral(mesh, outer, g(mesh.xs) / fac, spec.delicate_points)
+    a_vals = integral.from_anchor(0.0)
     f = v * a_vals / s
     f1 = (mesh.factor("v_slope", spec.kernel_v_slope, at="grid") * a_vals + g_vals / kappa_grid) / s
     return {0: f, 1: f1}, _error_budget(inner, integral) | {"form_split": mesh.median}

@@ -1,22 +1,28 @@
-"""Scalar special-function kernel.
+"""Numerical kernel: special functions, one adaptive quadrature rule and
+piecewise Hermite interpolation, on numpy and scipy.special only.
 
-Everything here is a thin, contract-checked layer over ``scipy.special``:
-gamma and log-gamma, double factorials, Pochhammer products, modified
-Bessel functions and the standard normal pdf/cdf/Mill's-ratio triple.  The confluent
-hypergeometric U function on the parameter slice we actually use is a
-fixed double-exponential quadrature rule of its own.  ``integrate``, over
-``scipy.integrate.quad``, is the package's one adaptive quadrature rule.
+The special functions are a thin, contract-checked layer over
+``scipy.special``: gamma and log-gamma, double factorials, Pochhammer
+products, modified Bessel functions and the standard normal
+pdf/cdf/Mill's-ratio triple.  The confluent hypergeometric U function on
+the parameter slice we actually use is a fixed double-exponential
+quadrature rule of its own, which also gives dU/dx.  ``integrate`` is the
+package's one adaptive quadrature rule: QUADPACK's QAGS and QAGI ported to
+numpy, each rule application one call of the integrand on an array of
+nodes.  ``Hermite`` interpolates from values and derivatives without a
+linear solve.  The package never imports scipy.integrate or
+scipy.interpolate, whose import pulls in scipy.linalg, sparse, optimize
+and fft and would double the start-up time of every CLI call.
 
 All functions are pure and reentrant.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 
 import numpy as np
-from scipy import integrate as _integrate
 from scipy import special as _sp
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -26,22 +32,391 @@ _GAMMA_OVERFLOW = 171.62  # gamma(x) overflows double precision above this
 
 
 def integrate(fn, a: float, b: float, breaks=(), epsabs: float = 1.49e-8, epsrel: float = 1.49e-8):
-    """(value, error estimate) of the integral of fn (float to float) from
-    a to b, either end infinite or the larger.  The range is split at every
-    break point strictly inside it, so QUADPACK meets each singular or
-    kinked point at the end of a piece.  IntegrationWarning is silenced:
-    the summed error estimate is returned instead."""
+    """(value, error estimate) of the integral of fn from a to b, either
+    end infinite or the larger.  fn maps an array of points to the array
+    of its values there.  The range is split at every break point strictly
+    inside it, so the rule meets each singular or kinked point at the end
+    of a piece; each finite piece is QAGS and each infinite one QAGI, and
+    the error estimates of the pieces are summed.  QUADPACK's failure
+    codes are not reported: a piece that misses its tolerance gives its
+    best value and its error estimate."""
     lo, hi = sorted((a, b))
     sign = 1.0 if a <= b else -1.0
     edges = [lo, *sorted(p for p in breaks if lo < p < hi), hi] if lo < hi else []
     total, err = 0.0, 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _integrate.IntegrationWarning)
-        for left, right in zip(edges[:-1], edges[1:]):
-            val, e = _integrate.quad(fn, left, right, limit=400, epsabs=epsabs, epsrel=epsrel)
-            total += val
-            err += e
+    for left, right in zip(edges[:-1], edges[1:]):
+        if math.isinf(left) or math.isinf(right):
+            # QAGI: x = bound + (1 - t) / t maps (0, 1] onto [bound, inf),
+            # bound - (1 - t) / t onto (-inf, bound]; over the whole line
+            # both halves about 0 share the t nodes
+            if math.isinf(left) and math.isinf(right):
+                rule = functools.partial(_kronrod15_inf, fn, 0.0, 2)
+            elif math.isinf(right):
+                rule = functools.partial(_kronrod15_inf, fn, left, 1)
+            else:
+                rule = functools.partial(_kronrod15_inf, fn, right, -1)
+            val, e = _qags(rule, 0.0, 1.0, epsabs, epsrel)
+        else:
+            val, e = _qags(functools.partial(_kronrod21, fn), left, right, epsabs, epsrel)
+        total += val
+        err += e
     return sign * total, err
+
+
+# QUADPACK (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, 1983),
+# dqagse and dqagie with their rules dqk21 and dqk15i, in numpy: each rule
+# application is one call of the integrand on the nodes of the intervals it
+# sums.  The bookkeeping keeps QUADPACK's 1-based numbering (slot 0 of each
+# list is unused), so every step can be read against the Fortran.
+_EPMACH = float(np.finfo(float).eps)
+_UFLOW = float(np.finfo(float).tiny)
+_OFLOW = float(np.finfo(float).max)
+_LIMIT = 400  # subintervals per piece
+_LIMEXP = 50  # entries of the epsilon table
+
+
+def _gauss_kronrod(abscissae, kronrod, gauss):
+    """The nodes on [-1, 1] of a Gauss-Kronrod rule, from its abscissae in
+    descending order (the last being the centre 0), and its weights, one
+    column Kronrod and one Gauss (0 at the Kronrod-only nodes)."""
+    xs = np.asarray(abscissae)
+    weights = np.array([kronrod, gauss]).T
+    return np.r_[-xs[:-1], xs[::-1]], np.r_[weights[:-1], weights[::-1]]
+
+
+# G10/K21: the 21-point Kronrod extension of 10-point Gauss-Legendre
+_K21_NODES, _K21_WEIGHTS = _gauss_kronrod(
+    [0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+     0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+     0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+     0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0],
+    [0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+     0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+     0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+     0.123491976262065851077208292238880, 0.134709217311473325928054001771707,
+     0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+     0.149445554002916905664936468389821],
+    [0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+     0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+     0.0, 0.295524224714752870173892994651338, 0.0],
+)
+# G7/K15, the rule of QAGI
+_K15_NODES, _K15_WEIGHTS = _gauss_kronrod(
+    [0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+     0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+     0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+     0.207784955007898467600689403773245, 0.0],
+    [0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+     0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+     0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+     0.204432940075298892414161999234649, 0.209482141084727828012999174891714],
+    [0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+     0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327],
+)
+
+
+def _nodes(lo, hi, nodes):
+    """The half-lengths of the intervals [lo[i], hi[i]] and the rule's
+    nodes in each (one row per interval)."""
+    half = [0.5 * (b - a) for a, b in zip(lo, hi)]
+    centre = [0.5 * (a + b) for a, b in zip(lo, hi)]
+    return half, np.array(centre)[:, None] + np.multiply.outer(half, nodes)
+
+
+def _kronrod_sums(values, half, weights):
+    """dqk21's and dqk15i's sums for each interval: values holds the
+    integrand at the rule's nodes (one row per interval) and half each
+    half-length.  Returns the lists (integral, error estimate, integral of
+    |f|, integral of |f - its mean|)."""
+    sums = values @ weights
+    dev = np.abs(np.concatenate([values, values - 0.5 * sums[:, :1]])) @ weights[:, 0]
+    out = []
+    for (resk, resg), resabs, resasc, h in zip(sums.tolist(), dev[:len(half)].tolist(), dev[len(half):].tolist(), half):
+        resabs, resasc = resabs * abs(h), resasc * abs(h)
+        abserr = abs((resk - resg) * h)
+        if resasc != 0.0 and abserr != 0.0:
+            # min(1, r^1.5) as min(1, r)^1.5, which cannot overflow
+            abserr = resasc * min(1.0, 200.0 * abserr / resasc) ** 1.5
+        if resabs > _UFLOW / (50.0 * _EPMACH):
+            abserr = max(50.0 * _EPMACH * resabs, abserr)
+        out.append((resk * h, abserr, resabs, resasc))
+    return tuple(zip(*out))
+
+
+def _kronrod21(fn, lo, hi):
+    """dqk21 on the intervals [lo[i], hi[i]]: one call of fn on all nodes."""
+    half, x = _nodes(lo, hi, _K21_NODES)
+    values = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+    return _kronrod_sums(values, half, _K21_WEIGHTS)
+
+
+def _kronrod15_inf(fn, bound, inf, lo, hi):
+    """dqk15i on the intervals [lo[i], hi[i]] of (0, 1]: the 15-point rule
+    on f(bound + s (1 - t) / t) / t^2, s = -1 for inf = -1, else 1, plus
+    the mirror image f(-x) for inf = 2 (bound 0)."""
+    half, t = _nodes(lo, hi, _K15_NODES)
+    x = (bound + min(1, inf) * (1.0 - t) / t).ravel()
+    if inf == 2:
+        x = np.concatenate([x, -x])
+    values = np.asarray(fn(x), dtype=float)
+    if inf == 2:
+        values = values[:t.size] + values[t.size:]
+    values = (values.reshape(t.shape) / t) / t
+    return _kronrod_sums(values, half, _K15_WEIGHTS)
+
+
+def _qags(rule, a, b, epsabs, epsrel):
+    """dqagse (dqagie when rule is _kronrod15_inf on [0, 1]): globally
+    adaptive bisection of the interval with the largest error estimate,
+    with Wynn's epsilon algorithm (dqelg) extrapolating the sequence of
+    area sums once the small intervals dominate.  Returns (result, abserr);
+    ier, QUADPACK's failure code, steers the choice of the result only."""
+    # as dqagse names them: defabs integrates |f|, resabs |f - its mean|
+    (result,), (abserr,), (defabs,), (resabs,) = rule([a], [b])
+    dres = abs(result)
+    errbnd = max(epsabs, epsrel * dres)
+    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
+        return result, abserr  # roundoff at the first application
+    if (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
+        return result, abserr
+    alist, blist = [0.0, a] + [0.0] * _LIMIT, [0.0, b] + [0.0] * _LIMIT
+    rlist, elist = [0.0, result] + [0.0] * _LIMIT, [0.0, abserr] + [0.0] * _LIMIT
+    iord = [0, 1] + [0] * _LIMIT
+    rlist2, res3la = [0.0] * (_LIMEXP + 3), [0.0] * 4
+    rlist2[1] = result
+    errmax, maxerr, area, errsum = abserr, 1, result, abserr
+    abserr = _OFLOW
+    nrmax, nres, numrl2, ktmin = 1, 0, 2, 0
+    extrap = noext = False
+    ier = ierro = iroff1 = iroff2 = iroff3 = 0
+    small = erlarg = ertest = correc = 0.0
+    for last in range(2, _LIMIT + 1):
+        # bisect the subinterval with the nrmax-th largest error estimate
+        a1, b2 = alist[maxerr], blist[maxerr]
+        b1 = 0.5 * (a1 + b2)
+        a2 = b1
+        erlast = errmax
+        (area1, area2), (error1, error2), _, (defab1, defab2) = rule([a1, a2], [b1, b2])
+        area12 = area1 + area2
+        erro12 = error1 + error2
+        errsum = errsum + erro12 - errmax
+        area = area + area12 - rlist[maxerr]
+        if defab1 != error1 and defab2 != error2:
+            if abs(rlist[maxerr] - area12) <= 1e-5 * abs(area12) and erro12 >= 0.99 * errmax:
+                if extrap:
+                    iroff2 += 1
+                else:
+                    iroff1 += 1
+            if last > 10 and erro12 > errmax:
+                iroff3 += 1
+        rlist[maxerr] = area1
+        rlist[last] = area2
+        errbnd = max(epsabs, epsrel * abs(area))
+        # roundoff (ier 2, 3), the limit (1), an interval too small to halve (4)
+        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
+            ier = 2
+        if iroff2 >= 5:
+            ierro = 3
+        if last == _LIMIT:
+            ier = 1
+        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
+            ier = 4
+        if error2 > error1:
+            alist[maxerr] = a2
+            alist[last], blist[last] = a1, b1
+            rlist[maxerr], rlist[last] = area2, area1
+            elist[maxerr], elist[last] = error2, error1
+        else:
+            alist[last] = a2
+            blist[maxerr], blist[last] = b1, b2
+            elist[maxerr], elist[last] = error1, error2
+        maxerr, errmax, nrmax = _qpsrt(last, maxerr, elist, iord, nrmax)
+        if errsum <= errbnd:
+            return _sum(rlist, last), errsum
+        if ier != 0:
+            break
+        if last == 2:
+            small = abs(b - a) * 0.375
+            erlarg, ertest = errsum, errbnd
+            rlist2[2] = area
+            continue
+        if noext:
+            continue
+        erlarg -= erlast
+        if abs(b1 - a1) > small:
+            erlarg += erro12
+        if not extrap:
+            # test whether the interval to be bisected next is the smallest
+            if abs(blist[maxerr] - alist[maxerr]) > small:
+                continue
+            extrap = True
+            nrmax = 2
+        if ierro != 3 and erlarg > ertest:
+            # bisect the large intervals before extrapolating again
+            jupbnd = _LIMIT + 3 - last if last > 2 + _LIMIT // 2 else last
+            large = False
+            for _ in range(nrmax, jupbnd + 1):
+                maxerr = iord[nrmax]
+                errmax = elist[maxerr]
+                if abs(blist[maxerr] - alist[maxerr]) > small:
+                    large = True
+                    break
+                nrmax += 1
+            if large:
+                continue
+        numrl2 += 1
+        rlist2[numrl2] = area
+        numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
+        ktmin += 1
+        if ktmin > 5 and abserr < 1e-3 * errsum:
+            ier = 5
+        if abseps < abserr:
+            ktmin = 0
+            abserr, result, correc = abseps, reseps, erlarg
+            ertest = max(epsabs, epsrel * abs(reseps))
+            if abserr <= ertest:
+                break
+        if numrl2 == 1:
+            noext = True
+        if ier == 5:
+            break
+        maxerr = iord[1]
+        errmax = elist[maxerr]
+        nrmax = 1
+        extrap = False
+        small *= 0.5
+        erlarg = errsum
+    # the extrapolated result, unless the plain sum is the better one
+    if abserr == _OFLOW:
+        return _sum(rlist, last), errsum
+    if ier + ierro != 0:
+        if ierro == 3:
+            abserr += correc
+        if result != 0.0 and area != 0.0:
+            if abserr / abs(result) > errsum / abs(area):
+                return _sum(rlist, last), errsum
+        elif abserr > errsum:
+            return _sum(rlist, last), errsum
+    return result, abserr
+
+
+def _sum(rlist, last):
+    """The area of the last subintervals, summed in QUADPACK's order."""
+    total = 0.0
+    for k in range(1, last + 1):
+        total += rlist[k]
+    return total
+
+
+def _qpsrt(last, maxerr, elist, iord, nrmax):
+    """dqpsrt: keep iord, the subintervals by decreasing error estimate
+    (all of them while at most _LIMIT / 2 + 2 exist, fewer as the last
+    bisections near), after interval maxerr was halved into maxerr and
+    last.  Returns the next interval to bisect, its error and nrmax."""
+    if last <= 2:
+        iord[1], iord[2] = 1, 2
+    else:
+        errmax = elist[maxerr]
+        # a halving that raised the error moves maxerr up the list
+        for _ in range(nrmax - 1):
+            isucc = iord[nrmax - 1]
+            if errmax <= elist[isucc]:
+                break
+            iord[nrmax] = isucc
+            nrmax -= 1
+        jupbn = _LIMIT + 3 - last if last > _LIMIT // 2 + 2 else last
+        errmin = elist[last]
+        jbnd = jupbn - 1
+        for i in range(nrmax + 1, jbnd + 1):
+            isucc = iord[i]
+            if errmax >= elist[isucc]:
+                # insert errmax here, then errmin from the bottom up
+                iord[i - 1] = maxerr
+                k = jbnd
+                for _ in range(i, jbnd + 1):
+                    isucc = iord[k]
+                    if errmin < elist[isucc]:
+                        iord[k + 1] = last
+                        break
+                    iord[k + 1] = isucc
+                    k -= 1
+                else:
+                    iord[i] = last
+                break
+            iord[i - 1] = isucc
+        else:
+            iord[jbnd] = maxerr
+            iord[jupbn] = last
+    maxerr = iord[nrmax]
+    return maxerr, elist[maxerr], nrmax
+
+
+def _qelg(n, epstab, res3la, nres):
+    """dqelg: one step of Wynn's epsilon algorithm on the table epstab[1:n
+    + 1] of area sums, whose last entry is the newest.  Returns the new
+    table length, the extrapolated limit, its error estimate (from the
+    last three limits) and the count of calls."""
+    nres += 1
+    abserr = _OFLOW
+    result = epstab[n]
+    if n < 3:
+        return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
+    epstab[n + 2] = epstab[n]
+    newelm = (n - 1) // 2
+    epstab[n] = _OFLOW
+    num = k1 = n
+    for i in range(1, newelm + 1):
+        k2, k3 = k1 - 1, k1 - 2
+        res = epstab[k1 + 2]
+        e0, e1, e2 = epstab[k3], epstab[k2], res
+        e1abs = abs(e1)
+        delta2 = e2 - e1
+        err2 = abs(delta2)
+        tol2 = max(abs(e2), e1abs) * _EPMACH
+        delta3 = e1 - e0
+        err3 = abs(delta3)
+        tol3 = max(e1abs, abs(e0)) * _EPMACH
+        if err2 <= tol2 and err3 <= tol3:
+            # e0, e1 and e2 agree to machine accuracy: converged
+            return n, res, max(err2 + err3, 5.0 * _EPMACH * abs(res)), nres
+        e3 = epstab[k1]
+        epstab[k1] = e1
+        delta1 = e1 - e3
+        err1 = abs(delta1)
+        tol1 = max(e1abs, abs(e3)) * _EPMACH
+        if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
+            n = i + i - 1  # two entries too close: drop the rest of the table
+            break
+        ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
+        if abs(ss * e1) <= 1e-4:
+            n = i + i - 1  # irregular behaviour: drop the rest of the table
+            break
+        res = e1 + 1.0 / ss
+        epstab[k1] = res
+        k1 -= 2
+        error = err2 + abs(res - e2) + err3
+        if error <= abserr:
+            abserr, result = error, res
+    # shift the table
+    if n == _LIMEXP:
+        n = 2 * (_LIMEXP // 2) - 1
+    ib = 2 if num % 2 == 0 else 1
+    for _ in range(newelm + 1):
+        epstab[ib] = epstab[ib + 2]
+        ib += 2
+    if num != n:
+        indx = num - n + 1
+        for i in range(1, n + 1):
+            epstab[i] = epstab[indx]
+            indx += 1
+    if nres < 4:
+        res3la[nres] = result
+        abserr = _OFLOW
+    else:
+        abserr = abs(result - res3la[3]) + abs(result - res3la[2]) + abs(result - res3la[1])
+        res3la[1], res3la[2], res3la[3] = res3la[2], res3la[3], result
+    return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
 
 
 def gamma_fn(x: float) -> float:
@@ -169,14 +544,18 @@ _DE_LOG_MAX = 709.0  # largest log(tau): exp overflows past ~709.78
 _DE_CELLS = 1 << 16
 
 
-def _hyp_u_de(a: float, x: np.ndarray) -> np.ndarray:
-    """U(a, 1/2, x) for a > 0 and x > 0 by one fixed rule for every x.
+def _hyp_u_de(a: float, x: np.ndarray):
+    """U(a, 1/2, x) and dU/dx for a > 0 and x > 0 by one fixed rule for
+    every x.
 
     With t = tau/(1+x), U = (1+x)^-a / Gamma(a) int_0^inf e^(-x tau/(1+x))
     tau^(a-1) (1 + tau/(1+x))^(-a-1/2) dtau, whose integrand has its bulk
     at tau of order 1 for every x.  The substitution tau = exp(pi/2
     sinh sigma) makes it decay double-exponentially in sigma; the
-    trapezoid rule runs from tau^a = e^-745 to log tau = 709.
+    trapezoid rule runs from tau^a = e^-745 to log tau = 709.  dU/dx is
+    minus the same integral with the extra factor t, from the same
+    exponentials; its bulk moves out to t ~ 1/x as x falls (see
+    hyp_u_with_slope).
     """
     lo = -math.asinh(2.0 * _DE_LOG_TAIL / (math.pi * a))
     hi = math.asinh(2.0 * _DE_LOG_MAX / math.pi)
@@ -187,24 +566,31 @@ def _hyp_u_de(a: float, x: np.ndarray) -> np.ndarray:
     log_w = a * log_tau + np.log(0.5 * math.pi * np.cosh(sigma))
     flat = x.ravel()
     out = np.empty(flat.shape)
+    moment = np.empty(flat.shape)
     rows = max(1, _DE_CELLS // sigma.size)
     for i in range(0, flat.size, rows):
         xb = flat[i:i + rows, None]
         expo = log_w - (xb / (1.0 + xb)) * tau - (a + 0.5) * np.log1p(tau / (1.0 + xb))
-        out[i:i + rows] = np.exp(expo).sum(axis=1)
-    out *= _DE_STEP * np.exp(-a * np.log1p(flat) - _sp.gammaln(a))
-    return out.reshape(x.shape)
+        terms = np.exp(expo)
+        out[i:i + rows] = terms.sum(axis=1)
+        moment[i:i + rows] = terms @ tau
+    scale = _DE_STEP * np.exp(-a * np.log1p(flat) - _sp.gammaln(a))
+    return (out * scale).reshape(x.shape), (-moment * scale / (1.0 + flat)).reshape(x.shape)
 
 
-def hyp_u(a: float, b: float, x) -> float:
-    """Confluent hypergeometric U(a, b, x) on the validated slice.
+def hyp_u_with_slope(a: float, b: float, x) -> tuple[np.ndarray, np.ndarray]:
+    """Confluent hypergeometric U(a, b, x) and dU/dx on the validated
+    slice, from one evaluation of the rule.
 
     b = 1/2, a in {-1/2} U [0, 19], x > 0.  a = 0 and a = -1/2 are the
     closed forms 1 and sqrt(x); a > 0 is one double-exponential trapezoid
     rule over the integral representation, evaluated for all x at once
-    (see _hyp_u_de).  Against 40-digit mpmath it is within 2.3e-14
-    relative for a in [1e-3, 19] and x in [1e-300, 1e7] (the tests hold it
-    to 1e-12).  Anything else raises: accuracy is only certified there.
+    (see _hyp_u_de).  Against 40-digit mpmath U is within 2.3e-14 relative
+    for a in [1e-3, 19] and x in [1e-300, 1e7] (the tests hold it to
+    1e-12).  dU/dx = -a U(a + 1, b + 1, x) grows like x^(-1/2) at 0; it is
+    within 2.3e-14 relative for x in [1e-4, 1e7], but only 2e-7 at x =
+    1e-12: near 0 a caller takes the limit of what it needs instead.
+    Anything else raises: accuracy is only certified there.
     """
     if b != _HYP_U_B:
         raise ValueError(f"hyp_u validated only for b = {_HYP_U_B}, got b={b}")
@@ -214,12 +600,63 @@ def hyp_u(a: float, b: float, x) -> float:
     if np.any(x_arr <= 0.0):
         raise ValueError("hyp_u requires x > 0")
     if a == 0.0:
-        out = np.ones_like(x_arr)
-    elif a == -0.5:
-        out = np.sqrt(x_arr)
-    else:
-        out = _hyp_u_de(a, x_arr)
-    return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
+        return np.ones_like(x_arr), np.zeros_like(x_arr)
+    if a == -0.5:
+        root = np.sqrt(x_arr)
+        return root, 0.5 / root
+    return _hyp_u_de(a, x_arr)
+
+
+def hyp_u(a: float, b: float, x) -> float:
+    """U(a, b, x) as hyp_u_with_slope gives it: a float for a scalar x."""
+    out = hyp_u_with_slope(a, b, x)[0]
+    return float(out) if np.ndim(out) == 0 else out
+
+
+class Hermite:
+    """The piecewise Hermite interpolant of a function from its values
+    and first derivatives (cubic) or also its second derivatives (quintic)
+    at the increasing nodes x.  Each interval carries its polynomial in t
+    = (y - x_i) / (x_(i+1) - x_i); past the end nodes the end intervals'
+    polynomials continue.  Building it takes no linear solve."""
+
+    def __init__(self, x, values, slopes, curvatures=None):
+        self.x = x = np.asarray(x, dtype=float)
+        self.width = h = np.diff(x)
+        p0, p1 = values[:-1], values[1:]
+        m0, m1 = h * slopes[:-1], h * slopes[1:]
+        jump = p1 - p0
+        if curvatures is None:
+            self.coeffs = np.stack([p0, m0, 3.0 * jump - 2.0 * m0 - m1, m0 + m1 - 2.0 * jump])
+        else:
+            q0, q1 = h * h * curvatures[:-1], h * h * curvatures[1:]
+            self.coeffs = np.stack([
+                p0,
+                m0,
+                0.5 * q0,
+                10.0 * jump - 6.0 * m0 - 4.0 * m1 - 1.5 * q0 + 0.5 * q1,
+                -15.0 * jump + 8.0 * m0 + 7.0 * m1 + 1.5 * q0 - q1,
+                6.0 * jump - 3.0 * m0 - 3.0 * m1 - 0.5 * q0 + 0.5 * q1,
+            ])
+
+    def __call__(self, y):
+        """The interpolant at y (float or array)."""
+        return self._horner(y, self.coeffs)
+
+    def slope(self, y):
+        """The interpolant's derivative at y (float or array)."""
+        return self._horner(y, [k * c / self.width for k, c in enumerate(self.coeffs)][1:])
+
+    def _horner(self, y, coeffs):
+        y_arr = np.asarray(y, dtype=float)
+        i = np.clip(np.searchsorted(self.x, y_arr, side="right") - 1, 0, self.width.size - 1)
+        t = (y_arr - self.x[i]) / self.width[i]
+        # Horner, one coefficient row at a time: no (degree, points) temporary
+        out = np.zeros_like(t)
+        for c in coeffs[::-1]:
+            out *= t
+            out += c[i]
+        return float(out) if y_arr.ndim == 0 else out
 
 
 def norm_pdf(x):

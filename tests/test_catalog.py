@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -84,19 +85,25 @@ class TestDensities:
 
 class TestPrrUTable:
     def test_table_build_runs_no_adaptive_quadrature(self, monkeypatch):
-        from scipy import integrate as scipy_integrate
+        monkeypatch.setattr(cat.sf, "integrate", None)
+        table, x_hi = cat._prr_u_table.__wrapped__(5.67)
+        assert table(1.0) > 0.0 and x_hi > 0.0
 
-        calls = []
-        real_quad = scipy_integrate.quad
-
-        def counting_quad(*args, **kwargs):
-            calls.append(1)
-            return real_quad(*args, **kwargs)
-
-        monkeypatch.setattr(scipy_integrate, "quad", counting_quad)
-        spline, x_hi = cat._prr_u_table.__wrapped__(5.67)
-        assert len(calls) == 0
-        assert spline(1.0) > 0.0 and x_hi > 0.0
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 4.67, 20.0])
+    def test_table_and_slope_against_mpmath(self, s):
+        # the quintic Hermite table from U, U' and U'' at its nodes: within
+        # 1.2e-14 relative of U and 1.6e-12 of U' (the quintic spline it
+        # replaced: 3.7e-12 and 1.3e-9 at s = 20)
+        _, x_hi = cat._prr_u_table(s)
+        xs = np.concatenate([[1e-9, 1e-4, 0.003], np.linspace(0.0137, 0.3 * x_hi, 25)])
+        values, slopes = cat._prr_u_function(s, xs), cat._prr_u_slope(s, xs)
+        with mpmath.workdps(30):
+            for x, v, dv in zip(xs, values, slopes):
+                z = mpmath.mpf(x) ** 2 / (2 * s)
+                u = mpmath.hyperu(s - 1, 0.5, z)
+                du = -(s - 1) * mpmath.hyperu(s, 1.5, z) * x / s if s != 1.0 else 0
+                assert abs(v - u) <= 2e-14 * abs(u), x
+                assert abs(dv - du) <= 2e-12 * max(abs(du), abs(u)), x
 
     def test_deep_tail_values_are_direct_evaluations(self):
         # beyond the table, each point gets U from hyp_u on the far points
@@ -162,6 +169,19 @@ class TestWindows:
         assert spec.max_order("lemma23ii") == 5
         with pytest.raises(ValidityError, match="exceeds the validity window"):
             cf.bound_for(spec, 5, "lemma23i")
+
+    @pytest.mark.parametrize("order", [2.5, math.inf, math.nan, -2.0, True, False, np.bool_(True), -1, np.int64(-2), "2"], ids=repr)
+    def test_order_that_is_no_natural_number_is_rejected(self, order):
+        # 2.5 once gave a bound on ||h^(1.5)||, and True was read as order 1
+        spec = cat.make_spec("normal")
+        for mode in ("two-prev", None):
+            with pytest.raises(ValidityError, match="derivative order must be an integer >= 0"):
+                cf.bound_for(spec, order, mode)
+
+    @pytest.mark.parametrize("order", [np.int64(3), 3.0, np.float64(3.0)], ids=repr)
+    def test_integral_order_of_another_type_is_an_order(self, order):
+        spec = cat.make_spec("normal")
+        assert cf.bound_for(spec, order) == cf.bound_for(spec, 3)
 
     def test_inverse_gamma_window(self):
         spec = cat.make_spec("inverse_gamma", alpha=9.0, beta=2.0)

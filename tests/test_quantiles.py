@@ -78,7 +78,7 @@ def test_scalar_density_branch_equals_array_branch(family):
 
 
 def test_non_finite_cdf_integral_raises():
-    nan_tail = replace(cat.make_spec("normal"), pdf=lambda x: sf.norm_pdf(x) if x < 1.0 else np.nan, ppf=None)
+    nan_tail = replace(cat.make_spec("normal"), pdf=lambda x: np.where(x < 1.0, sf.norm_pdf(x), np.nan), ppf=None)
     assert cat.numeric_cdf(nan_tail, 0.5) == pytest.approx(0.6914624612740131)
     with pytest.raises(NumericError, match="CDF integral"):
         cat.numeric_cdf(nan_tail, 2.0)

@@ -1,5 +1,6 @@
 """Solver: expectations, probe regressions, propagation, representations."""
 
+import cmath
 import json
 import math
 from dataclasses import replace
@@ -97,6 +98,43 @@ class TestExpectation:
         h = CosineTest(1.0)
         oracle, _ = integrate.quad(lambda t: float(spec.density(t)) * math.cos(t), 0.0, np.inf)
         assert expectation(spec, h) == pytest.approx(oracle, abs=1e-9)
+
+    @staticmethod
+    def characteristic_function(spec, w: float) -> complex:
+        """E e^(i w Z) in closed form for the families that have one."""
+        p = spec.params
+        if spec.family == "normal":
+            return complex(math.exp(-0.5 * w * w))
+        if spec.family in ("gamma", "exponential"):
+            return (1.0 - 1j * w / p["lam"]) ** -p.get("r", 1.0)
+        if spec.family == "arcsine":
+            return cmath.exp(0.5j * w) * float(_sp.j0(0.5 * w))
+        assert spec.family == "vg"
+        return (1.0 - 2j * p["theta"] * w + p["sigma"] ** 2 * w * w) ** (-0.5 * p["r"])
+
+    @pytest.mark.parametrize("h", [SineTest(1.0), SineTest(2.0), CosineTest(1.0)], ids=lambda h: h.name)
+    def test_default_sweep_values_against_closed_forms(self, h):
+        # within 5e-13 relative: at expectation's epsrel 1e-11 QUADPACK
+        # stops 3.5e-13 off for gamma(2, 1) sine:2 and 1.0e-13 off for
+        # arcsine sine:1, the others within 1.5e-14
+        for spec in vf.default_sweep_specs():
+            if spec.family not in ("normal", "gamma", "exponential", "arcsine", "vg"):
+                continue
+            cf = self.characteristic_function(spec, h.freq)
+            exact = cf.real if isinstance(h, CosineTest) else cf.imag
+            assert expectation(spec, h) == pytest.approx(exact, rel=5e-13, abs=1e-16), spec.family
+
+    def test_default_sweep_values_hold_to_golden(self):
+        # the 33 E h of the default sweep, pinned before the integrator
+        # moved to numpy; the smallest shift that flips a sweep bound at 10
+        # digits is 1.26e-11 (quartic cosine:1, n = 0)
+        golden = json.loads((Path(__file__).parent / "golden" / "expectations.json").read_text())
+        specs = {(s.family, json.dumps(s.params)): s for s in vf.default_sweep_specs()}
+        assert len(golden) == 3 * len(specs) == 33
+        for row in golden:
+            spec = specs[row["family"], json.dumps(row["params"])]
+            got = expectation(spec, parse_test_function(row["test_fn"]))
+            assert abs(got - row["value"]) <= 1e-12 * max(abs(row["value"]), 1e-3), row
 
 
 class TestProbes:
@@ -569,12 +607,13 @@ class TestMeshFactorsAreEvaluatedOnce:
     @staticmethod
     def record_points(monkeypatch, module, name):
         """Record the size of every argument that the solver passes to
-        module.name as its second argument (0 for a scalar)."""
+        module.name as its second argument (0 for the nodes of one
+        application of the adaptive rule: two intervals of 21 at most)."""
         sizes = []
         fn = getattr(module, name)
 
         def recorded(nu, x):
-            sizes.append(np.size(x) if np.ndim(x) else 0)
+            sizes.append(np.size(x) if np.size(x) > 2 * 21 else 0)
             return fn(nu, x)
 
         monkeypatch.setattr(module, name, recorded)
@@ -605,7 +644,7 @@ class TestMeshFactorsAreEvaluatedOnce:
         kve = self.record_points(monkeypatch, sv._sp, "kve")
         self.three_solves(spec, mesh)
         # orders nu and nu + 1 at the anchors, then order nu at the nodes
-        # that the series cannot reach; scalars are the adaptive quadratures'
+        # that the series cannot reach; zeros are the adaptive quadratures'
         arrays = [n for n in ive if n], [n for n in kve if n]
         assert arrays == ([anchors, anchors, near], [anchors, anchors, near])
 

@@ -4,8 +4,10 @@ Expected values marked "mpmath" were computed with mpmath at 25 digits
 before freezing; closed-form oracles are evaluated inline.
 """
 
-import ast
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from steinbounds import catalog as cat
 from steinbounds import special as sf
 
 
@@ -194,6 +197,23 @@ class TestHypUAgainstMpmath:
             rel = [abs((mpmath.mpf(float(g)) - o) / o) for g, o in zip(got, oracle)]
         assert max(rel) <= 1e-12
 
+    @pytest.mark.parametrize("a", A_VALUES)
+    def test_slope_relative_error(self, a):
+        # dU/dx = -a U(a + 1, 3/2, x) from the same rule, held where its
+        # bulk stays inside the rule's range (x >= 1e-4)
+        xs = [x for x in self.X_VALUES if x >= 1e-4]
+        values, slopes = sf.hyp_u_with_slope(a, 0.5, np.array(xs))
+        with mpmath.workdps(40):
+            oracle = [-a * mpmath.hyperu(a + 1, 1.5, mpmath.mpf(x)) for x in xs]
+            rel = [abs((mpmath.mpf(float(g)) - o) / o) for g, o in zip(slopes, oracle)]
+        assert max(rel) <= 1e-13
+
+    def test_slope_closed_forms(self):
+        x = np.array([1e-3, 2.0, 50.0])
+        assert [s.tolist() for s in sf.hyp_u_with_slope(0.0, 0.5, x)] == [[1.0] * 3, [0.0] * 3]
+        root, slope = sf.hyp_u_with_slope(-0.5, 0.5, x)
+        assert np.array_equal(root, np.sqrt(x)) and np.array_equal(slope, 0.5 / np.sqrt(x))
+
     def test_scalar_and_array_agree_bitwise(self):
         xs = np.geomspace(1e-6, 1e4, 300)
         vec = sf.hyp_u(4.67, 0.5, xs)
@@ -211,97 +231,170 @@ class TestIntegrate:
         # the mass of this density sits around 1e3: one QAGI call over the
         # whole line samples too sparsely to find it, the split one does
         def bump(t):
-            return math.exp(-0.5 * (t - 1e3) ** 2) / math.sqrt(2.0 * math.pi)
+            return np.exp(-0.5 * (t - 1e3) ** 2) / math.sqrt(2.0 * math.pi)
 
-        assert integrate.quad(bump, -math.inf, 2e3)[0] < 1e-3
+        assert sf.integrate(bump, -math.inf, 2e3)[0] < 1e-3
         val, err = sf.integrate(bump, -math.inf, 2e3, breaks=(1e3,))
         assert val == pytest.approx(1.0, abs=1e-10)
         assert 0.0 <= err < 1e-8
 
     def test_breaks_outside_the_range_are_ignored(self):
-        plain = sf.integrate(math.exp, 0.0, 1.0)
-        assert sf.integrate(math.exp, 0.0, 1.0, breaks=(-1.0, 0.0, 1.0, 2.0)) == plain
+        plain = sf.integrate(np.exp, 0.0, 1.0)
+        assert sf.integrate(np.exp, 0.0, 1.0, breaks=(-1.0, 0.0, 1.0, 2.0)) == plain
         assert plain[0] == pytest.approx(math.e - 1.0, rel=1e-14)
 
     def test_singular_break_is_met_at_an_endpoint(self):
         # |t|^(-1/2) over [-1, 1]: the singularity is an endpoint of both
-        # pieces, and no IntegrationWarning escapes
+        # pieces, where the rule places no node, so no warning escapes
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            val, err = sf.integrate(
-                lambda t: abs(t) ** -0.5 if t else 0.0, -1.0, 1.0, breaks=(0.0,),
-                epsabs=1e-14, epsrel=1e-12,
-            )
+            val, err = sf.integrate(lambda t: np.abs(t) ** -0.5, -1.0, 1.0, breaks=(0.0,), epsabs=1e-14, epsrel=1e-12)
         assert val == pytest.approx(4.0, rel=1e-12)
         assert err < 1e-10
 
     def test_reversed_and_empty_ranges(self, monkeypatch):
-        forward = sf.integrate(math.exp, -math.inf, 1.0, breaks=(0.0,))
-        assert sf.integrate(math.exp, 1.0, -math.inf, breaks=(0.0,)) == (-forward[0], forward[1])
-        monkeypatch.setattr(integrate, "quad", None)  # an empty range needs no quadrature
-        assert sf.integrate(math.exp, 2.0, 2.0) == (0.0, 0.0)
+        forward = sf.integrate(np.exp, -math.inf, 1.0, breaks=(0.0,))
+        assert sf.integrate(np.exp, 1.0, -math.inf, breaks=(0.0,)) == (-forward[0], forward[1])
+        monkeypatch.setattr(sf, "_qags", None)  # an empty range needs no quadrature
+        assert sf.integrate(np.exp, 2.0, 2.0) == (0.0, 0.0)
 
     def test_returns_every_error_estimate(self):
-        pieces = [integrate.quad(math.cos, a, b, limit=400) for a, b in ((0.0, 1.0), (1.0, 3.0))]
-        val, err = sf.integrate(math.cos, 0.0, 3.0, breaks=(1.0,))
+        pieces = [sf.integrate(np.cos, a, b) for a, b in ((0.0, 1.0), (1.0, 3.0))]
+        val, err = sf.integrate(np.cos, 0.0, 3.0, breaks=(1.0,))
         assert val == pieces[0][0] + pieces[1][0]
         assert err == pieces[0][1] + pieces[1][1]
 
+    def test_one_integrand_call_per_rule_application(self):
+        # a finite piece starts with one 21-node call, then each bisection
+        # evaluates both halves in one call; an infinite piece likewise
+        # with 15 nodes per interval (twice that over the whole line)
+        sizes = []
 
-def _quad_references(source: str) -> list:
-    """The enclosing function name (None at module level) of every
-    reference to quad from scipy.integrate in source."""
-    tree = ast.parse(source)
-    integrate_names = set()  # local names bound to scipy.integrate
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "scipy":
-            integrate_names |= {a.asname or a.name for a in node.names if a.name == "integrate"}
-        elif isinstance(node, ast.Import):
-            integrate_names |= {a.asname for a in node.names if a.name == "scipy.integrate" and a.asname}
+        def recorded(t):
+            sizes.append(t.size)
+            return np.exp(-t * t) * np.cos(3.0 * t)
 
-    def is_integrate(node):
-        if isinstance(node, ast.Name):
-            return node.id in integrate_names
-        return isinstance(node, ast.Attribute) and node.attr == "integrate" and (
-            isinstance(node.value, ast.Name) and node.value.id == "scipy"
-        )
-
-    found = []
-
-    def visit(node, func):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
-        if isinstance(node, ast.ImportFrom) and node.module == "scipy.integrate":
-            found.extend(func for a in node.names if a.name == "quad")
-        if isinstance(node, ast.Attribute) and node.attr == "quad" and is_integrate(node.value):
-            found.append(func)
-        for child in ast.iter_child_nodes(node):
-            visit(child, func)
-
-    visit(tree, None)
-    return found
+        sf.integrate(recorded, 0.0, 5.0, epsabs=1e-14, epsrel=1e-12)
+        assert sizes[0] == 21 and len(sizes) > 1 and set(sizes[1:]) == {42}
+        sizes.clear()
+        sf.integrate(recorded, -math.inf, math.inf, epsabs=1e-14, epsrel=1e-12)
+        assert sizes[0] == 30 and len(sizes) > 1 and set(sizes[1:]) == {60}
 
 
-class TestOneQuadratureRule:
-    """Every adaptive integral of the package goes through
-    special.integrate, so the one rule cannot drift."""
+class TestIntegrateAgainstQuadpack:
+    """The numpy rules are QUADPACK's QAGS and QAGI: on smooth, singular,
+    oscillatory and infinite integrals they agree with the Fortran (as
+    scipy.integrate.quad runs it) to rounding, error estimates included."""
 
-    def test_guard_sees_every_spelling(self):
-        source = (
-            "import scipy.integrate\n"
-            "import scipy.integrate as si\n"
-            "from scipy import integrate as _i\n"
-            "from scipy.integrate import quad\n"
-            "def f():\n    return scipy.integrate.quad, si.quad\n"
-            "def g():\n    return _i.quad\n"
-        )
-        assert _quad_references(source) == [None, "f", "f", "g"]
+    CASES = [
+        (np.exp, 0.0, 1.0),
+        (lambda t: np.log(t), 0.0, 1.0),
+        (lambda t: t ** -0.3 * (1.0 - t) ** -0.7, 0.0, 1.0),
+        (lambda t: np.sin(50.0 * t), 0.0, 1.0),
+        (lambda t: np.abs(t - 0.3) ** 0.5, 0.0, 1.0),
+        (lambda t: np.exp(-t * t), -math.inf, math.inf),
+        (lambda t: np.exp(t), -math.inf, 1.0),
+        (lambda t: (1.0 + t * t) ** -3, 0.0, math.inf),
+    ]
 
-    def test_quad_is_referenced_only_inside_integrate(self):
-        package = Path(sf.__file__).parent
-        found = [
-            (path.name, func)
-            for path in sorted(package.glob("*.py"))
-            for func in _quad_references(path.read_text())
-        ]
-        assert found == [("special.py", "integrate")]
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    @pytest.mark.parametrize("tol", [(1.49e-8, 1.49e-8), (1e-14, 1e-10), (0.0, 1e-12)])
+    def test_matches_scipy_quad(self, case, tol):
+        fn, a, b = self.CASES[case]
+        epsabs, epsrel = tol
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            ref, ref_err = integrate.quad(lambda t: float(fn(np.float64(t))), a, b, limit=400, epsabs=epsabs, epsrel=epsrel)
+        val, err = sf.integrate(fn, a, b, epsabs=epsabs, epsrel=epsrel)
+        assert val == pytest.approx(ref, rel=1e-12, abs=1e-300)
+        assert err == pytest.approx(ref_err, rel=0.25)
+
+
+class TestIntegrateAgainstMpmath:
+    """The densities' hard ends, each integral to its requested tolerance
+    (epsabs 1e-12, epsrel 1e-11, those of solver.expectation) against
+    40-digit mpmath: arcsine's and beta(0.3, 0.3)'s singular ends, the
+    gamma(0.320687, 1.83895) end at 0, the vg(0.6, 1.5, 0.5) origin and a
+    Student t(5, 1) tail (the family's (1 + (x/delta)^2)^(-(d+1)/2) law)."""
+
+    @staticmethod
+    def cases():
+        mp = mpmath
+        arcsine, beta = cat.make_spec("arcsine"), cat.make_spec("beta", alpha=0.3, beta=0.3)
+        r, lam = 0.320687, 1.83895
+        gamma = cat.make_spec("gamma", r=r, lam=lam)
+        vg = cat.make_spec("vg", r=0.6, theta=1.5, sigma=0.5)
+        student = cat.make_spec("student_t", d=5.0, delta=1.0)
+        third = mp.mpf(3) / 10
+
+        def p_arcsine(t):
+            return 1 / (mp.pi * mp.sqrt(t * (1 - t)))
+
+        def p_beta(t):
+            return (t * (1 - t)) ** (third - 1) / mp.beta(third, third)
+
+        def p_gamma(t):
+            return mp.mpf(lam) ** r * t ** (mp.mpf(r) - 1) * mp.exp(-lam * t) / mp.gamma(r)
+
+        def p_vg(t):
+            nu, root = mp.mpf(-0.2), mp.sqrt(mp.mpf(1.5) ** 2 + mp.mpf(0.5) ** 2)
+            return (
+                mp.exp(6 * t) * (abs(t) / (2 * root)) ** nu * mp.besselk(nu, 4 * root * abs(t))
+                / (mp.mpf(0.5) * mp.sqrt(mp.pi) * mp.gamma(mp.mpf(0.3)))
+            )
+
+        def p_student(t):
+            return mp.gamma(3) / (mp.gamma(mp.mpf(2.5)) * mp.sqrt(mp.pi)) * (1 + t * t) ** -3
+
+        return {
+            "arcsine-0": (arcsine.density, np.sin, mp.sin, p_arcsine, 0.0, 0.25),
+            "arcsine-1": (arcsine.density, np.cos, mp.cos, p_arcsine, 0.75, 1.0),
+            "beta-0": (beta.density, np.sin, mp.sin, p_beta, 0.0, 0.5),
+            "beta-1": (beta.density, np.sin, mp.sin, p_beta, 0.5, 1.0),
+            "gamma-0": (gamma.density, np.cos, mp.cos, p_gamma, 0.0, 1.0),
+            "vg-left": (vg.density, np.cos, mp.cos, p_vg, -1.0, 0.0),
+            "vg-right": (vg.density, np.cos, mp.cos, p_vg, 0.0, 1.0),
+            "student-right": (student.density, np.ones_like, lambda t: 1, p_student, 10.0, math.inf),
+            "student-left": (student.density, np.negative, lambda t: -t, p_student, -math.inf, -10.0),
+        }
+
+    @pytest.mark.parametrize(
+        "name", ["arcsine-0", "arcsine-1", "beta-0", "beta-1", "gamma-0", "vg-left", "vg-right", "student-right", "student-left"]
+    )
+    def test_hard_end(self, name):
+        density, h, h_mp, p_mp, a, b = self.cases()[name]
+        with mpmath.workdps(40):
+            oracle = float(mpmath.quad(lambda t: p_mp(t) * h_mp(t), [a, b]))
+        val, err = sf.integrate(lambda t: density(t) * h(t), a, b, epsabs=1e-12, epsrel=1e-11)
+        assert abs(val - oracle) <= max(1e-12, 1e-11 * abs(oracle))
+        assert err <= max(1e-12, 1e-11 * abs(val))
+
+
+_GUARD_SCRIPT = """
+import sys
+
+from steinbounds.selftest import run_selftest
+from steinbounds.solver import SineTest
+from steinbounds.verifier import default_sweep_specs, verify
+
+families = {}
+for spec in default_sweep_specs():
+    families.setdefault(spec.family, spec)
+for spec in families.values():
+    verify(spec, 1, SineTest(1.0))
+assert run_selftest()
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_no_entry_point_loads_the_heavy_scipy_subpackages():
+    # the package needs numpy and scipy.special only: scipy.integrate or
+    # scipy.interpolate would pull in linalg, sparse and optimize, and
+    # double the import time of every CLI call
+    src = Path(sf.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", _GUARD_SCRIPT], env=env, capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.splitlines()[-1].split())
+    heavy = {"scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.optimize", "scipy.sparse"}
+    assert "steinbounds.verifier" in loaded
+    assert not heavy & loaded

@@ -94,6 +94,20 @@ class TestVerify:
         assert not isinstance(exc.value, ValidityError)
         assert solves == []
 
+    def test_sweep_rows_an_unpriceable_bound_before_solving(self, monkeypatch):
+        # prr below s = 1: order 0 has no chain and order 1 keeps a symbolic
+        # ||f'||, so both are error rows, and with no priceable order left
+        # the spec is never solved; order 2 prices and passes
+        solves = count_calls(monkeypatch, sv.solve)
+        spec, h = cat.make_spec("prr", s=0.5), SineTest(1.0)
+        rows = vf.sweep(specs=[spec], orders=range(2), test_fns=[h])
+        assert [(r.n, r.passed) for r in rows] == [(0, None), (1, None)]
+        assert "symbolic" in rows[1].error
+        assert solves == []
+        rows = vf.sweep(specs=[spec], orders=range(3), test_fns=[h])
+        assert [(r.n, r.error is None, r.passed) for r in rows] == [(0, False, None), (1, False, None), (2, True, True)]
+        assert len(solves) == 1
+
     def test_single_verify_computes_the_mean_once(self, monkeypatch):
         expectations = count_calls(monkeypatch, sv.expectation)
         rep = vf.verify(cat.make_spec("gamma", r=2.0, lam=1.0), 1, SineTest(1.0))

@@ -803,27 +803,57 @@ def prr_second_derivative_constant(s: float) -> float:
     raise ValidityError(f"prr constants defined for s = 1/2 or s >= 1, got {s}")
 
 
+_PRR_TABLE_NODES = 3001  # even nodes of the PRR U table
+_PRR_ANCHOR_STEPS = 16  # table nodes between the anchors that call hyp_u_with_slope
+_PRR_TAYLOR_TERMS = 14  # terms of the series about an anchor
+
+
 @functools.lru_cache(maxsize=16)
 def _prr_u_table(s: float):
     """Quintic Hermite table of v(x) = U(s-1, 1/2, x^2/(2s)) on the solver
     range, from v, v' and v'' at 3,001 even nodes.
 
-    One vectorised hyp_u_with_slope call (tens of ms) gives v and dU/dz,
-    so v' = (x/s) dU/dz, which tends to -sqrt(2 pi / s) / Gamma(s - 1) (the
-    coefficient of U's z^(1/2) term) at x = 0, where the node takes that
-    limit; v'' follows from v's own equation s v'' - x v' - 2(s-1) v = 0.
-    The table reduces the million-point solver workloads to that one call.
-    Against 30-digit mpmath it is within 1.2e-14 relative of U and its
-    slope within 1.6e-12 (s = 1/2 to 20), where the quintic spline through
-    the values alone was off by 3.7e-12 and 1.3e-9 at s = 20.
+    hyp_u_with_slope runs only at the anchors, every 16th node and the
+    last (189 points, a few ms), and gives v and dU/dz, so v' = (x/s)
+    dU/dz; at x = 0 that tends to -sqrt(2 pi / s) / Gamma(s - 1) (the
+    coefficient of U's z^(1/2) term), which node 0 takes.  v solves s v''
+    - x v' - 2(s-1) v = 0, which has no singular point, so every other
+    node takes v and v' from one 14-term Taylor series about its nearest
+    anchor, at most 8 nodes away (_prr_taylor); the anchors keep their
+    values, and v'' at every node follows from the equation.  The table
+    reduces the million-point solver workloads to those 189 points.
+    Against 30-digit mpmath it is within 2e-14 relative of U and its slope
+    within 2e-12 (s = 1/2 to 20), where the quintic spline through the
+    values alone was off by 3.7e-12 and 1.3e-9 at s = 20.
     """
     x_hi = 1.6 * math.sqrt(50.0 * s) + 6.0
-    xs = np.linspace(0.0, x_hi, 3001)
-    z = np.maximum(xs * xs / (2.0 * s), 1e-300)
-    v, v_z = sf.hyp_u_with_slope(s - 1.0, 0.5, z)
-    slope = v_z * xs / s
-    slope[0] = -math.sqrt(2.0 * math.pi / s) * rgamma(s - 1.0)
+    xs = np.linspace(0.0, x_hi, _PRR_TABLE_NODES)
+    nodes = np.arange(_PRR_TABLE_NODES)
+    anchors = np.r_[nodes[::_PRR_ANCHOR_STEPS], nodes[-1]]
+    x0 = xs[anchors]
+    v0, v0_z = sf.hyp_u_with_slope(s - 1.0, 0.5, np.maximum(x0 * x0 / (2.0 * s), 1e-300))
+    slope0 = v0_z * x0 / s
+    slope0[0] = -math.sqrt(2.0 * math.pi / s) * rgamma(s - 1.0)
+    coeffs = _prr_taylor(s, x0, v0, slope0)
+    # the anchor nearest to each node; an anchor steps by t = 0, which
+    # gives back its own v and v' exactly
+    near = np.rint(nodes / _PRR_ANCHOR_STEPS).astype(np.intp)
+    near[nodes > 0.5 * (anchors[-2] + anchors[-1])] = anchors.size - 1
+    t = xs - x0[near]
+    v = sf.taylor_step(coeffs, near, t)
+    slope = sf.taylor_slope(coeffs, near, t)
     return sf.Hermite(xs, v, slope, (2.0 * (s - 1.0) * v + xs * slope) / s), x_hi
+
+
+def _prr_taylor(s: float, x0, c0, c1):
+    """The _PRR_TAYLOR_TERMS Taylor coefficients in t of v(x0 + t), for v a
+    solution of s v'' - x v' - 2(s-1) v = 0 with v(x0) = c0 and v'(x0) =
+    c1; every argument but s is an array over x0.  At s = 1 (v = 1, v' =
+    0) every coefficient past the first is exactly 0."""
+    c = [c0, c1]
+    for k in range(_PRR_TAYLOR_TERMS - 2):
+        c.append((x0 * (k + 1) * c[k + 1] + (k + 2.0 * (s - 1.0)) * c[k]) / (s * ((k + 1) * (k + 2))))
+    return c
 
 
 def _prr_u_function(s: float, x):

@@ -49,7 +49,11 @@ nodes), from d where d is near, so the rule meets d at an endpoint; each
 is done once per solve, and their error estimates sum to
 ``diagnostics["quad_error"]``.  The PRR solve interpolates its inner
 integral between grid points by a cubic Hermite interpolant
-(``special.Hermite``) with the integrand as its exact slope.
+(``special.Hermite``) with the integrand as its exact slope, and
+evaluates it at the nodes panel by panel (``Hermite.on_intervals``): node
+row i lies in grid panel i, so no node is searched for.  Its kernel v is
+catalog's U table, whose nodes step from sparse anchors by the same
+Taylor series (``special.taylor_step``) as the vg Bessel values.
 """
 
 from __future__ import annotations
@@ -507,16 +511,6 @@ def _vg_anchors(mesh, nu, alpha):
     return z0, anchors[1:], c_i, c_k
 
 
-def _taylor_step(coeffs, near, t):
-    """The series of coeffs (one array over the anchors per power of t)
-    about anchor near, at t; near and t broadcast along their last axis."""
-    series = np.zeros_like(t)
-    for c in coeffs[::-1]:  # Horner, in place
-        series *= t
-        series += c[near]
-    return series
-
-
 def _vg_scaled_bessels(mesh, nu, alpha):
     """ive and kve at orders nu and nu + 1 of alpha |x| on the grid (a
     mesh factor), stacked in that order.  Each value is evaluated once per
@@ -535,8 +529,7 @@ def _vg_scaled_bessels(mesh, nu, alpha):
         def step(coeffs, sign):
             """e^(sign t) times the series and its derivative in t"""
             scale = np.exp(sign * t)
-            slope = [j * c for j, c in enumerate(coeffs) if j]
-            return scale * _taylor_step(coeffs, near, t), scale * _taylor_step(slope, near, t)
+            return scale * sf.taylor_step(coeffs, near, t), scale * sf.taylor_slope(coeffs, near, t)
 
         i_n, di = step(c_i, -1.0)
         k_n, dk = step(c_k, 1.0)
@@ -589,8 +582,8 @@ def _vg_node_bessels(mesh, nu, alpha):
     for rows, ends in ((slice(None, mid), steps[:-1]), (slice(mid, None), steps[1:])):
         near = _nearest_anchor(ends)
         t = z[rows] - z0[near]
-        ive[rows] = np.exp(-t) * _taylor_step(c_i, near, t)
-        kve[rows] = np.exp(t) * _taylor_step(c_k, near, t)
+        ive[rows] = np.exp(-t) * sf.taylor_step(c_i, near, t)
+        kve[rows] = np.exp(t) * sf.taylor_step(c_k, near, t)
     near = ax < _DIRECT_STEPS * dx
     ive[near] = _sp.ive(nu, z[near])
     kve[near] = _sp.kve(nu, z[near])
@@ -707,7 +700,7 @@ def _solve_prr(mesh, h, eh):
         return g(y) / (spec.kernel_v(y) * spec.density(y))
 
     fac = mesh.factor("v_kappa", lambda xs: u * kappa)
-    integral = _Integral(mesh, outer, g(mesh.xs) / fac, spec.delicate_points)
+    integral = _Integral(mesh, outer, g.on_intervals(mesh.xs) / fac, spec.delicate_points)
     a_vals = integral.from_anchor(0.0)
     f = v * a_vals / s
     f1 = (mesh.factor("v_slope", spec.kernel_v_slope, at="grid") * a_vals + g_vals / kappa_grid) / s

@@ -10,9 +10,11 @@ quadrature rule of its own, which also gives dU/dx.  ``integrate`` is the
 package's one adaptive quadrature rule: QUADPACK's QAGS and QAGI ported to
 numpy, each rule application one call of the integrand on an array of
 nodes.  ``Hermite`` interpolates from values and derivatives without a
-linear solve.  The package never imports scipy.integrate or
-scipy.interpolate, whose import pulls in scipy.linalg, sparse, optimize
-and fft and would double the start-up time of every CLI call.
+linear solve; ``taylor_step`` is its Horner rule, which also steps the
+solver's vg Bessel values and catalog's PRR U table from sparse anchors.
+The package never imports scipy.integrate or scipy.interpolate, whose
+import pulls in scipy.linalg, sparse, optimize and fft and would double
+the start-up time of every CLI call.
 
 All functions are pure and reentrant.
 """
@@ -647,16 +649,36 @@ class Hermite:
         """The interpolant's derivative at y (float or array)."""
         return self._horner(y, [k * c / self.width for k, c in enumerate(self.coeffs)][1:])
 
+    def on_intervals(self, y):
+        """The interpolant at the 2-D array y whose row i lies in interval
+        i, with no search: each row takes its interval's polynomial, so the
+        values equal those of the call bit for bit."""
+        rows = (slice(None), None)  # interval i's coefficient along row i
+        return taylor_step(self.coeffs, rows, (y - self.x[:-1, None]) / self.width[:, None])
+
     def _horner(self, y, coeffs):
         y_arr = np.asarray(y, dtype=float)
         i = np.clip(np.searchsorted(self.x, y_arr, side="right") - 1, 0, self.width.size - 1)
-        t = (y_arr - self.x[i]) / self.width[i]
-        # Horner, one coefficient row at a time: no (degree, points) temporary
-        out = np.zeros_like(t)
-        for c in coeffs[::-1]:
-            out *= t
-            out += c[i]
+        out = taylor_step(coeffs, i, (y_arr - self.x[i]) / self.width[i])
         return float(out) if y_arr.ndim == 0 else out
+
+
+def taylor_step(coeffs, near, t):
+    """The polynomial sum_k coeffs[k][near] t^k, by Horner one coefficient
+    row at a time (no (degree, points) temporary).  coeffs holds one array
+    per power of t, over the anchors (or intervals) a series is taken
+    about; near indexes each point's own, and broadcasts against t."""
+    series = np.zeros_like(t)
+    for c in coeffs[::-1]:
+        series *= t
+        series += c[near]
+    return series
+
+
+def taylor_slope(coeffs, near, t):
+    """d/dt of taylor_step(coeffs, near, t): the same Horner on the
+    coefficients k coeffs[k]."""
+    return taylor_step([k * c for k, c in enumerate(coeffs)][1:], near, t)
 
 
 def norm_pdf(x):

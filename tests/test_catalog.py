@@ -89,21 +89,61 @@ class TestPrrUTable:
         table, x_hi = cat._prr_u_table.__wrapped__(5.67)
         assert table(1.0) > 0.0 and x_hi > 0.0
 
-    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 4.67, 20.0])
+    @pytest.mark.parametrize("s", [0.5, 1.5, 4.67, 12.0, 20.0])
     def test_table_and_slope_against_mpmath(self, s):
-        # the quintic Hermite table from U, U' and U'' at its nodes: within
-        # 1.2e-14 relative of U and 1.6e-12 of U' (the quintic spline it
+        # the quintic Hermite table from U, U' and U'' at its nodes, which
+        # step from the anchors by the equation's Taylor series: within
+        # 2e-14 relative of U and 2e-12 of U' over the whole table, at
+        # nodes 8 steps from an anchor (the longest step), at midpoints
+        # between nodes and up to the last node (the quintic spline it
         # replaced: 3.7e-12 and 1.3e-9 at s = 20)
-        _, x_hi = cat._prr_u_table(s)
-        xs = np.concatenate([[1e-9, 1e-4, 0.003], np.linspace(0.0137, 0.3 * x_hi, 25)])
+        table, x_hi = cat._prr_u_table(s)
+        nodes, width = table.x, table.width[0]
+        far = nodes[8:-1:16 * 11]
+        mids = nodes[3:-1:16 * 13] + 0.5 * width
+        xs = np.concatenate([[1e-9, 1e-4, 0.003], far, mids, nodes[[1, 2996, 2997]], [x_hi - 0.5 * width, x_hi]])
+        assert xs.max() == x_hi and len(far) >= 17 and len(mids) >= 14
         values, slopes = cat._prr_u_function(s, xs), cat._prr_u_slope(s, xs)
         with mpmath.workdps(30):
             for x, v, dv in zip(xs, values, slopes):
                 z = mpmath.mpf(x) ** 2 / (2 * s)
                 u = mpmath.hyperu(s - 1, 0.5, z)
-                du = -(s - 1) * mpmath.hyperu(s, 1.5, z) * x / s if s != 1.0 else 0
+                du = -(s - 1) * mpmath.hyperu(s, 1.5, z) * x / s
                 assert abs(v - u) <= 2e-14 * abs(u), x
                 assert abs(dv - du) <= 2e-12 * max(abs(du), abs(u)), x
+
+    def test_table_is_exact_where_u_is_elementary(self):
+        # s = 1: U(0, 1/2, z) = 1, so every series coefficient past the
+        # first is 0 and the table is 1 with slope 0 everywhere
+        table, _ = cat._prr_u_table(1.0)
+        xs = np.concatenate([table.x, table.x[:-1] + 0.5 * table.width])
+        assert np.all(table(xs) == 1.0) and np.all(table.slope(xs) == 0.0)
+        # s = 1/2: U(-1/2, 1/2, x^2) = x; the nodes that step from x = 0
+        # take its slope limit, 1 to within an ulp, and node 0 the U of
+        # z = 1e-300
+        table, _ = cat._prr_u_table(0.5)
+        v, x = table(table.x), table.x
+        assert v[0] == pytest.approx(0.0, abs=1e-149)
+        assert np.all(v[9:] == x[9:]) and np.all(np.abs(v[1:9] - x[1:9]) <= 2.3e-16 * x[1:9])
+        assert np.all(np.abs(table.slope(x) - 1.0) <= 1e-15)
+
+    def test_table_build_sends_189_points_to_the_de_rule(self, monkeypatch):
+        # hyp_u_with_slope runs at every 16th of the 3,001 nodes and the last
+        # (node 0 then takes its slope limit); the anchors keep the rule's U
+        sizes, values = [], []
+        rule = cat.sf.hyp_u_with_slope
+
+        def recorded(a, b, x):
+            out = rule(a, b, x)
+            sizes.append(np.size(x))
+            values.append(out[0])
+            return out
+
+        monkeypatch.setattr(cat.sf, "hyp_u_with_slope", recorded)
+        table, _ = cat._prr_u_table.__wrapped__(7.3)
+        assert sizes == [189] and table.x.size == 3001
+        assert np.array_equal(table(table.x[::16]), values[0][:-1])
+        assert table(table.x[-1]) == pytest.approx(values[0][-1], rel=1e-15)
 
     def test_deep_tail_values_are_direct_evaluations(self):
         # beyond the table, each point gets U from hyp_u on the far points

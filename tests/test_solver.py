@@ -678,3 +678,33 @@ class TestMeshFactorsAreEvaluatedOnce:
         solve(spec, SineTest(1.0), mesh=mesh)
         assert u_calls.count(mesh.xs.shape) == 1
         assert mesh.xs.shape not in density_calls
+
+
+class TestPrrInterpolantAtTheNodes:
+    """PRR's g is evaluated at the nodes by their own grid panel: node row
+    i lies inside panel i, so no search finds it."""
+
+    def test_panel_evaluation_equals_the_call_bit_for_bit(self):
+        for s in (1.0, 4.9, 19.2):
+            mesh = sv.build_mesh(cat.make_spec("prr", s=s))
+            grid = mesh.grid
+            g = sv.sf.Hermite(grid, np.sin(grid) * np.exp(-grid), np.cos(grid) - grid)
+            assert np.array_equal(g.on_intervals(mesh.xs), g(mesh.xs))
+
+    def test_a_solve_searches_no_node_but_the_u_tables(self, monkeypatch):
+        # the one search over the nodes is the U node factor's, on the U
+        # table; g, the solve's own interpolant, is never called on them
+        spec = cat.make_spec("prr", s=6.1)
+        mesh = sv.build_mesh(spec)
+        searched = []
+        call = sv.sf.Hermite.__call__
+
+        def recorded(self, y):
+            if np.shape(y) == mesh.xs.shape:
+                searched.append(self)
+            return call(self, y)
+
+        monkeypatch.setattr(sv.sf.Hermite, "__call__", recorded)
+        for h in (SineTest(1.0), CosineTest(2.0)):
+            solve(spec, h, mesh=mesh)
+        assert searched == [cat._prr_u_table(6.1)[0]]

@@ -165,6 +165,23 @@ def test_fresh_spec_cells_are_bit_identical_to_golden(cell):
     assert (rep.empirical_sup.hex(), rep.passed) == (cell["empirical"], cell["pass"])
 
 
+# The PRR cells of perfbench's verify_draws seeds 7-10 and 61: E h(Z) and
+# the empirical sup, held to 1e-12 relative (the U table may move by
+# rounding; 3.6e-14 when it came to step from sparse anchors).
+PRR_CELLS = json.loads((Path(__file__).parent / "golden" / "prr_cells.json").read_text())
+
+
+@pytest.mark.parametrize("cell", PRR_CELLS, ids=[f"{c['seed']}-s{c['params']['s']:.4g}-n{c['n']}" for c in PRR_CELLS])
+def test_prr_cells_hold_to_golden(cell):
+    spec = cat.make_spec("prr", **cell["params"])
+    h = TEST_FUNCTIONS[cell["test_fn"]["kind"]](cell["test_fn"]["freq"])
+    sol = sv.solve(spec, h)
+    rep = vf.verify(spec, cell["n"], h)
+    assert rep.passed is True
+    for got, want in ((sol.diagnostics["mean_value"], cell["mean_value"]), (rep.empirical_sup, cell["empirical"])):
+        assert got == pytest.approx(float.fromhex(want), rel=1e-12, abs=0.0)
+
+
 class TestMeshReuse:
     """A sweep solves every test function of a spec on one mesh; the rows
     must be exactly those of independent verify calls."""

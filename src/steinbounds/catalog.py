@@ -473,7 +473,13 @@ def _on_support(expr, support: tuple[float, float]):
     same loop on a float as on an array, and the operators round
     correctly, so the two routes agree bit for bit (math.exp, say, does
     not agree with numpy.exp on a few percent of arguments).  An overflow
-    in it can only drive the density to 0, so it is not reported."""
+    in it can only drive the density to 0, so it is not reported.
+
+    An array whose points all lie inside the support (mesh nodes, grids,
+    quadrature nodes) goes to expr as it is; only one that reaches
+    outside it (or holds a NaN) is gathered and scattered through a
+    mask.  An elementwise expression gives every point the same bits on
+    either route."""
     lo, hi = support
 
     def density(x):
@@ -481,9 +487,11 @@ def _on_support(expr, support: tuple[float, float]):
             x = float(x)
             return float(expr(x)) if lo < x < hi else 0.0
         arr = np.asarray(x, dtype=float)
-        out = np.zeros(arr.shape)
-        inside = (lo < arr) & (arr < hi)
         with np.errstate(over="ignore"):
+            if arr.size and lo < arr.min() and arr.max() < hi:  # a NaN fails both
+                return expr(arr)
+            out = np.zeros(arr.shape)
+            inside = (lo < arr) & (arr < hi)
             out[inside] = expr(arr[inside])
         return out
 

@@ -41,19 +41,21 @@ nodes, 336 of them near the origin.
 Two rules integrate.  Every grid panel is summed by the 7-point
 Gauss-Kronrod rule (G3/K7), whose embedded 3-point Gauss rule gives the
 panel an error estimate; the largest sum of them, relative to the sum of
-|panel|, is ``diagnostics["panel_error"]``.  The adaptive integrals (the
-tails beyond the grid and the panels next to a delicate point d, an
-integrable singularity or a kink) each go through ``special.integrate``
-(QUADPACK's QAGS and QAGI in numpy, which call an integrand on arrays of
-nodes), from d where d is near, so the rule meets d at an endpoint; each
-is done once per solve, and their error estimates sum to
-``diagnostics["quad_error"]``.  The PRR solve interpolates its inner
+|panel|, is ``diagnostics["panel_error"]``, and a solve whose estimate
+exceeds 1e-8 (a test function the grid does not resolve) raises
+NumericError.  The adaptive integrals (the tails beyond the grid and the
+panels next to a delicate point d, an integrable singularity or a kink)
+each go through ``special.integrate`` (QUADPACK's QAGS and QAGI in numpy,
+which call an integrand on arrays of nodes), from d where d is near, so
+the rule meets d at an endpoint; each is done once per solve, and their
+error estimates sum to ``diagnostics["quad_error"]``.  The PRR solve interpolates its inner
 integral between grid points by a cubic Hermite interpolant
 (``special.Hermite``) with the integrand as its exact slope, and
 evaluates it at the nodes panel by panel (``Hermite.on_intervals``): node
 row i lies in grid panel i, so no node is searched for.  Its kernel v is
 catalog's U table, whose nodes step from sparse anchors by the same
-Taylor series (``special.taylor_step``) as the vg Bessel values.
+Taylor series (``special.taylor_step``) as the vg Bessel values; the
+table's even nodes give each point its interval by arithmetic.
 """
 
 from __future__ import annotations
@@ -114,6 +116,11 @@ _CUMULATIVE_AMPLIFICATION_CAP = 1.0e6
 _INTERIOR_EXCLUSION = 1.0e-3  # band excluded around a delicate point inside the grid
 _FILL_DEGREE = 6  # degree of the polynomial extension over masked bands
 _RESIDUAL_TRIM = 10  # grid points left out at either end of the residual check
+# The largest relative G3/K7 panel error estimate a solve may carry, the
+# bound expectation puts on its own error estimate.  The default sweep
+# peaks at 1.2e-11; a test function that oscillates within a panel
+# (sine:1e4 on the normal grid) reads 14.6.
+_PANEL_ERROR_BOUND = 1e-8
 _TAYLOR_TERMS = 12  # terms of the vg Bessel series about an anchor
 _DIRECT_BAND = 256  # vg grid steps from the origin that are all Bessel anchors
 _ANCHOR_STEPS = 16  # grid steps between the vg Bessel anchors beyond that band
@@ -427,7 +434,9 @@ def residual_norm(sol: SteinSolution) -> float:
 
 def solve(spec: DistributionSpec, h, *, mesh: Mesh | None = None) -> SteinSolution:
     """Distinguished solution of the order-0 Stein equation on the grid
-    (on mesh's grid when one is given: it must have been built for spec)."""
+    (on mesh's grid when one is given: it must have been built for spec).
+    Raises NumericError when the panels' relative error estimate exceeds
+    _PANEL_ERROR_BOUND."""
     if mesh is None:
         mesh = build_mesh(spec)
     elif mesh.spec is not spec:
@@ -442,6 +451,11 @@ def solve(spec: DistributionSpec, h, *, mesh: Mesh | None = None) -> SteinSoluti
         derivs, diags = _solve_prr(mesh, h, mean_value)
     else:
         raise ValueError(f"no solver for family {spec.family}")
+    if not diags["panel_error"] <= _PANEL_ERROR_BOUND:
+        raise NumericError(
+            f"panel quadrature error estimate {diags['panel_error']:.2e} (relative) exceeds"
+            f" {_PANEL_ERROR_BOUND:g}: the grid does not resolve {h.name}"
+        )
     diags["mean_value"] = mean_value
     return SteinSolution(grid=mesh.grid, derivs=derivs, spec=spec, h=h, diagnostics=diags)
 
@@ -622,9 +636,23 @@ def _solve_vg(mesh, h, eh):
         return factor_k(y) * htilde(y)
 
     def node_factors(xs):
+        """factor_i and factor_k at the nodes, written into one array;
+        beta y, alpha |y| and |y|^nu (no node is 0, so no floor) are
+        shared by both."""
         ive, kve = _vg_node_bessels(mesh, nu, alpha)
+        out = np.empty((2, *xs.shape))
+        np.multiply(beta, xs, out=out[0])
+        ay = np.abs(xs)
+        aay = alpha * ay
+        np.subtract(out[0], aay, out=out[1])
+        out[0] += aay
+        del aay  # freed before the exponentials: the node factors can set a vg solve's memory peak
         with np.errstate(over="ignore"):  # checked below
-            return np.stack([factor_i(xs, ive), factor_k(xs, kve)])
+            np.exp(out, out=out)
+            out *= np.power(ay, nu, out=ay)
+            out[0] *= ive
+            out[1] *= kve
+        return out
 
     def prefactors(x):
         """exp(-beta x) / (s2 |x|^nu) times K_nu(alpha |x|) and I_nu(alpha
@@ -793,9 +821,10 @@ def propagate_derivatives(sol: SteinSolution, max_order: int) -> SteinSolution:
         near_singular |= np.abs(grid - d) < 0.15 * span
         if grid[0] < d < grid[-1]:
             interior |= np.abs(grid - d) < _INTERIOR_EXCLUSION
+    htilde = h.value(grid) - eh  # the k = 0 right-hand side and the residual's scale
     for k in range(0, max(0, max_order - p + 1)):
         level = spec.operator.level(k)
-        rhs = (h.value(grid) - eh) if k == 0 else h.deriv(grid, k)
+        rhs = htilde if k == 0 else h.deriv(grid, k)
         for off, c in level.rhs:
             rhs = rhs + npoly.polyval(grid, c) * fs[k + off]
         # the top coefficient, on f^(k+p), divides; the rest act on f^(k+p-1), ..., f^(k)
@@ -815,7 +844,7 @@ def propagate_derivatives(sol: SteinSolution, max_order: int) -> SteinSolution:
     diags["filled_points"] = sum(filled.values())
     out = replace(sol, derivs=fs, diagnostics=diags)
     if max(fs) >= p:
-        scale = 1.0 + float(np.max(np.abs(h.value(grid) - eh)))
+        scale = 1.0 + float(np.max(np.abs(htilde)))
         res = residual_norm(out)
         diags["residual"] = res
         if not res <= 1e-5 * scale:  # a NaN residual fails too

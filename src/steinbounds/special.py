@@ -9,9 +9,11 @@ the parameter slice we actually use is a fixed double-exponential
 quadrature rule of its own, which also gives dU/dx.  ``integrate`` is the
 package's one adaptive quadrature rule: QUADPACK's QAGS and QAGI ported to
 numpy, each rule application one call of the integrand on an array of
-nodes.  ``Hermite`` interpolates from values and derivatives without a
-linear solve; ``taylor_step`` is its Horner rule, which also steps the
-solver's vg Bessel values and catalog's PRR U table from sparse anchors.
+nodes.  ``Hermite`` interpolates on even nodes from values and
+derivatives without a linear solve, and finds a point's interval by
+arithmetic, without a search; ``taylor_step`` is its Horner rule, which
+also steps the solver's vg Bessel values and catalog's PRR U table from
+sparse anchors.
 The package never imports scipy.integrate or scipy.interpolate, whose
 import pulls in scipy.linalg, sparse, optimize and fft and would double
 the start-up time of every CLI call.
@@ -618,13 +620,24 @@ def hyp_u(a: float, b: float, x) -> float:
 class Hermite:
     """The piecewise Hermite interpolant of a function from its values
     and first derivatives (cubic) or also its second derivatives (quintic)
-    at the increasing nodes x.  Each interval carries its polynomial in t
-    = (y - x_i) / (x_(i+1) - x_i); past the end nodes the end intervals'
-    polynomials continue.  Building it takes no linear solve."""
+    at the even nodes x (equally spaced up to rounding).  Each interval
+    carries its polynomial in t = (y - x_i) / (x_(i+1) - x_i); past the
+    end nodes the end intervals' polynomials continue.  Building it takes
+    no linear solve.
+
+    A point's interval is found by arithmetic, not by a search: floor((y
+    - x_0) / w), w the mean node spacing, is at most one off, and one
+    comparison with each neighbouring knot corrects it.  So it is the
+    largest i with x_i <= y, clipped to the intervals, for every input (a
+    NaN or +inf takes the last interval, -inf the first), as
+    searchsorted(x, y, "right") - 1 gives it."""
 
     def __init__(self, x, values, slopes, curvatures=None):
         self.x = x = np.asarray(x, dtype=float)
         self.width = h = np.diff(x)
+        self.step = (x[-1] - x[0]) / h.size
+        if not np.max(np.abs(x - (x[0] + self.step * np.arange(x.size)))) < 0.25 * self.step:
+            raise ValueError("Hermite nodes must be even")
         p0, p1 = values[:-1], values[1:]
         m0, m1 = h * slopes[:-1], h * slopes[1:]
         jump = p1 - p0
@@ -656,9 +669,23 @@ class Hermite:
         rows = (slice(None), None)  # interval i's coefficient along row i
         return taylor_step(self.coeffs, rows, (y - self.x[:-1, None]) / self.width[:, None])
 
+    def intervals(self, y):
+        """The interval of each point of y (float or array): the largest i
+        with x_i <= y, clipped to [0, intervals - 1]."""
+        x, last = self.x, self.width.size - 1
+        y = np.asarray(y, dtype=float)
+        with np.errstate(over="ignore"):  # a huge |y| only clips
+            guess = (y - x[0]) / self.step
+        # fmin and fmax pass over a NaN, so it takes the last interval; the
+        # cast truncates, which is the floor of the clipped guess
+        i = np.fmax(np.fmin(guess, last), 0.0).astype(np.intp)
+        i -= (y < x[i]) & (i > 0)
+        i += (y >= x[i + 1]) & (i < last)
+        return i
+
     def _horner(self, y, coeffs):
         y_arr = np.asarray(y, dtype=float)
-        i = np.clip(np.searchsorted(self.x, y_arr, side="right") - 1, 0, self.width.size - 1)
+        i = self.intervals(y_arr)
         out = taylor_step(coeffs, i, (y_arr - self.x[i]) / self.width[i])
         return float(out) if y_arr.ndim == 0 else out
 

@@ -193,6 +193,15 @@ class TestExitCodes:
         assert "vg I-kernel factor overflows" in err
         assert out == ""
 
+    def test_unresolved_test_function_is_numeric_error(self, capsys):
+        # sin(1e4 x) turns about once per panel of the normal grid, so the
+        # panels' error estimate reads 14.6 relative; the cell printed
+        # pass=True and exited 0
+        code, out, err = run_cli(capsys, "verify", "--family", "normal", "--n", "1", "--test", "sine:1e4")
+        assert code == 4
+        assert "panel quadrature error estimate 1.46e+01" in err
+        assert out == ""
+
     def test_symmetric_vg_mixed_chain_beyond_base_bounds(self, capsys):
         vg = ("coeffs", "--family", "vg", "--r", "3", "--theta", "0", "--sigma", "1", "--mode", "lemma25")
         for n in ("0", "1"):

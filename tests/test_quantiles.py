@@ -8,6 +8,7 @@ branch returns at the same point.
 """
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -73,6 +74,15 @@ def test_scalar_density_branch_equals_array_branch(family):
         for zero_d in (np.float64(x), np.array(x)):
             value = spec.density(zero_d)
             assert type(value) is float and value == scalar
+        # an array inside the support takes the expression as it is (the
+        # mesh route, 2-D like the mesh nodes); one that also reaches
+        # outside takes the mask, and reads 0.0 there.  A law on the whole
+        # line has no point outside its support.
+        assert spec.density(np.full((2, 3), x)).tobytes() == np.full((2, 3), scalar).tobytes()
+        lo, hi = spec.support
+        if math.isfinite(lo) or math.isfinite(hi):
+            outside = lo - 1.0 if math.isfinite(lo) else hi + 1.0
+            assert spec.density(np.array([x, outside])).tobytes() == np.array([scalar, 0.0]).tobytes()
 
     check()
 

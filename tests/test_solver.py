@@ -708,3 +708,53 @@ class TestPrrInterpolantAtTheNodes:
         for h in (SineTest(1.0), CosineTest(2.0)):
             solve(spec, h, mesh=mesh)
         assert searched == [cat._prr_u_table(6.1)[0]]
+
+
+def _searched(x, y):
+    """The interval of y that searchsorted finds among the knots x."""
+    return np.clip(np.searchsorted(x, y, side="right") - 1, 0, x.size - 2)
+
+
+class TestHermiteIntervals:
+    """Hermite finds each point's interval by arithmetic on its even nodes,
+    corrected against the neighbouring knots: it must be the interval that
+    searchsorted finds, at and beside every knot, beyond both ends and at
+    NaN and +-inf, without a warning (tier-1 makes one an error)."""
+
+    @staticmethod
+    def interpolants():
+        for s in (0.5, 4.9, 20.0):
+            yield cat._prr_u_table(s)[0]
+        grid = sv.build_mesh(cat.make_spec("prr", s=4.9)).grid  # a PRR solve's g
+        yield sv.sf.Hermite(grid, np.sin(grid), np.cos(grid))
+
+    def test_intervals_are_those_of_the_search(self):
+        specials = [np.nan, np.inf, -np.inf, 1e300, -1e300]
+        for table in self.interpolants():
+            x = table.x
+            span = x[-1] - x[0]
+            y = np.concatenate([
+                x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                [x[0] - span, x[0] - 1e-3 * span, x[-1] + 1e-3 * span, x[-1] + span], specials,
+            ])
+            assert np.array_equal(table.intervals(y), _searched(x, y))
+            for point in specials:
+                assert table.intervals(point) == _searched(x, point)
+
+    def test_uneven_nodes_are_refused(self):
+        with pytest.raises(ValueError, match="even"):
+            sv.sf.Hermite(np.array([0.0, 1.0, 3.0]), np.zeros(3), np.zeros(3))
+
+    def test_a_prr_solve_searches_no_array_of_the_nodes(self, monkeypatch):
+        spec = cat.make_spec("prr", s=7.3)
+        mesh = sv.build_mesh(spec)
+        sizes = []
+        search = np.searchsorted
+
+        def counted(a, v, *args, **kwargs):
+            sizes.append(np.size(v))
+            return search(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counted)
+        solve(spec, SineTest(1.0), mesh=mesh)
+        assert sizes and mesh.xs.size not in sizes

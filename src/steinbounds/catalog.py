@@ -865,10 +865,16 @@ def _prr_taylor(s: float, x0, c0, c1):
 
 
 def _prr_u_function(s: float, x):
-    """Tabled evaluation of U(s-1, 1/2, x^2/(2s)); direct fallback beyond
-    the table range (deep tail, where the density is ~1e-16 of peak)."""
-    arr = np.abs(np.asarray(x, dtype=float))
+    """Tabled evaluation of U(s-1, 1/2, x^2/(2s)) at |x|; direct fallback
+    beyond the table range (deep tail, where the density is ~1e-16 of
+    peak).  An array inside (0, x_hi] (every mesh node and grid point)
+    goes to the table as it is, with no absolute value, clip or mask: the
+    same bits, as abs and the clip leave such points unchanged."""
     table, x_hi = _prr_u_table(s)
+    arr = np.asarray(x, dtype=float)
+    if arr.size and 0.0 < arr.min() and arr.max() <= x_hi:  # a NaN fails both
+        return table(arr)
+    arr = np.abs(arr)
     out = np.asarray(table(np.minimum(arr, x_hi)))
     far = arr > x_hi
     if np.any(far):
@@ -893,13 +899,25 @@ def _prr_spec(s: float) -> DistributionSpec:
     norm = sf.gamma_fn(s) * math.sqrt(2.0 / (s * math.pi))
 
     def density(x):
-        out = density_over_v(x) * _prr_u_function(s, x)
+        """density_over_v times U, U evaluated only where the first factor
+        is positive: at x <= 0, +-inf and NaN the density is 0."""
+        arr = np.asarray(x, dtype=float)
+        out = density_over_v(arr)
+        live = out > 0.0
+        if live.all():
+            out = out * _prr_u_function(s, arr)
+        else:
+            out = np.array(out)  # writable, a 0-d input too
+            out[live] *= _prr_u_function(s, arr[live])
         return float(out) if np.ndim(x) == 0 else out
 
     def density_over_v(x):
         """norm e^(-x^2/(2s)) on x > 0 and 0 elsewhere: the density is this
-        times U."""
+        times U.  An array of positive points (every mesh node and grid
+        point) takes the expression with no floor and no mask."""
         arr = np.asarray(x, dtype=float)
+        if arr.size and arr.min() > 0.0:  # a NaN fails
+            return norm * np.exp(-(arr * arr / (2.0 * s)))
         z = np.maximum(arr * arr / (2.0 * s), 1e-300)
         return np.where(arr > 0, norm * np.exp(-z), 0.0)
 
@@ -1012,8 +1030,13 @@ def _vg_spec(r: float, theta: float, sigma: float) -> DistributionSpec:
         # scaled Bessel form: the exponent beta*x - alpha*|x| is <= 0, so the
         # tails underflow cleanly instead of overflowing.  Where the
         # exponential is 0 the density is 0: kve is NaN for arguments
-        # beyond about 1e9.
+        # beyond about 1e9.  At +-inf and NaN it is 0, with no inf - inf.
         arr = np.asarray(x, dtype=float)
+        finite = np.isfinite(arr)
+        if not finite.all():
+            out = np.zeros(arr.shape)
+            out[finite] = density(arr[finite])
+            return float(out) if np.ndim(x) == 0 else out
         ax = np.maximum(np.abs(arr), 1e-12)
         scale = np.exp(log_norm + beta * arr - alpha * ax + nu * np.log(ax / half_scale))
         out = np.where(scale > 0.0, scale * _sp_kve(nu, alpha * ax), 0.0)

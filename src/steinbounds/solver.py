@@ -38,19 +38,36 @@ Bessel evaluations per anchor plus two per near-origin node: 4.1k points
 for vg(3, 0, 1), whose grid has 10k distinct |x| and whose mesh has 140k
 nodes, 336 of them near the origin.
 
-Two rules integrate.  Every grid panel is summed by the 7-point
+Three rules integrate.  Every grid panel is summed by the 7-point
 Gauss-Kronrod rule (G3/K7), whose embedded 3-point Gauss rule gives the
 panel an error estimate; the largest sum of them, relative to the sum of
 |panel|, is ``diagnostics["panel_error"]``, and a solve whose estimate
 exceeds 1e-8 (a test function the grid does not resolve) raises
-NumericError.  The adaptive integrals (the tails beyond the grid and the
-panels next to a delicate point d, an integrable singularity or a kink)
-each go through ``special.integrate`` (QUADPACK's QAGS and QAGI in numpy,
-which call an integrand on arrays of nodes), from d where d is near, so
-the rule meets d at an endpoint; each is done once per solve, and their
-error estimates sum to ``diagnostics["quad_error"]``.  The PRR solve interpolates its inner
-integral between grid points by a cubic Hermite interpolant
-(``special.Hermite``) with the integrand as its exact slope, and
+NumericError.  The ranges beyond the grid and the panels next to a
+delicate point d (an integrable singularity, a kink or a support end) are
+integrals from d, so the rule that gives them meets d at an end.  At a
+finite support end a of a first-order law, where the density is |x -
+a|^gamma times a smooth factor, that rule is a 20-point Gauss-Jacobi rule
+of weight |x - a|^gamma (``special.gauss_jacobi``), all ranges of a mesh
+in one array call; a range a few doubles wide (the arcsine grid ends one
+double inside 1) takes its leading term.  Every other such range (the
+tails to infinity, vg's origin, PRR's end at 0, inverse gamma's smooth
+zero at 0) goes through ``special.integrate`` (QUADPACK's QAGS and QAGI
+in numpy, which call an integrand on arrays of nodes), once per solve;
+the error estimates sum to ``diagnostics["quad_error"]``.
+
+E h(Z) comes from the mesh for the first-order and PRR solves: the G3/K7
+panel sums of p h plus the same end, delicate and tail ranges, over the
+mesh's mass of p (``diagnostics["mass"]``, 1 up to quadrature error).
+The ranges' integrals of p (h - E h) follow by linearity from those of p
+h and of p, the latter once per mesh, so both sides of the split integral
+agree to rounding.  The vg solve takes E h from ``expectation``, one
+adaptive integral over the line, which is also the mesh's independent
+oracle.
+
+The PRR solve interpolates its inner integral between grid points by a
+cubic Hermite interpolant (``special.Hermite``) with the integrand as its
+exact slope, and
 evaluates it at the nodes panel by panel (``Hermite.on_intervals``): node
 row i lies in grid panel i, so no node is searched for.  Its kernel v is
 catalog's U table, whose nodes step from sparse anchors by the same
@@ -121,6 +138,8 @@ _RESIDUAL_TRIM = 10  # grid points left out at either end of the residual check
 # peaks at 1.2e-11; a test function that oscillates within a panel
 # (sine:1e4 on the normal grid) reads 14.6.
 _PANEL_ERROR_BOUND = 1e-8
+_END_NODES = 20  # Gauss-Jacobi nodes per range from a finite Pearson support end
+_NARROW_ULPS = 4.0  # a range whose first such node lies within this many doubles of its end takes the leading term
 _TAYLOR_TERMS = 12  # terms of the vg Bessel series about an anchor
 _DIRECT_BAND = 256  # vg grid steps from the origin that are all Bessel anchors
 _ANCHOR_STEPS = 16  # grid steps between the vg Bessel anchors beyond that band
@@ -212,7 +231,9 @@ def parse_test_function(token: str):
 
 
 def expectation(spec: DistributionSpec, h) -> float:
-    """E h(Z) by adaptive quadrature over the support (abs error <= 1e-10)."""
+    """E h(Z) by adaptive quadrature over the support (abs error <= 1e-10):
+    the vg solve's E h, and the independent oracle of the mesh's E h that
+    every other solve takes (_split_integral)."""
 
     def integrand(t):
         return spec.density(t) * h.value(t)
@@ -224,44 +245,71 @@ def expectation(spec: DistributionSpec, h) -> float:
     return total
 
 
-class _Integral:
-    """The integral of one integrand of a solve over the mesh.
+def _quad(fn, a: float, b: float) -> tuple[float, float]:
+    """special.integrate at the tolerances of every adaptive range of a
+    solve."""
+    return sf.integrate(fn, a, b, epsabs=1e-14, epsrel=1e-10)
 
-    Each grid panel is summed by the G3/K7 rule from the integrand's
-    values at the mesh's PANEL_NODES nodes per panel; near a delicate
-    point d (integrable singularity, kink) it is F(b) - F(a) instead, F(x)
-    being the adaptive integral from d to x, so QUADPACK meets d at an
-    end.  Each adaptive range is integrated once, and ``error`` sums the
-    adaptive error estimates.  ``panel_error`` is the G3/K7 panels' own
-    estimate, relative to the sum of |panel|: a vg I-kernel integral
-    reaches 2.3e25 (vg(3, 0.5, 1)) where a prefactor of 1e-25 multiplies
-    it, so only a relative figure says how well the rule resolves it.
-    """
 
-    def __init__(self, mesh, fn, node_values, delicate):
-        self.grid = grid = mesh.grid
+class _Adaptive:
+    """The integral of fn from a to b by special.integrate, each range
+    once; ``error`` sums the error estimates."""
+
+    def __init__(self, fn):
         self.fn = fn
         self.done: dict[tuple[float, float], tuple[float, float]] = {}
-        self.panels, gauss = (node_values @ _WEIGHTS).T * mesh.half
-        estimate = _panel_error(node_values, mesh, self.panels, gauss)
-        a, b = grid[:-1], grid[1:]
-        radius = 4.0 * np.max(b - a)
-        for d in delicate:
-            for i in np.nonzero((a - radius <= d) & (d <= b + radius))[0]:
-                self.panels[i] = self._over(d, b[i]) - self._over(d, a[i])
-                estimate[i] = 0.0  # its adaptive integrals carry their own
-        total = np.sum(np.abs(self.panels))
-        self.panel_error = float(np.sum(estimate) / total) if total > 0.0 else 0.0
 
-    def _over(self, a: float, b: float) -> float:
-        """The adaptive integral from a to b (either may be the larger)."""
+    def __call__(self, a: float, b: float) -> float:
         if (a, b) not in self.done:
-            self.done[a, b] = sf.integrate(self.fn, a, b, epsabs=1e-14, epsrel=1e-10)
+            self.done[a, b] = _quad(self.fn, a, b)
         return self.done[a, b][0]
 
     @property
     def error(self) -> float:
         return sum(err for _, err in self.done.values())
+
+
+class _Ranges:
+    """Integrals from d to x computed beforehand, looked up by (d, x);
+    ``error`` is their summed error estimate."""
+
+    def __init__(self, keys, values, error: float):
+        self.values = dict(zip(keys, values.tolist()))
+        self.error = error
+
+    def __call__(self, d: float, x: float) -> float:
+        return self.values[d, x]
+
+
+class _Integral:
+    """The integral of one integrand of a solve over the mesh.
+
+    Each grid panel is summed by the G3/K7 rule from the integrand's
+    values at the mesh's PANEL_NODES nodes per panel; next to a delicate
+    point d (integrable singularity, kink, support end) it is F(b) - F(a)
+    instead, F(x) = over(d, x) being the integral from d to x, so the rule
+    that gives it meets d at an end.  over is an _Adaptive or _Ranges, and
+    ``error`` is its error estimate.  ``panel_error`` is the G3/K7 panels'
+    own estimate, relative to the sum of |panel|: a vg I-kernel integral
+    reaches 2.3e25 (vg(3, 0.5, 1)) where a prefactor of 1e-25 multiplies
+    it, so only a relative figure says how well the rule resolves it.
+    """
+
+    def __init__(self, mesh, node_values, over):
+        self.grid = grid = mesh.grid
+        self.over = over
+        self.panels, gauss = (node_values @ _WEIGHTS).T * mesh.half
+        estimate = _panel_error(node_values, mesh, self.panels, gauss)
+        for d, near in mesh.delicate.items():
+            for i in near:
+                self.panels[i] = over(d, grid[i + 1]) - over(d, grid[i])
+            estimate[near] = 0.0  # their own rule carries their error
+        total = np.sum(np.abs(self.panels))
+        self.panel_error = float(np.sum(estimate) / total) if total > 0.0 else 0.0
+
+    @property
+    def error(self) -> float:
+        return self.over.error
 
     def from_anchor(self, anchor: float) -> np.ndarray:
         """The integral from anchor to x at every grid point x.  anchor is
@@ -271,10 +319,115 @@ class _Integral:
         grid, panels = self.grid, self.panels
         k = min(int(np.searchsorted(grid, anchor)), len(grid) - 1)
         out = np.empty_like(grid)
-        out[k] = self._over(anchor, grid[k])
+        out[k] = self.over(anchor, grid[k])
         out[k + 1:] = out[k] + np.cumsum(panels[k:])
         out[:k] = out[k] - np.cumsum(panels[:k][::-1])[::-1]
         return out
+
+
+class _Ends:
+    """What a split integral needs beyond the G3/K7 panels, for one mesh.
+
+    Each range runs from a delicate point or support end d to a grid point
+    x: the panel ends next to d, and the grid end next to a support end.
+    The density p is integrated over each range once per mesh (``p``, in
+    the order of ``keys``), p * h once per solve (``integrals``).  Near a
+    finite support end a of a first-order law p = |x - a|^gamma s(x), s
+    smooth (_end_exponent), and a's ranges take _end_rules' Gauss-Jacobi
+    rows, all of them in one h call; every other range goes to
+    special.integrate.
+
+    The integral over the support of an integrand u on the nodes is
+    ``panel_weights`` . u (the G3/K7 panels away from the delicate
+    points) plus ``coefficients`` . (its range integrals); ``mass`` is
+    that of p, 1 up to quadrature error.
+    """
+
+    def __init__(self, mesh, density):
+        self.spec = spec = mesh.spec
+        grid = mesh.grid
+        coefficients: dict[tuple[float, float], float] = {}
+
+        def add(d, x, c):
+            key = (d, float(x))
+            coefficients[key] = coefficients.get(key, 0.0) + c
+
+        for d, near in mesh.delicate.items():
+            for i in near:
+                add(d, grid[i + 1], 1.0)
+                add(d, grid[i], -1.0)
+        lo, hi = spec.support
+        add(lo, grid[0], 1.0)
+        add(hi, grid[-1], -1.0)
+        ruled = {d for d, _ in coefficients if _end_exponent(spec, d) is not None}
+        rules = [key for key in coefficients if key[0] in ruled]
+        self.adaptive = [key for key in coefficients if key[0] not in ruled]
+        self.keys = rules + self.adaptive
+        self.coefficients = np.array([coefficients[key] for key in self.keys])
+        self.nodes, self.weights = _end_rules(spec, rules)
+        p_adaptive = [_quad(spec.density, d, x) for d, x in self.adaptive]
+        self.p = np.r_[self.weights.sum(axis=1), [value for value, _ in p_adaptive]]
+        self.p_error = sum(err for _, err in p_adaptive)
+        weights = density * _WEIGHTS[:, 0]
+        weights *= mesh.half[:, None]
+        for near in mesh.delicate.values():
+            weights[near] = 0.0
+        self.panel_weights = weights.ravel()
+        self.mass = float(np.sum(self.panel_weights) + self.coefficients @ self.p)
+
+    def integrals(self, h) -> tuple[np.ndarray, float]:
+        """The integral of p * h over each range, in the order of keys,
+        and the sum of their adaptive error estimates."""
+        spec = self.spec
+        ruled = np.sum(self.weights * h.value(self.nodes), axis=1)
+
+        def weighted(x):
+            return spec.density(x) * h.value(x)
+
+        adaptive = [_quad(weighted, d, x) for d, x in self.adaptive]
+        return np.r_[ruled, [value for value, _ in adaptive]], sum(err for _, err in adaptive)
+
+
+def _end_exponent(spec, a: float) -> float | None:
+    """gamma = b(a) / tau'(a) - 1 at a finite support end a of a
+    first-order law (tau(a) = 0), the power of |x - a| in its density
+    there: (b0 - m a) / tau'(a) - 1 for a Pearson law, -1/2 at both
+    arcsine ends, alpha - 1 and beta - 1 for beta, r - 1 at gamma's 0.
+    None where there is no such power: an infinite end, a law of another
+    order, or tau'(a) = 0 (a smooth zero, such as inverse gamma's at 0)."""
+    if spec.operator_order != 1 or not math.isfinite(a):
+        return None
+    op = spec.operator
+    slope = npoly.polyval(a, npoly.polyder(op.a1))
+    return None if slope == 0.0 else float(npoly.polyval(a, op.a0) / slope) - 1.0
+
+
+def _end_rules(spec, keys) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights, one row per range (a, x) of keys, so that
+    sum(weights * h(nodes), axis=1) integrates p * h from a to x.
+
+    p = v^gamma s with v = |x - a|, and each row is the _END_NODES-point
+    Gauss-Jacobi rule of weight v^gamma (special.gauss_jacobi), so the
+    power is integrated analytically: s = p / v^gamma is evaluated at the
+    rounded nodes, v taken from the rounded x, one density call per end.
+    A range whose first node would lie within _NARROW_ULPS doubles of a
+    (the arcsine grid ends one double inside 1) takes the rule's leading
+    term instead, s L^(gamma + 1) / (gamma + 1) h(a) with s taken at x:
+    its row puts that weight on a node at a."""
+    nodes, weights = [np.empty((0, _END_NODES))], [np.empty((0, _END_NODES))]
+    for a in dict.fromkeys(d for d, _ in keys):
+        gamma = _end_exponent(spec, a)
+        u, w = sf.gauss_jacobi(_END_NODES, gamma)
+        span = np.array([x for d, x in keys if d == a])[:, None] - a
+        at = a + span * u
+        narrow = np.abs(at[:, :1] - a) < _NARROW_ULPS * np.spacing(abs(a))
+        # s = p / v^gamma at the rounded nodes, or at x for a narrow range
+        at = np.where(narrow, a + span, at)
+        smooth = spec.density(at) / np.abs(at - a) ** gamma
+        rule = np.where(narrow, np.eye(1, _END_NODES) / (gamma + 1.0), w)
+        weights.append(np.sign(span) * np.abs(span) ** (gamma + 1.0) * rule * smooth)
+        nodes.append(np.where(narrow, a, at))
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def _panel_error(node_values, mesh, kronrod, gauss):
@@ -336,16 +489,20 @@ class Mesh:
 
     xs holds the PANEL_NODES Gauss-Kronrod nodes of every grid panel (one
     row per panel) and half the panel half-widths; every mesh shares the
-    rule's weights, _WEIGHTS.  Every h-independent array of a solve, at
-    the nodes or on the grid, is a mesh factor: ``factor`` evaluates it
-    once per mesh.  The arrays are shared by every solve on the mesh (the
-    grid also by their solutions), so they are read-only.
+    rule's weights, _WEIGHTS.  delicate maps each delicate point of the
+    spec to the panels within four panel widths of it, whose integrals
+    are taken from the point (_Integral).  Every h-independent array of a
+    solve, at the nodes or on the grid, is a mesh factor: ``factor``
+    evaluates it once per mesh, and ``cached`` keeps any other
+    h-independent part of a solve.  The arrays are shared by every solve
+    on the mesh (the grid also by their solutions), so they are read-only.
     """
 
     spec: DistributionSpec
     grid: np.ndarray
     xs: np.ndarray
     half: np.ndarray
+    delicate: dict = field(default_factory=dict)
     _memo: dict = field(default_factory=dict, repr=False)
 
     @functools.cached_property
@@ -357,10 +514,18 @@ class Mesh:
     def factor(self, name: str, fn, at: str = "nodes") -> np.ndarray:
         """fn at the panel nodes xs (at="nodes") or on the grid
         (at="grid"), evaluated on the first request for name only."""
-        if name not in self._memo:
+
+        def build():
             factor = fn(self._points(at))
             factor.flags.writeable = False
-            self._memo[name] = factor
+            return factor
+
+        return self.cached(name, build)
+
+    def cached(self, name: str, build):
+        """build(), called on the first request for name only."""
+        if name not in self._memo:
+            self._memo[name] = build()
         return self._memo[name]
 
     def _points(self, at: str) -> np.ndarray:
@@ -378,7 +543,9 @@ def build_mesh(spec: DistributionSpec) -> Mesh:
     xs = mid[:, None] + half[:, None] * _NODES[None, :]
     for arr in (grid, half, xs):
         arr.flags.writeable = False
-    return Mesh(spec=spec, grid=grid, xs=xs, half=half)
+    radius = 4.0 * np.max(b - a)
+    delicate = {d: np.nonzero((a - radius <= d) & (d <= b + radius))[0] for d in spec.delicate_points}
+    return Mesh(spec=spec, grid=grid, xs=xs, half=half, delicate=delicate)
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +608,12 @@ def solve(spec: DistributionSpec, h, *, mesh: Mesh | None = None) -> SteinSoluti
         mesh = build_mesh(spec)
     elif mesh.spec is not spec:
         raise ValueError("the mesh was built for a different spec")
-    mean_value = expectation(spec, h)
     if spec.operator_order == 1:
-        f, diags = _solve_first_order(mesh, h, mean_value)
-        derivs = {0: f}
+        derivs, diags = _solve_first_order(mesh, h)
     elif spec.family == "vg":
-        derivs, diags = _solve_vg(mesh, h, mean_value)
+        derivs, diags = _solve_vg(mesh, h)
     elif spec.family == "prr":
-        derivs, diags = _solve_prr(mesh, h, mean_value)
+        derivs, diags = _solve_prr(mesh, h)
     else:
         raise ValueError(f"no solver for family {spec.family}")
     if not diags["panel_error"] <= _PANEL_ERROR_BOUND:
@@ -456,32 +621,41 @@ def solve(spec: DistributionSpec, h, *, mesh: Mesh | None = None) -> SteinSoluti
             f"panel quadrature error estimate {diags['panel_error']:.2e} (relative) exceeds"
             f" {_PANEL_ERROR_BOUND:g}: the grid does not resolve {h.name}"
         )
-    diags["mean_value"] = mean_value
     return SteinSolution(grid=mesh.grid, derivs=derivs, spec=spec, h=h, diagnostics=diags)
 
 
-def _split_integral(mesh, h, eh, density):
+def _split_integral(mesh, h, density):
     """The integral of p * (h - E h) at every grid point: from the lower
     support end up to x left of the median, minus the one from x to the
-    upper end on its right (the two agree, as E[h - E h] = 0, and each
-    side integrates its own tail).  density is p at the mesh nodes (a mesh
-    factor).  Returns the values and the _Integral, which holds the error
-    estimates."""
-    spec, grid = mesh.spec, mesh.grid
+    upper end on its right, each side integrating its own tail.  density
+    is p at the mesh nodes (a mesh factor).
 
-    def weighted(x):
-        return spec.density(x) * (h.value(x) - eh)
+    E h is taken from the same mesh: the G3/K7 panel sums of p * h plus
+    its integrals over the ranges from the support ends and delicate
+    points (_Ends), over the mesh's mass of p.  The ranges' integrals of
+    p * (h - E h) follow by linearity from those of p * h and of p, so
+    the two sides agree to rounding (E[h - E h] = 0 on the mesh).
+    Returns the values, the diagnostics of the solve (E h as mean_value,
+    the mass) and the _Integral."""
+    ends = mesh.cached("ends", lambda: _Ends(mesh, density))
+    hx = h.value(mesh.xs)
+    ph, error = ends.integrals(h)
+    # einsum, not BLAS: a threaded dot would sum in an order that depends on the thread count
+    eh = float(np.einsum("i,i->", ends.panel_weights, hx.ravel()) + ends.coefficients @ ph) / ends.mass
+    over = _Ranges(ends.keys, ph - eh * ends.p, error + abs(eh) * ends.p_error)
+    hx -= eh
+    hx *= density  # p * (h - E h) at the nodes, in h's buffer
+    integral = _Integral(mesh, hx, over)
+    from_ends = [integral.from_anchor(end) for end in mesh.spec.support]
+    diags = {"mean_value": eh, "mass": ends.mass, "form_split": mesh.median}
+    return np.where(mesh.grid <= mesh.median, *from_ends), diags, integral
 
-    integral = _Integral(mesh, weighted, density * (h.value(mesh.xs) - eh), spec.delicate_points)
-    from_ends = [integral.from_anchor(end) for end in spec.support]
-    return np.where(grid <= mesh.median, *from_ends), integral
 
-
-def _solve_first_order(mesh, h, eh):
+def _solve_first_order(mesh, h):
     spec = mesh.spec
-    numer, integral = _split_integral(mesh, h, eh, mesh.factor("density", spec.density))
+    numer, diags, integral = _split_integral(mesh, h, mesh.factor("density", spec.density))
     f = numer / mesh.factor("s_density", lambda x: npoly.polyval(x, spec.operator.a1) * spec.density(x), at="grid")
-    return f, _error_budget(integral) | {"form_split": mesh.median}
+    return {0: f}, _error_budget(integral) | diags
 
 
 def _vg_steps(grid):
@@ -604,8 +778,9 @@ def _vg_node_bessels(mesh, nu, alpha):
     return ive.T, kve.T
 
 
-def _solve_vg(mesh, h, eh):
+def _solve_vg(mesh, h):
     spec, grid = mesh.spec, mesh.grid
+    eh = expectation(spec, h)
     r, theta, sigma = spec.params["r"], spec.params["theta"], spec.params["sigma"]
     nu = (r - 1.0) / 2.0
     s2 = sigma * sigma
@@ -685,8 +860,8 @@ def _solve_vg(mesh, h, eh):
                 f" (grid reaches [{grid[0]:.4g}, {grid[-1]:.4g}])"
             )
     h_nodes = htilde(mesh.xs)
-    int_i = _Integral(mesh, kernel_i, fac_i * h_nodes, (0.0,))
-    int_k = _Integral(mesh, kernel_k, fac_k * h_nodes, (0.0,))
+    int_i = _Integral(mesh, fac_i * h_nodes, _Adaptive(kernel_i))
+    int_k = _Integral(mesh, fac_k * h_nodes, _Adaptive(kernel_k))
     # the I-kernel integral is anchored at the origin: anchoring it at a
     # grid edge would difference huge tail values and destroy the small
     # near-origin integrals.  The K-kernel integral runs to +inf for
@@ -704,10 +879,10 @@ def _solve_vg(mesh, h, eh):
     i_part0 = (alpha / 2.0) ** nu / (sf.gamma_fn(nu + 1.0) * s2)
     f[i0] = i_part0 * b_side[i0]
     f1[i0] = (h.value(0.0) - eh) / (s2 * r) - (theta / s2) * f[i0]
-    return {0: f, 1: f1}, _error_budget(int_i, int_k) | {"origin_index": i0}
+    return {0: f, 1: f1}, _error_budget(int_i, int_k) | {"origin_index": i0, "mean_value": eh}
 
 
-def _solve_prr(mesh, h, eh):
+def _solve_prr(mesh, h):
     """f = (v/s) A with A(x) the integral of g / (v kappa) from 0 to x,
     where g is the split integral of kappa * (h - E h), kappa being the
     density, and f' = (v' A + g / kappa) / s, v' the slope of the same U
@@ -719,7 +894,8 @@ def _solve_prr(mesh, h, eh):
     # density_over_v * U at both, and v * kappa is U times that
     u = mesh.factor("v_nodes", spec.kernel_v)
     kappa = mesh.factor("prr_density", lambda xs: spec.density_over_v(xs) * u)
-    g_vals, inner = _split_integral(mesh, h, eh, kappa)
+    g_vals, diags, inner = _split_integral(mesh, h, kappa)
+    eh = diags["mean_value"]
     v = mesh.factor("v", spec.kernel_v, at="grid")
     kappa_grid = mesh.factor("prr_density_grid", lambda x: spec.density_over_v(x) * v, at="grid")
     g = sf.Hermite(grid, g_vals, kappa_grid * (h.value(grid) - eh))
@@ -728,11 +904,11 @@ def _solve_prr(mesh, h, eh):
         return g(y) / (spec.kernel_v(y) * spec.density(y))
 
     fac = mesh.factor("v_kappa", lambda xs: u * kappa)
-    integral = _Integral(mesh, outer, g.on_intervals(mesh.xs) / fac, spec.delicate_points)
+    integral = _Integral(mesh, g.on_intervals(mesh.xs) / fac, _Adaptive(outer))
     a_vals = integral.from_anchor(0.0)
     f = v * a_vals / s
     f1 = (mesh.factor("v_slope", spec.kernel_v_slope, at="grid") * a_vals + g_vals / kappa_grid) / s
-    return {0: f, 1: f1}, _error_budget(inner, integral) | {"form_split": mesh.median}
+    return {0: f, 1: f1}, _error_budget(inner, integral) | diags
 
 
 # ---------------------------------------------------------------------------

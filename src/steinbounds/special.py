@@ -9,11 +9,12 @@ the parameter slice we actually use is a fixed double-exponential
 quadrature rule of its own, which also gives dU/dx.  ``integrate`` is the
 package's one adaptive quadrature rule: QUADPACK's QAGS and QAGI ported to
 numpy, each rule application one call of the integrand on an array of
-nodes.  ``Hermite`` interpolates on even nodes from values and
-derivatives without a linear solve, and finds a point's interval by
-arithmetic, without a search; ``taylor_step`` is its Horner rule, which
-also steps the solver's vg Bessel values and catalog's PRR U table from
-sparse anchors.
+nodes; ``gauss_jacobi`` gives the fixed rules with a power-law weight
+that the solver uses at the finite support ends instead.  ``Hermite``
+interpolates on even nodes from values and derivatives without a linear
+solve, and finds a point's interval by arithmetic, without a search;
+``taylor_step`` is its Horner rule, which also steps the solver's vg
+Bessel values and catalog's PRR U table from sparse anchors.
 The package never imports scipy.integrate or scipy.interpolate, whose
 import pulls in scipy.linalg, sparse, optimize and fft and would double
 the start-up time of every CLI call.
@@ -421,6 +422,36 @@ def _qelg(n, epstab, res3la, nres):
         abserr = abs(result - res3la[3]) + abs(result - res3la[2]) + abs(result - res3la[1])
         res3la[1], res3la[2], res3la[3] = res3la[2], res3la[3], result
     return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_jacobi(n: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss rule on [0, 1]
+    with weight u^gamma, gamma > -1: the rule integrates u^gamma times a
+    polynomial of degree 2n - 1 exactly, so the power-law factor of an
+    integrand is taken analytically, not sampled.  Golub & Welsch (Math.
+    Comp. 23, 1969): the nodes are the eigenvalues of the Jacobi matrix
+    of the shifted Jacobi polynomials P_k^(0, gamma)(2u - 1), and each
+    weight is 1 / (gamma + 1) times the squared first component of its
+    eigenvector.  Against 40-digit integrals of smooth factors the
+    20-point rule is within 4e-15 relative for gamma = -0.7 to 2.  The
+    arrays are read-only (cached)."""
+    if not gamma > -1.0:
+        raise ValueError(f"the Jacobi weight u^gamma needs gamma > -1, got {gamma}")
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + gamma  # 2k + alpha + beta on [-1, 1], alpha = 0 and beta = gamma
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = gamma * gamma / (s * (s + 2.0))
+    diag[0] = gamma / (gamma + 2.0)
+    k, s = k[1:], s[1:]
+    off = np.sqrt(4.0 * k * k * (k + gamma) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    # u = (1 + x) / 2 halves the matrix and shifts its diagonal
+    matrix = np.diag(0.5 * (1.0 + diag)) + np.diag(0.5 * off, 1) + np.diag(0.5 * off, -1)
+    nodes, vectors = np.linalg.eigh(matrix)
+    weights = vectors[0] ** 2 / (gamma + 1.0)
+    for arr in (nodes, weights):
+        arr.flags.writeable = False
+    return nodes, weights
 
 
 def gamma_fn(x: float) -> float:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -74,6 +75,19 @@ class TestDensities:
             val, _ = integrate.quad(lambda t: float(spec.density(t)), a, b, limit=300)
             total += val
         assert total == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("family,params", ALL_SOLVABLE + [("prr", {"s": 4.0})])
+    def test_zero_at_infinity_and_nan(self, family, params):
+        # with RuntimeWarnings as errors: no inf - inf, 0 * inf or NaN
+        # in any factor
+        spec = cat.make_spec(family, **params)
+        points = [-math.inf, math.inf, math.nan]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = spec.density(np.array([0.3, *points]))
+            scalars = [spec.density(x) for x in points]
+        assert values[0] > 0.0
+        assert values[1:].tolist() == scalars == [0.0, 0.0, 0.0]
 
     def test_scalar_and_vector_agree(self):
         spec = cat.make_spec("vg", r=3.0, theta=0.5, sigma=1.0)

@@ -35,7 +35,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
-from scipy.special import betainc, betaincinv, gammainccinv, gammaincinv, ndtri, rgamma, stdtrit
+from scipy.special import (
+    betainc, betaincinv, gammainc, gammaincc, gammainccinv, gammaincinv, ndtr, ndtri, rgamma, stdtr, stdtrit,
+)
 from scipy.special import kve as _sp_kve
 
 from . import special as sf
@@ -62,6 +64,7 @@ __all__ = [
     "DEFAULT_SPECS",
     "numeric_cdf",
     "quantile",
+    "quantiles",
     "beta_median",
     "beta_lipschitz_constant",
     "vg_scale_constant",
@@ -216,7 +219,10 @@ class DistributionSpec:
     laws _pearson reads scheme.a off the same expansion.  pdf is None for
     a law without 1-D solver support; ppf, the inverse CDF, is set where
     it has a closed form (the Pearson laws) and quantile() tabulates the
-    CDF elsewhere; kernel_v is the homogeneous-solution factor of the
+    CDF elsewhere; cdf and survival, the CDF and the survival function, are
+    set where scipy.special has them and a solve would otherwise integrate p
+    adaptively (normal, gamma, exponential, Student t, inverse gamma), each
+    from its own tail; kernel_v is the homogeneous-solution factor of the
     double-integral representation (second-order families solved that
     way), kernel_v_slope its derivative, and density_over_v the density
     divided by it (a solve then evaluates kernel_v once per point for
@@ -234,6 +240,8 @@ class DistributionSpec:
     default_mode: str
     pdf: Callable | None = None
     ppf: Callable[[float], float] | None = None
+    cdf: Callable[[float], float] | None = None
+    survival: Callable[[float], float] | None = None
     operator: SteinOperator | None = None
     kernel_v: Callable | None = None
     kernel_v_slope: Callable | None = None
@@ -301,18 +309,29 @@ _BRACKET_LIMIT = 1e12
 
 
 def quantile(spec: DistributionSpec, p: float) -> float:
-    """The p-quantile: spec.ppf where the law has a closed-form inverse,
-    else a root of the tabulated CDF (_table_quantile).  A quantile that
-    rounds onto a finite support end moves to the nearest double inside
-    the support, where the density and the solver's weights are finite;
-    one beyond +-1e12 (a tail too heavy for any grid) raises NumericError."""
-    if not 0.0 < p < 1.0:
+    """The p-quantile, quantiles(spec, (p,))[0]: its bracket's tail
+    targets are p and 1 - p."""
+    return quantiles(spec, (p,))[0]
+
+
+def quantiles(spec: DistributionSpec, ps) -> list[float]:
+    """The p-quantile for each p of ps: spec.ppf where the law has a
+    closed-form inverse, else roots of one tabulated CDF for all of them
+    (_table_quantile).  A quantile that rounds onto a finite support end
+    moves to the nearest double inside the support, where the density and
+    the solver's weights are finite; one beyond +-1e12 (a tail too heavy
+    for any grid) raises NumericError."""
+    ps = [float(p) for p in ps]
+    if not all(0.0 < p < 1.0 for p in ps):
         raise ValueError("quantile requires 0 < p < 1")
-    x = spec.ppf(p) if spec.ppf is not None else _table_quantile(spec, p)
-    if not abs(x) <= _BRACKET_LIMIT:
-        raise NumericError(f"{spec.family}{spec.params}: the {p}-quantile {x:g} lies beyond +-{_BRACKET_LIMIT:g}")
+    xs = [spec.ppf(p) for p in ps] if spec.ppf is not None else _table_quantile(spec, ps)
     lo, hi = spec.support
-    return float(min(max(x, np.nextafter(lo, hi)), np.nextafter(hi, lo)))
+    out = []
+    for p, x in zip(ps, xs):
+        if not abs(x) <= _BRACKET_LIMIT:
+            raise NumericError(f"{spec.family}{spec.params}: the {p}-quantile {x:g} lies beyond +-{_BRACKET_LIMIT:g}")
+        out.append(float(min(max(x, np.nextafter(lo, hi)), np.nextafter(hi, lo))))
+    return out
 
 
 _TAIL_EPSREL = 1e-12  # relative tolerance of the adaptive integrals of the table
@@ -337,16 +356,17 @@ def _adaptive(spec: DistributionSpec, a: float, b: float) -> float:
     return sf.integrate(spec.density, a, b, spec.delicate_points, epsabs=0.0, epsrel=_TAIL_EPSREL)[0]
 
 
-def _bracket(spec: DistributionSpec, p: float) -> tuple[float, float, float, float]:
-    """(lo, hi, mass below lo, mass above hi) for an interval that holds the
-    p-quantile: the support ends, each infinite one replaced by the first of
-    -+1, -+2, -+4, ... beyond which lies at most p (left) or 1 - p (right)
-    of the mass, each tail one adaptive integral.  The search starts past
-    the last doubling where |x| times the density (a tail estimate, one
-    vectorised call) is still above the target.  A tail that stays too
-    heavy out to +-1e12 (a density of too much mass) raises NumericError."""
+def _bracket(spec: DistributionSpec, p_min: float, p_max: float) -> tuple[float, float, float, float]:
+    """(lo, hi, mass below lo, mass above hi) for an interval that holds
+    every quantile from the p_min- to the p_max-quantile: the support ends,
+    each infinite one replaced by the first of -+1, -+2, -+4, ... beyond
+    which lies at most p_min (left) or 1 - p_max (right) of the mass, each
+    tail one adaptive integral.  The search starts past the last doubling
+    where |x| times the density (a tail estimate, one vectorised call) is
+    still above the target.  A tail that stays too heavy out to +-1e12 (a
+    density of too much mass) raises NumericError."""
     edges, tails = list(spec.support), [0.0, 0.0]
-    for i, side, start, most in ((0, "left", -1.0, p), (1, "right", 1.0, 1.0 - p)):
+    for i, side, start, p, most in ((0, "left", -1.0, p_min, p_min), (1, "right", 1.0, p_max, 1.0 - p_max)):
         if np.isfinite(edges[i]):
             continue
         doublings = start * 2.0 ** np.arange(_DOUBLINGS)
@@ -362,19 +382,23 @@ def _bracket(spec: DistributionSpec, p: float) -> tuple[float, float, float, flo
     return edges[0], edges[1], tails[0], tails[1]
 
 
-def _table_quantile(spec: DistributionSpec, p: float) -> float:
-    """The p-quantile of a law without a closed-form inverse.
+def _table_quantile(spec: DistributionSpec, ps: list[float]) -> list[float]:
+    """The p-quantiles, for each p of ps, of a law without a closed-form
+    inverse.
 
-    One vectorised table per call: _TABLE_PANELS 12-point Gauss-Legendre
-    panels on the bracket, with every delicate point on a panel edge and
-    each panel that touches one an adaptive integral (QUADPACK meets the
-    point at an end, as in the solver's panel integrals); each tail beyond
-    the bracket is one adaptive integral.  A lower quantile (p <= 1/2) is a
-    root of the CDF, summed from the left, and an upper one a root of the
-    survival function, summed from the right, so a tail of 1e-8 keeps its
-    digits.  Inside the crossing panel a safeguarded Newton iteration
-    (bisection when a step leaves the bracket) finishes, with the density
-    as the derivative.
+    One vectorised table for all of them: _TABLE_PANELS 12-point
+    Gauss-Legendre panels on one bracket (its left tail at most min(ps),
+    its right one at most 1 - max(ps)), with every delicate point on a
+    panel edge and each panel that touches one an adaptive integral
+    (QUADPACK meets the point at an end, as in the solver's panel
+    integrals); each tail beyond the bracket is one adaptive integral.  A
+    lower quantile (p <= 1/2) is a root of the CDF, summed from the left,
+    and an upper one a root of the survival function, summed from the
+    right, so a tail of 1e-8 keeps its digits.  Each p then has its own
+    safeguarded Newton iteration (bisection when a step leaves the
+    crossing panel), with the density as the derivative.  The solver's
+    mesh asks for its three quantiles in one call; a single p gives the
+    table of quantile(spec, p).
 
     The table keeps 12 nodes where the solver's mesh has 7: its 256 panels
     are up to 0.5 wide (the default sweep's mesh panels 5e-5 to 2.6e-3),
@@ -382,7 +406,7 @@ def _table_quantile(spec: DistributionSpec, p: float) -> float:
     mass by up to 4.1e-9 relative for vg(3.33489, -1.41193, 0.516807) and
     6.3e-11 for vg(0.6, 1.5, 0.5), against 4.5e-14 and 1.7e-15 with 12.
     """
-    lo, hi, mass_lo, mass_hi = _bracket(spec, p)
+    lo, hi, mass_lo, mass_hi = _bracket(spec, min(ps), max(ps))
     # equal panels between the delicate points, so the panel next to one is
     # as wide as the one that touches it
     cuts = [lo, *sorted(d for d in spec.delicate_points if lo < d < hi), hi]
@@ -401,25 +425,36 @@ def _table_quantile(spec: DistributionSpec, p: float) -> float:
     total = mass_lo + mass.sum() + mass_hi
     if not abs(total - 1.0) <= _MASS_TOL:  # a NaN total fails too
         raise NumericError(f"{spec.family}{spec.params}: the density integrates to {float(total):.12g}, not 1")
-    # g = F - p (lower) or (1 - p) - S (upper) at the edges: increasing,
-    # and in either case its panel integrals are the masses
-    if p <= 0.5:
-        g = mass_lo + np.concatenate(([0.0], np.cumsum(mass))) - p
-    else:
-        g = (1.0 - p) - (mass_hi + np.concatenate((np.cumsum(mass[::-1])[::-1], [0.0])))
-    i = min(max(int(np.searchsorted(g, 0.0)) - 1, 0), len(a) - 1)
-    left, right = a[i], b[i]
-    # the anchor is the edge on the quantile's tail side
-    anchor, g_anchor = (left, g[i]) if p <= 0.5 else (right, g[i + 1])
+    # the mass left of each edge, and right of it
+    below = mass_lo + np.concatenate(([0.0], np.cumsum(mass)))
+    above = mass_hi + np.concatenate((np.cumsum(mass[::-1])[::-1], [0.0]))
+    out = []
+    for p in ps:
+        # g = F - p (lower) or (1 - p) - S (upper) at the edges: increasing,
+        # and in either case its panel integrals are the masses
+        g = below - p if p <= 0.5 else (1.0 - p) - above
+        i = min(max(int(np.searchsorted(g, 0.0)) - 1, 0), len(a) - 1)
+        out.append(_newton(spec, p, a[i], b[i], g[i], g[i + 1], delicate[i]))
+    return out
+
+
+def _newton(spec, p: float, left: float, right: float, g_left: float, g_right: float, delicate: bool) -> float:
+    """The root of g in the crossing panel [left, right] of the table, g
+    taking g_left and g_right at its ends: a Newton iteration safeguarded
+    by bisection, with g between the edge on the quantile's tail side (the
+    anchor) and x one 12-point Gauss-Legendre sum, or an adaptive integral
+    in a panel that touches a delicate point."""
+    nodes, weights = _gauss_legendre()
+    anchor, g_anchor = (left, g_left) if p <= 0.5 else (right, g_right)
 
     def g_at(x: float) -> float:
-        if delicate[i]:
+        if delicate:
             return g_anchor + _adaptive(spec, anchor, x)
         h = 0.5 * (x - anchor)
         return g_anchor + h * float(spec.density(0.5 * (x + anchor) + h * nodes) @ weights)
 
-    span = g[i + 1] - g[i]
-    x = left - g[i] * (right - left) / span if span > 0.0 else 0.5 * (left + right)
+    span = g_right - g_left
+    x = left - g_left * (right - left) / span if span > 0.0 else 0.5 * (left + right)
     x = min(max(x, left), right)
     g_tol = _NEWTON_GTOL * min(p, 1.0 - p)
     for _ in range(_NEWTON_STEPS):
@@ -570,6 +605,8 @@ def _normal_spec() -> DistributionSpec:
         },
         default_mode="lemma23ii",
         ppf=_two_tailed(ndtri, lambda q: -ndtri(q)),
+        cdf=lambda x: float(ndtr(x)),
+        survival=lambda x: float(ndtr(-x)),
         **fields,
     )
 
@@ -616,6 +653,8 @@ def _gamma_spec(r: float, lam: float) -> DistributionSpec:
         },
         default_mode="lemma23i",
         ppf=_two_tailed(lambda p: gammaincinv(r, p) / lam, lambda q: gammainccinv(r, q) / lam),
+        cdf=lambda x: float(gammainc(r, lam * x)),
+        survival=lambda x: float(gammaincc(r, lam * x)),
         **fields,
     )
 
@@ -748,6 +787,8 @@ def _student_t_spec(d: float, delta: float) -> DistributionSpec:
         default_mode="lemma23i",
         # x = t delta / sqrt(d), t a Student t variable with d degrees of freedom
         ppf=_two_tailed(lambda p: stdtrit(d, p) * t_scale, lambda q: -stdtrit(d, q) * t_scale),
+        cdf=lambda x: float(stdtr(d, x / t_scale)),
+        survival=lambda x: float(stdtr(d, -x / t_scale)),
         **fields,
     )
 
@@ -792,6 +833,8 @@ def _inverse_gamma_spec(alpha: float, beta: float) -> DistributionSpec:
         default_mode="lemma23i",
         # x = beta / y, y a gamma(alpha, 1) variable: the tails swap
         ppf=_two_tailed(lambda p: beta / gammainccinv(alpha, p), lambda q: beta / gammaincinv(alpha, q)),
+        cdf=lambda x: float(gammaincc(alpha, beta / x)),
+        survival=lambda x: float(gammainc(alpha, beta / x)),
         **fields,
     )
 

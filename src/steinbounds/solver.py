@@ -11,9 +11,10 @@ order above them is exact algebra on the level equations.
 
 Grids are quantile-based: they cover [q(1e-8), q(1 - 1e-8)] plus a 20%
 margin clipped to the support, with a fixed DEFAULT_POINTS = 20001 points.
-catalog.quantile gives each end from its own tail (closed-form inverses
-for the Pearson laws, a tabulated CDF for the others), and an end that
-meets a finite support end stops one double inside it.
+One catalog.quantiles call gives both ends and the median, each from its
+own tail (closed-form inverses for the Pearson laws, one tabulated CDF
+for the others), and an end that meets a finite support end stops one
+double inside it.
 
 Everything that depends on the law but not on the test function lives in
 a ``Mesh``, built once per spec by ``build_mesh``: the grid, the median
@@ -43,27 +44,32 @@ Gauss-Kronrod rule (G3/K7), whose embedded 3-point Gauss rule gives the
 panel an error estimate; the largest sum of them, relative to the sum of
 |panel|, is ``diagnostics["panel_error"]``, and a solve whose estimate
 exceeds 1e-8 (a test function the grid does not resolve) raises
-NumericError.  The ranges beyond the grid and the panels next to a
-delicate point d (an integrable singularity, a kink or a support end) are
-integrals from d, so the rule that gives them meets d at an end.  At a
-finite support end a of a first-order law, where the density is |x -
+NumericError.  The ranges beyond the grid run from a support end, and
+the panels next to a delicate point d (an integrable singularity, a kink
+or a support end) take their own rule, which meets d only at an end.  At
+a finite support end a of a first-order law, where the density is |x -
 a|^gamma times a smooth factor, that rule is a 20-point Gauss-Jacobi rule
-of weight |x - a|^gamma (``special.gauss_jacobi``), all ranges of a mesh
-in one array call; a range a few doubles wide (the arcsine grid ends one
-double inside 1) takes its leading term.  Every other such range (the
-tails to infinity, vg's origin, PRR's end at 0, inverse gamma's smooth
-zero at 0) goes through ``special.integrate`` (QUADPACK's QAGS and QAGI
-in numpy, which call an integrand on arrays of nodes), once per solve;
-the error estimates sum to ``diagnostics["quad_error"]``.
+of weight |x - a|^gamma (``special.gauss_jacobi``), and each panel next
+to a is F(b) - F(a), both ranges from a; a range a few doubles wide (the
+arcsine grid ends one double inside 1) takes its leading term.  Next to
+vg's origin and PRR's end at 0 each panel is its own range, so only the
+panel that ends at the point meets it; PRR's density is analytic at 0,
+so its ranges there take the 20-point Gauss-Legendre rule (gamma = 0).
+The rules' ranges of a mesh take one array call.  Every other range (the
+tails to infinity, vg's origin panels, inverse gamma's smooth zero at 0)
+goes through ``special.integrate`` (QUADPACK's QAGS and QAGI in numpy,
+which call an integrand on arrays of nodes), once per solve; the error
+estimates sum to ``diagnostics["quad_error"]``.
 
 E h(Z) comes from the mesh for the first-order and PRR solves: the G3/K7
 panel sums of p h plus the same end, delicate and tail ranges, over the
 mesh's mass of p (``diagnostics["mass"]``, 1 up to quadrature error).
 The ranges' integrals of p (h - E h) follow by linearity from those of p
-h and of p, the latter once per mesh, so both sides of the split integral
-agree to rounding.  The vg solve takes E h from ``expectation``, one
-adaptive integral over the line, which is also the mesh's independent
-oracle.
+h and of p, the latter once per mesh (from the law's closed-form CDF or
+survival function on the ranges no rule takes, where it has them), so
+both sides of the split integral agree to rounding.  The vg solve takes
+E h from ``expectation``, one adaptive integral over the line, which is
+also the mesh's independent oracle.
 
 The PRR solve interpolates its inner integral between grid points by a
 cubic Hermite interpolant (``special.Hermite``) with the integrand as its
@@ -77,7 +83,6 @@ table's even nodes give each point its interval by arithmetic.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -86,7 +91,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy import special as _sp
 
 from . import special as sf
-from .catalog import DistributionSpec, quantile
+from .catalog import DistributionSpec, quantiles
 from .errors import NumericError, ValidityError
 
 __all__ = [
@@ -138,6 +143,7 @@ _RESIDUAL_TRIM = 10  # grid points left out at either end of the residual check
 # peaks at 1.2e-11; a test function that oscillates within a panel
 # (sine:1e4 on the normal grid) reads 14.6.
 _PANEL_ERROR_BOUND = 1e-8
+_EPSABS = 1e-14  # absolute tolerance of the adaptive ranges of a solve
 _END_NODES = 20  # Gauss-Jacobi nodes per range from a finite Pearson support end
 _NARROW_ULPS = 4.0  # a range whose first such node lies within this many doubles of its end takes the leading term
 _TAYLOR_TERMS = 12  # terms of the vg Bessel series about an anchor
@@ -245,15 +251,20 @@ def expectation(spec: DistributionSpec, h) -> float:
     return total
 
 
-def _quad(fn, a: float, b: float) -> tuple[float, float]:
-    """special.integrate at the tolerances of every adaptive range of a
-    solve."""
-    return sf.integrate(fn, a, b, epsabs=1e-14, epsrel=1e-10)
+def _quad(fn, a: float, b: float, epsabs: float) -> tuple[float, float]:
+    """special.integrate at relative tolerance 1e-10, that of every
+    adaptive range of a solve; epsabs is _EPSABS but on the vg K-kernel
+    tails."""
+    return sf.integrate(fn, a, b, epsabs=epsabs, epsrel=1e-10)
 
 
 class _Adaptive:
     """The integral of fn from a to b by special.integrate, each range
-    once; ``error`` sums the error estimates."""
+    once; ``error`` sums the error estimates.  A range to +-inf takes no
+    absolute tolerance: the vg K-kernel tail beyond a thin-tail grid end
+    is itself about 1e-14, and an I prefactor of 6e13 multiplies it (at
+    epsabs 1e-14 the fourth derivative of vg(2, 1.2, 1), sine:1, was off
+    by 2.4e-5 of its sup at the left grid end)."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -261,7 +272,7 @@ class _Adaptive:
 
     def __call__(self, a: float, b: float) -> float:
         if (a, b) not in self.done:
-            self.done[a, b] = _quad(self.fn, a, b)
+            self.done[a, b] = _quad(self.fn, a, b, 0.0 if math.isinf(a) or math.isinf(b) else _EPSABS)
         return self.done[a, b][0]
 
     @property
@@ -281,28 +292,53 @@ class _Ranges:
         return self.values[d, x]
 
 
+def _panel_ranges(mesh) -> list:
+    """(i, d, terms) for each grid panel i next to a delicate point d:
+    terms are the ranges (a, b), integrals from a to b, and the
+    coefficients whose sum gives the panel's integral (a mesh factor).
+
+    At a finite support end d of a first-order law, whose Gauss-Jacobi
+    weight is a power of |x - d| (_end_rules), the panel [a, b] is F(b) -
+    F(a), both integrals from d.  Next to any other delicate point (vg's
+    origin, PRR's end at 0) each panel is its own range, so only a panel
+    that ends at d meets it: from 0 to each of vg's ten panel ends, the
+    adaptive rule met the |y|^(r - 1) singularity ten times."""
+
+    def build():
+        grid, spec, out = mesh.grid, mesh.spec, []
+        for d, near in mesh.delicate.items():
+            from_d = spec.operator_order == 1 and _end_exponent(spec, d) is not None
+            for i in near:
+                a, b = float(grid[i]), float(grid[i + 1])
+                out.append((i, d, (((d, b), 1.0), ((d, a), -1.0)) if from_d else (((a, b), 1.0),)))
+        return out
+
+    return mesh.cached("panel_ranges", build)
+
+
 class _Integral:
     """The integral of one integrand of a solve over the mesh.
 
     Each grid panel is summed by the G3/K7 rule from the integrand's
     values at the mesh's PANEL_NODES nodes per panel; next to a delicate
-    point d (integrable singularity, kink, support end) it is F(b) - F(a)
-    instead, F(x) = over(d, x) being the integral from d to x, so the rule
-    that gives it meets d at an end.  over is an _Adaptive or _Ranges, and
-    ``error`` is its error estimate.  ``panel_error`` is the G3/K7 panels'
-    own estimate, relative to the sum of |panel|: a vg I-kernel integral
-    reaches 2.3e25 (vg(3, 0.5, 1)) where a prefactor of 1e-25 multiplies
-    it, so only a relative figure says how well the rule resolves it.
+    point d (integrable singularity, kink, support end) it is the sum of
+    its _panel_ranges instead, over(a, b) being the integral from a to b,
+    so the rule that gives a range meets d only at an end.  over is an
+    _Adaptive or _Ranges, and ``error`` is its error estimate.
+    ``panel_error`` is the G3/K7 panels' own estimate, relative to the sum
+    of |panel|: a vg I-kernel integral reaches 2.3e25 (vg(3, 0.5, 1))
+    where a prefactor of 1e-25 multiplies it, so only a relative figure
+    says how well the rule resolves it.
     """
 
     def __init__(self, mesh, node_values, over):
-        self.grid = grid = mesh.grid
+        self.grid = mesh.grid
         self.over = over
         self.panels, gauss = (node_values @ _WEIGHTS).T * mesh.half
         estimate = _panel_error(node_values, mesh, self.panels, gauss)
-        for d, near in mesh.delicate.items():
-            for i in near:
-                self.panels[i] = over(d, grid[i + 1]) - over(d, grid[i])
+        for i, _, terms in _panel_ranges(mesh):
+            self.panels[i] = sum(c * over(*key) for key, c in terms)
+        for near in mesh.delicate.values():
             estimate[near] = 0.0  # their own rule carries their error
         total = np.sum(np.abs(self.panels))
         self.panel_error = float(np.sum(estimate) / total) if total > 0.0 else 0.0
@@ -328,14 +364,17 @@ class _Integral:
 class _Ends:
     """What a split integral needs beyond the G3/K7 panels, for one mesh.
 
-    Each range runs from a delicate point or support end d to a grid point
-    x: the panel ends next to d, and the grid end next to a support end.
-    The density p is integrated over each range once per mesh (``p``, in
-    the order of ``keys``), p * h once per solve (``integrals``).  Near a
-    finite support end a of a first-order law p = |x - a|^gamma s(x), s
-    smooth (_end_exponent), and a's ranges take _end_rules' Gauss-Jacobi
-    rows, all of them in one h call; every other range goes to
-    special.integrate.
+    Each range (a, b) is one of the _panel_ranges next to a delicate point
+    d, or runs from a support end to the grid end next to it.  The density
+    p is integrated over each range once per mesh (``p``, in the order of
+    ``keys``), p * h once per solve (``integrals``).  Near a finite
+    support end d with a power p = |x - d|^gamma s(x), s smooth
+    (_end_exponent), d's ranges take _end_rules' Gauss-Jacobi rows
+    (``nodes``, and ``unit``, the rule's weights for s, times s at the
+    nodes in ``weights``), all of them in one h call.  Every other range
+    goes to special.integrate for p * h; its p comes from the law's
+    closed-form CDF or survival function where it has them (every Pearson
+    law that has such a range), else from special.integrate too.
 
     The integral over the support of an integrand u on the nodes is
     ``panel_weights`` . u (the G3/K7 panels away from the delicate
@@ -347,25 +386,28 @@ class _Ends:
         self.spec = spec = mesh.spec
         grid = mesh.grid
         coefficients: dict[tuple[float, float], float] = {}
+        exponents: dict[tuple[float, float], float | None] = {}
 
-        def add(d, x, c):
-            key = (d, float(x))
+        def add(d, key, c):
             coefficients[key] = coefficients.get(key, 0.0) + c
+            exponents[key] = _end_exponent(spec, d)
 
-        for d, near in mesh.delicate.items():
-            for i in near:
-                add(d, grid[i + 1], 1.0)
-                add(d, grid[i], -1.0)
+        for _, d, terms in _panel_ranges(mesh):
+            for key, c in terms:
+                add(d, key, c)
         lo, hi = spec.support
-        add(lo, grid[0], 1.0)
-        add(hi, grid[-1], -1.0)
-        ruled = {d for d, _ in coefficients if _end_exponent(spec, d) is not None}
-        rules = [key for key in coefficients if key[0] in ruled]
-        self.adaptive = [key for key in coefficients if key[0] not in ruled]
+        add(lo, (lo, float(grid[0])), 1.0)
+        add(hi, (hi, float(grid[-1])), -1.0)
+        rules = [key for key in coefficients if exponents[key] is not None]
+        self.adaptive = [key for key in coefficients if exponents[key] is None]
         self.keys = rules + self.adaptive
         self.coefficients = np.array([coefficients[key] for key in self.keys])
-        self.nodes, self.weights = _end_rules(spec, rules)
-        p_adaptive = [_quad(spec.density, d, x) for d, x in self.adaptive]
+        self.nodes, self.unit, smooth = _end_rules(spec, rules, [exponents[key] for key in rules])
+        self.weights = self.unit * smooth
+        if spec.cdf is not None:
+            p_adaptive = [(_closed_form_mass(spec, a, b), 0.0) for a, b in self.adaptive]
+        else:
+            p_adaptive = [_quad(spec.density, a, b, _EPSABS) for a, b in self.adaptive]
         self.p = np.r_[self.weights.sum(axis=1), [value for value, _ in p_adaptive]]
         self.p_error = sum(err for _, err in p_adaptive)
         weights = density * _WEIGHTS[:, 0]
@@ -384,50 +426,69 @@ class _Ends:
         def weighted(x):
             return spec.density(x) * h.value(x)
 
-        adaptive = [_quad(weighted, d, x) for d, x in self.adaptive]
+        adaptive = [_quad(weighted, a, b, _EPSABS) for a, b in self.adaptive]
         return np.r_[ruled, [value for value, _ in adaptive]], sum(err for _, err in adaptive)
 
 
+def _closed_form_mass(spec, a: float, b: float) -> float:
+    """The integral of p from a to b by the law's CDF, or by its survival
+    function from the upper support end, so a tail keeps its digits."""
+    lo, hi = spec.support
+    if a == hi:
+        return -spec.survival(b)
+    return spec.cdf(b) - (0.0 if a == lo else spec.cdf(a))
+
+
 def _end_exponent(spec, a: float) -> float | None:
-    """gamma = b(a) / tau'(a) - 1 at a finite support end a of a
-    first-order law (tau(a) = 0), the power of |x - a| in its density
-    there: (b0 - m a) / tau'(a) - 1 for a Pearson law, -1/2 at both
-    arcsine ends, alpha - 1 and beta - 1 for beta, r - 1 at gamma's 0.
-    None where there is no such power: an infinite end, a law of another
-    order, or tau'(a) = 0 (a smooth zero, such as inverse gamma's at 0)."""
-    if spec.operator_order != 1 or not math.isfinite(a):
+    """The power gamma of |x - a| in the density at a finite support end
+    a, whose ranges then take an _END_NODES-point Gauss-Jacobi rule.
+
+    At an end of a first-order law (tau(a) = 0) it is b(a) / tau'(a) - 1:
+    (b0 - m a) / tau'(a) - 1 for a Pearson law, -1/2 at both arcsine ends,
+    alpha - 1 and beta - 1 for beta, r - 1 at gamma's 0.  At an end of a
+    second-order law where the leading coefficient a2 does not vanish
+    (PRR's 0) the density solves a regular linear equation, so it is
+    analytic there: gamma = 0, and the rule is Gauss-Legendre's.  None
+    where there is no such power: an infinite end, a point where a2
+    vanishes (vg's origin), or tau'(a) = 0 (a smooth zero, such as inverse
+    gamma's at 0)."""
+    if not math.isfinite(a):
         return None
     op = spec.operator
+    if spec.operator_order == 2:
+        return 0.0 if npoly.polyval(a, op.a2) != 0.0 else None
     slope = npoly.polyval(a, npoly.polyder(op.a1))
     return None if slope == 0.0 else float(npoly.polyval(a, op.a0) / slope) - 1.0
 
 
-def _end_rules(spec, keys) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes and weights, one row per range (a, x) of keys, so that
-    sum(weights * h(nodes), axis=1) integrates p * h from a to x.
+def _end_rules(spec, keys, exponents) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes, the rule weights and s at the nodes, one row per range
+    (a, x) of keys and its end's exponent gamma, so that sum(rule * s *
+    h(nodes), axis=1) integrates p * h from a to x.
 
     p = v^gamma s with v = |x - a|, and each row is the _END_NODES-point
     Gauss-Jacobi rule of weight v^gamma (special.gauss_jacobi), so the
     power is integrated analytically: s = p / v^gamma is evaluated at the
-    rounded nodes, v taken from the rounded x, one density call per end.
-    A range whose first node would lie within _NARROW_ULPS doubles of a
-    (the arcsine grid ends one double inside 1) takes the rule's leading
-    term instead, s L^(gamma + 1) / (gamma + 1) h(a) with s taken at x:
-    its row puts that weight on a node at a."""
-    nodes, weights = [np.empty((0, _END_NODES))], [np.empty((0, _END_NODES))]
-    for a in dict.fromkeys(d for d, _ in keys):
-        gamma = _end_exponent(spec, a)
+    rounded nodes, v taken from the rounded x, one density call per
+    exponent.  A range whose first node would lie within _NARROW_ULPS
+    doubles of a (the arcsine grid ends one double inside 1) takes the
+    rule's leading term instead, s L^(gamma + 1) / (gamma + 1) h(a) with s
+    taken at x: its row puts that weight on a node at a."""
+    nodes, rules, smooths = (np.empty((len(keys), _END_NODES)) for _ in range(3))
+    for gamma in dict.fromkeys(exponents):
+        rows = [k for k, g in enumerate(exponents) if g == gamma]
         u, w = sf.gauss_jacobi(_END_NODES, gamma)
-        span = np.array([x for d, x in keys if d == a])[:, None] - a
+        a = np.array([keys[k][0] for k in rows])[:, None]
+        span = np.array([keys[k][1] for k in rows])[:, None] - a
         at = a + span * u
-        narrow = np.abs(at[:, :1] - a) < _NARROW_ULPS * np.spacing(abs(a))
+        narrow = np.abs(at[:, :1] - a) < _NARROW_ULPS * np.spacing(np.abs(a))
         # s = p / v^gamma at the rounded nodes, or at x for a narrow range
         at = np.where(narrow, a + span, at)
-        smooth = spec.density(at) / np.abs(at - a) ** gamma
+        smooths[rows] = spec.density(at) / np.abs(at - a) ** gamma
         rule = np.where(narrow, np.eye(1, _END_NODES) / (gamma + 1.0), w)
-        weights.append(np.sign(span) * np.abs(span) ** (gamma + 1.0) * rule * smooth)
-        nodes.append(np.where(narrow, a, at))
-    return np.concatenate(nodes), np.concatenate(weights)
+        rules[rows] = np.sign(span) * np.abs(span) ** (gamma + 1.0) * rule
+        nodes[rows] = np.where(narrow, a, at)
+    return nodes, rules, smooths
 
 
 def _panel_error(node_values, mesh, kronrod, gauss):
@@ -460,10 +521,11 @@ def _error_budget(*integrals) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def build_grid(spec: DistributionSpec) -> np.ndarray:
+def build_grid(spec: DistributionSpec, qlo: float, qhi: float) -> np.ndarray:
+    """The DEFAULT_POINTS grid over [qlo, qhi], the q(COVERAGE_TAIL) and
+    q(1 - COVERAGE_TAIL) of spec, plus MARGIN of that span clipped to the
+    support; an interior delicate point lies on it."""
     lo_s, hi_s = spec.support
-    qlo = quantile(spec, COVERAGE_TAIL)
-    qhi = quantile(spec, 1.0 - COVERAGE_TAIL)
     span = qhi - qlo
     lo = qlo - 0.5 * MARGIN * span
     hi = qhi + 0.5 * MARGIN * span
@@ -489,7 +551,10 @@ class Mesh:
 
     xs holds the PANEL_NODES Gauss-Kronrod nodes of every grid panel (one
     row per panel) and half the panel half-widths; every mesh shares the
-    rule's weights, _WEIGHTS.  delicate maps each delicate point of the
+    rule's weights, _WEIGHTS.  median is the law's median, where the split
+    integral switches from the lower to the upper support end, from the
+    same quantiles call (one CDF table) as the grid's ends; None for vg,
+    whose solve does not split.  delicate maps each delicate point of the
     spec to the panels within four panel widths of it, whose integrals
     are taken from the point (_Integral).  Every h-independent array of a
     solve, at the nodes or on the grid, is a mesh factor: ``factor``
@@ -502,14 +567,9 @@ class Mesh:
     grid: np.ndarray
     xs: np.ndarray
     half: np.ndarray
+    median: float | None
     delicate: dict = field(default_factory=dict)
     _memo: dict = field(default_factory=dict, repr=False)
-
-    @functools.cached_property
-    def median(self) -> float:
-        """The law's median, where the split integral switches from the
-        lower to the upper support end (computed on first use)."""
-        return quantile(self.spec, 0.5)
 
     def factor(self, name: str, fn, at: str = "nodes") -> np.ndarray:
         """fn at the panel nodes xs (at="nodes") or on the grid
@@ -536,7 +596,15 @@ def build_mesh(spec: DistributionSpec) -> Mesh:
     """Grid and panel nodes of spec, shared by every solve on it."""
     if not spec.solvable:
         raise ValidityError(f"family {spec.family} has no 1-D solver support")
-    grid = build_grid(spec)
+    lo, hi = spec.support
+    if any(lo < d < hi for d in spec.delicate_points):
+        # vg's solve is anchored at its interior delicate point, the origin,
+        # and reads no median, whose Newton run in the table panel at that
+        # singular point would cost more than both grid ends together
+        (qlo, qhi), median = quantiles(spec, (COVERAGE_TAIL, 1.0 - COVERAGE_TAIL)), None
+    else:
+        qlo, median, qhi = quantiles(spec, (COVERAGE_TAIL, 0.5, 1.0 - COVERAGE_TAIL))
+    grid = build_grid(spec, qlo, qhi)
     a, b = grid[:-1], grid[1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -545,7 +613,7 @@ def build_mesh(spec: DistributionSpec) -> Mesh:
         arr.flags.writeable = False
     radius = 4.0 * np.max(b - a)
     delicate = {d: np.nonzero((a - radius <= d) & (d <= b + radius))[0] for d in spec.delicate_points}
-    return Mesh(spec=spec, grid=grid, xs=xs, half=half, delicate=delicate)
+    return Mesh(spec=spec, grid=grid, xs=xs, half=half, median=median, delicate=delicate)
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +699,8 @@ def _split_integral(mesh, h, density):
     is p at the mesh nodes (a mesh factor).
 
     E h is taken from the same mesh: the G3/K7 panel sums of p * h plus
-    its integrals over the ranges from the support ends and delicate
-    points (_Ends), over the mesh's mass of p.  The ranges' integrals of
+    its integrals over the ranges beyond the grid and next to the
+    delicate points (_Ends), over the mesh's mass of p.  The ranges' integrals of
     p * (h - E h) follow by linearity from those of p * h and of p, so
     the two sides agree to rounding (E[h - E h] = 0 on the mesh).
     Returns the values, the diagnostics of the solve (E h as mean_value,
@@ -900,11 +968,15 @@ def _solve_prr(mesh, h):
     kappa_grid = mesh.factor("prr_density_grid", lambda x: spec.density_over_v(x) * v, at="grid")
     g = sf.Hermite(grid, g_vals, kappa_grid * (h.value(grid) - eh))
 
-    def outer(y):
-        return g(y) / (spec.kernel_v(y) * spec.density(y))
-
+    # the ranges from 0 and the panels next to it are _split_integral's
+    # Gauss-Legendre rows (gamma = 0: the density is analytic in x there),
+    # all in one call of the outer integrand g / (v kappa)
+    ends = mesh.cached("ends", lambda: _Ends(mesh, kappa))
+    ruled = len(ends.unit)
+    y = ends.nodes
+    outer = np.sum(ends.unit * (g(y) / (spec.kernel_v(y) * spec.density(y))), axis=1)
     fac = mesh.factor("v_kappa", lambda xs: u * kappa)
-    integral = _Integral(mesh, g.on_intervals(mesh.xs) / fac, _Adaptive(outer))
+    integral = _Integral(mesh, g.on_intervals(mesh.xs) / fac, _Ranges(ends.keys[:ruled], outer, 0.0))
     a_vals = integral.from_anchor(0.0)
     f = v * a_vals / s
     f1 = (mesh.factor("v_slope", spec.kernel_v_slope, at="grid") * a_vals + g_vals / kappa_grid) / s

@@ -1,13 +1,16 @@
 """Rewrite tests/golden/sweep.json from ``steinbounds sweep --format json``
-and print every row that moved, old -> new.
+and tests/golden/verify_cells.json from a fresh ``verify`` of each of its
+cells, and print every row that moved, old -> new.
 
     python tests/make_sweep_golden.py
 
 Run it from the root of a source tree: the package is imported from
-``src/``.  A row is one (family, params, test function, order) cell; a
-moved row prints each field that changed, and rows that appear or vanish
-print whole.  The file is not a test module (no ``test_`` prefix), so
-pytest does not collect it.
+``src/``.  A sweep row is one (family, params, test function, order) cell;
+a moved row prints each field that changed, and rows that appear or vanish
+print whole.  A verify cell keeps its spec, order and test function and
+prints its empirical sup (as a hex double) and verdict where they moved.
+The file is not a test module (no ``test_`` prefix), so pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import sys
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "sweep.json"
+VERIFY_CELLS = GOLDEN.parent / "verify_cells.json"
 
 
 def _key(row: dict) -> str:
@@ -42,6 +46,27 @@ def moved_rows(old: list[dict], new: list[dict]) -> list[str]:
     return lines
 
 
+def moved_cells(cells: list[dict]) -> tuple[list[dict], list[str]]:
+    """The verify cells with a fresh empirical sup and verdict each, and
+    one line per cell whose sup or verdict moved."""
+    import steinbounds as sb
+
+    kinds = {"SineTest": sb.SineTest, "CosineTest": sb.CosineTest}
+    fresh, lines = [], []
+    for i, cell in enumerate(cells):
+        spec = sb.make_spec(cell["family"], **cell["params"])
+        report = sb.verify(spec, cell["n"], kinds[cell["test_fn"]["kind"]](cell["test_fn"]["freq"]))
+        now = cell | {"empirical": report.empirical_sup.hex(), "pass": report.passed}
+        if now != cell:
+            old, new = float.fromhex(cell["empirical"]), report.empirical_sup
+            lines.append(
+                f"verify cell {i} {cell['family']}({cell['params']}) n={cell['n']}: empirical {cell['empirical']} ->"
+                f" {now['empirical']} ({abs(new - old) / abs(old):.2g} relative); pass {cell['pass']} -> {now['pass']}"
+            )
+        fresh.append(now)
+    return fresh, lines
+
+
 def main() -> int:
     sys.path.insert(0, str(GOLDEN.parents[2] / "src"))
     from steinbounds.cli import main as cli
@@ -57,6 +82,10 @@ def main() -> int:
     print("\n".join(lines))
     print(f"{len(lines)} rows moved")
     GOLDEN.write_text(out.getvalue())
+    cells, lines = moved_cells(json.loads(VERIFY_CELLS.read_text()))
+    print("\n".join(lines))
+    print(f"{len(lines)} verify cells moved")
+    VERIFY_CELLS.write_text(json.dumps(cells, indent=1) + "\n")
     return 0
 
 

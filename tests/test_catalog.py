@@ -14,7 +14,7 @@ from steinbounds import catalog as cat
 from steinbounds import closedform as cf
 from steinbounds.engine import NormSymbol, mixed_coupled_bound, value_coupled_bound, deriv_coupled_bound
 from steinbounds.errors import ValidityError
-from steinbounds.solver import build_grid
+from steinbounds.solver import build_mesh
 from steinbounds.special import hyp_u, log_gamma
 
 ALL_SOLVABLE = [
@@ -173,7 +173,7 @@ class TestPrrUTable:
     def test_slope_table_covers_every_grid(self):
         # PRR's f' reads v' off the table: every grid ends inside it
         for s in (0.5, 1.0, 20.0):
-            assert build_grid(cat.make_spec("prr", s=s))[-1] < cat._prr_u_table(s)[1]
+            assert build_mesh(cat.make_spec("prr", s=s)).grid[-1] < cat._prr_u_table(s)[1]
 
 
 class TestVgScaleConstant:

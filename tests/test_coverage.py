@@ -103,7 +103,16 @@ def spec(request):
 
 @pytest.mark.parametrize("side", ["lower", "upper"])
 def test_quantile_leaves_its_tail_beyond_it(spec, side):
-    q = cat.quantile(spec, LOWER if side == "lower" else UPPER)
+    check_tail(spec, side, cat.quantile(spec, LOWER if side == "lower" else UPPER))
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_mesh_quantile_leaves_its_tail_beyond_it(spec, side):
+    # the mesh's one call for both ends and the median
+    check_tail(spec, side, cat.quantiles(spec, (LOWER, 0.5, UPPER))[0 if side == "lower" else 2])
+
+
+def check_tail(spec, side, q):
     tail, target = tail_mass(spec), TAILS[side]
     got = tail(q, side)
     if abs(got - target) <= RTOL * target:
@@ -118,7 +127,7 @@ def test_quantile_leaves_its_tail_beyond_it(spec, side):
 
 
 def test_grid_stays_inside_the_support(spec):
-    grid = sv.build_grid(spec)
+    grid = sv.build_mesh(spec).grid
     lo, hi = spec.support
     assert lo < grid[0] and grid[-1] < hi
 

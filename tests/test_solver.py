@@ -176,25 +176,25 @@ class TestProbes:
 class TestGrids:
     def test_coverage_and_size(self):
         spec = cat.make_spec("normal")
-        grid = sv.build_grid(spec)
+        grid = sv.build_mesh(spec).grid
         assert len(grid) == sv.DEFAULT_POINTS
         assert grid[0] < cat.quantile(spec, 1e-8)
         assert grid[-1] > cat.quantile(spec, 1.0 - 1e-8)
 
     def test_margin_clipped_to_support(self):
         spec = cat.make_spec("gamma", r=2.0, lam=1.0)
-        grid = sv.build_grid(spec)
+        grid = sv.build_mesh(spec).grid
         assert grid[0] > 0.0
 
     def test_vg_grid_contains_origin(self):
         spec = cat.make_spec("vg", r=3.0, theta=0.5, sigma=1.0)
-        grid = sv.build_grid(spec)
+        grid = sv.build_mesh(spec).grid
         assert np.min(np.abs(grid)) == 0.0
 
     def test_interior_delicate_point_is_on_a_uniform_grid(self):
         # the grid rule keys on the spec's delicate points, not on its family
         spec = replace(cat.make_spec("normal"), delicate_points=(0.25,))
-        grid = sv.build_grid(spec)
+        grid = sv.build_mesh(spec).grid
         assert 0.25 in grid
         assert np.ptp(np.diff(grid)) < 1e-12
 
@@ -331,15 +331,16 @@ class TestVgSkewedLaplaceOracle:
     real parts.  Every f^(n) is compared at every grid point, relative to
     sup |f^(n)|.
 
-    Tolerances per order, set once from the worst measured case and never
-    widened: vg(2, 1.2, 1), sine:1, at its left grid end, 1.0e-7 (n = 0),
-    5.2e-7, 2.1e-6, 7.3e-6 and 2.4e-5 (n = 4).  There the K-kernel tail
-    integral, about 1e-14, meets its absolute tolerance of 1e-14 and is
-    multiplied by an I prefactor of 6e13; with no absolute tolerance the
-    same cell reads 5.8e-15 to 3.2e-9.  At n = 4, theta = +-0.5 stays
-    within 3.0e-8 and theta = 1.2, sigma = 0.6 within 1.9e-6."""
+    Tolerances per order, twice the worst measured case, set once and
+    never widened: 8.1e-14 (n = 0) and 6.3e-14 (n = 1) for vg(2, 1.2,
+    0.6), cosine:1; 4.1e-11 (n = 2) for vg(2, 1.2, 1), sine:2; 2.1e-9 (n =
+    3) for vg(2, -0.5, 0.6), cosine:1; 1.9e-6 (n = 4) for vg(2, 1.2, 0.6),
+    sine:2.  The K-kernel tails to +-inf take no absolute tolerance: at
+    1e-14 the tail beyond the left grid end of vg(2, 1.2, 1), about 1e-14
+    itself and multiplied by an I prefactor of 6e13, put 1.0e-7 (n = 0) to
+    2.4e-5 (n = 4) there."""
 
-    TOL = (2e-7, 1e-6, 4e-6, 1.5e-5, 5e-5)
+    TOL = (1.7e-13, 1.3e-13, 8.2e-11, 4.2e-9, 3.9e-6)
     T, W = np.polynomial.legendre.leggauss(80)
 
     @classmethod
@@ -651,6 +652,19 @@ class TestEndRules:
         assert np.max(np.abs(lower - upper)) <= 1e-14 * np.sum(np.abs(integral.panels))
 
 
+def _recorded_ranges(monkeypatch):
+    """The (a, b) of every special.integrate call the solver makes."""
+    ranges = []
+    integrate = sv.sf.integrate
+
+    def recorded(fn, a, b, *args, **kwargs):
+        ranges.append((a, b))
+        return integrate(fn, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(sv.sf, "integrate", recorded)
+    return ranges
+
+
 class TestQuadratureErrorBudget:
     def test_every_adaptive_error_is_kept(self):
         for spec in vf.default_sweep_specs():
@@ -671,20 +685,109 @@ class TestQuadratureErrorBudget:
         spec = cat.make_spec(family, **params)
         ruled = {a for a in spec.support if math.isfinite(a)} - ({0.0} if family == "inverse_gamma" else set())
         assert {a for a in spec.support if sv._end_exponent(spec, a) is not None} == ruled
-        ranges = []
-        integrate = sv.sf.integrate
-
-        def recorded(fn, a, b, *args, **kwargs):
-            ranges.append((a, b))
-            return integrate(fn, a, b, *args, **kwargs)
-
-        monkeypatch.setattr(sv.sf, "integrate", recorded)
+        ranges = _recorded_ranges(monkeypatch)
         mesh = sv.build_mesh(spec)
         solve(spec, SineTest(1.0), mesh=mesh)
         del ranges[:]
         solve(spec, CosineTest(1.0), mesh=mesh)
         assert not ruled & {end for pair in ranges for end in pair}
         assert len(ranges) == len(set(ranges))
+
+
+class TestRangesNextToDelicatePoints:
+    """Each grid panel next to vg's origin or PRR's end at 0 is its own
+    range, so only the panel that ends at the point meets it; the panels
+    next to a finite first-order end stay F(b) - F(a) from the end, where
+    the Gauss-Jacobi weight is a power of |x - a|.  PRR's ranges at 0 take
+    a 20-point Gauss-Legendre rule, and a Pearson law's ranges that are
+    not ruled take their mass from its closed-form CDF or survival
+    function.  Tolerances are set once and never widened; the worst
+    measured values are in brackets."""
+
+    PRR_RULE_TOL = 2e-15  # Gauss-Legendre against special.integrate at epsrel 1e-13 (6.3e-16)
+    MASS_TOL = 1e-14  # closed-form tail masses against special.integrate at epsrel 1e-13 (5.3e-15)
+
+    @pytest.mark.parametrize("params", [{"r": 0.7, "theta": 1.2, "sigma": 0.6}, {"r": 3.0, "theta": 0.0, "sigma": 1.0}])
+    def test_one_adaptive_range_per_vg_panel(self, monkeypatch, params):
+        spec = cat.make_spec("vg", **params)
+        mesh = sv.build_mesh(spec)
+        ranges = _recorded_ranges(monkeypatch)
+        solve(spec, SineTest(1.0), mesh=mesh)
+        near = mesh.delicate[0.0]
+        assert len(near) == 10
+        panels = [(float(mesh.grid[i]), float(mesh.grid[i + 1])) for i in near]
+        finite = [r for r in ranges if all(map(math.isfinite, r)) and r != (0.0, 0.0)]
+        # the I and the K kernel, each panel once; the expectation's
+        # integral over the line and the two K tails are the rest
+        assert sorted(finite) == sorted(panels * 2)
+        assert sum(0.0 in r for r in finite) == 4
+
+    @pytest.mark.parametrize("family,params", [("arcsine", {}), ("beta", {"alpha": 2.0, "beta": 3.0}), ("gamma", {"r": 0.320687, "lam": 1.83895})])
+    def test_pearson_end_panels_stay_integrals_from_the_end(self, family, params):
+        spec = cat.make_spec(family, **params)
+        mesh = sv.build_mesh(spec)
+        ends = sv._Ends(mesh, mesh.factor("density", spec.density))
+        grid_end = dict(zip(spec.support, (float(mesh.grid[0]), float(mesh.grid[-1]))))
+        for d, near in mesh.delicate.items():
+            assert {key for key in ends.keys if key[0] == d} == {
+                (d, float(mesh.grid[j])) for i in near for j in (i, i + 1)
+            } | {(d, grid_end[d])}
+        assert not ends.adaptive or all(math.isinf(a) for a, _ in ends.adaptive)
+
+    @pytest.mark.parametrize("s", [1.0, 4.9, 20.0])
+    def test_prr_ranges_at_zero_take_the_fixed_rule(self, monkeypatch, s):
+        spec = cat.make_spec("prr", s=s)
+        mesh = sv.build_mesh(spec)
+        ranges = _recorded_ranges(monkeypatch)
+        h = CosineTest(1.3)
+        sol = solve(spec, h, mesh=mesh)
+        # only the tail beyond the grid is adaptive: p once per mesh, p h once per solve
+        assert ranges == [(math.inf, float(mesh.grid[-1]))] * 2
+        monkeypatch.undo()
+        ends = mesh.cached("ends", None)
+        ruled = ends.keys[:len(ends.unit)]
+        assert set(ruled) == {(0.0, float(mesh.grid[0]))} | {
+            (float(mesh.grid[i]), float(mesh.grid[i + 1])) for i in mesh.delicate[0.0]
+        }
+        # the rule against the adaptive integrals it replaced: p, p h and
+        # the outer integrand g / (v kappa)
+        eh = sol.diagnostics["mean_value"]
+        g_vals, _, _ = sv._split_integral(mesh, h, mesh.factor("prr_density", None))
+        g = sv.sf.Hermite(mesh.grid, g_vals, spec.density(mesh.grid) * (h.value(mesh.grid) - eh))
+        integrands = (
+            spec.density,
+            lambda y: spec.density(y) * h.value(y),
+            lambda y: g(y) / (spec.kernel_v(y) * spec.density(y)),
+        )
+        values = (ends.p[:len(ruled)], ends.integrals(h)[0][:len(ruled)], np.sum(ends.unit * integrands[2](ends.nodes), axis=1))
+        for fn, got in zip(integrands, values):
+            want = [sv.sf.integrate(fn, a, b, epsabs=0.0, epsrel=1e-13)[0] for a, b in ruled]
+            assert got == pytest.approx(want, rel=self.PRR_RULE_TOL, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [("normal", {}), ("gamma", {"r": 2.0, "lam": 1.0}), ("exponential", {"lam": 2.7}), ("student_t", {"d": 5.0, "delta": 0.5}),
+         ("inverse_gamma", {"alpha": 4.0, "beta": 0.3}), ("inverse_gamma", {"alpha": 9.0, "beta": 2.0})],
+    )
+    def test_pearson_masses_in_closed_form(self, monkeypatch, family, params):
+        spec = cat.make_spec(family, **params)
+        mesh = sv.build_mesh(spec)
+        ranges = _recorded_ranges(monkeypatch)
+        ends = sv._Ends(mesh, mesh.factor("density", spec.density))
+        assert ranges == []  # no adaptive call for p
+        monkeypatch.undo()
+        assert ends.adaptive and ends.p_error == 0.0
+        got = ends.p[len(ends.unit):]
+        want = [sv.sf.integrate(spec.density, a, b, epsabs=0.0, epsrel=1e-13)[0] for a, b in ends.adaptive]
+        assert got == pytest.approx(want, rel=self.MASS_TOL, abs=0.0)
+        # the panel sums set the mass, as before: 8.9e-16 off 1 for inverse gamma(4, 0.3)
+        assert abs(ends.mass - 1.0) <= 1e-15
+
+    def test_mass_of_the_default_specs(self):
+        # 3.3e-16 off 1 at most (inverse gamma(9, 2))
+        for spec in vf.default_sweep_specs():
+            if spec.family != "vg":
+                assert abs(solve(spec, SineTest(1.0)).diagnostics["mass"] - 1.0) <= 4.5e-16, spec.family
 
 
 def _rule_cases():
@@ -737,7 +840,7 @@ class TestPanelRule:
         grid = np.linspace(0.0, 1.0, points)
         half = 0.5 * np.diff(grid)
         xs = (grid[:-1] + half)[:, None] + half[:, None] * sv._NODES
-        mesh = sv.Mesh(spec=None, grid=grid, xs=xs, half=half)
+        mesh = sv.Mesh(spec=None, grid=grid, xs=xs, half=half, median=0.5)
         integral = sv._Integral(mesh, fn(xs), sv._Adaptive(fn))
         error = abs(np.sum(integral.panels) - exact)
         assert 0.0 < error <= integral.panel_error * np.sum(np.abs(integral.panels))
@@ -817,7 +920,7 @@ class TestVgNodeBessels:
     @given(r=st.floats(0.5, 6.0), theta=st.floats(-1.5, 1.5), sigma=st.floats(0.5, 2.0))
     def test_the_grid_is_integer_steps_from_the_origin(self, r, theta, sigma):
         # the anchors and the Taylor steps index the grid by its step |k|
-        grid = sv.build_grid(cat.make_spec("vg", r=r, theta=theta, sigma=sigma))
+        grid = sv.build_mesh(cat.make_spec("vg", r=r, theta=theta, sigma=sigma)).grid
         dx, steps = sv._vg_steps(grid)
         assert np.array_equal(np.abs(grid), dx * steps)
 

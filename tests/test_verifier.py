@@ -222,17 +222,31 @@ class TestMeshReuse:
 
     def test_one_mesh_per_spec(self, monkeypatch):
         grids = count_calls(monkeypatch, sv.build_grid)
-        quantiles = count_calls(monkeypatch, cat.quantile)
+        quantiles = count_calls(monkeypatch, cat.quantiles)
         expectations = count_calls(monkeypatch, sv.expectation)
         solves = count_calls(monkeypatch, sv.solve)
         spec = cat.make_spec("gamma", r=2.0, lam=1.0)
         test_fns = [SineTest(1.0), SineTest(2.0), CosineTest(1.0)]
         reports = vf.sweep(specs=[spec], orders=range(3), test_fns=test_fns)
         assert all(r.passed for r in reports)
-        # two coverage quantiles for the grid and the median form split
-        assert (len(grids), len(quantiles)) == (1, 3)
+        # one call for the grid's two coverage quantiles and the median form split
+        assert (len(grids), len(quantiles)) == (1, 1)
+        assert quantiles[0][1] == (sv.COVERAGE_TAIL, 0.5, 1.0 - sv.COVERAGE_TAIL)
         assert len(solves) == 3
         assert not expectations  # E h comes from the mesh
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [("vg", {"r": 0.7, "theta": 1.2, "sigma": 0.6}), ("prr", {"s": 4.9}), ("quartic", {})],
+    )
+    def test_one_cdf_table_per_mesh(self, monkeypatch, family, params):
+        # a law without a closed-form inverse tabulates its CDF once per
+        # mesh, for both grid ends and the median
+        tables = count_calls(monkeypatch, cat._table_quantile)
+        spec = cat.make_spec(family, **params)
+        mesh = sv.build_mesh(spec)
+        sv.solve(spec, SineTest(1.0), mesh=mesh)
+        assert len(tables) == 1
 
     def test_one_bound_per_spec_and_order(self, monkeypatch):
         # the rows of every test function price the bounds of the window

@@ -1073,17 +1073,10 @@ def _vg_spec(r: float, theta: float, sigma: float) -> DistributionSpec:
         # scaled Bessel form: the exponent beta*x - alpha*|x| is <= 0, so the
         # tails underflow cleanly instead of overflowing.  Where the
         # exponential is 0 the density is 0: kve is NaN for arguments
-        # beyond about 1e9.  At +-inf and NaN it is 0, with no inf - inf.
-        arr = np.asarray(x, dtype=float)
-        finite = np.isfinite(arr)
-        if not finite.all():
-            out = np.zeros(arr.shape)
-            out[finite] = density(arr[finite])
-            return float(out) if np.ndim(x) == 0 else out
-        ax = np.maximum(np.abs(arr), 1e-12)
-        scale = np.exp(log_norm + beta * arr - alpha * ax + nu * np.log(ax / half_scale))
-        out = np.where(scale > 0.0, scale * _sp_kve(nu, alpha * ax), 0.0)
-        return float(out) if np.ndim(x) == 0 else out
+        # beyond about 1e9.  _on_support keeps +-inf and NaN out (0 there).
+        ax = np.maximum(np.abs(x), 1e-12)
+        scale = np.exp(log_norm + beta * x - alpha * ax + nu * np.log(ax / half_scale))
+        return np.where(scale > 0.0, scale * _sp_kve(nu, alpha * ax), 0.0)
 
     b0_over_root, b0_over_s2 = vg_base_constants(r, theta, sigma)
     subs = {
@@ -1127,7 +1120,7 @@ def _vg_spec(r: float, theta: float, sigma: float) -> DistributionSpec:
         scheme=scheme,
         modes={"lemma23ii": _value_chain(scheme, "ii"), "lemma25": mixed} if theta == 0.0 else {"lemma25": mixed},
         default_mode="lemma23ii" if theta == 0.0 else "lemma25",
-        pdf=density,
+        pdf=_on_support(density, (-math.inf, math.inf)),
         # The level equations carry -k theta f^(k): the coupling operator
         # that the operator algebra actually produces is I - theta D.  Only
         # the cumulative magnitudes a_j = j, b_j = j|theta| enter the bounds.

@@ -53,6 +53,7 @@ __all__ = [
 
 
 _KIND_ORDER = {"h~": 0, "h": 1, "h^": 2, "f": 3, "f'": 4}
+_ALLCLOSE_RTOL = 1e-10  # relative tolerance of BoundCoefficients.allclose
 
 
 @dataclass(frozen=True)
@@ -180,11 +181,12 @@ class BoundCoefficients:
                 out[sym] = out.get(sym, 0.0) + c
         return BoundCoefficients(out)
 
-    def allclose(self, other: "BoundCoefficients", rtol: float = 1e-10, atol: float = 0.0) -> bool:
+    def allclose(self, other: "BoundCoefficients") -> bool:
+        """Every coefficient of either agrees with the other's to _ALLCLOSE_RTOL relative."""
         keys = set(self.terms) | set(other.terms)
         for k in keys:
             a, b = self.get(k), other.get(k)
-            if abs(a - b) > atol + rtol * max(abs(a), abs(b)):
+            if abs(a - b) > _ALLCLOSE_RTOL * max(abs(a), abs(b)):
                 return False
         return True
 

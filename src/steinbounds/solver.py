@@ -57,9 +57,12 @@ panel that ends at the point meets it; PRR's density is analytic at 0,
 so its ranges there take the 20-point Gauss-Legendre rule (gamma = 0).
 The rules' ranges of a mesh take one array call.  Every other range (the
 tails to infinity, vg's origin panels, inverse gamma's smooth zero at 0)
-goes through ``special.integrate`` (QUADPACK's QAGS and QAGI in numpy,
-which call an integrand on arrays of nodes), once per solve; the error
-estimates sum to ``diagnostics["quad_error"]``.
+goes through ``_adaptive_ranges`` once per solve: ``special.integrate``
+(QUADPACK's QAGS and QAGI in numpy, which call an integrand on arrays of
+nodes) under one tolerance policy, the error estimates summing to
+``diagnostics["quad_error"]``.  Each integral of a solve reads its range
+integrals from one dict, (a, b) -> the integral from a to b: the panels
+next to the delicate points and the range from an anchor beyond the grid.
 
 E h(Z) comes from the mesh for the first-order and PRR solves: the G3/K7
 panel sums of p h plus the same end, delicate and tail ranges, over the
@@ -251,51 +254,30 @@ def expectation(spec: DistributionSpec, h) -> float:
     return total
 
 
-def _quad(fn, a: float, b: float, epsabs: float) -> tuple[float, float]:
-    """special.integrate at relative tolerance 1e-10, that of every
-    adaptive range of a solve; epsabs is _EPSABS but on the vg K-kernel
-    tails."""
-    return sf.integrate(fn, a, b, epsabs=epsabs, epsrel=1e-10)
+def _adaptive_ranges(fn, keys, tail_epsabs: float) -> tuple[dict, float]:
+    """The integral of fn over each range (a, b) of keys by
+    special.integrate, as a dict (a, b) -> integral, and the sum of their
+    error estimates.  Every adaptive range of a solve and of its mesh
+    (not ``expectation``, the oracle) comes through here, under one
+    tolerance policy: relative 1e-10 and absolute _EPSABS, but tail_epsabs
+    on a range from +-inf.
 
-
-class _Adaptive:
-    """The integral of fn from a to b by special.integrate, each range
-    once; ``error`` sums the error estimates.  A range to +-inf takes no
-    absolute tolerance: the vg K-kernel tail beyond a thin-tail grid end
-    is itself about 1e-14, and an I prefactor of 6e13 multiplies it (at
-    epsabs 1e-14 the fourth derivative of vg(2, 1.2, 1), sine:1, was off
-    by 2.4e-5 of its sup at the left grid end)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.done: dict[tuple[float, float], tuple[float, float]] = {}
-
-    def __call__(self, a: float, b: float) -> float:
-        if (a, b) not in self.done:
-            self.done[a, b] = _quad(self.fn, a, b, 0.0 if math.isinf(a) or math.isinf(b) else _EPSABS)
-        return self.done[a, b][0]
-
-    @property
-    def error(self) -> float:
-        return sum(err for _, err in self.done.values())
-
-
-class _Ranges:
-    """Integrals from d to x computed beforehand, looked up by (d, x);
-    ``error`` is their summed error estimate."""
-
-    def __init__(self, keys, values, error: float):
-        self.values = dict(zip(keys, values.tolist()))
-        self.error = error
-
-    def __call__(self, d: float, x: float) -> float:
-        return self.values[d, x]
+    vg's K-kernel tails take 0: the tail beyond a thin-tail grid end is
+    itself about 1e-14, and an I prefactor of 6e13 multiplies it (at
+    epsabs 1e-14 the fourth derivative of vg(2, 1.2, 1), sine:1, was off by
+    2.4e-5 of its sup at the left grid end).  The split integral's tails
+    take _EPSABS: at 0 they cost 4-5 times the rule applications."""
+    ranges, error = {}, 0.0
+    for a, b in keys:
+        ranges[a, b], err = sf.integrate(fn, a, b, epsabs=tail_epsabs if math.isinf(a) else _EPSABS, epsrel=1e-10)
+        error += err
+    return ranges, error
 
 
 def _panel_ranges(mesh) -> list:
     """(i, d, terms) for each grid panel i next to a delicate point d:
     terms are the ranges (a, b), integrals from a to b, and the
-    coefficients whose sum gives the panel's integral (a mesh factor).
+    coefficients whose sum gives the panel's integral.
 
     At a finite support end d of a first-order law, whose Gauss-Jacobi
     weight is a power of |x - d| (_end_rules), the panel [a, b] is F(b) -
@@ -303,17 +285,13 @@ def _panel_ranges(mesh) -> list:
     origin, PRR's end at 0) each panel is its own range, so only a panel
     that ends at d meets it: from 0 to each of vg's ten panel ends, the
     adaptive rule met the |y|^(r - 1) singularity ten times."""
-
-    def build():
-        grid, spec, out = mesh.grid, mesh.spec, []
-        for d, near in mesh.delicate.items():
-            from_d = spec.operator_order == 1 and _end_exponent(spec, d) is not None
-            for i in near:
-                a, b = float(grid[i]), float(grid[i + 1])
-                out.append((i, d, (((d, b), 1.0), ((d, a), -1.0)) if from_d else (((a, b), 1.0),)))
-        return out
-
-    return mesh.cached("panel_ranges", build)
+    grid, spec, out = mesh.grid, mesh.spec, []
+    for d, near in mesh.delicate.items():
+        from_d = spec.operator_order == 1 and _end_exponent(spec, d) is not None
+        for i in near:
+            a, b = float(grid[i]), float(grid[i + 1])
+            out.append((i, d, (((d, b), 1.0), ((d, a), -1.0)) if from_d else (((a, b), 1.0),)))
+    return out
 
 
 class _Integral:
@@ -322,40 +300,38 @@ class _Integral:
     Each grid panel is summed by the G3/K7 rule from the integrand's
     values at the mesh's PANEL_NODES nodes per panel; next to a delicate
     point d (integrable singularity, kink, support end) it is the sum of
-    its _panel_ranges instead, over(a, b) being the integral from a to b,
-    so the rule that gives a range meets d only at an end.  over is an
-    _Adaptive or _Ranges, and ``error`` is its error estimate.
+    its _panel_ranges instead, read from ranges, a dict (a, b) -> the
+    integral from a to b, so the rule that gives a range meets d only at
+    an end.  ranges also holds the range from each anchor beyond the grid
+    that from_anchor reads, and ``error`` is their error estimate.
     ``panel_error`` is the G3/K7 panels' own estimate, relative to the sum
     of |panel|: a vg I-kernel integral reaches 2.3e25 (vg(3, 0.5, 1))
     where a prefactor of 1e-25 multiplies it, so only a relative figure
     says how well the rule resolves it.
     """
 
-    def __init__(self, mesh, node_values, over):
+    def __init__(self, mesh, node_values, ranges: dict, error: float):
         self.grid = mesh.grid
-        self.over = over
+        self.ranges, self.error = ranges, error
         self.panels, gauss = (node_values @ _WEIGHTS).T * mesh.half
         estimate = _panel_error(node_values, mesh, self.panels, gauss)
         for i, _, terms in _panel_ranges(mesh):
-            self.panels[i] = sum(c * over(*key) for key, c in terms)
+            self.panels[i] = sum(c * ranges[key] for key, c in terms)
         for near in mesh.delicate.values():
             estimate[near] = 0.0  # their own rule carries their error
         total = np.sum(np.abs(self.panels))
         self.panel_error = float(np.sum(estimate) / total) if total > 0.0 else 0.0
 
-    @property
-    def error(self) -> float:
-        return self.over.error
-
     def from_anchor(self, anchor: float) -> np.ndarray:
         """The integral from anchor to x at every grid point x.  anchor is
-        a grid point or lies beyond the grid (a support end, maybe
-        infinite), and the panel sums run outward from it, so the small
+        a grid point (where the integral is 0) or lies beyond the grid (a
+        support end, maybe infinite, whose range to the grid end is read
+        from ranges), and the panel sums run outward from it, so the small
         integrals next to it keep their digits."""
         grid, panels = self.grid, self.panels
         k = min(int(np.searchsorted(grid, anchor)), len(grid) - 1)
         out = np.empty_like(grid)
-        out[k] = self.over(anchor, grid[k])
+        out[k] = 0.0 if grid[k] == anchor else self.ranges[anchor, grid[k]]
         out[k + 1:] = out[k] + np.cumsum(panels[k:])
         out[:k] = out[k] - np.cumsum(panels[:k][::-1])[::-1]
         return out
@@ -372,9 +348,9 @@ class _Ends:
     (_end_exponent), d's ranges take _end_rules' Gauss-Jacobi rows
     (``nodes``, and ``unit``, the rule's weights for s, times s at the
     nodes in ``weights``), all of them in one h call.  Every other range
-    goes to special.integrate for p * h; its p comes from the law's
-    closed-form CDF or survival function where it has them (every Pearson
-    law that has such a range), else from special.integrate too.
+    (``adaptive``) goes to _adaptive_ranges for p * h; its p comes from the
+    law's closed-form CDF or survival function where it has them (every
+    Pearson law that has such a range), else from _adaptive_ranges too.
 
     The integral over the support of an integrand u on the nodes is
     ``panel_weights`` . u (the G3/K7 panels away from the delicate
@@ -405,11 +381,10 @@ class _Ends:
         self.nodes, self.unit, smooth = _end_rules(spec, rules, [exponents[key] for key in rules])
         self.weights = self.unit * smooth
         if spec.cdf is not None:
-            p_adaptive = [(_closed_form_mass(spec, a, b), 0.0) for a, b in self.adaptive]
+            p_ranges, self.p_error = {key: _closed_form_mass(spec, *key) for key in self.adaptive}, 0.0
         else:
-            p_adaptive = [_quad(spec.density, a, b, _EPSABS) for a, b in self.adaptive]
-        self.p = np.r_[self.weights.sum(axis=1), [value for value, _ in p_adaptive]]
-        self.p_error = sum(err for _, err in p_adaptive)
+            p_ranges, self.p_error = _adaptive_ranges(spec.density, self.adaptive, _EPSABS)
+        self.p = np.r_[self.weights.sum(axis=1), list(p_ranges.values())]
         weights = density * _WEIGHTS[:, 0]
         weights *= mesh.half[:, None]
         for near in mesh.delicate.values():
@@ -426,8 +401,8 @@ class _Ends:
         def weighted(x):
             return spec.density(x) * h.value(x)
 
-        adaptive = [_quad(weighted, a, b, _EPSABS) for a, b in self.adaptive]
-        return np.r_[ruled, [value for value, _ in adaptive]], sum(err for _, err in adaptive)
+        adaptive, error = _adaptive_ranges(weighted, self.adaptive, _EPSABS)
+        return np.r_[ruled, list(adaptive.values())], error
 
 
 def _closed_form_mass(spec, a: float, b: float) -> float:
@@ -704,24 +679,24 @@ def _split_integral(mesh, h, density):
     p * (h - E h) follow by linearity from those of p * h and of p, so
     the two sides agree to rounding (E[h - E h] = 0 on the mesh).
     Returns the values, the diagnostics of the solve (E h as mean_value,
-    the mass) and the _Integral."""
+    the mass), the _Integral and the mesh's _Ends."""
     ends = mesh.cached("ends", lambda: _Ends(mesh, density))
     hx = h.value(mesh.xs)
     ph, error = ends.integrals(h)
     # einsum, not BLAS: a threaded dot would sum in an order that depends on the thread count
     eh = float(np.einsum("i,i->", ends.panel_weights, hx.ravel()) + ends.coefficients @ ph) / ends.mass
-    over = _Ranges(ends.keys, ph - eh * ends.p, error + abs(eh) * ends.p_error)
+    ranges = dict(zip(ends.keys, (ph - eh * ends.p).tolist()))
     hx -= eh
     hx *= density  # p * (h - E h) at the nodes, in h's buffer
-    integral = _Integral(mesh, hx, over)
+    integral = _Integral(mesh, hx, ranges, error + abs(eh) * ends.p_error)
     from_ends = [integral.from_anchor(end) for end in mesh.spec.support]
     diags = {"mean_value": eh, "mass": ends.mass, "form_split": mesh.median}
-    return np.where(mesh.grid <= mesh.median, *from_ends), diags, integral
+    return np.where(mesh.grid <= mesh.median, *from_ends), diags, integral, ends
 
 
 def _solve_first_order(mesh, h):
     spec = mesh.spec
-    numer, diags, integral = _split_integral(mesh, h, mesh.factor("density", spec.density))
+    numer, diags, integral, _ = _split_integral(mesh, h, mesh.factor("density", spec.density))
     f = numer / mesh.factor("s_density", lambda x: npoly.polyval(x, spec.operator.a1) * spec.density(x), at="grid")
     return {0: f}, _error_budget(integral) | diags
 
@@ -859,27 +834,20 @@ def _solve_vg(mesh, h):
         return h.value(x) - eh
 
     # Scaled kernels: exp(beta y) I_nu(alpha |y|) = ive * exp(beta y + alpha |y|)
-    # and exp(beta y) K_nu(alpha |y|) = kve * exp(beta y - alpha |y|).  The
-    # K-kernel exponent is <= 0 whenever |beta| < alpha, so the tail
-    # quadratures cannot overflow.
-    def factor_i(y, bessel=None):
-        ay = np.abs(y)
-        bessel = _sp.ive(nu, alpha * ay) if bessel is None else bessel
-        return np.exp(beta * y + alpha * ay) * ay ** nu * bessel
-
-    def factor_k(y, bessel=None):
-        ay = np.maximum(np.abs(y), 1e-300)
-        bessel = _sp.kve(nu, alpha * ay) if bessel is None else bessel
-        return np.exp(beta * y - alpha * ay) * ay ** nu * bessel
-
+    # and exp(beta y) K_nu(alpha |y|) = kve * exp(beta y - alpha |y|), times
+    # |y|^nu and h - E h.  The K-kernel exponent is <= 0 whenever |beta| <
+    # alpha, so the tail quadratures cannot overflow.
     def kernel_i(y):
-        return factor_i(y) * htilde(y)
+        ay = np.abs(y)
+        return np.exp(beta * y + alpha * ay) * ay ** nu * _sp.ive(nu, alpha * ay) * htilde(y)
 
     def kernel_k(y):
-        return factor_k(y) * htilde(y)
+        ay = np.maximum(np.abs(y), 1e-300)
+        return np.exp(beta * y - alpha * ay) * ay ** nu * _sp.kve(nu, alpha * ay) * htilde(y)
 
     def node_factors(xs):
-        """factor_i and factor_k at the nodes, written into one array;
+        """kernel_i and kernel_k at the nodes less their factor h - E h,
+        written into one array, with ive and kve from _vg_node_bessels;
         beta y, alpha |y| and |y|^nu (no node is 0, so no floor) are
         shared by both."""
         ive, kve = _vg_node_bessels(mesh, nu, alpha)
@@ -928,12 +896,14 @@ def _solve_vg(mesh, h):
                 f" (grid reaches [{grid[0]:.4g}, {grid[-1]:.4g}])"
             )
     h_nodes = htilde(mesh.xs)
-    int_i = _Integral(mesh, fac_i * h_nodes, _Adaptive(kernel_i))
-    int_k = _Integral(mesh, fac_k * h_nodes, _Adaptive(kernel_k))
     # the I-kernel integral is anchored at the origin: anchoring it at a
     # grid edge would difference huge tail values and destroy the small
     # near-origin integrals.  The K-kernel integral runs to +inf for
     # x >= 0 and to -inf for x < 0.
+    near = [key for _, _, terms in _panel_ranges(mesh) for key, _ in terms]
+    tails = [(math.inf, float(grid[-1])), (-math.inf, float(grid[0]))]
+    int_i = _Integral(mesh, fac_i * h_nodes, *_adaptive_ranges(kernel_i, near, 0.0))
+    int_k = _Integral(mesh, fac_k * h_nodes, *_adaptive_ranges(kernel_k, near + tails, 0.0))
     pos = grid >= 0
     a_int = int_i.from_anchor(0.0)
     b_side = np.where(pos, int_k.from_anchor(math.inf), int_k.from_anchor(-math.inf))
@@ -962,7 +932,7 @@ def _solve_prr(mesh, h):
     # density_over_v * U at both, and v * kappa is U times that
     u = mesh.factor("v_nodes", spec.kernel_v)
     kappa = mesh.factor("prr_density", lambda xs: spec.density_over_v(xs) * u)
-    g_vals, diags, inner = _split_integral(mesh, h, kappa)
+    g_vals, diags, inner, ends = _split_integral(mesh, h, kappa)
     eh = diags["mean_value"]
     v = mesh.factor("v", spec.kernel_v, at="grid")
     kappa_grid = mesh.factor("prr_density_grid", lambda x: spec.density_over_v(x) * v, at="grid")
@@ -970,13 +940,12 @@ def _solve_prr(mesh, h):
 
     # the ranges from 0 and the panels next to it are _split_integral's
     # Gauss-Legendre rows (gamma = 0: the density is analytic in x there),
-    # all in one call of the outer integrand g / (v kappa)
-    ends = mesh.cached("ends", lambda: _Ends(mesh, kappa))
-    ruled = len(ends.unit)
+    # all in one call of the outer integrand g / (v kappa); the rows lead
+    # ends.keys
     y = ends.nodes
     outer = np.sum(ends.unit * (g(y) / (spec.kernel_v(y) * spec.density(y))), axis=1)
     fac = mesh.factor("v_kappa", lambda xs: u * kappa)
-    integral = _Integral(mesh, g.on_intervals(mesh.xs) / fac, _Ranges(ends.keys[:ruled], outer, 0.0))
+    integral = _Integral(mesh, g.on_intervals(mesh.xs) / fac, dict(zip(ends.keys, outer.tolist())), 0.0)
     a_vals = integral.from_anchor(0.0)
     f = v * a_vals / s
     f1 = (mesh.factor("v_slope", spec.kernel_v_slope, at="grid") * a_vals + g_vals / kappa_grid) / s

@@ -28,7 +28,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.special import ive as _sp_ive, kve as _sp_kve
 
 from . import special as sf
-from .catalog import DEFAULT_SPECS, DistributionSpec, bessel_tail_constant, make_spec, quantile, quartic_normalizer
+from .catalog import DEFAULT_SPECS, DistributionSpec, bessel_tail_constant, make_spec, quantiles, quartic_normalizer
 from .closedform import bound_for, resolve_mode
 from .engine import BoundCoefficients, NormSymbol
 from .errors import ValidityError
@@ -398,8 +398,7 @@ def identity_grid(spec: DistributionSpec) -> np.ndarray:
     lo, hi = spec.support
     if not spec.solvable:
         raise ValueError("the operator identity check is for 1-D families")
-    a = quantile(spec, 0.02)
-    b = quantile(spec, 0.98)
+    a, b = quantiles(spec, (0.02, 0.98))
     pad = 0.05 * (b - a)
     a = max(a - pad, lo + 1e-6) if np.isfinite(lo) else a - pad
     b = min(b + pad, hi - 1e-6) if np.isfinite(hi) else b + pad
@@ -422,7 +421,8 @@ def check_adjoint_density(spec: DistributionSpec, grid) -> float:
     """
     op = spec.operator
     lo, hi = spec.support
-    spread = quantile(spec, 0.95) - quantile(spec, 0.05)
+    q05, q95 = quantiles(spec, (0.05, 0.95))
+    spread = q95 - q05
     xs = np.asarray(grid, dtype=float)
     near = np.array([min([abs(x - d) for d in spec.delicate_points if lo < d < hi], default=np.inf) for x in xs])
     xs, near = xs[near > 0.05 * spread], near[near > 0.05 * spread]

@@ -647,7 +647,7 @@ class TestEndRules:
         spec = cat.make_spec(family, **params)
         mesh = sv.build_mesh(spec)
         density = mesh.factor("density", spec.density)
-        _, _, integral = sv._split_integral(mesh, CosineTest(1.0), density)
+        _, _, integral, _ = sv._split_integral(mesh, CosineTest(1.0), density)
         lower, upper = (integral.from_anchor(end) for end in spec.support)
         assert np.max(np.abs(lower - upper)) <= 1e-14 * np.sum(np.abs(integral.panels))
 
@@ -716,11 +716,20 @@ class TestRangesNextToDelicatePoints:
         near = mesh.delicate[0.0]
         assert len(near) == 10
         panels = [(float(mesh.grid[i]), float(mesh.grid[i + 1])) for i in near]
-        finite = [r for r in ranges if all(map(math.isfinite, r)) and r != (0.0, 0.0)]
+        finite = [r for r in ranges if all(map(math.isfinite, r))]
         # the I and the K kernel, each panel once; the expectation's
         # integral over the line and the two K tails are the rest
         assert sorted(finite) == sorted(panels * 2)
         assert sum(0.0 in r for r in finite) == 4
+
+    @pytest.mark.parametrize("spec", [s for s in vf.default_sweep_specs() if s.family == "vg"], ids=lambda s: s.param_string())
+    def test_no_vg_range_is_empty(self, monkeypatch, spec):
+        # the I-kernel integral is anchored at the origin, a grid point,
+        # where from_anchor takes 0 without an integral
+        mesh = sv.build_mesh(spec)
+        ranges = _recorded_ranges(monkeypatch)
+        solve(spec, SineTest(1.0), mesh=mesh)
+        assert ranges and all(a != b for a, b in ranges)
 
     @pytest.mark.parametrize("family,params", [("arcsine", {}), ("beta", {"alpha": 2.0, "beta": 3.0}), ("gamma", {"r": 0.320687, "lam": 1.83895})])
     def test_pearson_end_panels_stay_integrals_from_the_end(self, family, params):
@@ -744,15 +753,14 @@ class TestRangesNextToDelicatePoints:
         # only the tail beyond the grid is adaptive: p once per mesh, p h once per solve
         assert ranges == [(math.inf, float(mesh.grid[-1]))] * 2
         monkeypatch.undo()
-        ends = mesh.cached("ends", None)
+        eh = sol.diagnostics["mean_value"]
+        g_vals, _, _, ends = sv._split_integral(mesh, h, mesh.factor("prr_density", None))
         ruled = ends.keys[:len(ends.unit)]
         assert set(ruled) == {(0.0, float(mesh.grid[0]))} | {
             (float(mesh.grid[i]), float(mesh.grid[i + 1])) for i in mesh.delicate[0.0]
         }
         # the rule against the adaptive integrals it replaced: p, p h and
         # the outer integrand g / (v kappa)
-        eh = sol.diagnostics["mean_value"]
-        g_vals, _, _ = sv._split_integral(mesh, h, mesh.factor("prr_density", None))
         g = sv.sf.Hermite(mesh.grid, g_vals, spec.density(mesh.grid) * (h.value(mesh.grid) - eh))
         integrands = (
             spec.density,
@@ -841,7 +849,7 @@ class TestPanelRule:
         half = 0.5 * np.diff(grid)
         xs = (grid[:-1] + half)[:, None] + half[:, None] * sv._NODES
         mesh = sv.Mesh(spec=None, grid=grid, xs=xs, half=half, median=0.5)
-        integral = sv._Integral(mesh, fn(xs), sv._Adaptive(fn))
+        integral = sv._Integral(mesh, fn(xs), {}, 0.0)
         error = abs(np.sum(integral.panels) - exact)
         assert 0.0 < error <= integral.panel_error * np.sum(np.abs(integral.panels))
 

@@ -445,6 +445,16 @@ class TestOperatorIdentity:
         grid = vf.identity_grid(spec)
         assert vf.check_operator_identity(spec, 0, vf.default_identity_probes()[0], grid) < 1e-6
 
+    @pytest.mark.parametrize("family,params", [("vg", {"r": 3.0, "theta": 0.5, "sigma": 1.0}), ("prr", {"s": 1.0}), ("quartic", {})])
+    def test_one_cdf_table_per_check(self, monkeypatch, family, params):
+        # the identity grid and the adjoint check each ask for their two
+        # quantiles in one call, so a law without a closed-form inverse
+        # builds one table for each
+        spec = cat.make_spec(family, **params)
+        calls = count_calls(monkeypatch, cat._table_quantile)
+        vf.check_adjoint_density(spec, vf.identity_grid(spec))
+        assert len(calls) == 2
+
 
 class TestSerialization:
     def _reports(self):

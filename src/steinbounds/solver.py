@@ -24,6 +24,12 @@ panels) and a memo of every h-independent array of a solve, at the nodes
 or on the grid.  Each is evaluated once per mesh.
 The map h -> f is linear, so each solve multiplies the shared factors by
 h - E h(Z); a sweep solves every test function of a spec on one mesh.
+The first mesh of a process sets the C allocator's policy
+(``special.retain_freed_memory``): on glibc, freed blocks of up to 32 MiB
+and up to 64 MiB of free heap stay in the process, so the node arrays of
+each new mesh (1.1 MB each, a working set of 4-10 MB per solve) reuse the
+pages of the last one instead of faulting fresh ones in.  Peak RSS does
+not move; a caller that builds no mesh (bounds only) keeps the defaults.
 
 scipy evaluates the vg Bessel kernels (the scaled ive and kve at orders
 nu and nu + 1) at sparse anchors only: every grid step within 256 steps
@@ -51,7 +57,9 @@ a finite support end a of a first-order law, where the density is |x -
 a|^gamma times a smooth factor, that rule is a 20-point Gauss-Jacobi rule
 of weight |x - a|^gamma (``special.gauss_jacobi``), and each panel next
 to a is F(b) - F(a), both ranges from a; a range a few doubles wide (the
-arcsine grid ends one double inside 1) takes its leading term.  Next to
+arcsine grid ends two doubles inside 1) takes its leading term, and one
+whose nodes would fall below the normal doubles the one-point rule at
+its weight's centroid (_end_rules).  Next to
 vg's origin and PRR's end at 0 each panel is its own range, so only the
 panel that ends at the point meets it; PRR's density is analytic at 0,
 so its ranges there take the 20-point Gauss-Legendre rule (gamma = 0).
@@ -86,6 +94,7 @@ table's even nodes give each point its interval by arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -148,11 +157,15 @@ _RESIDUAL_TRIM = 10  # grid points left out at either end of the residual check
 _PANEL_ERROR_BOUND = 1e-8
 _EPSABS = 1e-14  # absolute tolerance of the adaptive ranges of a solve
 _END_NODES = 20  # Gauss-Jacobi nodes per range from a finite Pearson support end
-_NARROW_ULPS = 4.0  # a range whose first such node lies within this many doubles of its end takes the leading term
+_NARROW_ULPS = 4.0  # a range whose first such node lies within this many doubles of its end takes one node
+_TINY = float(np.finfo(float).tiny)  # as does one whose first node lies closer to its end than this
 _TAYLOR_TERMS = 12  # terms of the vg Bessel series about an anchor
 _DIRECT_BAND = 256  # vg grid steps from the origin that are all Bessel anchors
 _ANCHOR_STEPS = 16  # grid steps between the vg Bessel anchors beyond that band
 _DIRECT_STEPS = 24  # vg nodes this many grid steps from the origin call scipy
+# the allocation policy, set once at the first mesh: callers that build no
+# mesh (bounds only) keep the C allocator's defaults
+_retain_freed_memory = functools.cache(sf.retain_freed_memory)
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +458,16 @@ def _end_rules(spec, keys, exponents) -> tuple[np.ndarray, np.ndarray, np.ndarra
     Gauss-Jacobi rule of weight v^gamma (special.gauss_jacobi), so the
     power is integrated analytically: s = p / v^gamma is evaluated at the
     rounded nodes, v taken from the rounded x, one density call per
-    exponent.  A range whose first node would lie within _NARROW_ULPS
-    doubles of a (the arcsine grid ends one double inside 1) takes the
-    rule's leading term instead, s L^(gamma + 1) / (gamma + 1) h(a) with s
-    taken at x: its row puts that weight on a node at a."""
+    exponent.  Two kinds of range take one node instead, with weight s
+    L^(gamma + 1) / (gamma + 1), s taken at x:
+    - one whose first node would lie within _NARROW_ULPS doubles of a (the
+      arcsine grid ends two doubles inside 1) puts it at a, the rule's
+      leading term;
+    - one whose first node would lie closer to a than the smallest normal
+      double (beta(0.01, 0.01)'s grid starts at 2.2e-308, where v^gamma
+      overflows at that node) puts it at a + (x - a)(gamma + 1) / (gamma +
+      2), the weight's centroid: the one-point Gauss-Jacobi rule, exact for
+      a linear h, where h(a) would lose all of a sine's integral at 0."""
     nodes, rules, smooths = (np.empty((len(keys), _END_NODES)) for _ in range(3))
     for gamma in dict.fromkeys(exponents):
         rows = [k for k, g in enumerate(exponents) if g == gamma]
@@ -456,13 +475,16 @@ def _end_rules(spec, keys, exponents) -> tuple[np.ndarray, np.ndarray, np.ndarra
         a = np.array([keys[k][0] for k in rows])[:, None]
         span = np.array([keys[k][1] for k in rows])[:, None] - a
         at = a + span * u
-        narrow = np.abs(at[:, :1] - a) < _NARROW_ULPS * np.spacing(np.abs(a))
-        # s = p / v^gamma at the rounded nodes, or at x for a narrow range
-        at = np.where(narrow, a + span, at)
+        first = np.abs(at[:, :1] - a)
+        narrow = first < _NARROW_ULPS * np.spacing(np.abs(a))
+        one = narrow | (first < _TINY)
+        # s = p / v^gamma at the rounded nodes, or at x for a one-node range
+        at = np.where(one, a + span, at)
         smooths[rows] = spec.density(at) / np.abs(at - a) ** gamma
-        rule = np.where(narrow, np.eye(1, _END_NODES) / (gamma + 1.0), w)
+        rule = np.where(one, np.eye(1, _END_NODES) / (gamma + 1.0), w)
         rules[rows] = np.sign(span) * np.abs(span) ** (gamma + 1.0) * rule
-        nodes[rows] = np.where(narrow, a, at)
+        centroid = np.where(narrow, 0.0, (gamma + 1.0) / (gamma + 2.0))
+        nodes[rows] = np.where(one, a + span * centroid, at)
     return nodes, rules, smooths
 
 
@@ -571,6 +593,7 @@ def build_mesh(spec: DistributionSpec) -> Mesh:
     """Grid and panel nodes of spec, shared by every solve on it."""
     if not spec.solvable:
         raise ValidityError(f"family {spec.family} has no 1-D solver support")
+    _retain_freed_memory()
     lo, hi = spec.support
     if any(lo < d < hi for d in spec.delicate_points):
         # vg's solve is anchored at its interior delicate point, the origin,
@@ -720,26 +743,29 @@ def _vg_anchors(mesh, nu, alpha):
     """The vg Bessel anchors: every grid step k below _DIRECT_BAND, then
     every _ANCHOR_STEPS-th out to the first at or past the grid's last
     step.  Returns z0 = alpha dx k at each, scipy's ive and kve at orders
-    nu and nu + 1 there (a mesh factor: the only grid Bessel values scipy
-    evaluates), and the _TAYLOR_TERMS coefficients in t of the scaled
-    e^(-z0) I_nu(z0 + t) and e^(z0) K_nu(z0 + t) about each."""
+    nu and nu + 1 there (the only grid Bessel values scipy evaluates), and
+    the _TAYLOR_TERMS coefficients in t of the scaled e^(-z0) I_nu(z0 + t)
+    and e^(z0) K_nu(z0 + t) about each; all kept in the mesh, so the grid
+    values and the nodes step from one set of series."""
 
-    def direct(grid):
-        dx, steps = _vg_steps(grid)
-        z = alpha * (dx * np.r_[0:_DIRECT_BAND, _DIRECT_BAND:steps.max() + _ANCHOR_STEPS:_ANCHOR_STEPS])
-        return np.stack([z, _sp.ive(nu, z), _sp.ive(nu + 1.0, z), _sp.kve(nu, z), _sp.kve(nu + 1.0, z)])
+    def build():
+        dx, steps = _vg_steps(mesh.grid)
+        z0 = alpha * (dx * np.r_[0:_DIRECT_BAND, _DIRECT_BAND:steps.max() + _ANCHOR_STEPS:_ANCHOR_STEPS])
+        direct = np.stack([_sp.ive(nu, z0), _sp.ive(nu + 1.0, z0), _sp.kve(nu, z0), _sp.kve(nu + 1.0, z0)])
+        i_n, i_n1, k_n, k_n1 = direct
+        with np.errstate(divide="ignore", invalid="ignore"):
+            series = (
+                _bessel_taylor(z0, nu, i_n, i_n1 + nu / z0 * i_n),
+                _bessel_taylor(z0, nu, k_n, nu / z0 * k_n - k_n1),
+            )
+        # z0 = 0 has no series; what steps from the origin (its grid value and
+        # the nodes next to it) takes scipy's values
+        c_i, c_k = ([np.where(z0 > 0.0, c, 0.0) for c in coeffs] for coeffs in series)
+        for arr in (z0, direct, *c_i, *c_k):
+            arr.flags.writeable = False
+        return z0, direct, c_i, c_k
 
-    anchors = mesh.factor("vg_anchors", direct, at="grid")
-    z0, i_n, i_n1, k_n, k_n1 = anchors
-    with np.errstate(divide="ignore", invalid="ignore"):
-        series = (
-            _bessel_taylor(z0, nu, i_n, i_n1 + nu / z0 * i_n),
-            _bessel_taylor(z0, nu, k_n, nu / z0 * k_n - k_n1),
-        )
-    # z0 = 0 has no series; what steps from the origin (its grid value and
-    # the nodes next to it) takes scipy's values
-    c_i, c_k = ([np.where(z0 > 0.0, c, 0.0) for c in coeffs] for coeffs in series)
-    return z0, anchors[1:], c_i, c_k
+    return mesh.cached("vg_anchors", build)
 
 
 def _vg_scaled_bessels(mesh, nu, alpha):
@@ -1049,7 +1075,8 @@ def propagate_derivatives(sol: SteinSolution, max_order: int) -> SteinSolution:
         terms = [c * fs[k + p - 1 - i] for i, c in enumerate(rest)]
         lower = sum(terms[1:], terms[0])
         numer_scale = sum(map(np.abs, rest[1:]), np.abs(rest[0]))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # an amplification past the double range is inf, which the cap reads as too large
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             top = (rhs - lower) / denom
             amp_prod = amp_prod * np.maximum(numer_scale / np.abs(denom), 1.0)
         if k + p in fs:

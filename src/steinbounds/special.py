@@ -15,17 +15,22 @@ interpolates on even nodes from values and derivatives without a linear
 solve, and finds a point's interval by arithmetic, without a search;
 ``taylor_step`` is its Horner rule, which also steps the solver's vg
 Bessel values and catalog's PRR U table from sparse anchors.
+``retain_freed_memory`` sets the C allocator's policy for the solver's
+large node arrays (glibc's mallopt, through ctypes).
 The package never imports scipy.integrate or scipy.interpolate, whose
 import pulls in scipy.linalg, sparse, optimize and fft and would double
 the start-up time of every CLI call.
 
-All functions are pure and reentrant.
+All functions but ``retain_freed_memory``, which sets process state, are
+pure and reentrant.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import os
 
 import numpy as np
 from scipy import special as _sp
@@ -34,6 +39,38 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 
 _GAMMA_OVERFLOW = 171.62  # gamma(x) overflows double precision above this
+
+# mallopt(3) parameters: glibc's DEFAULT_MMAP_THRESHOLD_MAX on 64-bit, the
+# ceiling of its own dynamic mmap threshold, and twice it for the trim
+# threshold, the ratio that rule keeps
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+
+def retain_freed_memory() -> bool:
+    """Keep freed blocks of up to 32 MiB, and up to 64 MiB of free heap
+    top, in the process, so that arrays of a few MB are recycled from the
+    heap instead of being unmapped on free and faulted in again, page by
+    page, when the next one is allocated.  glibc's dynamic thresholds
+    start the mmap threshold at 128 KiB and raise it only to the largest
+    mmapped block freed so far, so every mesh of the solver (node arrays
+    of 1-2 MB each, a working set of 4-10 MB) would otherwise fault its
+    pages in afresh.  Acts on glibc only, where it returns whether both
+    mallopt calls succeeded; elsewhere it does nothing and returns False.
+    Peak memory does not grow: only what is freed is kept."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return False
+    if not (libc or "").startswith("glibc"):
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap = mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    trim = mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    return mmap == 1 and trim == 1
 
 
 def integrate(fn, a: float, b: float, breaks=(), epsabs: float = 1.49e-8, epsrel: float = 1.49e-8):

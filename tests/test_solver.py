@@ -505,6 +505,7 @@ _END_RULE_LAWS = [
     ("arcsine", {}, _beta_at_end(0.5, 0.5)),
     ("beta", {"alpha": 2.0, "beta": 3.0}, _beta_at_end(2, 3)),
     ("beta", {"alpha": 0.3, "beta": 0.3}, _beta_at_end(0.3, 0.3)),
+    ("beta", {"alpha": 0.01, "beta": 0.01}, _beta_at_end(0.01, 0.01)),
     ("gamma", {"r": 0.320687, "lam": 1.83895}, _gamma_at_zero(0.320687, 1.83895)),
 ]
 
@@ -572,7 +573,12 @@ class TestEndRules:
                     v = w ** power
                     return density(a, v) * mpmath.sin(a + sign * v) * v ** (1 - 1 / power)
 
-                want = sign * power * mpmath.quad(smooth, [0, abs(mpmath.mpf(x) - a) ** (1 / power)])
+                # mpmath's tolerance is absolute: integrate smooth over [0, w(x)]
+                # scaled to O(1), or a range whose integral is below the
+                # normal doubles (beta(0.01, 0.01) at 0) stops at 1.8e-4
+                top = abs(mpmath.mpf(x) - a) ** (1 / power)
+                scale = abs(smooth(top)) or 1
+                want = sign * power * top * scale * mpmath.quad(lambda t: smooth(top * t) / scale, [0, 1])
                 assert value == pytest.approx(float(want), rel=self.RANGE_TOL, abs=0.0), (a, x)
 
     @pytest.mark.parametrize("family,params", [("arcsine", {}), ("beta", {"alpha": 0.3, "beta": 0.3})])
@@ -877,6 +883,18 @@ class TestVgNodeBessels:
     def node_bessels(cls, r, theta, sigma):
         mesh, nu, alpha = cls.mesh_of(r, theta, sigma)
         return mesh, nu, alpha, *sv._vg_node_bessels(mesh, nu, alpha)
+
+    def test_two_series_per_mesh(self, monkeypatch):
+        # the grid values and the nodes step from one set of anchor series,
+        # kept in the mesh for every solve on it
+        calls = []
+        taylor = sv._bessel_taylor
+        monkeypatch.setattr(sv, "_bessel_taylor", lambda *args: calls.append(args) or taylor(*args))
+        spec = cat.make_spec("vg", r=3.0, theta=0.5, sigma=1.0)
+        mesh = sv.build_mesh(spec)
+        for h in (SineTest(1.0), CosineTest(1.0)):
+            solve(spec, h, mesh=mesh)
+        assert len(calls) == 2
 
     @staticmethod
     def anchor_z(mesh, nu, alpha, steps):

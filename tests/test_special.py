@@ -433,3 +433,58 @@ def test_no_entry_point_loads_the_heavy_scipy_subpackages():
     heavy = {"scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.optimize", "scipy.sparse"}
     assert "steinbounds.verifier" in loaded
     assert not heavy & loaded
+
+
+_FAULTS_SCRIPT = """
+import resource
+
+from steinbounds import bound_for, make_spec, solver
+from steinbounds.solver import SineTest
+from steinbounds.verifier import verify
+
+bound_for(make_spec("gamma", r=2.0, lam=1.0), 2)
+assert solver._retain_freed_memory.cache_info().misses == 0  # a bound builds no mesh
+verify(make_spec("gamma", r=2.0, lam=1.0), 2, SineTest(1.0))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for r in (1.5, 2.5, 3.5, 4.5):
+    verify(make_spec("gamma", r=r, lam=1.0), 2, SineTest(1.0))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class TestRetainFreedMemory:
+    @pytest.mark.skipif(not _glibc(), reason="the allocation policy acts on glibc only")
+    def test_fresh_meshes_reuse_freed_pages(self):
+        # each fresh mesh frees and allocates 4-10 MB of node arrays; under
+        # glibc's dynamic thresholds those pages went back to the kernel and
+        # were faulted in again: 4.5k-6k minor faults over these four calls
+        # one BLAS thread: a second one's allocations added about 270
+        # faults to 2 of 80 runs
+        src = Path(sf.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], env=env, capture_output=True, text=True, check=True)
+        assert int(out.stdout.split()[-1]) < 400
+
+    @pytest.mark.skipif(not _glibc(), reason="the allocation policy acts on glibc only")
+    def test_both_thresholds_are_accepted(self):
+        assert sf.retain_freed_memory() is True
+
+    @pytest.mark.parametrize("confstr", ["raises", "none", "musl"])
+    def test_no_mallopt_without_glibc(self, monkeypatch, confstr):
+        def fake_confstr(name):
+            if confstr == "raises":
+                raise ValueError("unrecognized configuration name")
+            return None if confstr == "none" else "musl 1.2.4"
+
+        opened = []
+        monkeypatch.setattr(sf.os, "confstr", fake_confstr)
+        monkeypatch.setattr(sf.ctypes, "CDLL", lambda *args: opened.append(args))
+        assert sf.retain_freed_memory() is False
+        assert opened == []

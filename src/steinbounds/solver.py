@@ -33,17 +33,21 @@ not move; a caller that builds no mesh (bounds only) keeps the defaults.
 
 scipy evaluates the vg Bessel kernels (the scaled ive and kve at orders
 nu and nu + 1) at sparse anchors only: every grid step within 256 steps
-of the origin, then every 16th.  The vg grid is exactly dx * k, so each
-grid value is indexed by its step |k|.  I_nu and K_nu solve the modified
-Bessel equation z^2 w'' + z w' - (z^2 + nu^2) w = 0, so every other grid
-value and every node takes its values from its nearest anchor by one
-12-term Taylor step of at most 8.5 grid steps, with coefficients from the
-equation's recurrence; the orders nu + 1 on the grid come from the
-series' derivative.  Only the nodes within 24 grid steps of the origin,
+of the origin, then every 16th.  I_nu and K_nu solve the modified Bessel
+equation z^2 w'' + z w' - (z^2 + nu^2) w = 0, so every other grid value
+and every node takes its values from the 12-term Taylor series (from the
+equation's recurrence) of the anchor that owns it: a far anchor owns the
+16 steps from 8 below it, an anchor nearer the origin its own panel.  The
+vg grid is exactly dx * k, so the grid values and the nodes of every far
+anchor lie at the same offsets from it, and the series of all the anchors
+at those offsets are matrix products with one table of the offsets'
+powers; the orders nu + 1 on the grid come from the series' derivative.
+The values form a table by the step |k|, which the panels left of the
+origin read mirrored.  Only the nodes within 24 grid steps of the origin,
 where the series converges slowly, call scipy.  A vg mesh so costs four
-Bessel evaluations per anchor plus two per near-origin node: 4.1k points
+Bessel evaluations per anchor plus two per near-origin node: 3.8k points
 for vg(3, 0, 1), whose grid has 10k distinct |x| and whose mesh has 140k
-nodes, 336 of them near the origin.
+nodes, 168 distinct |y| of them near the origin.
 
 Three rules integrate.  Every grid panel is summed by the 7-point
 Gauss-Kronrod rule (G3/K7), whose embedded 3-point Gauss rule gives the
@@ -87,9 +91,9 @@ cubic Hermite interpolant (``special.Hermite``) with the integrand as its
 exact slope, and
 evaluates it at the nodes panel by panel (``Hermite.on_intervals``): node
 row i lies in grid panel i, so no node is searched for.  Its kernel v is
-catalog's U table, whose nodes step from sparse anchors by the same
-Taylor series (``special.taylor_step``) as the vg Bessel values; the
-table's even nodes give each point its interval by arithmetic.
+catalog's U table, whose nodes step from sparse anchors by Horner's rule
+on Taylor series (``special.taylor_step``); the table's even nodes give
+each point its interval by arithmetic.
 """
 
 from __future__ import annotations
@@ -163,6 +167,7 @@ _TAYLOR_TERMS = 12  # terms of the vg Bessel series about an anchor
 _DIRECT_BAND = 256  # vg grid steps from the origin that are all Bessel anchors
 _ANCHOR_STEPS = 16  # grid steps between the vg Bessel anchors beyond that band
 _DIRECT_STEPS = 24  # vg nodes this many grid steps from the origin call scipy
+_BLOCK = np.arange(-_ANCHOR_STEPS // 2, _ANCHOR_STEPS // 2)  # the steps from a far anchor that it owns
 # the allocation policy, set once at the first mesh: callers that build no
 # mesh (bounds only) keep the C allocator's defaults
 _retain_freed_memory = functools.cache(sf.retain_freed_memory)
@@ -238,13 +243,15 @@ class PolyProbe:
 
 
 def parse_test_function(token: str):
-    """Parse a CLI selector: sine:a or cosine:a."""
+    """Parse a CLI selector: sine:a or cosine:a (a = 1 if left out)."""
     kind, _, arg = token.partition(":")
-    if kind == "sine":
-        return SineTest(float(arg or 1.0))
-    if kind == "cosine":
-        return CosineTest(float(arg or 1.0))
-    raise ValueError(f"unknown test function {token!r}")
+    if kind not in ("sine", "cosine"):
+        raise ValueError(f"unknown test function {token!r}")
+    try:
+        freq = float(arg or 1.0)
+    except ValueError:
+        raise ValueError(f"test function {token!r}: frequency {arg!r} is not a number") from None
+    return (SineTest if kind == "sine" else CosineTest)(freq)
 
 
 # ---------------------------------------------------------------------------
@@ -732,21 +739,14 @@ def _vg_steps(grid):
     return grid[i0 + 1], np.abs(np.arange(grid.size) - i0)
 
 
-def _nearest_anchor(steps):
-    """The index, among the anchors (every step below _DIRECT_BAND, then
-    every _ANCHOR_STEPS-th), of the anchor nearest to each step count."""
-    far = _DIRECT_BAND + np.rint((steps - _DIRECT_BAND) / _ANCHOR_STEPS)
-    return np.where(steps < _DIRECT_BAND, np.rint(steps), far).astype(np.intp)
-
-
 def _vg_anchors(mesh, nu, alpha):
     """The vg Bessel anchors: every grid step k below _DIRECT_BAND, then
     every _ANCHOR_STEPS-th out to the first at or past the grid's last
     step.  Returns z0 = alpha dx k at each, scipy's ive and kve at orders
     nu and nu + 1 there (the only grid Bessel values scipy evaluates), and
     the _TAYLOR_TERMS coefficients in t of the scaled e^(-z0) I_nu(z0 + t)
-    and e^(z0) K_nu(z0 + t) about each; all kept in the mesh, so the grid
-    values and the nodes step from one set of series."""
+    and e^(z0) K_nu(z0 + t) about each (a row each); all kept in the mesh,
+    so the grid values and the nodes step from one set of series."""
 
     def build():
         dx, steps = _vg_steps(mesh.grid)
@@ -760,40 +760,48 @@ def _vg_anchors(mesh, nu, alpha):
             )
         # z0 = 0 has no series; what steps from the origin (its grid value and
         # the nodes next to it) takes scipy's values
-        c_i, c_k = ([np.where(z0 > 0.0, c, 0.0) for c in coeffs] for coeffs in series)
-        for arr in (z0, direct, *c_i, *c_k):
+        c_i, c_k = (np.where(z0[:, None] > 0.0, np.stack(coeffs, axis=1), 0.0) for coeffs in series)
+        for arr in (z0, direct, c_i, c_k):
             arr.flags.writeable = False
         return z0, direct, c_i, c_k
 
     return mesh.cached("vg_anchors", build)
 
 
+def _vg_blocks(coeffs, t, sign):
+    """e^(sign t) times the series of every anchor (a row of coeffs) at
+    every offset t, one row per anchor: one matrix product with the table
+    of the offsets' powers.  BLAS sums each entry's few terms in one
+    order, so the values do not depend on its thread count."""
+    out = coeffs @ t ** np.arange(coeffs.shape[1])[:, None]
+    out *= np.exp(sign * t)
+    return out
+
+
 def _vg_scaled_bessels(mesh, nu, alpha):
     """ive and kve at orders nu and nu + 1 of alpha |x| on the grid (a
     mesh factor), stacked in that order.  Each value is evaluated once per
-    grid step |k| and steps from its nearest anchor; the orders nu + 1
-    follow from the series' derivative, I_(nu+1) = I_nu' - (nu / z) I_nu
-    and K_(nu+1) = -K_nu' + (nu / z) K_nu (DLMF 10.29.2)."""
+    grid step |k|: at an anchor, scipy's; elsewhere, from the series of
+    the far anchor whose block (the steps _BLOCK from it) holds k, one
+    product per series and its derivative (_vg_blocks).  The orders nu + 1
+    follow from the derivative, I_(nu+1) = I_nu' - (nu / z) I_nu and
+    K_(nu+1) = -K_nu' + (nu / z) K_nu (DLMF 10.29.2)."""
 
     def scaled(grid):
         dx, steps = _vg_steps(grid)
-        z0, direct, c_i, c_k = _vg_anchors(mesh, nu, alpha)
+        _, direct, c_i, c_k = _vg_anchors(mesh, nu, alpha)
         k = np.arange(steps.max() + 1)
-        near = _nearest_anchor(k)
+        head = np.zeros(_DIRECT_BAND + _BLOCK[0])  # the far blocks start at the first one's first step
+        i_n, di, k_n, dk = (
+            np.r_[head, _vg_blocks(c, alpha * (dx * _BLOCK), sign).ravel()][:k.size]
+            for coeffs, sign in ((c_i, -1.0), (c_k, 1.0))
+            for c in (coeffs[_DIRECT_BAND:], coeffs[_DIRECT_BAND:, 1:] * np.arange(1, _TAYLOR_TERMS))
+        )
         z = alpha * (dx * k)
-        t = z - z0[near]
-
-        def step(coeffs, sign):
-            """e^(sign t) times the series and its derivative in t"""
-            scale = np.exp(sign * t)
-            return scale * sf.taylor_step(coeffs, near, t), scale * sf.taylor_slope(coeffs, near, t)
-
-        i_n, di = step(c_i, -1.0)
-        k_n, dk = step(c_k, 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.stack([i_n, di - nu / z * i_n, k_n, nu / z * k_n - dk])
-        at = t == 0.0  # the anchors keep scipy's values
-        out[:, at] = direct[:, near[at]]
+        at = np.r_[0:_DIRECT_BAND, _DIRECT_BAND:k.size:_ANCHOR_STEPS]  # the anchors keep scipy's values
+        out[:, at] = direct[:, :at.size]
         return out[:, steps]
 
     return mesh.factor("vg_bessel", scaled, at="grid")
@@ -818,33 +826,34 @@ def _bessel_taylor(z0, nu, c0, c1):
 def _vg_node_bessels(mesh, nu, alpha):
     """ive(nu, alpha |y|) and kve(nu, alpha |y|) at every node y.
 
-    Each node's values are a Taylor series in t = alpha |y| - z0 about the
-    anchor z0 nearest to the panel end on the node's side, whose
-    coefficients follow from the anchor's values at orders nu and nu + 1
-    by the Bessel equation's recurrence; the scaling makes a node value
-    e^(-t) (for ive) or e^t (for kve) times the series.  The series
-    converges like (|t| / z0)^k, so nodes within _DIRECT_STEPS grid steps
-    of the origin are evaluated directly.  The series run on (column,
-    panel) arrays, contiguous along the panels.
+    The vg grid is dx * k, so node j of the panel from k dx to (k + 1) dx
+    lies t = alpha (m + (1 + u_j) / 2) dx past the anchor that owns the
+    panel (u_j the rule's node on [-1, 1]): below the first far anchor's
+    block, its own anchor at k dx (m = 0); beyond, the far anchor whose
+    block (the steps _BLOCK from it) holds k.  So every far anchor shares
+    one table of 16 x 7 offsets, and each kernel takes one matrix product
+    for the far blocks and one for the others (_vg_blocks).  The series converges like (|t| / z0)^k, so the
+    nodes within _DIRECT_STEPS grid steps of the origin call scipy.  The
+    values form one table by |k|: node j of panel -k-1 lies where node 6-j
+    of panel k does, so the panels left of the origin read the table
+    reversed, with the nodes mirrored, and a symmetric grid evaluates half
+    the blocks.
     """
     dx, steps = _vg_steps(mesh.grid)
     z0, _, c_i, c_k = _vg_anchors(mesh, nu, alpha)
-    ax = np.abs(np.ascontiguousarray(mesh.xs.T))
-    z = alpha * ax
-    ive, kve = np.empty_like(z), np.empty_like(z)
-    mid = PANEL_NODES // 2
-    # the columns left of the panel centre step from the anchor nearest
-    # the panel's left end, the centre and those right of it from the one
-    # nearest its right end
-    for rows, ends in ((slice(None, mid), steps[:-1]), (slice(mid, None), steps[1:])):
-        near = _nearest_anchor(ends)
-        t = z[rows] - z0[near]
-        ive[rows] = np.exp(-t) * sf.taylor_step(c_i, near, t)
-        kve[rows] = np.exp(t) * sf.taylor_step(c_k, near, t)
-    near = ax < _DIRECT_STEPS * dx
-    ive[near] = _sp.ive(nu, z[near])
-    kve[near] = _sp.kve(nu, z[near])
-    return ive.T, kve.T
+    u = (1.0 + _NODES) / 2.0
+    band = _DIRECT_BAND + _BLOCK[0]  # the panels that their own anchors own
+    t_far = alpha * (dx * (_BLOCK[:, None] + u).ravel())
+    near = z0[:_DIRECT_STEPS, None] + alpha * (dx * u)
+    i0 = int(np.argmin(steps))
+
+    def in_panel_order(c, sign, direct):
+        far = _vg_blocks(c[_DIRECT_BAND:], t_far, sign).reshape(-1, PANEL_NODES)
+        table = np.concatenate([_vg_blocks(c[:band], alpha * (dx * u), sign), far])
+        table[:_DIRECT_STEPS] = direct(nu, near)
+        return np.concatenate([table[:i0][::-1, ::-1], table[:steps.size - 1 - i0]])
+
+    return in_panel_order(c_i, -1.0, _sp.ive), in_panel_order(c_k, 1.0, _sp.kve)
 
 
 def _solve_vg(mesh, h):

@@ -13,8 +13,8 @@ nodes; ``gauss_jacobi`` gives the fixed rules with a power-law weight
 that the solver uses at the finite support ends instead.  ``Hermite``
 interpolates on even nodes from values and derivatives without a linear
 solve, and finds a point's interval by arithmetic, without a search;
-``taylor_step`` is its Horner rule, which also steps the solver's vg
-Bessel values and catalog's PRR U table from sparse anchors.
+``taylor_step`` is its Horner rule, which also steps catalog's PRR U
+table from sparse anchors.
 ``retain_freed_memory`` sets the C allocator's policy for the solver's
 large node arrays (glibc's mallopt, through ctypes).
 The package never imports scipy.integrate or scipy.interpolate, whose

@@ -306,6 +306,13 @@ class TestVerifyCommand:
         assert (code, out) == (1, "")
         assert "frequency must be finite" in err
 
+    @pytest.mark.parametrize("test", ["sine:abc", "cosine:1,5"])
+    def test_non_numeric_frequency_is_parse_error(self, capsys, test):
+        # printed float()'s bare "could not convert string to float"
+        code, out, err = run_cli(capsys, "verify", "--family", "normal", "--n", "1", "--test", test)
+        assert (code, out) == (1, "")
+        assert f"test function {test!r}: frequency {test.partition(':')[2]!r} is not a number" in err
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, _, _ = run_cli(

@@ -1,6 +1,7 @@
 """Solver: expectations, probe regressions, propagation, representations."""
 
 import cmath
+import hashlib
 import json
 import math
 import os
@@ -59,6 +60,9 @@ class TestTestFunctions:
             parse_test_function("probe:x")
         with pytest.raises(ValueError):
             parse_test_function("tanh:1")
+        with pytest.raises(ValueError, match="'sine:abc': frequency 'abc' is not a number"):
+            parse_test_function("sine:abc")
+        assert parse_test_function("cosine").freq == 1.0
 
     @pytest.mark.parametrize("h", [SineTest(1.7), CosineTest(-0.6), PolyProbe((0.5, -1.0, 0.25, 2.0))], ids=str)
     def test_a_float_gives_the_array_value(self, h):
@@ -862,10 +866,13 @@ class TestPanelRule:
 
 class TestVgNodeBessels:
     """scipy evaluates the vg Bessel kernels at the anchors only (every grid
-    step near the origin, then every _ANCHOR_STEPS-th); every other grid
-    value and every node takes its ive and kve from its nearest anchor by
-    one Taylor step.  The result is as accurate as scipy's direct (AMOS)
-    evaluation."""
+    step near the origin, then every _ANCHOR_STEPS-th) and at the nodes
+    next to the origin; every other grid value and every node takes its ive
+    and kve from the Taylor series of the anchor that owns it, each far
+    anchor the 16 steps of its block, as matrix products with one table of
+    offset powers.  The values form one table by |k|, which the panels
+    left of the origin read mirrored, and match across BLAS thread counts.
+    The result is as accurate as scipy's direct (AMOS) evaluation."""
 
     TOLERANCE = 5e-13  # vs direct scipy; the worst of 72 draws and 11 corners of the window read 2.0e-13
     SERIES_ERROR = 1e-14  # vs mpmath: what the series may add to the anchor values' error
@@ -897,9 +904,13 @@ class TestVgNodeBessels:
         assert len(calls) == 2
 
     @staticmethod
-    def anchor_z(mesh, nu, alpha, steps):
-        """z at the anchor that each value at the given step counts steps from."""
-        return sv._vg_anchors(mesh, nu, alpha)[0][sv._nearest_anchor(steps)]
+    def anchor_z(mesh, nu, alpha, steps, band):
+        """z at the anchor that owns each value at the given step count:
+        its own below band, else the far anchor whose block of
+        _ANCHOR_STEPS steps, from 8 below it to 7 above, holds the step."""
+        first = sv._DIRECT_BAND - sv._ANCHOR_STEPS // 2
+        owner = np.where(steps < band, steps, sv._DIRECT_BAND + (steps - first) // sv._ANCHOR_STEPS)
+        return sv._vg_anchors(mesh, nu, alpha)[0][owner]
 
     @staticmethod
     def check_against_mpmath(values, z, z_anchor, orders, nu, targets, spacing):
@@ -954,21 +965,58 @@ class TestVgNodeBessels:
         mesh, nu, alpha, ive, kve = self.node_bessels(*self.SEAMS)
         z = alpha * np.abs(mesh.xs)
         _, steps = sv._vg_steps(mesh.grid)
-        mid = sv.PANEL_NODES // 2
-        ends = np.where(np.arange(sv.PANEL_NODES) < mid, steps[:-1, None], steps[1:, None])
+        # a panel counts its steps from its end nearer the origin, and the
+        # panels below the first far anchor's block have their own anchors
+        inner = np.broadcast_to(np.minimum(steps[:-1], steps[1:])[:, None], mesh.xs.shape)
         dx = mesh.grid[1] - mesh.grid[0]
-        z_anchor = self.anchor_z(mesh, nu, alpha, ends)
+        z_anchor = self.anchor_z(mesh, nu, alpha, inner, sv._DIRECT_BAND - sv._ANCHOR_STEPS // 2)
         self.check_against_mpmath((ive, kve), z, z_anchor, (("ive", 0), ("kve", 0)), nu, self.TARGETS, alpha * dx)
 
     def test_grid_values_against_mpmath_at_the_amos_seams(self):
         mesh, nu, alpha = self.mesh_of(*self.SEAMS)
         z = alpha * np.abs(mesh.grid)
         _, steps = sv._vg_steps(mesh.grid)
-        z_anchor = self.anchor_z(mesh, nu, alpha, steps)
+        z_anchor = self.anchor_z(mesh, nu, alpha, steps, sv._DIRECT_BAND)
         orders = (("ive", 0), ("ive", 1), ("kve", 0), ("kve", 1))
         values = sv._vg_scaled_bessels(mesh, nu, alpha)
         dx = mesh.grid[1] - mesh.grid[0]
         self.check_against_mpmath(values, z, z_anchor, orders, nu, self.TARGETS, alpha * dx)
+
+    def test_mirrored_nodes_take_the_same_values(self):
+        # node j of panel -k-1 lies where node 6-j of panel k does, so the
+        # two read one table of values by |k|
+        for r, theta, sigma in ((3.0, 0.0, 1.0), (1.2, -1.2, 0.7)):
+            mesh, nu, alpha, ive, kve = self.node_bessels(r, theta, sigma)
+            _, steps = sv._vg_steps(mesh.grid)
+            i0 = int(np.argmin(steps))
+            overlap = min(i0, steps.size - 1 - i0)
+            assert overlap > 1000
+            for values in (ive, kve):
+                right = values[i0:i0 + overlap]
+                left = values[i0 - overlap:i0][::-1, ::-1]
+                assert np.array_equal(left, right)
+
+    def test_block_values_do_not_depend_on_the_blas_thread_count(self):
+        # a threaded BLAS must not change the order of the series' sums
+        laws = [(3.0, 0.0, 1.0), (0.6, 1.4, 0.55), (1.2, -1.2, 0.7)]
+        script = (
+            "import hashlib, math\n"
+            "from steinbounds import catalog as cat, solver as sv\n"
+            f"for r, theta, sigma in {laws!r}:\n"
+            "    mesh = sv.build_mesh(cat.make_spec('vg', r=r, theta=theta, sigma=sigma))\n"
+            "    nu, alpha = (r - 1.0) / 2.0, math.sqrt(theta * theta + sigma ** 2) / sigma ** 2\n"
+            "    for values in (*sv._vg_node_bessels(mesh, nu, alpha), sv._vg_scaled_bessels(mesh, nu, alpha)):\n"
+            "        print(hashlib.sha256(values.tobytes()).hexdigest())\n"
+        )
+        src = Path(sv.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        here = []
+        for law in laws:
+            mesh, nu, alpha, ive, kve = self.node_bessels(*law)
+            for values in (ive, kve, sv._vg_scaled_bessels(mesh, nu, alpha)):
+                here.append(hashlib.sha256(values.tobytes()).hexdigest())
+        assert out.stdout.split() == here
 
 
 class TestMeshFactorsAreEvaluatedOnce:
@@ -1001,10 +1049,12 @@ class TestMeshFactorsAreEvaluatedOnce:
     def bessel_points(mesh):
         """The anchors (every step of the direct band, then every
         _ANCHOR_STEPS-th out to the first at or past the grid's last
-        step) and the nodes near the origin."""
+        step) and the nodes of the panels near the origin, once per |k|
+        (the panels left of the origin take the values of those right of
+        it)."""
         dx, steps = sv._vg_steps(mesh.grid)
         anchors = sv._DIRECT_BAND + len(range(sv._DIRECT_BAND, steps.max() + sv._ANCHOR_STEPS, sv._ANCHOR_STEPS))
-        near = np.count_nonzero(np.abs(mesh.xs) < sv._DIRECT_STEPS * dx)
+        near = np.count_nonzero((0.0 < mesh.xs) & (mesh.xs < sv._DIRECT_STEPS * dx))
         return anchors, near
 
     def test_vg_scaled_bessels_at_the_anchors_and_the_near_origin_nodes(self, monkeypatch):

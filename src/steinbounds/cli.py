@@ -55,9 +55,17 @@ def _spec_from_args(args) -> cat.DistributionSpec:
     if args.row_norms is not None:
         if args.family != "mvn":
             raise ValidityError("--row-norms applies to the mvn family only")
-        params["row_norms"] = tuple(float(v) for v in args.row_norms.split(","))
+        params["row_norms"] = tuple(_number(v, f"--row-norms entry {v!r}") for v in args.row_norms.split(","))
     # ValueError propagates to main and maps to the parse-error exit code
     return cat.make_spec(args.family, **params)
+
+
+def _number(text: str, what: str) -> float:
+    """float(text), or a ValueError (exit 1) that names what was given."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{what} is not a number") from None
 
 
 def _fail(code: int, message: str) -> int:
@@ -73,7 +81,7 @@ def _parse_norms(text: str) -> dict:
         slot, _, value = item.partition("=")
         if not value:
             raise ValidityError(f"norm entry {item!r} is not slot=value")
-        norm, sym = float(value), parse_slot(slot.strip())
+        norm, sym = _number(value, f"norm entry {item!r}: value {value!r}"), parse_slot(slot.strip())
         if sym in out:
             raise ValidityError(f"norm slot {slot.strip()!r} is given twice")
         if not (math.isfinite(norm) and norm >= 0.0):

@@ -10,7 +10,8 @@ its Bessel prefactors, PRR from the slope of its U table), so every
 order above them is exact algebra on the level equations.
 
 Grids are quantile-based: they cover [q(1e-8), q(1 - 1e-8)] plus a 20%
-margin clipped to the support, with a fixed DEFAULT_POINTS = 20001 points.
+margin clipped to the support, with DEFAULT_POINTS = 20001 points; a vg
+grid, stepped out from its origin to cover both ends, has one more.
 One catalog.quantiles call gives both ends and the median, each from its
 own tail (closed-form inverses for the Pearson laws, one tabulated CDF
 for the others), and an end that meets a finite support end stops one
@@ -20,8 +21,8 @@ Everything that depends on the law but not on the test function lives in
 a ``Mesh``, built once per spec by ``build_mesh``: the grid, the median
 at which the first-order and PRR representations switch forms, the
 PANEL_NODES = 7 Gauss-Kronrod nodes of every panel (140k for the 20000
-panels) and a memo of every h-independent array of a solve, at the nodes
-or on the grid.  Each is evaluated once per mesh.
+panels, 20001 on a vg grid) and a memo of every h-independent array of
+a solve, at the nodes or on the grid.  Each is evaluated once per mesh.
 The map h -> f is linear, so each solve multiplies the shared factors by
 h - E h(Z); a sweep solves every test function of a spec on one mesh.
 The first mesh of a process sets the C allocator's policy
@@ -526,9 +527,12 @@ def _error_budget(*integrals) -> dict:
 
 
 def build_grid(spec: DistributionSpec, qlo: float, qhi: float) -> np.ndarray:
-    """The DEFAULT_POINTS grid over [qlo, qhi], the q(COVERAGE_TAIL) and
+    """The uniform grid over [qlo, qhi], the q(COVERAGE_TAIL) and
     q(1 - COVERAGE_TAIL) of spec, plus MARGIN of that span clipped to the
-    support; an interior delicate point lies on it."""
+    support, with DEFAULT_POINTS points.  When an interior delicate point
+    (vg's origin) lies on it, the step of DEFAULT_POINTS points is taken
+    out from that point past both ends: DEFAULT_POINTS + 1 points, unless
+    the point falls on a step of the plain grid."""
     lo_s, hi_s = spec.support
     span = qhi - qlo
     lo = qlo - 0.5 * MARGIN * span
@@ -575,12 +579,12 @@ class Mesh:
     delicate: dict = field(default_factory=dict)
     _memo: dict = field(default_factory=dict, repr=False)
 
-    def factor(self, name: str, fn, at: str = "nodes") -> np.ndarray:
-        """fn at the panel nodes xs (at="nodes") or on the grid
-        (at="grid"), evaluated on the first request for name only."""
+    def factor(self, name: str, fn, points: np.ndarray) -> np.ndarray:
+        """fn at points (the panel nodes xs or the grid), evaluated on the
+        first request for name only."""
 
         def build():
-            factor = fn(self._points(at))
+            factor = fn(points)
             factor.flags.writeable = False
             return factor
 
@@ -591,9 +595,6 @@ class Mesh:
         if name not in self._memo:
             self._memo[name] = build()
         return self._memo[name]
-
-    def _points(self, at: str) -> np.ndarray:
-        return {"nodes": self.xs, "grid": self.grid}[at]
 
 
 def build_mesh(spec: DistributionSpec) -> Mesh:
@@ -630,25 +631,30 @@ def build_mesh(spec: DistributionSpec) -> Mesh:
 class SteinSolution:
     """Distinguished solution of spec's Stein equation for the test
     function h, sampled on a grid, with derivative values propagated
-    through the iterated equations."""
+    through the iterated equations.  filled[k] is a read-only bool array
+    on the grid, True where derivs[k] was extrapolated (_fill_masked)
+    rather than computed; all False for the orders the solve returns."""
 
     grid: np.ndarray
     derivs: dict[int, np.ndarray]
+    filled: dict[int, np.ndarray]
     spec: DistributionSpec
     h: object
     diagnostics: dict
 
 
-def empirical_sup(sol: SteinSolution, order: int) -> tuple[float, bool]:
-    """Grid sup of |f^(order)| plus a flag when the maximizer sits within
-    1% of a grid boundary (the sup may not be captured)."""
+def empirical_sup(sol: SteinSolution, order: int) -> tuple[float, float, bool, bool]:
+    """Grid sup of |f^(order)|, the grid point x of its first maximizer,
+    whether the value there was filled (sol.filled) and whether x lies
+    within 1% of the grid's points of either end (the sup may not be
+    captured)."""
     if order not in sol.derivs:
         raise ValueError(f"order {order} has not been propagated")
     vals = np.abs(sol.derivs[order])
     idx = int(np.argmax(vals))
     n = len(vals)
     edge = max(1, int(0.01 * n))
-    return float(vals[idx]), bool(idx < edge or idx >= n - edge)
+    return float(vals[idx]), float(sol.grid[idx]), bool(sol.filled[order][idx]), bool(idx < edge or idx >= n - edge)
 
 
 def residual_norm(sol: SteinSolution) -> float:
@@ -694,7 +700,10 @@ def solve(spec: DistributionSpec, h, *, mesh: Mesh | None = None) -> SteinSoluti
             f"panel quadrature error estimate {diags['panel_error']:.2e} (relative) exceeds"
             f" {_PANEL_ERROR_BOUND:g}: the grid does not resolve {h.name}"
         )
-    return SteinSolution(grid=mesh.grid, derivs=derivs, spec=spec, h=h, diagnostics=diags)
+    computed = np.zeros(mesh.grid.shape, dtype=bool)  # one read-only mask for every order of the solve
+    computed.flags.writeable = False
+    filled = dict.fromkeys(derivs, computed)
+    return SteinSolution(grid=mesh.grid, derivs=derivs, filled=filled, spec=spec, h=h, diagnostics=diags)
 
 
 def _split_integral(mesh, h, density):
@@ -720,14 +729,14 @@ def _split_integral(mesh, h, density):
     hx *= density  # p * (h - E h) at the nodes, in h's buffer
     integral = _Integral(mesh, hx, ranges, error + abs(eh) * ends.p_error)
     from_ends = [integral.from_anchor(end) for end in mesh.spec.support]
-    diags = {"mean_value": eh, "mass": ends.mass, "form_split": mesh.median}
+    diags = {"mean_value": eh, "mass": ends.mass}
     return np.where(mesh.grid <= mesh.median, *from_ends), diags, integral, ends
 
 
 def _solve_first_order(mesh, h):
     spec = mesh.spec
-    numer, diags, integral, _ = _split_integral(mesh, h, mesh.factor("density", spec.density))
-    f = numer / mesh.factor("s_density", lambda x: npoly.polyval(x, spec.operator.a1) * spec.density(x), at="grid")
+    numer, diags, integral, _ = _split_integral(mesh, h, mesh.factor("density", spec.density, mesh.xs))
+    f = numer / mesh.factor("s_density", lambda x: npoly.polyval(x, spec.operator.a1) * spec.density(x), mesh.grid)
     return {0: f}, _error_budget(integral) | diags
 
 
@@ -804,7 +813,7 @@ def _vg_scaled_bessels(mesh, nu, alpha):
         out[:, at] = direct[:, :at.size]
         return out[:, steps]
 
-    return mesh.factor("vg_bessel", scaled, at="grid")
+    return mesh.factor("vg_bessel", scaled, mesh.grid)
 
 
 def _bessel_taylor(z0, nu, c0, c1):
@@ -922,7 +931,7 @@ def _solve_vg(mesh, h):
     if abs(grid[i0]) > 1e-12:
         raise NumericError("vg grid must contain the origin")
     # factors first: their evaluation is the memory peak of a vg solve
-    fac_i, fac_k = mesh.factor("vg_nodes", node_factors)
+    fac_i, fac_k = mesh.factor("vg_nodes", node_factors, mesh.xs)
     for name, fac in (("I", fac_i), ("K", fac_k)):
         if not np.all(np.isfinite(fac)):
             y = mesh.xs[~np.isfinite(fac)]
@@ -944,7 +953,7 @@ def _solve_vg(mesh, h):
     b_side = np.where(pos, int_k.from_anchor(math.inf), int_k.from_anchor(-math.inf))
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k_part, i_part, dk_part, di_part = mesh.factor("vg_grid", prefactors, at="grid")
+        k_part, i_part, dk_part, di_part = mesh.factor("vg_grid", prefactors, grid)
         f = -k_part * a_int + i_part * b_side
         f1 = -dk_part * a_int + di_part * b_side
     # exactly at the origin only the I-branch survives (plus the finite
@@ -952,7 +961,7 @@ def _solve_vg(mesh, h):
     i_part0 = (alpha / 2.0) ** nu / (sf.gamma_fn(nu + 1.0) * s2)
     f[i0] = i_part0 * b_side[i0]
     f1[i0] = (h.value(0.0) - eh) / (s2 * r) - (theta / s2) * f[i0]
-    return {0: f, 1: f1}, _error_budget(int_i, int_k) | {"origin_index": i0, "mean_value": eh}
+    return {0: f, 1: f1}, _error_budget(int_i, int_k) | {"mean_value": eh}
 
 
 def _solve_prr(mesh, h):
@@ -965,12 +974,12 @@ def _solve_prr(mesh, h):
     s = spec.params["s"]
     # U is evaluated once at the nodes and once on the grid: kappa is
     # density_over_v * U at both, and v * kappa is U times that
-    u = mesh.factor("v_nodes", spec.kernel_v)
-    kappa = mesh.factor("prr_density", lambda xs: spec.density_over_v(xs) * u)
+    u = mesh.factor("v_nodes", spec.kernel_v, mesh.xs)
+    kappa = mesh.factor("prr_density", lambda xs: spec.density_over_v(xs) * u, mesh.xs)
     g_vals, diags, inner, ends = _split_integral(mesh, h, kappa)
     eh = diags["mean_value"]
-    v = mesh.factor("v", spec.kernel_v, at="grid")
-    kappa_grid = mesh.factor("prr_density_grid", lambda x: spec.density_over_v(x) * v, at="grid")
+    v = mesh.factor("v", spec.kernel_v, grid)
+    kappa_grid = mesh.factor("prr_density_grid", lambda x: spec.density_over_v(x) * v, grid)
     g = sf.Hermite(grid, g_vals, kappa_grid * (h.value(grid) - eh))
 
     # the ranges from 0 and the panels next to it are _split_integral's
@@ -979,11 +988,11 @@ def _solve_prr(mesh, h):
     # ends.keys
     y = ends.nodes
     outer = np.sum(ends.unit * (g(y) / (spec.kernel_v(y) * spec.density(y))), axis=1)
-    fac = mesh.factor("v_kappa", lambda xs: u * kappa)
+    fac = mesh.factor("v_kappa", lambda xs: u * kappa, mesh.xs)
     integral = _Integral(mesh, g.on_intervals(mesh.xs) / fac, dict(zip(ends.keys, outer.tolist())), 0.0)
     a_vals = integral.from_anchor(0.0)
     f = v * a_vals / s
-    f1 = (mesh.factor("v_slope", spec.kernel_v_slope, at="grid") * a_vals + g_vals / kappa_grid) / s
+    f1 = (mesh.factor("v_slope", spec.kernel_v_slope, grid) * a_vals + g_vals / kappa_grid) / s
     return {0: f, 1: f1}, _error_budget(inner, integral) | diags
 
 
@@ -992,32 +1001,22 @@ def _solve_prr(mesh, h):
 # ---------------------------------------------------------------------------
 
 def _fill_masked(grid, vals, mask, split_points):
-    """One-sided polynomial extension (least squares, degree _FILL_DEGREE)
-    over masked runs; runs are split at any interior split point so each
-    side is extended from its own neighbours."""
-    if not mask.any():
-        return vals, 0
-    vals = vals.copy()
+    """vals, with each masked run replaced in place by a one-sided
+    polynomial extension (least squares, degree _FILL_DEGREE) of its clean
+    neighbours; runs are split at any interior split point so each side
+    is extended from its own neighbours."""
     n = len(grid)
-    idx = np.nonzero(mask)[0]
-    runs = np.split(idx, np.nonzero(np.diff(idx) > 1)[0] + 1)
+    edges = np.flatnonzero(np.diff(np.r_[False, mask, False]))
+    runs = [np.arange(a, b) for a, b in zip(edges[::2], edges[1::2])]
     pieces = []
     for run in runs:
-        cut = None
-        for p in split_points:
-            inside = (grid[run[0]] < p) & (p < grid[run[-1]])
-            if inside:
-                cut = p
-                break
+        cut = next((d for d in split_points if grid[run[0]] < d < grid[run[-1]]), None)
         if cut is None:
             pieces.append(run)
         else:
             pieces.append(run[grid[run] <= cut])
             pieces.append(run[grid[run] > cut])
-    filled = 0
     for run in pieces:
-        if len(run) == 0:
-            continue
         left_ok = run[0] - 1 >= 0 and not mask[run[0] - 1]
         right_ok = run[-1] + 1 < n and not mask[run[-1] + 1]
         window = max(60, 3 * len(run))
@@ -1036,8 +1035,7 @@ def _fill_masked(grid, vals, mask, split_points):
         scale = max(grid[sel].max() - grid[sel].min(), 1e-300)
         coef = npoly.polyfit((grid[sel] - x0) / scale, vals[sel], _FILL_DEGREE)
         vals[run] = npoly.polyval((grid[run] - x0) / scale, coef)
-        filled += len(run)
-    return vals, filled
+    return vals
 
 
 def propagate_derivatives(sol: SteinSolution, max_order: int) -> SteinSolution:
@@ -1051,8 +1049,9 @@ def propagate_derivatives(sol: SteinSolution, max_order: int) -> SteinSolution:
     support edge, or at a delicate point inside the grid: the interior
     zero of the vg operator) are excluded
     from the algebra and filled by one-sided degree-6 polynomial
-    extension.  diagnostics["filled_by_order"][k] counts the filled
-    points of order k, and diagnostics["filled_points"] their total.
+    extension.  The mask of each propagated order k is kept as
+    filled[k] (SteinSolution), and diagnostics["filled_points"] counts
+    the filled points of every order.
     """
     spec, h = sol.spec, sol.h
     cap = spec.propagation_cap()
@@ -1063,8 +1062,7 @@ def propagate_derivatives(sol: SteinSolution, max_order: int) -> SteinSolution:
     grid = sol.grid
     eh = sol.diagnostics["mean_value"]
     p = spec.operator_order
-    fs = dict(sol.derivs)
-    filled = {k: 0 for k in fs} | sol.diagnostics.get("filled_by_order", {})
+    fs, filled = dict(sol.derivs), dict(sol.filled)
     amp_prod = np.ones_like(grid)
     near_singular = np.zeros(len(grid), dtype=bool)
     interior = np.zeros(len(grid), dtype=bool)
@@ -1088,14 +1086,12 @@ def propagate_derivatives(sol: SteinSolution, max_order: int) -> SteinSolution:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             top = (rhs - lower) / denom
             amp_prod = amp_prod * np.maximum(numer_scale / np.abs(denom), 1.0)
-        if k + p in fs:
-            continue
         mask = ((amp_prod > _CUMULATIVE_AMPLIFICATION_CAP) & near_singular) | ~np.isfinite(top) | interior
-        fs[k + p], filled[k + p] = _fill_masked(grid, top, mask, spec.delicate_points)
+        mask.flags.writeable = False
+        fs[k + p], filled[k + p] = _fill_masked(grid, top, mask, spec.delicate_points), mask
     diags = dict(sol.diagnostics)
-    diags["filled_by_order"] = filled
-    diags["filled_points"] = sum(filled.values())
-    out = replace(sol, derivs=fs, diagnostics=diags)
+    diags["filled_points"] = int(sum(map(np.count_nonzero, filled.values())))
+    out = replace(sol, derivs=fs, filled=filled, diagnostics=diags)
     if max(fs) >= p:
         scale = 1.0 + float(np.max(np.abs(htilde)))
         res = residual_norm(out)

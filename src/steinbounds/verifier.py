@@ -145,13 +145,13 @@ def _cell(n: int, mode: str, coeffs: BoundCoefficients, solution: SteinSolution)
     (propagated up to n)."""
     spec, h = solution.spec, solution.h
     bound = coeffs.evaluate(norms_for(h, coeffs, solution.diagnostics["mean_value"]))
-    emp, flag = empirical_sup(solution, n)
+    emp, _, _, near_edge = empirical_sup(solution, n)
     margin = bound - emp
     return VerificationReport(
         family=spec.family, param_string=spec.param_string(), n=n, mode=mode, test_fn=h.name,
         bound_value=bound, empirical_sup=emp, margin=margin, passed=margin >= -PASS_TOLERANCE * bound,
-        boundary_flag=flag, residual=solution.diagnostics["residual"],
-        filled_points=solution.diagnostics["filled_by_order"][n], coefficients=_coefficient_rows(coeffs),
+        boundary_flag=near_edge, residual=solution.diagnostics["residual"],
+        filled_points=int(np.count_nonzero(solution.filled[n])), coefficients=_coefficient_rows(coeffs),
     )
 
 

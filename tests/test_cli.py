@@ -130,6 +130,18 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert "row_norms must be finite" in err
 
+    @pytest.mark.parametrize("args,message", [
+        (("bound", "--family", "normal", "--n", "1", "--norms", "h~=abc"),
+         "norm entry 'h~=abc': value 'abc' is not a number"),
+        (("coeffs", "--family", "mvn", "--dim", "2", "--row-norms", "1,abc", "--n", "1", "--mode", "first"),
+         "--row-norms entry 'abc' is not a number"),
+    ])
+    def test_non_numeric_entry_is_parse_error(self, capsys, args, message):
+        # each printed float()'s bare "could not convert string to float: 'abc'"
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (1, "")
+        assert message in err
+
     def test_non_integral_dim_is_parse_error(self, capsys):
         # dim 2.5 built a dim-2 spec, and the call printed a bound
         code, out, err = run_cli(capsys, "coeffs", "--family", "mvn", "--dim", "2.5", "--n", "1", "--mode", "first")

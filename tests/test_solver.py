@@ -148,18 +148,20 @@ class TestProbes:
     def test_normal_linear_probe(self):
         sol = solve(cat.make_spec("normal"), PolyProbe((0.0, 1.0), "x"))
         assert np.max(np.abs(sol.derivs[0] + 1.0)) < 1e-8
-        sup, flag = empirical_sup(sol, 0)
+        sup, _, filled, flag = empirical_sup(sol, 0)
         assert sup == pytest.approx(1.0, abs=1e-8)
         assert not flag
+        assert not filled  # the solve computes every point of its own orders
 
     def test_normal_quadratic_probe_and_boundary_flag(self):
         spec = cat.make_spec("normal")
         h = PolyProbe((-1.0, 0.0, 1.0), "x2-1")
         sol = solve(spec, h)
         assert np.max(np.abs(sol.derivs[0] + sol.grid)) < 1e-8
-        sup, flag = empirical_sup(sol, 0)
+        sup, x, filled, flag = empirical_sup(sol, 0)
         assert flag, "unbounded probe solution must flag the grid boundary"
         assert sup == pytest.approx(np.max(np.abs(sol.grid)), rel=1e-10)
+        assert x in (sol.grid[0], sol.grid[-1]) and not filled
 
     def test_normal_quadratic_probe_propagates_exactly(self):
         spec = cat.make_spec("normal")
@@ -172,7 +174,7 @@ class TestProbes:
         spec = cat.make_spec("gamma", r=2.0, lam=2.0)
         sol = solve(spec, PolyProbe((-1.0, 1.0), "x-r/lam"))
         assert np.max(np.abs(sol.derivs[0] + 0.5)) < 1e-8
-        sup, flag = empirical_sup(sol, 0)
+        sup, _, _, flag = empirical_sup(sol, 0)
         assert sup == pytest.approx(0.5, abs=1e-8)
         assert not flag
 
@@ -184,6 +186,11 @@ class TestGrids:
         assert len(grid) == sv.DEFAULT_POINTS
         assert grid[0] < cat.quantile(spec, 1e-8)
         assert grid[-1] > cat.quantile(spec, 1.0 - 1e-8)
+        # a vg grid steps out from its origin past both ends: one point more
+        sizes = {(s.family, s.param_string()): len(sv.build_mesh(s).grid) for s in vf.default_sweep_specs()}
+        assert len(sizes) == 11
+        assert sizes == {key: 20002 if key[0] == "vg" else 20001 for key in sizes}
+        assert list(sizes.values()).count(20002) == 2
 
     def test_margin_clipped_to_support(self):
         spec = cat.make_spec("gamma", r=2.0, lam=1.0)
@@ -557,7 +564,7 @@ class TestEndRules:
         # ranges of each end, in w = v^(gamma + 1), where the weight is gone
         spec = cat.make_spec(family, **params)
         mesh = sv.build_mesh(spec)
-        ends = sv._Ends(mesh, mesh.factor("density", spec.density))
+        ends = sv._Ends(mesh, mesh.factor("density", spec.density, mesh.xs))
         got, _ = ends.integrals(SineTest(1.0))
         ruled = [(key, value) for key, value in zip(ends.keys, got) if key not in ends.adaptive]
         checked = set()
@@ -656,7 +663,7 @@ class TestEndRules:
         # the support vanish, so the two forms of the split agree to rounding
         spec = cat.make_spec(family, **params)
         mesh = sv.build_mesh(spec)
-        density = mesh.factor("density", spec.density)
+        density = mesh.factor("density", spec.density, mesh.xs)
         _, _, integral, _ = sv._split_integral(mesh, CosineTest(1.0), density)
         lower, upper = (integral.from_anchor(end) for end in spec.support)
         assert np.max(np.abs(lower - upper)) <= 1e-14 * np.sum(np.abs(integral.panels))
@@ -745,7 +752,7 @@ class TestRangesNextToDelicatePoints:
     def test_pearson_end_panels_stay_integrals_from_the_end(self, family, params):
         spec = cat.make_spec(family, **params)
         mesh = sv.build_mesh(spec)
-        ends = sv._Ends(mesh, mesh.factor("density", spec.density))
+        ends = sv._Ends(mesh, mesh.factor("density", spec.density, mesh.xs))
         grid_end = dict(zip(spec.support, (float(mesh.grid[0]), float(mesh.grid[-1]))))
         for d, near in mesh.delicate.items():
             assert {key for key in ends.keys if key[0] == d} == {
@@ -764,7 +771,7 @@ class TestRangesNextToDelicatePoints:
         assert ranges == [(math.inf, float(mesh.grid[-1]))] * 2
         monkeypatch.undo()
         eh = sol.diagnostics["mean_value"]
-        g_vals, _, _, ends = sv._split_integral(mesh, h, mesh.factor("prr_density", None))
+        g_vals, _, _, ends = sv._split_integral(mesh, h, mesh.factor("prr_density", None, mesh.xs))
         ruled = ends.keys[:len(ends.unit)]
         assert set(ruled) == {(0.0, float(mesh.grid[0]))} | {
             (float(mesh.grid[i]), float(mesh.grid[i + 1])) for i in mesh.delicate[0.0]
@@ -791,7 +798,7 @@ class TestRangesNextToDelicatePoints:
         spec = cat.make_spec(family, **params)
         mesh = sv.build_mesh(spec)
         ranges = _recorded_ranges(monkeypatch)
-        ends = sv._Ends(mesh, mesh.factor("density", spec.density))
+        ends = sv._Ends(mesh, mesh.factor("density", spec.density, mesh.xs))
         assert ranges == []  # no adaptive call for p
         monkeypatch.undo()
         assert ends.adaptive and ends.p_error == 0.0

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,52 @@ class TestSweep:
         assert all(r.passed for r in reports)
         keys = [(r.family, r.param_string, r.test_fn, r.n) for r in reports]
         assert keys == sorted(keys)
+
+
+class TestSupSources:
+    """Where the default sweep's sups come from (SteinSolution.filled,
+    empirical_sup): 25 of its 159 verified cells read a filled sup, 20 at
+    a grid end and 5 at vg(3, 0, 1)'s origin, where no boundary flag
+    marks them.  A change that computes values which propagation fills
+    today (series at a support end, the level equations' limit at the
+    origin) moves cells out of this record: it lists the cells it moves."""
+
+    FILLED_SUPS = {
+        ("beta", "alpha=2,beta=3"): 8,
+        ("arcsine", ""): 11,
+        ("inverse_gamma", "alpha=9,beta=2"): 1,
+        ("vg", "r=3,theta=0,sigma=1"): 5,
+    }
+
+    def test_default_sweep(self, monkeypatch):
+        sups, empirical_sup = {}, vf.empirical_sup
+
+        def recorded(sol, n):
+            out = empirical_sup(sol, n)
+            masks = sol.filled.values()
+            assert all(mask.dtype == bool and not mask.flags.writeable for mask in masks)
+            assert sol.diagnostics["filled_points"] == sum(map(np.count_nonzero, masks))
+            ends = (sol.grid[0], sol.grid[-1])
+            sups[sol.spec.family, sol.spec.param_string(), sol.h.name, n] = (*out, ends, np.count_nonzero(sol.filled[n]))
+            return out
+
+        monkeypatch.setattr(vf, "empirical_sup", recorded)
+        reports = {(r.family, r.param_string, r.test_fn, r.n): r for r in vf.sweep() if r.error is None}
+        assert len(reports) == 159 and sups.keys() == reports.keys()
+        for key, r in reports.items():
+            value, _, _, near_edge, _, count = sups[key]
+            assert (r.empirical_sup, r.boundary_flag, r.filled_points) == (value, near_edge, count), key
+        filled = {key: sup for key, sup in sups.items() if sup[2]}
+        assert len(filled) == 25
+        assert Counter(key[:2] for key in filled) == self.FILLED_SUPS
+        for key, (_, x, _, near_edge, ends, _) in filled.items():
+            if key[0] == "vg":
+                assert (x, near_edge) == (0.0, False), key
+            else:
+                assert x in ends and near_edge, key
+        assert [key[2:] for key in filled if key[0] == "inverse_gamma"] == [("cosine:1", 3)]
+        _, x, _, _, ends, _ = filled["inverse_gamma", "alpha=9,beta=2", "cosine:1", 3]
+        assert x == ends[0] == pytest.approx(0.05417, abs=5e-6)
 
 
 # Fresh-spec cells of perfbench's verify_draws stream (two skewed vg, one
@@ -307,7 +354,7 @@ class TestRefinedConstantsAgainstSolves:
             sol = sv.propagate_derivatives(sv.solve(spec, h, mesh=mesh), 2)
             for key, coeffs in table.items():
                 bound = coeffs.evaluate(vf.norms_for(h, coeffs, sol.diagnostics["mean_value"]))
-                sup, _ = sv.empirical_sup(sol, self.ORDERS[key])
+                sup, _, _, _ = sv.empirical_sup(sol, self.ORDERS[key])
                 assert sup <= bound, (key, h.name, sup, bound)
 
 

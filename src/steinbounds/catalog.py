@@ -283,7 +283,8 @@ def numeric_cdf(spec: DistributionSpec, x: float) -> float:
     independent oracle of the quantile routes below.  The range is split
     at the delicate points and at the doublings -+1, -+2, ..., -+2^39 of
     _bracket, so no piece is so long that QUADPACK misses the mass in it
-    (one piece from -inf to 1e6 reads 0 for the normal law)."""
+    (one piece from -inf to 1e6 reads 0 for the normal law), under the
+    table's tolerance: _TAIL_EPSREL relative, no absolute floor."""
     lo, hi = spec.support
     if x <= lo:
         return 0.0
@@ -291,7 +292,7 @@ def numeric_cdf(spec: DistributionSpec, x: float) -> float:
         return 1.0
     doublings = [2.0 ** k for k in range(_DOUBLINGS)]
     breaks = (*spec.delicate_points, *doublings, *(-t for t in doublings))
-    val, _ = sf.integrate(spec.density, lo, x, breaks=breaks)
+    val, _ = sf.integrate(spec.density, lo, x, breaks=breaks, epsabs=0.0, epsrel=_TAIL_EPSREL)
     if not math.isfinite(val):
         raise NumericError(f"{spec.family}{spec.params}: the CDF integral up to {x:g} is {val}")
     return min(max(val, 0.0), 1.0)
@@ -1375,8 +1376,8 @@ def param_names(family: str) -> tuple[str, ...]:
 
 def make_spec(family: str, **params) -> DistributionSpec:
     """Build a catalog entry; unknown families or parameters, missing
-    ones and non-finite values (a NaN or infinite parameter or row norm)
-    are rejected with ValueError."""
+    ones, bools and non-finite values (a NaN or infinite parameter or row
+    norm) are rejected with ValueError."""
     if family not in REGISTRY:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
     signature = inspect.signature(REGISTRY[family]).parameters
@@ -1387,6 +1388,8 @@ def make_spec(family: str, **params) -> DistributionSpec:
     if missing:
         raise ValueError(f"{family} requires parameters {sorted(missing)}")
     for name, value in params.items():
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{family} parameter {name} must be a number, got {value!r}")
         if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
             raise ValueError(f"{family} parameter {name} must be finite, got {value}")
     return REGISTRY[family](**params)

@@ -91,11 +91,15 @@ def _parse_norms(text: str) -> dict:
 
 
 def _emit(text: str, path: str | None) -> None:
-    """text, ending in exactly one newline, to path or to stdout."""
+    """text, ending in exactly one newline, to path or to stdout; a path
+    that cannot be written is a ValueError (exit 1)."""
     text = text if text.endswith("\n") else text + "\n"
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --output {path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

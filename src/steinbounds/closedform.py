@@ -26,6 +26,7 @@ from .errors import ValidityError
 __all__ = [
     "closed_form_bound",
     "bound_for",
+    "derivative_order",
     "resolve_mode",
     "MODE_TOKENS",
 ]
@@ -321,22 +322,28 @@ def resolve_mode(spec: cat.DistributionSpec, token: str | None) -> str:
     return spec.default_mode if token is None or token == "default" else token
 
 
-def bound_for(spec: cat.DistributionSpec, n: int, mode: str | None = None) -> BoundCoefficients:
-    """Bound on ||f^(n)|| for a catalog family under a mode token.
-
-    None or "default" selects the family's default mode.  The order is an
-    integer or an integral float (2.0, as JSON may give it); a bool, a
-    non-integral value, a negative value, a token the family's mode table
-    lacks or an order outside the row's window raises ValidityError; a
-    string that is no mode token raises ValueError.
-    """
+def derivative_order(n) -> int:
+    """n as an int: an integer or an integral float (2.0, as JSON may give
+    it); a bool, a non-integral value or a negative one raises
+    ValidityError."""
     try:
         order = operator.index(n)
     except TypeError:
         order = int(n) if isinstance(n, float) and n.is_integer() else None
     if order is None or isinstance(n, bool) or order < 0:
         raise ValidityError(f"derivative order must be an integer >= 0, got {n!r}")
-    n = order
+    return order
+
+
+def bound_for(spec: cat.DistributionSpec, n: int, mode: str | None = None) -> BoundCoefficients:
+    """Bound on ||f^(n)|| for a catalog family under a mode token.
+
+    None or "default" selects the family's default mode.  The order is
+    read by derivative_order; a token the family's mode table lacks or an
+    order outside the row's window raises ValidityError; a string that is
+    no mode token raises ValueError.
+    """
+    n = derivative_order(n)
     mode = resolve_mode(spec, mode)
     row = spec.modes.get(mode)
     if row is None:

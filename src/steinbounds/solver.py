@@ -38,17 +38,20 @@ of the origin, then every 16th.  I_nu and K_nu solve the modified Bessel
 equation z^2 w'' + z w' - (z^2 + nu^2) w = 0, so every other grid value
 and every node takes its values from the 12-term Taylor series (from the
 equation's recurrence) of the anchor that owns it: a far anchor owns the
-16 steps from 8 below it, an anchor nearer the origin its own panel.  The
-vg grid is exactly dx * k, so the grid values and the nodes of every far
-anchor lie at the same offsets from it, and the series of all the anchors
-at those offsets are matrix products with one table of the offsets'
-powers; the orders nu + 1 on the grid come from the series' derivative.
-The values form a table by the step |k|, which the panels left of the
-origin read mirrored.  Only the nodes within 24 grid steps of the origin,
-where the series converges slowly, call scipy.  A vg mesh so costs four
-Bessel evaluations per anchor plus two per near-origin node: 3.8k points
-for vg(3, 0, 1), whose grid has 10k distinct |x| and whose mesh has 140k
-nodes, 168 distinct |y| of them near the origin.
+16 steps from 8 below it, an anchor nearer the origin its own step.  The
+vg grid is exactly dx * k, so grid point k dx and the nodes of the panel
+from it lie at the same offsets v = 0, (1 + u_j) / 2 steps past k dx,
+and one pass (_vg_bessels) gives both: the series of all the anchors at
+their offsets are matrix products with one table of the offsets' powers,
+16 x 8 shared by the far anchors and one row of 8 for the others; the
+orders nu + 1 on the grid come from the series' derivative.  The values
+form a table by the step |k|, which the panels left of the origin read
+mirrored.  Only the nodes within 24 grid steps of the origin, where the
+series converges slowly, call scipy.  A vg mesh so costs four Bessel
+evaluations per anchor plus two per near-origin node: 3.8k points for
+vg(3, 0, 1), whose grid has 10k distinct |x| and whose mesh has 140k
+nodes, 168 distinct |y| of them near the origin.  The mesh keeps one vg
+entry, the node factors and the grid prefactors, and no Bessel value.
 
 Three rules integrate.  Every grid panel is summed by the 7-point
 Gauss-Kronrod rule (G3/K7), whose embedded 3-point Gauss rule gives the
@@ -567,8 +570,8 @@ class Mesh:
     are taken from the point (_Integral).  Every h-independent array of a
     solve, at the nodes or on the grid, is a mesh factor: ``factor``
     evaluates it once per mesh, and ``cached`` keeps any other
-    h-independent part of a solve.  The arrays are shared by every solve
-    on the mesh (the grid also by their solutions), so they are read-only.
+    h-independent part of a solve, such as vg's one entry.  Solves share
+    the arrays (their solutions the grid), so they are read-only.
     """
 
     spec: DistributionSpec
@@ -748,35 +751,6 @@ def _vg_steps(grid):
     return grid[i0 + 1], np.abs(np.arange(grid.size) - i0)
 
 
-def _vg_anchors(mesh, nu, alpha):
-    """The vg Bessel anchors: every grid step k below _DIRECT_BAND, then
-    every _ANCHOR_STEPS-th out to the first at or past the grid's last
-    step.  Returns z0 = alpha dx k at each, scipy's ive and kve at orders
-    nu and nu + 1 there (the only grid Bessel values scipy evaluates), and
-    the _TAYLOR_TERMS coefficients in t of the scaled e^(-z0) I_nu(z0 + t)
-    and e^(z0) K_nu(z0 + t) about each (a row each); all kept in the mesh,
-    so the grid values and the nodes step from one set of series."""
-
-    def build():
-        dx, steps = _vg_steps(mesh.grid)
-        z0 = alpha * (dx * np.r_[0:_DIRECT_BAND, _DIRECT_BAND:steps.max() + _ANCHOR_STEPS:_ANCHOR_STEPS])
-        direct = np.stack([_sp.ive(nu, z0), _sp.ive(nu + 1.0, z0), _sp.kve(nu, z0), _sp.kve(nu + 1.0, z0)])
-        i_n, i_n1, k_n, k_n1 = direct
-        with np.errstate(divide="ignore", invalid="ignore"):
-            series = (
-                _bessel_taylor(z0, nu, i_n, i_n1 + nu / z0 * i_n),
-                _bessel_taylor(z0, nu, k_n, nu / z0 * k_n - k_n1),
-            )
-        # z0 = 0 has no series; what steps from the origin (its grid value and
-        # the nodes next to it) takes scipy's values
-        c_i, c_k = (np.where(z0[:, None] > 0.0, np.stack(coeffs, axis=1), 0.0) for coeffs in series)
-        for arr in (z0, direct, c_i, c_k):
-            arr.flags.writeable = False
-        return z0, direct, c_i, c_k
-
-    return mesh.cached("vg_anchors", build)
-
-
 def _vg_blocks(coeffs, t, sign):
     """e^(sign t) times the series of every anchor (a row of coeffs) at
     every offset t, one row per anchor: one matrix product with the table
@@ -785,35 +759,6 @@ def _vg_blocks(coeffs, t, sign):
     out = coeffs @ t ** np.arange(coeffs.shape[1])[:, None]
     out *= np.exp(sign * t)
     return out
-
-
-def _vg_scaled_bessels(mesh, nu, alpha):
-    """ive and kve at orders nu and nu + 1 of alpha |x| on the grid (a
-    mesh factor), stacked in that order.  Each value is evaluated once per
-    grid step |k|: at an anchor, scipy's; elsewhere, from the series of
-    the far anchor whose block (the steps _BLOCK from it) holds k, one
-    product per series and its derivative (_vg_blocks).  The orders nu + 1
-    follow from the derivative, I_(nu+1) = I_nu' - (nu / z) I_nu and
-    K_(nu+1) = -K_nu' + (nu / z) K_nu (DLMF 10.29.2)."""
-
-    def scaled(grid):
-        dx, steps = _vg_steps(grid)
-        _, direct, c_i, c_k = _vg_anchors(mesh, nu, alpha)
-        k = np.arange(steps.max() + 1)
-        head = np.zeros(_DIRECT_BAND + _BLOCK[0])  # the far blocks start at the first one's first step
-        i_n, di, k_n, dk = (
-            np.r_[head, _vg_blocks(c, alpha * (dx * _BLOCK), sign).ravel()][:k.size]
-            for coeffs, sign in ((c_i, -1.0), (c_k, 1.0))
-            for c in (coeffs[_DIRECT_BAND:], coeffs[_DIRECT_BAND:, 1:] * np.arange(1, _TAYLOR_TERMS))
-        )
-        z = alpha * (dx * k)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.stack([i_n, di - nu / z * i_n, k_n, nu / z * k_n - dk])
-        at = np.r_[0:_DIRECT_BAND, _DIRECT_BAND:k.size:_ANCHOR_STEPS]  # the anchors keep scipy's values
-        out[:, at] = direct[:, :at.size]
-        return out[:, steps]
-
-    return mesh.factor("vg_bessel", scaled, mesh.grid)
 
 
 def _bessel_taylor(z0, nu, c0, c1):
@@ -832,37 +777,64 @@ def _bessel_taylor(z0, nu, c0, c1):
     return c
 
 
-def _vg_node_bessels(mesh, nu, alpha):
-    """ive(nu, alpha |y|) and kve(nu, alpha |y|) at every node y.
+def _vg_bessels(mesh, nu, alpha):
+    """ive and kve at orders nu and nu + 1 of alpha |x| on the grid,
+    stacked in that order, and ive and kve of alpha |y| at every node y.
 
-    The vg grid is dx * k, so node j of the panel from k dx to (k + 1) dx
-    lies t = alpha (m + (1 + u_j) / 2) dx past the anchor that owns the
-    panel (u_j the rule's node on [-1, 1]): below the first far anchor's
-    block, its own anchor at k dx (m = 0); beyond, the far anchor whose
-    block (the steps _BLOCK from it) holds k.  So every far anchor shares
-    one table of 16 x 7 offsets, and each kernel takes one matrix product
-    for the far blocks and one for the others (_vg_blocks).  The series converges like (|t| / z0)^k, so the
-    nodes within _DIRECT_STEPS grid steps of the origin call scipy.  The
-    values form one table by |k|: node j of panel -k-1 lies where node 6-j
-    of panel k does, so the panels left of the origin read the table
+    scipy evaluates the kernels at the anchors (orders nu and nu + 1):
+    every grid step k below _DIRECT_BAND, then every _ANCHOR_STEPS-th out
+    to the first at or past the grid's last step, at z0 = alpha dx k.
+    Every other value comes from the _TAYLOR_TERMS-term series in t of the
+    scaled e^(-z0) I_nu(z0 + t) and e^(z0) K_nu(z0 + t) (_bessel_taylor)
+    of the anchor that owns its step k: below the first far anchor's
+    block, its own anchor; beyond, the far anchor whose block (the steps
+    _BLOCK from it) holds k.  The grid is dx * k, so grid point k dx and
+    the nodes of the panel from k dx to (k + 1) dx lie v = 0 and (1 +
+    u_j) / 2 steps past k dx (u_j the rule's nodes on [-1, 1]): every far
+    anchor shares one table of 16 x 8 offsets and every other anchor one
+    row of 8, one matrix product each per kernel (_vg_blocks), plus one
+    for the series' derivative at the far grid offsets, which gives the
+    orders nu + 1 on the grid: I_(nu+1) = I_nu' - (nu / z) I_nu and
+    K_(nu+1) = -K_nu' + (nu / z) K_nu (DLMF 10.29.2).  The anchors keep
+    scipy's values.  The series converges like (|t| / z0)^k, so the nodes
+    within _DIRECT_STEPS grid steps of the origin call scipy (order nu).
+    The values form one table by |k|: node j of panel -k-1 lies where node
+    6-j of panel k does, so the panels left of the origin read the table
     reversed, with the nodes mirrored, and a symmetric grid evaluates half
-    the blocks.
-    """
+    the blocks."""
     dx, steps = _vg_steps(mesh.grid)
-    z0, _, c_i, c_k = _vg_anchors(mesh, nu, alpha)
-    u = (1.0 + _NODES) / 2.0
-    band = _DIRECT_BAND + _BLOCK[0]  # the panels that their own anchors own
-    t_far = alpha * (dx * (_BLOCK[:, None] + u).ravel())
-    near = z0[:_DIRECT_STEPS, None] + alpha * (dx * u)
-    i0 = int(np.argmin(steps))
+    last, i0 = int(steps.max()), int(np.argmin(steps))
+    anchors = np.r_[0:_DIRECT_BAND, _DIRECT_BAND:last + _ANCHOR_STEPS:_ANCHOR_STEPS]
+    z0 = alpha * (dx * anchors)
+    at = anchors[anchors <= last]  # the anchors on the grid keep scipy's values
+    z = alpha * (dx * np.arange(last + 1))
+    v = np.r_[0.0, (1.0 + _NODES) / 2.0]
+    far = alpha * (dx * (_BLOCK[:, None] + v))  # the offsets from every far anchor
+    band = _DIRECT_BAND + _BLOCK[0]  # the steps that their own anchors own
 
-    def in_panel_order(c, sign, direct):
-        far = _vg_blocks(c[_DIRECT_BAND:], t_far, sign).reshape(-1, PANEL_NODES)
-        table = np.concatenate([_vg_blocks(c[:band], alpha * (dx * u), sign), far])
-        table[:_DIRECT_STEPS] = direct(nu, near)
-        return np.concatenate([table[:i0][::-1, ::-1], table[:steps.size - 1 - i0]])
+    def kernel(fn, sign):
+        """One kernel's grid (orders nu, nu + 1) and node values; its tables die with the call."""
+        w, w1 = fn(nu, z0), fn(nu + 1.0, z0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            series = np.stack(_bessel_taylor(z0, nu, w, nu / z0 * w - sign * w1), axis=1)
+        # z0 = 0 has no series; what steps from the origin (its grid value
+        # and the nodes next to it) takes scipy's values
+        c = np.where(z0[:, None] > 0.0, series, 0.0)
+        table = np.concatenate([
+            _vg_blocks(c[:band], alpha * (dx * v), sign),
+            _vg_blocks(c[_DIRECT_BAND:], far.ravel(), sign).reshape(-1, v.size),
+        ])
+        slope = _vg_blocks(c[_DIRECT_BAND:, 1:] * np.arange(1, _TAYLOR_TERMS), far[:, 0], sign)
+        values, slope = table[:last + 1, 0], np.r_[np.zeros(band), slope.ravel()][:last + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.stack([values, sign * (nu / z * values - slope)])
+        out[:, at] = w[:at.size], w1[:at.size]
+        table = table[:, 1:]
+        table[:_DIRECT_STEPS] = fn(nu, z0[:_DIRECT_STEPS, None] + alpha * (dx * v[1:]))
+        return out[:, steps], np.concatenate([table[:i0][::-1, ::-1], table[:steps.size - 1 - i0]])
 
-    return in_panel_order(c_i, -1.0, _sp.ive), in_panel_order(c_k, 1.0, _sp.kve)
+    (grid_i, nodes_i), (grid_k, nodes_k) = kernel(_sp.ive, -1.0), kernel(_sp.kve, 1.0)
+    return np.concatenate([grid_i, grid_k]), nodes_i, nodes_k
 
 
 def _solve_vg(mesh, h):
@@ -889,56 +861,55 @@ def _solve_vg(mesh, h):
         ay = np.maximum(np.abs(y), 1e-300)
         return np.exp(beta * y - alpha * ay) * ay ** nu * _sp.kve(nu, alpha * ay) * htilde(y)
 
-    def node_factors(xs):
-        """kernel_i and kernel_k at the nodes less their factor h - E h,
-        written into one array, with ive and kve from _vg_node_bessels;
-        beta y, alpha |y| and |y|^nu (no node is 0, so no floor) are
-        shared by both."""
-        ive, kve = _vg_node_bessels(mesh, nu, alpha)
-        out = np.empty((2, *xs.shape))
-        np.multiply(beta, xs, out=out[0])
+    def factors():
+        """vg's h-independent arrays, from one _vg_bessels pass.  First
+        kernel_i and kernel_k at the nodes less their factor h - E h,
+        written into one array (beta y, alpha |y| and |y|^nu, no node being
+        0, are shared by both): they can set a vg solve's memory peak, so
+        the node Bessel values go as soon as they exist.  Then exp(-beta x) /
+        (s2 |x|^nu) times K_nu(alpha |x|) and I_nu(alpha |x|) on the grid,
+        and their exact derivatives (the first-derivative cross terms of
+        the two integrals cancel identically), each exponent pair one exp."""
+        (i_n, i_n1, k_n, k_n1), ive, kve = _vg_bessels(mesh, nu, alpha)
+        xs = mesh.xs
+        nodes = np.empty((2, *xs.shape))
+        np.multiply(beta, xs, out=nodes[0])
         ay = np.abs(xs)
-        aay = alpha * ay
-        np.subtract(out[0], aay, out=out[1])
-        out[0] += aay
-        del aay  # freed before the exponentials: the node factors can set a vg solve's memory peak
+        ay *= alpha  # alpha |y|, in the buffer that then holds |y|^nu
+        np.subtract(nodes[0], ay, out=nodes[1])
+        nodes[0] += ay
         with np.errstate(over="ignore"):  # checked below
-            np.exp(out, out=out)
-            out *= np.power(ay, nu, out=ay)
-            out[0] *= ive
-            out[1] *= kve
-        return out
-
-    def prefactors(x):
-        """exp(-beta x) / (s2 |x|^nu) times K_nu(alpha |x|) and I_nu(alpha
-        |x|), and their exact derivatives (the first-derivative cross
-        terms of the two integrals cancel identically), from the scaled
-        grid values: each exponent pair is one exp."""
-        i_n, i_n1, k_n, k_n1 = _vg_scaled_bessels(mesh, nu, alpha)
-        ax = np.abs(x)
-        sgn = np.where(x >= 0, 1.0, -1.0)
-        power = s2 * np.maximum(ax, 1e-300) ** nu
-        exp_k = np.exp(-beta * x - alpha * ax) / power
-        exp_i = np.exp(-beta * x + alpha * ax) / power
-        return np.stack([
-            exp_k * k_n,
-            exp_i * i_n,
-            -exp_k * (beta * k_n + sgn * alpha * k_n1),
-            exp_i * (sgn * alpha * i_n1 - beta * i_n),
-        ])
+            np.exp(nodes, out=nodes)
+            nodes *= np.power(np.abs(xs, out=ay), nu, out=ay)
+            nodes[0] *= ive
+            nodes[1] *= kve
+        del ay, ive, kve
+        for name, fac in zip("IK", nodes):
+            if not np.all(np.isfinite(fac)):
+                y = xs[~np.isfinite(fac)]
+                raise NumericError(
+                    f"vg {name}-kernel factor overflows the double range at |y| = {np.min(np.abs(y)):.4g}"
+                    f" (grid reaches [{grid[0]:.4g}, {grid[-1]:.4g}])"
+                )
+        ax = np.abs(grid)
+        sgn = np.where(grid >= 0, 1.0, -1.0)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            power = s2 * np.maximum(ax, 1e-300) ** nu
+            exp_k = np.exp(-beta * grid - alpha * ax) / power
+            exp_i = np.exp(-beta * grid + alpha * ax) / power
+            prefactors = np.stack([
+                exp_k * k_n,
+                exp_i * i_n,
+                -exp_k * (beta * k_n + sgn * alpha * k_n1),
+                exp_i * (sgn * alpha * i_n1 - beta * i_n),
+            ])
+        nodes.flags.writeable = prefactors.flags.writeable = False
+        return nodes, prefactors
 
     i0 = int(np.argmin(np.abs(grid)))
     if abs(grid[i0]) > 1e-12:
         raise NumericError("vg grid must contain the origin")
-    # factors first: their evaluation is the memory peak of a vg solve
-    fac_i, fac_k = mesh.factor("vg_nodes", node_factors, mesh.xs)
-    for name, fac in (("I", fac_i), ("K", fac_k)):
-        if not np.all(np.isfinite(fac)):
-            y = mesh.xs[~np.isfinite(fac)]
-            raise NumericError(
-                f"vg {name}-kernel factor overflows the double range at |y| = {np.min(np.abs(y)):.4g}"
-                f" (grid reaches [{grid[0]:.4g}, {grid[-1]:.4g}])"
-            )
+    (fac_i, fac_k), (k_part, i_part, dk_part, di_part) = mesh.cached("vg", factors)
     h_nodes = htilde(mesh.xs)
     # the I-kernel integral is anchored at the origin: anchoring it at a
     # grid edge would difference huge tail values and destroy the small
@@ -953,7 +924,6 @@ def _solve_vg(mesh, h):
     b_side = np.where(pos, int_k.from_anchor(math.inf), int_k.from_anchor(-math.inf))
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k_part, i_part, dk_part, di_part = mesh.factor("vg_grid", prefactors, grid)
         f = -k_part * a_int + i_part * b_side
         f1 = -dk_part * a_int + di_part * b_side
     # exactly at the origin only the I-branch survives (plus the finite

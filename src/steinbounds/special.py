@@ -73,7 +73,7 @@ def retain_freed_memory() -> bool:
     return mmap == 1 and trim == 1
 
 
-def integrate(fn, a: float, b: float, breaks=(), epsabs: float = 1.49e-8, epsrel: float = 1.49e-8):
+def integrate(fn, a: float, b: float, breaks=(), *, epsabs: float, epsrel: float):
     """(value, error estimate) of the integral of fn from a to b, either
     end infinite or the larger.  fn maps an array of points to the array
     of its values there.  The range is split at every break point strictly

@@ -29,7 +29,7 @@ from scipy.special import ive as _sp_ive, kve as _sp_kve
 
 from . import special as sf
 from .catalog import DEFAULT_SPECS, DistributionSpec, bessel_tail_constant, make_spec, quantiles, quartic_normalizer
-from .closedform import bound_for, resolve_mode
+from .closedform import bound_for, derivative_order, resolve_mode
 from .engine import BoundCoefficients, NormSymbol
 from .errors import ValidityError
 from .solver import (
@@ -130,6 +130,7 @@ def verify(spec: DistributionSpec, n: int, h, mode: str | None = None) -> Verifi
 
     The solve starts only once the bound is known to be priceable.
     """
+    n = derivative_order(n)
     mode = resolve_mode(spec, mode)
     coeffs = bound_for(spec, n, mode)
     # whether a norm slot can be priced does not depend on E h(Z), so a
@@ -185,6 +186,7 @@ def _sweep_spec(spec, orders, test_fns) -> list[VerificationReport]:
     bounds, rejected = [], []
     for n in orders:
         try:
+            n = derivative_order(n)
             coeffs = bound_for(spec, n, mode)
             # as in verify: an unpriceable bound is rejected before any solve
             for h in test_fns:
@@ -313,7 +315,7 @@ def check_quartic_identities() -> dict:
 
     tail_err = 0.0
     for x in grid[:: max(1, len(grid) // 40)]:
-        direct, _ = sf.integrate(lambda t: t * quartic(t), float(x), math.inf, epsabs=1e-13)
+        direct, _ = sf.integrate(lambda t: t * quartic(t), float(x), math.inf, epsabs=1e-13, epsrel=1e-12)
         closed = c1 * math.sqrt(3.0 * math.pi) * (1.0 - sf.norm_cdf(float(x) ** 2 / math.sqrt(6.0)))
         tail_err = max(tail_err, abs(direct - closed))
 
@@ -323,7 +325,7 @@ def check_quartic_identities() -> dict:
     second = grid ** 2 * weighted - 3.0 / (6.0 * c1) ** (1.0 / 3.0)
     min_ineq_margin = float(-max(np.max(first), np.max(second)))
 
-    total, _ = sf.integrate(quartic, -math.inf, math.inf)
+    total, _ = sf.integrate(quartic, -math.inf, math.inf, epsabs=1e-13, epsrel=1e-12)
     ok = density_err <= 1e-12 and tail_err <= 1e-10 and min_ineq_margin >= 0.0 and abs(total - 1.0) <= 1e-10
     return {
         "pass": bool(ok),

@@ -56,6 +56,14 @@ class TestRegistry:
         with pytest.raises(ValueError):
             cat.make_spec("vg", r=1.0, theta=0.0, sigma=0.0)
 
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True)], ids=repr)
+    def test_bool_values_are_rejected(self, value):
+        # r=True built gamma(1, 1), while bound_for rejects a bool order
+        with pytest.raises(ValueError, match=f"gamma parameter r must be a number, got {value!r}"):
+            cat.make_spec("gamma", r=value, lam=1.0)
+        with pytest.raises(ValueError, match="mvn parameter dim must be a number"):
+            cat.make_spec("mvn", dim=value)
+
     def test_non_finite_values_are_named(self):
         with pytest.raises(ValueError, match="beta parameter alpha must be finite"):
             cat.make_spec("beta", alpha=math.nan, beta=2.0)

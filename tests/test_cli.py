@@ -347,6 +347,18 @@ def test_stdout_is_the_output_file(capsys, tmp_path, command):
     assert out.endswith("\n") and not out.endswith("\n\n")
 
 
+@pytest.mark.parametrize("args", [
+    ("coeffs", "--family", "normal", "--n", "2"),
+    ("sweep", "--families", "normal", "--max-order", "0", "--tests", "sine:1"),
+], ids=lambda args: args[0])
+def test_unwritable_output_is_parse_error(capsys, tmp_path, args):
+    # each ended in a FileNotFoundError traceback, sweep after computing its table
+    path = tmp_path / "no" / "such" / "out"
+    code, out, err = run_cli(capsys, *args, "--output", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write --output {path}: No such file or directory\n"
+
+
 CLI_GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
 
 

@@ -131,6 +131,26 @@ class TestExpectation:
             exact = cf.real if isinstance(h, CosineTest) else cf.imag
             assert expectation(spec, h) == pytest.approx(exact, rel=5e-13, abs=1e-16), spec.family
 
+    # 15 vg laws over selftest criterion 2's window (r in [0.5, 6], theta in
+    # [-1.5, 1.5], sigma in [0.5, 2]), drawn once and rounded to 3 digits
+    VG_LAWS = (
+        (4.93, 0.924, 1.27), (1.48, 0.42, 1.2), (2.54, -0.435, 1.69), (5.48, -0.968, 1.48), (2.14, 1.4, 1.88),
+        (4.0, 0.758, 1.27), (5.04, -0.155, 1.01), (2.03, -0.821, 1.29), (2.87, 0.49, 0.519), (2.96, -0.404, 0.793),
+        (3.77, -0.194, 0.95), (1.65, 1.12, 1.7), (3.84, -0.465, 1.92), (3.6, -0.202, 1.85), (2.26, 0.588, 0.971),
+    )
+    # of max(|exact|, 1e-3): the worst cell read 1.61e-10, vg(3.6, -0.202,
+    # 1.85) sine:2.5, whose E h is -3.0e-4 and 1.6e-13 off (within
+    # expectation's epsabs 1e-12); set once, never widened
+    VG_TOLERANCE = 2e-10
+
+    @pytest.mark.parametrize("h", [cls(w) for w in (0.5, 1.0, 2.0, 2.5) for cls in (SineTest, CosineTest)], ids=lambda h: h.name)
+    def test_vg_window_values_against_closed_form(self, h):
+        for r, theta, sigma in self.VG_LAWS:
+            spec = cat.make_spec("vg", r=r, theta=theta, sigma=sigma)
+            cf = self.characteristic_function(spec, h.freq)
+            exact = cf.real if isinstance(h, CosineTest) else cf.imag
+            assert abs(expectation(spec, h) - exact) <= self.VG_TOLERANCE * max(abs(exact), 1e-3), spec.params
+
     def test_default_sweep_values_hold_to_golden(self):
         # the 33 E h of the default sweep, pinned before the integrator
         # moved to numpy; the smallest shift that flips a sweep bound at 10
@@ -877,9 +897,10 @@ class TestVgNodeBessels:
     next to the origin; every other grid value and every node takes its ive
     and kve from the Taylor series of the anchor that owns it, each far
     anchor the 16 steps of its block, as matrix products with one table of
-    offset powers.  The values form one table by |k|, which the panels
-    left of the origin read mirrored, and match across BLAS thread counts.
-    The result is as accurate as scipy's direct (AMOS) evaluation."""
+    offset powers, one pass (_vg_bessels) for the grid and the nodes.  The
+    values form one table by |k|, which the panels left of the origin read
+    mirrored, and match across BLAS thread counts.  The result is as
+    accurate as scipy's direct (AMOS) evaluation."""
 
     TOLERANCE = 5e-13  # vs direct scipy; the worst of 72 draws and 11 corners of the window read 2.0e-13
     SERIES_ERROR = 1e-14  # vs mpmath: what the series may add to the anchor values' error
@@ -896,11 +917,11 @@ class TestVgNodeBessels:
     @classmethod
     def node_bessels(cls, r, theta, sigma):
         mesh, nu, alpha = cls.mesh_of(r, theta, sigma)
-        return mesh, nu, alpha, *sv._vg_node_bessels(mesh, nu, alpha)
+        return mesh, nu, alpha, *sv._vg_bessels(mesh, nu, alpha)[1:]
 
     def test_two_series_per_mesh(self, monkeypatch):
         # the grid values and the nodes step from one set of anchor series,
-        # kept in the mesh for every solve on it
+        # evaluated once per mesh: every solve on it reads the mesh's factors
         calls = []
         taylor = sv._bessel_taylor
         monkeypatch.setattr(sv, "_bessel_taylor", lambda *args: calls.append(args) or taylor(*args))
@@ -916,8 +937,9 @@ class TestVgNodeBessels:
         its own below band, else the far anchor whose block of
         _ANCHOR_STEPS steps, from 8 below it to 7 above, holds the step."""
         first = sv._DIRECT_BAND - sv._ANCHOR_STEPS // 2
-        owner = np.where(steps < band, steps, sv._DIRECT_BAND + (steps - first) // sv._ANCHOR_STEPS)
-        return sv._vg_anchors(mesh, nu, alpha)[0][owner]
+        owner = np.where(steps < band, steps, sv._DIRECT_BAND + (steps - first) // sv._ANCHOR_STEPS * sv._ANCHOR_STEPS)
+        dx, _ = sv._vg_steps(mesh.grid)
+        return alpha * (dx * owner)
 
     @staticmethod
     def check_against_mpmath(values, z, z_anchor, orders, nu, targets, spacing):
@@ -953,7 +975,7 @@ class TestVgNodeBessels:
     @given(r=st.floats(0.5, 6.0), theta=st.floats(-1.5, 1.5), sigma=st.floats(0.5, 2.0))
     def test_every_grid_value_agrees_with_scipy(self, r, theta, sigma):
         mesh, nu, alpha = self.mesh_of(r, theta, sigma)
-        values = sv._vg_scaled_bessels(mesh, nu, alpha)
+        values = sv._vg_bessels(mesh, nu, alpha)[0]
         z = alpha * np.abs(mesh.grid)
         direct = np.stack([_sp.ive(nu, z), _sp.ive(nu + 1.0, z), _sp.kve(nu, z), _sp.kve(nu + 1.0, z)])
         origin = z == 0.0  # an anchor: scipy's value, NaN or inf for some nu
@@ -985,7 +1007,7 @@ class TestVgNodeBessels:
         _, steps = sv._vg_steps(mesh.grid)
         z_anchor = self.anchor_z(mesh, nu, alpha, steps, sv._DIRECT_BAND)
         orders = (("ive", 0), ("ive", 1), ("kve", 0), ("kve", 1))
-        values = sv._vg_scaled_bessels(mesh, nu, alpha)
+        values = sv._vg_bessels(mesh, nu, alpha)[0]
         dx = mesh.grid[1] - mesh.grid[0]
         self.check_against_mpmath(values, z, z_anchor, orders, nu, self.TARGETS, alpha * dx)
 
@@ -1012,7 +1034,8 @@ class TestVgNodeBessels:
             f"for r, theta, sigma in {laws!r}:\n"
             "    mesh = sv.build_mesh(cat.make_spec('vg', r=r, theta=theta, sigma=sigma))\n"
             "    nu, alpha = (r - 1.0) / 2.0, math.sqrt(theta * theta + sigma ** 2) / sigma ** 2\n"
-            "    for values in (*sv._vg_node_bessels(mesh, nu, alpha), sv._vg_scaled_bessels(mesh, nu, alpha)):\n"
+            "    grid, ive, kve = sv._vg_bessels(mesh, nu, alpha)\n"
+            "    for values in (ive, kve, grid):\n"
             "        print(hashlib.sha256(values.tobytes()).hexdigest())\n"
         )
         src = Path(sv.__file__).resolve().parents[1]
@@ -1020,8 +1043,8 @@ class TestVgNodeBessels:
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
         here = []
         for law in laws:
-            mesh, nu, alpha, ive, kve = self.node_bessels(*law)
-            for values in (ive, kve, sv._vg_scaled_bessels(mesh, nu, alpha)):
+            grid, ive, kve = sv._vg_bessels(*self.mesh_of(*law))
+            for values in (ive, kve, grid):
                 here.append(hashlib.sha256(values.tobytes()).hexdigest())
         assert out.stdout.split() == here
 

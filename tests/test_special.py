@@ -227,20 +227,22 @@ class TestHypUAgainstMpmath:
 
 
 class TestIntegrate:
+    TOL = dict(epsabs=1.49e-8, epsrel=1.49e-8)  # QUADPACK's defaults, which these cases were written at
+
     def test_splits_at_interior_breaks_of_an_infinite_range(self):
         # the mass of this density sits around 1e3: one QAGI call over the
         # whole line samples too sparsely to find it, the split one does
         def bump(t):
             return np.exp(-0.5 * (t - 1e3) ** 2) / math.sqrt(2.0 * math.pi)
 
-        assert sf.integrate(bump, -math.inf, 2e3)[0] < 1e-3
-        val, err = sf.integrate(bump, -math.inf, 2e3, breaks=(1e3,))
+        assert sf.integrate(bump, -math.inf, 2e3, **self.TOL)[0] < 1e-3
+        val, err = sf.integrate(bump, -math.inf, 2e3, breaks=(1e3,), **self.TOL)
         assert val == pytest.approx(1.0, abs=1e-10)
         assert 0.0 <= err < 1e-8
 
     def test_breaks_outside_the_range_are_ignored(self):
-        plain = sf.integrate(np.exp, 0.0, 1.0)
-        assert sf.integrate(np.exp, 0.0, 1.0, breaks=(-1.0, 0.0, 1.0, 2.0)) == plain
+        plain = sf.integrate(np.exp, 0.0, 1.0, **self.TOL)
+        assert sf.integrate(np.exp, 0.0, 1.0, breaks=(-1.0, 0.0, 1.0, 2.0), **self.TOL) == plain
         assert plain[0] == pytest.approx(math.e - 1.0, rel=1e-14)
 
     def test_singular_break_is_met_at_an_endpoint(self):
@@ -253,16 +255,23 @@ class TestIntegrate:
         assert err < 1e-10
 
     def test_reversed_and_empty_ranges(self, monkeypatch):
-        forward = sf.integrate(np.exp, -math.inf, 1.0, breaks=(0.0,))
-        assert sf.integrate(np.exp, 1.0, -math.inf, breaks=(0.0,)) == (-forward[0], forward[1])
+        forward = sf.integrate(np.exp, -math.inf, 1.0, breaks=(0.0,), **self.TOL)
+        assert sf.integrate(np.exp, 1.0, -math.inf, breaks=(0.0,), **self.TOL) == (-forward[0], forward[1])
         monkeypatch.setattr(sf, "_qags", None)  # an empty range needs no quadrature
-        assert sf.integrate(np.exp, 2.0, 2.0) == (0.0, 0.0)
+        assert sf.integrate(np.exp, 2.0, 2.0, **self.TOL) == (0.0, 0.0)
 
     def test_returns_every_error_estimate(self):
-        pieces = [sf.integrate(np.cos, a, b) for a, b in ((0.0, 1.0), (1.0, 3.0))]
-        val, err = sf.integrate(np.cos, 0.0, 3.0, breaks=(1.0,))
+        pieces = [sf.integrate(np.cos, a, b, **self.TOL) for a, b in ((0.0, 1.0), (1.0, 3.0))]
+        val, err = sf.integrate(np.cos, 0.0, 3.0, breaks=(1.0,), **self.TOL)
         assert val == pieces[0][0] + pieces[1][0]
         assert err == pieces[0][1] + pieces[1][1]
+
+    def test_every_call_states_its_tolerance(self):
+        # QUADPACK's 1.49e-8 defaults are gone: no integral runs at them unasked
+        with pytest.raises(TypeError, match="epsabs"):
+            sf.integrate(np.exp, 0.0, 1.0)
+        with pytest.raises(TypeError):
+            sf.integrate(np.exp, 0.0, 1.0, (), 1e-10, 1e-10)
 
     def test_one_integrand_call_per_rule_application(self):
         # a finite piece starts with one 21-node call, then each bisection

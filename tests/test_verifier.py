@@ -1,5 +1,6 @@
 """Verifier: bound-vs-empirical reports, sweeps, analytic inequality grids."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -119,6 +120,18 @@ class TestVerify:
             assert rep.passed
             assert len(expectations) == calls, spec.family
 
+    def test_integral_float_order_is_an_order(self):
+        # 2.0 (as JSON may give it) raised a bare TypeError in propagation's range
+        spec, h = cat.make_spec("gamma", r=2.0, lam=1.0), SineTest(1.0)
+        rep = vf.verify(spec, 2.0, h)
+        assert type(rep.n) is int
+        assert dataclasses.asdict(rep) == dataclasses.asdict(vf.verify(spec, 2, h))
+
+    @pytest.mark.parametrize("order", [2.5, True, -1], ids=repr)
+    def test_order_that_is_no_natural_number_is_rejected(self, order):
+        with pytest.raises(ValidityError, match="derivative order must be an integer >= 0"):
+            vf.verify(cat.make_spec("normal"), order, SineTest(1.0))
+
     def test_verify_reads_the_propagation_residual(self, monkeypatch):
         residuals = count_calls(monkeypatch, sv.residual_norm)
         rep = vf.verify(cat.make_spec("gamma", r=2.0, lam=1.0), 1, SineTest(1.0))
@@ -144,6 +157,20 @@ class TestSweep:
         # mvn is the one default spec without a 1-D solver
         assert [(s.family, s.params) for s in seen] == [e for e in cat.DEFAULT_SPECS if e[0] != "mvn"]
         assert len(seen) == 11
+
+    def test_integral_float_orders_are_orders(self):
+        spec, h = cat.make_spec("normal"), SineTest(1.0)
+        rows = vf.sweep(specs=[spec], orders=[0, 1.0], test_fns=[h])
+        assert [type(r.n) for r in rows] == [int, int]
+        assert rows == vf.sweep(specs=[spec], orders=[0, 1], test_fns=[h])
+
+    def test_order_that_is_no_natural_number_is_a_row(self):
+        spec, h = cat.make_spec("normal"), SineTest(1.0)
+        rows = vf.sweep(specs=[spec], orders=[0, 2.5, True, -1], test_fns=[h])
+        rejected = [r for r in rows if r.error is not None]
+        assert [r.n for r in rejected] == [-1, True, 2.5]
+        assert all("derivative order must be an integer >= 0" in r.error and r.passed is None for r in rejected)
+        assert [r.n for r in rows if r.error is None] == [0]
 
     def test_small_sweep_passes_and_sorts(self):
         specs = [cat.make_spec("normal"), cat.make_spec("quartic")]

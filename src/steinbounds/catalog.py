@@ -855,46 +855,32 @@ def prr_second_derivative_constant(s: float) -> float:
     raise ValidityError(f"prr constants defined for s = 1/2 or s >= 1, got {s}")
 
 
-_PRR_TABLE_NODES = 3001  # even nodes of the PRR U table
-_PRR_ANCHOR_STEPS = 16  # table nodes between the anchors that call hyp_u_with_slope
 _PRR_TAYLOR_TERMS = 14  # terms of the series about an anchor
 
 
 @functools.lru_cache(maxsize=16)
 def _prr_u_table(s: float):
-    """Quintic Hermite table of v(x) = U(s-1, 1/2, x^2/(2s)) on the solver
-    range, from v, v' and v'' at 3,001 even nodes.
+    """Taylor series of v(x) = U(s-1, 1/2, x^2/(2s)) about 189 anchors on
+    the solver range [0, x_hi]: the coefficients (_prr_taylor), the
+    anchors and x_hi.
 
-    hyp_u_with_slope runs only at the anchors, every 16th node and the
-    last (189 points, a few ms), and gives v and dU/dz, so v' = (x/s)
-    dU/dz; at x = 0 that tends to -sqrt(2 pi / s) / Gamma(s - 1) (the
-    coefficient of U's z^(1/2) term), which node 0 takes.  v solves s v''
-    - x v' - 2(s-1) v = 0, which has no singular point, so every other
-    node takes v and v' from one 14-term Taylor series about its nearest
-    anchor, at most 8 nodes away (_prr_taylor); the anchors keep their
-    values, and v'' at every node follows from the equation.  The table
-    reduces the million-point solver workloads to those 189 points.
-    Against 30-digit mpmath it is within 2e-14 relative of U and its slope
-    within 2e-12 (s = 1/2 to 20), where the quintic spline through the
-    values alone was off by 3.7e-12 and 1.3e-9 at s = 20.
+    The anchors lie every 16/3000 of x_hi from 0, and one more at x_hi,
+    half a spacing past the one before it.  hyp_u_with_slope runs at them
+    alone (the whole build takes about 0.5 ms) and gives v and dU/dz, so
+    v' = (x/s) dU/dz; at x = 0 that tends to -sqrt(2 pi / s) / Gamma(s -
+    1) (the coefficient of U's z^(1/2) term), which anchor 0 takes.  v
+    solves s v'' - x v' - 2(s-1) v = 0, which has no singular point, so
+    each anchor's 14-term series gives v and v' within half a spacing of
+    it (_prr_u_function, _prr_u_slope).  Against 30-digit mpmath both are
+    within 2e-14 relative of U and U' (s = 1/2 to 20), U' relative to
+    max(|U'|, |U|).
     """
     x_hi = 1.6 * math.sqrt(50.0 * s) + 6.0
-    xs = np.linspace(0.0, x_hi, _PRR_TABLE_NODES)
-    nodes = np.arange(_PRR_TABLE_NODES)
-    anchors = np.r_[nodes[::_PRR_ANCHOR_STEPS], nodes[-1]]
-    x0 = xs[anchors]
+    x0 = np.r_[np.arange(0, 3000, 16) * (x_hi / 3000), x_hi]
     v0, v0_z = sf.hyp_u_with_slope(s - 1.0, 0.5, np.maximum(x0 * x0 / (2.0 * s), 1e-300))
     slope0 = v0_z * x0 / s
     slope0[0] = -math.sqrt(2.0 * math.pi / s) * rgamma(s - 1.0)
-    coeffs = _prr_taylor(s, x0, v0, slope0)
-    # the anchor nearest to each node; an anchor steps by t = 0, which
-    # gives back its own v and v' exactly
-    near = np.rint(nodes / _PRR_ANCHOR_STEPS).astype(np.intp)
-    near[nodes > 0.5 * (anchors[-2] + anchors[-1])] = anchors.size - 1
-    t = xs - x0[near]
-    v = sf.taylor_step(coeffs, near, t)
-    slope = sf.taylor_slope(coeffs, near, t)
-    return sf.Hermite(xs, v, slope, (2.0 * (s - 1.0) * v + xs * slope) / s), x_hi
+    return _prr_taylor(s, x0, v0, slope0), x0, x_hi
 
 
 def _prr_taylor(s: float, x0, c0, c1):
@@ -908,18 +894,26 @@ def _prr_taylor(s: float, x0, c0, c1):
     return c
 
 
+def _prr_u_series(s: float, x):
+    """The arguments of special.taylor_step for x in [0, x_hi]: the series,
+    the index of each point's anchor and its step t from it.  The anchor
+    is found by arithmetic, rint(x / spacing), and x past the midpoint of
+    the last two anchors takes the last; an anchor steps by t = 0, which
+    gives back its own v and v' exactly.  fmin and fmax pass over a NaN,
+    so it takes an anchor, and t = NaN gives NaN."""
+    coeffs, x0, _ = _prr_u_table(s)
+    near = np.fmax(np.fmin(np.rint(x / x0[1]), x0.size - 2), 0.0) + (x > 0.5 * (x0[-2] + x0[-1]))
+    near = near.astype(np.intp)
+    return coeffs, near, x - x0[near]
+
+
 def _prr_u_function(s: float, x):
-    """Tabled evaluation of U(s-1, 1/2, x^2/(2s)) at |x|; direct fallback
-    beyond the table range (deep tail, where the density is ~1e-16 of
-    peak).  An array inside (0, x_hi] (every mesh node and grid point)
-    goes to the table as it is, with no absolute value, clip or mask: the
-    same bits, as abs and the clip leave such points unchanged."""
-    table, x_hi = _prr_u_table(s)
-    arr = np.asarray(x, dtype=float)
-    if arr.size and 0.0 < arr.min() and arr.max() <= x_hi:  # a NaN fails both
-        return table(arr)
-    arr = np.abs(arr)
-    out = np.asarray(table(np.minimum(arr, x_hi)))
+    """U(s-1, 1/2, x^2/(2s)) at |x|: the series of the nearest anchor up
+    to x_hi, and a direct evaluation beyond it (deep tail, where the
+    density is ~1e-16 of peak).  A float in gives a float out."""
+    _, _, x_hi = _prr_u_table(s)
+    arr = np.abs(np.asarray(x, dtype=float))
+    out = sf.taylor_step(*_prr_u_series(s, np.minimum(arr, x_hi)))  # minimum keeps a NaN
     far = arr > x_hi
     if np.any(far):
         tail = arr[far]
@@ -928,12 +922,11 @@ def _prr_u_function(s: float, x):
 
 
 def _prr_u_slope(s: float, x: np.ndarray) -> np.ndarray:
-    """d/dx of the tabled U(s-1, 1/2, x^2/(2s)) on the table's range: the
-    derivative of the quintic table itself, so it is the slope of the very
-    v that _prr_u_function gives.  Every PRR grid lies inside the table
-    (its end is 4.7 at s = 1/2 against 14, and 13.1 at s = 20 against
-    56.6)."""
-    return _prr_u_table(s)[0].slope(x)
+    """d/dx of U(s-1, 1/2, x^2/(2s)) for x in [0, x_hi], from the same
+    series that give _prr_u_function's v.  Every PRR grid lies inside
+    that range (its end is 4.7 at s = 1/2 against 14, and 13.1 at s = 20
+    against 56.6)."""
+    return sf.taylor_slope(*_prr_u_series(s, x))
 
 
 def _prr_spec(s: float) -> DistributionSpec:

@@ -6,7 +6,7 @@ representation, then walks derivative values up through the iterated
 equations (spec.operator.level(k)) by pointwise algebra rather than
 numerical differentiation.  The second-order solves return the first
 derivative from their representations too (vg from the derivatives of
-its Bessel prefactors, PRR from the slope of its U table), so every
+its Bessel prefactors, PRR from the slope of its U series), so every
 order above them is exact algebra on the level equations.
 
 Grids are quantile-based: they cover [q(1e-8), q(1 - 1e-8)] plus a 20%
@@ -92,12 +92,11 @@ also the mesh's independent oracle.
 
 The PRR solve interpolates its inner integral between grid points by a
 cubic Hermite interpolant (``special.Hermite``) with the integrand as its
-exact slope, and
-evaluates it at the nodes panel by panel (``Hermite.on_intervals``): node
-row i lies in grid panel i, so no node is searched for.  Its kernel v is
-catalog's U table, whose nodes step from sparse anchors by Horner's rule
-on Taylor series (``special.taylor_step``); the table's even nodes give
-each point its interval by arithmetic.
+exact slope, and names each point's interval (``Hermite.at``): node row i
+lies in grid panel i, and each Gauss-Legendre end row in the panel it
+integrates, the range from 0 in the first, so no point is searched for.
+Its kernel v sums the Taylor series of the nearest of catalog's sparse U
+anchors (``special.taylor_step``), found by arithmetic.
 """
 
 from __future__ import annotations
@@ -264,16 +263,16 @@ def parse_test_function(token: str):
 
 
 def expectation(spec: DistributionSpec, h) -> float:
-    """E h(Z) by adaptive quadrature over the support (abs error <= 1e-10):
-    the vg solve's E h, and the independent oracle of the mesh's E h that
-    every other solve takes (_split_integral)."""
+    """E h(Z) by adaptive quadrature over the support (abs error <= 1e-10,
+    else NumericError): the vg solve's E h, and the independent oracle of
+    the mesh's E h that every other solve takes (_split_integral)."""
 
     def integrand(t):
         return spec.density(t) * h.value(t)
 
     lo, hi = spec.support
     total, err = sf.integrate(integrand, lo, hi, spec.delicate_points, epsabs=1e-12, epsrel=1e-11)
-    if err > 1e-8:
+    if not err <= 1e-10:
         raise NumericError(f"expectation quadrature error estimate {err:.2e} too large")
     return total
 
@@ -938,8 +937,10 @@ def _solve_prr(mesh, h):
     """f = (v/s) A with A(x) the integral of g / (v kappa) from 0 to x,
     where g is the split integral of kappa * (h - E h), kappa being the
     density, and f' = (v' A + g / kappa) / s, v' the slope of the same U
-    table that gives v.  Between grid points g is its cubic Hermite
-    interpolant, with the exact slope g' = kappa * (h - E h)."""
+    series that give v.  Between grid points g is its cubic Hermite
+    interpolant, with the exact slope g' = kappa * (h - E h); node row i
+    takes interval i, and so does each Gauss-Legendre end row of a panel
+    range (grid[i], grid[i+1]), the range (0, grid[0]) interval 0."""
     spec, grid = mesh.spec, mesh.grid
     s = spec.params["s"]
     # U is evaluated once at the nodes and once on the grid: kappa is
@@ -957,9 +958,12 @@ def _solve_prr(mesh, h):
     # all in one call of the outer integrand g / (v kappa); the rows lead
     # ends.keys
     y = ends.nodes
-    outer = np.sum(ends.unit * (g(y) / (spec.kernel_v(y) * spec.density(y))), axis=1)
+    interval = {key: i for i, _, terms in _panel_ranges(mesh) for key, _ in terms} | {(0.0, float(grid[0])): 0}
+    rows = np.array([interval[key] for key in ends.keys[:len(y)]])[:, None]
+    outer = np.sum(ends.unit * (g.at(y, rows) / (spec.kernel_v(y) * spec.density(y))), axis=1)
     fac = mesh.factor("v_kappa", lambda xs: u * kappa, mesh.xs)
-    integral = _Integral(mesh, g.on_intervals(mesh.xs) / fac, dict(zip(ends.keys, outer.tolist())), 0.0)
+    node_g = g.at(mesh.xs, np.arange(grid.size - 1)[:, None])
+    integral = _Integral(mesh, node_g / fac, dict(zip(ends.keys, outer.tolist())), 0.0)
     a_vals = integral.from_anchor(0.0)
     f = v * a_vals / s
     f1 = (mesh.factor("v_slope", spec.kernel_v_slope, grid) * a_vals + g_vals / kappa_grid) / s

@@ -11,10 +11,10 @@ package's one adaptive quadrature rule: QUADPACK's QAGS and QAGI ported to
 numpy, each rule application one call of the integrand on an array of
 nodes; ``gauss_jacobi`` gives the fixed rules with a power-law weight
 that the solver uses at the finite support ends instead.  ``Hermite``
-interpolates on even nodes from values and derivatives without a linear
-solve, and finds a point's interval by arithmetic, without a search;
-``taylor_step`` is its Horner rule, which also steps catalog's PRR U
-table from sparse anchors.
+interpolates by cubics from values and derivatives without a linear
+solve, at points whose interval the caller names, without a search;
+``taylor_step`` is its Horner rule, which also sums catalog's PRR U
+series about sparse anchors.
 ``retain_freed_memory`` sets the C allocator's policy for the solver's
 large node arrays (glibc's mallopt, through ctypes).
 The package never imports scipy.integrate or scipy.interpolate, whose
@@ -686,76 +686,26 @@ def hyp_u(a: float, b: float, x) -> float:
 
 
 class Hermite:
-    """The piecewise Hermite interpolant of a function from its values
-    and first derivatives (cubic) or also its second derivatives (quintic)
-    at the even nodes x (equally spaced up to rounding).  Each interval
-    carries its polynomial in t = (y - x_i) / (x_(i+1) - x_i); past the
-    end nodes the end intervals' polynomials continue.  Building it takes
-    no linear solve.
+    """The piecewise cubic Hermite interpolant of a function from its
+    values and first derivatives at the nodes x.  Interval i carries its
+    polynomial in t = (y - x_i) / (x_(i+1) - x_i); building it takes no
+    linear solve, and the caller names each point's interval, so no
+    search runs."""
 
-    A point's interval is found by arithmetic, not by a search: floor((y
-    - x_0) / w), w the mean node spacing, is at most one off, and one
-    comparison with each neighbouring knot corrects it.  So it is the
-    largest i with x_i <= y, clipped to the intervals, for every input (a
-    NaN or +inf takes the last interval, -inf the first), as
-    searchsorted(x, y, "right") - 1 gives it."""
-
-    def __init__(self, x, values, slopes, curvatures=None):
+    def __init__(self, x, values, slopes):
         self.x = x = np.asarray(x, dtype=float)
         self.width = h = np.diff(x)
-        self.step = (x[-1] - x[0]) / h.size
-        if not np.max(np.abs(x - (x[0] + self.step * np.arange(x.size)))) < 0.25 * self.step:
-            raise ValueError("Hermite nodes must be even")
         p0, p1 = values[:-1], values[1:]
         m0, m1 = h * slopes[:-1], h * slopes[1:]
         jump = p1 - p0
-        if curvatures is None:
-            self.coeffs = np.stack([p0, m0, 3.0 * jump - 2.0 * m0 - m1, m0 + m1 - 2.0 * jump])
-        else:
-            q0, q1 = h * h * curvatures[:-1], h * h * curvatures[1:]
-            self.coeffs = np.stack([
-                p0,
-                m0,
-                0.5 * q0,
-                10.0 * jump - 6.0 * m0 - 4.0 * m1 - 1.5 * q0 + 0.5 * q1,
-                -15.0 * jump + 8.0 * m0 + 7.0 * m1 + 1.5 * q0 - q1,
-                6.0 * jump - 3.0 * m0 - 3.0 * m1 - 0.5 * q0 + 0.5 * q1,
-            ])
+        self.coeffs = np.stack([p0, m0, 3.0 * jump - 2.0 * m0 - m1, m0 + m1 - 2.0 * jump])
 
-    def __call__(self, y):
-        """The interpolant at y (float or array)."""
-        return self._horner(y, self.coeffs)
-
-    def slope(self, y):
-        """The interpolant's derivative at y (float or array)."""
-        return self._horner(y, [k * c / self.width for k, c in enumerate(self.coeffs)][1:])
-
-    def on_intervals(self, y):
-        """The interpolant at the 2-D array y whose row i lies in interval
-        i, with no search: each row takes its interval's polynomial, so the
-        values equal those of the call bit for bit."""
-        rows = (slice(None), None)  # interval i's coefficient along row i
-        return taylor_step(self.coeffs, rows, (y - self.x[:-1, None]) / self.width[:, None])
-
-    def intervals(self, y):
-        """The interval of each point of y (float or array): the largest i
-        with x_i <= y, clipped to [0, intervals - 1]."""
-        x, last = self.x, self.width.size - 1
-        y = np.asarray(y, dtype=float)
-        with np.errstate(over="ignore"):  # a huge |y| only clips
-            guess = (y - x[0]) / self.step
-        # fmin and fmax pass over a NaN, so it takes the last interval; the
-        # cast truncates, which is the floor of the clipped guess
-        i = np.fmax(np.fmin(guess, last), 0.0).astype(np.intp)
-        i -= (y < x[i]) & (i > 0)
-        i += (y >= x[i + 1]) & (i < last)
-        return i
-
-    def _horner(self, y, coeffs):
-        y_arr = np.asarray(y, dtype=float)
-        i = self.intervals(y_arr)
-        out = taylor_step(coeffs, i, (y_arr - self.x[i]) / self.width[i])
-        return float(out) if y_arr.ndim == 0 else out
+    def at(self, y, i):
+        """The interpolant at y by the polynomial of interval i, an index
+        array that broadcasts against y (a column gives each row of y one
+        interval); past the end nodes the end intervals' polynomials
+        continue."""
+        return taylor_step(self.coeffs, i, (y - self.x[i]) / self.width[i])
 
 
 def taylor_step(coeffs, near, t):

@@ -126,18 +126,15 @@ def _coefficient_rows(coeffs: BoundCoefficients) -> list[dict]:
 
 
 def verify(spec: DistributionSpec, n: int, h, mode: str | None = None) -> VerificationReport:
-    """Bound vs. empirical sup-norm for one (family, order, test function).
+    """Bound vs. empirical sup-norm for one (family, order, test function):
+    the one row of _sweep_spec, whose rejection raises ValidityError.
 
     The solve starts only once the bound is known to be priceable.
     """
-    n = derivative_order(n)
-    mode = resolve_mode(spec, mode)
-    coeffs = bound_for(spec, n, mode)
-    # whether a norm slot can be priced does not depend on E h(Z), so a
-    # bound that cannot be priced fails here, before a solve starts
-    norms_for(h, coeffs, 0.0)
-    solution = propagate_derivatives(solve(spec, h), max(n, spec.operator_order))
-    return _cell(n, mode, coeffs, solution)
+    (report,) = _sweep_spec(spec, resolve_mode(spec, mode), [n], [h])
+    if report.error is not None:
+        raise ValidityError(report.error)
+    return report
 
 
 def _cell(n: int, mode: str, coeffs: BoundCoefficients, solution: SteinSolution) -> VerificationReport:
@@ -174,21 +171,22 @@ def sweep(specs=None, orders=range(5), test_fns=None) -> list[VerificationReport
     orders = list(orders)
     reports: list[VerificationReport] = []
     for spec in specs:
-        reports.extend(_sweep_spec(spec, orders, test_fns))
+        reports.extend(_sweep_spec(spec, spec.default_mode, orders, test_fns))
     reports.sort(key=lambda r: (r.family, r.param_string, r.test_fn, r.n))
     return reports
 
 
-def _sweep_spec(spec, orders, test_fns) -> list[VerificationReport]:
-    """The sweep rows of one spec.  The mesh lives only as long as this
-    call, so a sweep holds one spec's mesh at a time."""
-    mode = spec.default_mode
+def _sweep_spec(spec, mode, orders, test_fns) -> list[VerificationReport]:
+    """The rows of one spec under mode: verify's one row and a sweep's
+    rows.  The mesh lives only as long as this call, so a sweep holds one
+    spec's mesh at a time."""
     bounds, rejected = [], []
     for n in orders:
         try:
             n = derivative_order(n)
             coeffs = bound_for(spec, n, mode)
-            # as in verify: an unpriceable bound is rejected before any solve
+            # whether a norm slot can be priced does not depend on E h(Z), so
+            # an unpriceable bound is rejected before any solve
             for h in test_fns:
                 norms_for(h, coeffs, 0.0)
         except ValidityError as exc:

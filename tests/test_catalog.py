@@ -8,6 +8,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from steinbounds import catalog as cat
@@ -106,82 +108,116 @@ class TestDensities:
 
 
 class TestPrrUTable:
+    """v(x) = U(s-1, 1/2, x^2/(2s)) from the 14-term Taylor series of the
+    nearest of 189 anchors, which alone call the DE rule."""
+
     def test_table_build_runs_no_adaptive_quadrature(self, monkeypatch):
         monkeypatch.setattr(cat.sf, "integrate", None)
-        table, x_hi = cat._prr_u_table.__wrapped__(5.67)
-        assert table(1.0) > 0.0 and x_hi > 0.0
+        coeffs, x0, x_hi = cat._prr_u_table.__wrapped__(5.67)
+        assert len(coeffs) == 14 and all(np.all(np.isfinite(c)) for c in coeffs)
+        assert x0[-1] == x_hi > 0.0
 
-    @pytest.mark.parametrize("s", [0.5, 1.5, 4.67, 12.0, 20.0])
-    def test_table_and_slope_against_mpmath(self, s):
-        # the quintic Hermite table from U, U' and U'' at its nodes, which
-        # step from the anchors by the equation's Taylor series: within
-        # 2e-14 relative of U and 2e-12 of U' over the whole table, at
-        # nodes 8 steps from an anchor (the longest step), at midpoints
-        # between nodes and up to the last node (the quintic spline it
-        # replaced: 3.7e-12 and 1.3e-9 at s = 20)
-        table, x_hi = cat._prr_u_table(s)
-        nodes, width = table.x, table.width[0]
-        far = nodes[8:-1:16 * 11]
-        mids = nodes[3:-1:16 * 13] + 0.5 * width
-        xs = np.concatenate([[1e-9, 1e-4, 0.003], far, mids, nodes[[1, 2996, 2997]], [x_hi - 0.5 * width, x_hi]])
-        assert xs.max() == x_hi and len(far) >= 17 and len(mids) >= 14
+    @staticmethod
+    def _assert_near_mpmath(s, xs):
+        # within 2e-14 relative of 30-digit mpmath (U' relative to
+        # max(|U'|, |U|), as U' = 0 at s = 1); the anchors' DE rule is
+        # within 2.3e-14 of U.  Anchor 0 takes the U of z = 1e-300, which
+        # is 1e-150 at s = 1/2 (U = x), so U keeps that much absolute error
         values, slopes = cat._prr_u_function(s, xs), cat._prr_u_slope(s, xs)
         with mpmath.workdps(30):
             for x, v, dv in zip(xs, values, slopes):
                 z = mpmath.mpf(x) ** 2 / (2 * s)
                 u = mpmath.hyperu(s - 1, 0.5, z)
                 du = -(s - 1) * mpmath.hyperu(s, 1.5, z) * x / s
-                assert abs(v - u) <= 2e-14 * abs(u), x
-                assert abs(dv - du) <= 2e-12 * max(abs(du), abs(u)), x
+                assert abs(v - u) <= 2e-14 * abs(u) + 1e-150, x
+                assert abs(dv - du) <= 2e-14 * max(abs(du), abs(u)), x
+
+    @pytest.mark.parametrize("s", [0.5, 1.5, 4.67, 12.0, 20.0])
+    def test_table_and_slope_against_mpmath(self, s):
+        # U and U' near x = 0, at anchors, half a spacing from an anchor
+        # (the longest step) and up to x_hi
+        _, x0, x_hi = cat._prr_u_table(s)
+        halfway = x0[1:-1:12] + 0.5 * x0[1]
+        xs = np.concatenate([[1e-9, 1e-4, 0.003], x0[5:-1:23], halfway, [0.5 * (x0[-2] + x_hi), x_hi]])
+        assert xs.max() == x_hi and len(halfway) >= 15
+        self._assert_near_mpmath(s, xs)
+
+    @settings(max_examples=60)
+    @given(
+        s=st.one_of(st.just(0.5), st.floats(1.0, 20.0)),
+        share=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    @example(s=20.0, share=1.0)
+    @example(s=20.0, share=1e-9)
+    @example(s=0.5, share=1e-5)
+    def test_table_and_slope_against_mpmath_at_any_point(self, s, share):
+        # the same bounds at any x in (0, x_hi] and any s in {1/2}, [1, 20]
+        self._assert_near_mpmath(s, np.array([share * cat._prr_u_table(s)[2]]))
 
     def test_table_is_exact_where_u_is_elementary(self):
         # s = 1: U(0, 1/2, z) = 1, so every series coefficient past the
-        # first is 0 and the table is 1 with slope 0 everywhere
-        table, _ = cat._prr_u_table(1.0)
-        xs = np.concatenate([table.x, table.x[:-1] + 0.5 * table.width])
-        assert np.all(table(xs) == 1.0) and np.all(table.slope(xs) == 0.0)
-        # s = 1/2: U(-1/2, 1/2, x^2) = x; the nodes that step from x = 0
-        # take its slope limit, 1 to within an ulp, and node 0 the U of
-        # z = 1e-300
-        table, _ = cat._prr_u_table(0.5)
-        v, x = table(table.x), table.x
-        assert v[0] == pytest.approx(0.0, abs=1e-149)
-        assert np.all(v[9:] == x[9:]) and np.all(np.abs(v[1:9] - x[1:9]) <= 2.3e-16 * x[1:9])
-        assert np.all(np.abs(table.slope(x) - 1.0) <= 1e-15)
+        # first is 0: v is 1 and its slope 0 everywhere
+        _, x0, x_hi = cat._prr_u_table(1.0)
+        xs = np.concatenate([np.linspace(0.0, x_hi, 3001), x0[:-1] + 0.5 * x0[1]])
+        assert np.all(cat._prr_u_function(1.0, xs) == 1.0) and np.all(cat._prr_u_slope(1.0, xs) == 0.0)
+        # s = 1/2: U(-1/2, 1/2, x^2) = x; the anchors keep it exactly, the
+        # points that step from x = 0 take its slope limit, 1 to within an
+        # ulp, and x = 0 the U of z = 1e-300
+        _, x0, x_hi = cat._prr_u_table(0.5)
+        xs = np.linspace(0.0, x_hi, 30001)[1:]
+        v = cat._prr_u_function(0.5, xs)
+        assert cat._prr_u_function(0.5, 0.0) == pytest.approx(0.0, abs=1e-149)
+        assert np.all(cat._prr_u_function(0.5, x0[1:]) == x0[1:])
+        assert np.all(np.abs(v - xs) <= 2.3e-16 * xs)
+        assert np.all(np.abs(cat._prr_u_slope(0.5, np.r_[0.0, xs]) - 1.0) <= 1e-15)
 
     def test_table_build_sends_189_points_to_the_de_rule(self, monkeypatch):
-        # hyp_u_with_slope runs at every 16th of the 3,001 nodes and the last
-        # (node 0 then takes its slope limit); the anchors keep the rule's U
-        sizes, values = [], []
+        # hyp_u_with_slope runs at the 189 anchors (anchor 0 then takes its
+        # slope limit); each anchor keeps the rule's U and U' exactly
+        s, calls = 7.3, []
         rule = cat.sf.hyp_u_with_slope
 
         def recorded(a, b, x):
             out = rule(a, b, x)
-            sizes.append(np.size(x))
-            values.append(out[0])
+            calls.append((np.size(x), out))
             return out
 
         monkeypatch.setattr(cat.sf, "hyp_u_with_slope", recorded)
-        table, _ = cat._prr_u_table.__wrapped__(7.3)
-        assert sizes == [189] and table.x.size == 3001
-        assert np.array_equal(table(table.x[::16]), values[0][:-1])
-        assert table(table.x[-1]) == pytest.approx(values[0][-1], rel=1e-15)
+        coeffs, x0, _ = cat._prr_u_table.__wrapped__(s)
+        monkeypatch.setattr(cat, "_prr_u_table", lambda _: (coeffs, x0, x0[-1]))
+        ((size, (values, slopes)),) = calls
+        assert size == x0.size == 189
+        assert np.array_equal(cat._prr_u_function(s, x0), values)
+        assert np.array_equal(cat._prr_u_slope(s, x0[1:]), slopes[1:] * x0[1:] / s)
 
     def test_deep_tail_values_are_direct_evaluations(self):
-        # beyond the table, each point gets U from hyp_u on the far points
+        # beyond the series, each point gets U from hyp_u on the far points
         # alone; the values equal a pointwise evaluation bit for bit
         s = 5.67
-        _, x_hi = cat._prr_u_table(s)
+        x_hi = cat._prr_u_table(s)[2]
         xs = np.array([0.5, 0.5 * x_hi, x_hi + 1.0, 2.0 * x_hi])
         got = cat._prr_u_function(s, xs)
         for x, v in zip(xs[2:], got[2:]):
             assert v == hyp_u(s - 1.0, 0.5, x * x / (2.0 * s))
             assert cat._prr_u_function(s, float(x)) == v
 
+    def test_nan_gives_nan_and_a_float_gives_a_float(self):
+        s = 4.9
+        xs = np.array([np.nan, 0.7, -0.7, 3.1])
+        got = cat._prr_u_function(s, xs)
+        assert np.isnan(got[0]) and got[1] == got[2] and np.isnan(cat._prr_u_slope(s, xs[:1]))
+        for x, v in zip(xs[1:], got[1:]):
+            assert type(cat._prr_u_function(s, float(x))) is float
+            assert cat._prr_u_function(s, float(x)) == cat._prr_u_function(s, np.array(x)) == v
+        assert type(cat._prr_u_function(s, np.array(0.7))) is float
+        assert math.isnan(cat._prr_u_function(s, math.nan))
+        assert cat._prr_u_slope(s, np.array(0.7)) == cat._prr_u_slope(s, xs)[1]
+
     def test_slope_table_covers_every_grid(self):
-        # PRR's f' reads v' off the table: every grid ends inside it
+        # PRR's f' reads v' off the series: every grid lies inside [0, x_hi]
         for s in (0.5, 1.0, 20.0):
-            assert build_mesh(cat.make_spec("prr", s=s)).grid[-1] < cat._prr_u_table(s)[1]
+            grid = build_mesh(cat.make_spec("prr", s=s)).grid
+            assert 0.0 < grid[0] and grid[-1] < cat._prr_u_table(s)[2]
 
 
 class TestVgScaleConstant:

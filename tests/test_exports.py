@@ -12,7 +12,7 @@ import pytest
 import steinbounds
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(steinbounds.__path__))
-DEFAULTED_PARAMETERS = 14  # ROADMAP aim 2: a parameter with one value in use is a constant
+DEFAULTED_PARAMETERS = 13  # ROADMAP aim 2: a parameter with one value in use is a constant
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -100,6 +100,16 @@ class TestExpectation:
         # int_0^inf sin(x) e^-x dx = 1/2
         assert expectation(spec, SineTest(1.0)) == pytest.approx(0.5, abs=1e-10)
 
+    def test_error_estimate_above_its_bound_raises(self, monkeypatch):
+        # the docstring's 1e-10 is enforced: the largest estimate measured
+        # over the default specs and the window draws is 9.4e-12
+        from steinbounds.errors import NumericError
+
+        integrate_ = sv.sf.integrate
+        monkeypatch.setattr(sv.sf, "integrate", lambda *args, **kwargs: (integrate_(*args, **kwargs)[0], 5e-10))
+        with pytest.raises(NumericError, match="5.00e-10"):
+            expectation(cat.make_spec("normal"), CosineTest(1.0))
+
     def test_prr_mean_against_quad(self):
         spec = cat.make_spec("prr", s=2.5)
         h = CosineTest(1.0)
@@ -289,7 +299,7 @@ class TestPropagationAgainstFiniteDifferences:
     )
     def test_analytic_first_derivative(self, family, params):
         # vg's f' comes from its Bessel prefactors, PRR's from the slope of
-        # its U table: both against differences of the solved f
+        # its U series: both against differences of the solved f
         spec = cat.make_spec(family, **params)
         h = SineTest(1.0)
         sol = solve(spec, h)
@@ -802,7 +812,7 @@ class TestRangesNextToDelicatePoints:
         integrands = (
             spec.density,
             lambda y: spec.density(y) * h.value(y),
-            lambda y: g(y) / (spec.kernel_v(y) * spec.density(y)),
+            lambda y: g.at(y, _searched(mesh.grid, y)) / (spec.kernel_v(y) * spec.density(y)),
         )
         values = (ends.p[:len(ruled)], ends.integrals(h)[0][:len(ruled)], np.sum(ends.unit * integrands[2](ends.nodes), axis=1))
         for fn, got in zip(integrands, values):
@@ -1133,70 +1143,41 @@ class TestMeshFactorsAreEvaluatedOnce:
         assert mesh.xs.shape not in density_calls
 
 
-class TestPrrInterpolantAtTheNodes:
-    """PRR's g is evaluated at the nodes by their own grid panel: node row
-    i lies inside panel i, so no search finds it."""
-
-    def test_panel_evaluation_equals_the_call_bit_for_bit(self):
-        for s in (1.0, 4.9, 19.2):
-            mesh = sv.build_mesh(cat.make_spec("prr", s=s))
-            grid = mesh.grid
-            g = sv.sf.Hermite(grid, np.sin(grid) * np.exp(-grid), np.cos(grid) - grid)
-            assert np.array_equal(g.on_intervals(mesh.xs), g(mesh.xs))
-
-    def test_a_solve_searches_no_node_but_the_u_tables(self, monkeypatch):
-        # the one search over the nodes is the U node factor's, on the U
-        # table; g, the solve's own interpolant, is never called on them
-        spec = cat.make_spec("prr", s=6.1)
-        mesh = sv.build_mesh(spec)
-        searched = []
-        call = sv.sf.Hermite.__call__
-
-        def recorded(self, y):
-            if np.shape(y) == mesh.xs.shape:
-                searched.append(self)
-            return call(self, y)
-
-        monkeypatch.setattr(sv.sf.Hermite, "__call__", recorded)
-        for h in (SineTest(1.0), CosineTest(2.0)):
-            solve(spec, h, mesh=mesh)
-        assert searched == [cat._prr_u_table(6.1)[0]]
-
-
 def _searched(x, y):
     """The interval of y that searchsorted finds among the knots x."""
     return np.clip(np.searchsorted(x, y, side="right") - 1, 0, x.size - 2)
 
 
-class TestHermiteIntervals:
-    """Hermite finds each point's interval by arithmetic on its even nodes,
-    corrected against the neighbouring knots: it must be the interval that
-    searchsorted finds, at and beside every knot, beyond both ends and at
-    NaN and +-inf, without a warning (tier-1 makes one an error)."""
+class TestPrrInterpolantAtTheNodes:
+    """PRR's g is evaluated at the nodes by their own grid panel: node row
+    i lies inside panel i, so no search finds it."""
 
-    @staticmethod
-    def interpolants():
-        for s in (0.5, 4.9, 20.0):
-            yield cat._prr_u_table(s)[0]
-        grid = sv.build_mesh(cat.make_spec("prr", s=4.9)).grid  # a PRR solve's g
-        yield sv.sf.Hermite(grid, np.sin(grid), np.cos(grid))
+    def test_panel_evaluation_equals_the_searched_one_bit_for_bit(self):
+        for s in (1.0, 4.9, 19.2):
+            mesh = sv.build_mesh(cat.make_spec("prr", s=s))
+            grid = mesh.grid
+            g = sv.sf.Hermite(grid, np.sin(grid) * np.exp(-grid), np.cos(grid) - grid)
+            rows = np.arange(grid.size - 1)[:, None]
+            assert np.array_equal(g.at(mesh.xs, rows), g.at(mesh.xs, _searched(grid, mesh.xs)))
 
-    def test_intervals_are_those_of_the_search(self):
-        specials = [np.nan, np.inf, -np.inf, 1e300, -1e300]
-        for table in self.interpolants():
-            x = table.x
-            span = x[-1] - x[0]
-            y = np.concatenate([
-                x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
-                [x[0] - span, x[0] - 1e-3 * span, x[-1] + 1e-3 * span, x[-1] + span], specials,
-            ])
-            assert np.array_equal(table.intervals(y), _searched(x, y))
-            for point in specials:
-                assert table.intervals(point) == _searched(x, point)
+    @pytest.mark.parametrize("s", [1.0, 4.9, 19.2])
+    def test_every_named_interval_is_the_searched_one(self, monkeypatch, s):
+        # node row i takes panel i, each Gauss-Legendre end row the panel
+        # it integrates and the range from 0 the first: the interval a
+        # search finds for every point
+        spec = cat.make_spec("prr", s=s)
+        mesh = sv.build_mesh(spec)
+        named, at = [], sv.sf.Hermite.at
 
-    def test_uneven_nodes_are_refused(self):
-        with pytest.raises(ValueError, match="even"):
-            sv.sf.Hermite(np.array([0.0, 1.0, 3.0]), np.zeros(3), np.zeros(3))
+        def recorded(self, y, i):
+            named.append((y, i))
+            return at(self, y, i)
+
+        monkeypatch.setattr(sv.sf.Hermite, "at", recorded)
+        solve(spec, CosineTest(1.3), mesh=mesh)
+        assert [np.shape(y)[0] for y, _ in named] == [len(mesh.delicate[0.0]) + 1, mesh.grid.size - 1]
+        for y, i in named:
+            assert np.array_equal(np.broadcast_to(i, y.shape), _searched(mesh.grid, y))
 
     def test_a_prr_solve_searches_no_array_of_the_nodes(self, monkeypatch):
         spec = cat.make_spec("prr", s=7.3)

@@ -35,10 +35,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
-from scipy.special import (
-    betainc, betaincinv, gammainc, gammaincc, gammainccinv, gammaincinv, ndtr, ndtri, rgamma, stdtr, stdtrit,
-)
-from scipy.special import kve as _sp_kve
 
 from . import special as sf
 from .engine import (
@@ -51,6 +47,9 @@ from .engine import (
     value_coupled_bound,
 )
 from .errors import NumericError, ValidityError
+from .special import (
+    betainc, betaincinv, gammainc, gammaincc, gammainccinv, gammaincinv, ndtr, ndtri, rgamma, stdtr, stdtrit,
+)
 
 __all__ = [
     "DistributionSpec",
@@ -1070,7 +1069,7 @@ def _vg_spec(r: float, theta: float, sigma: float) -> DistributionSpec:
         # beyond about 1e9.  _on_support keeps +-inf and NaN out (0 there).
         ax = np.maximum(np.abs(x), 1e-12)
         scale = np.exp(log_norm + beta * x - alpha * ax + nu * np.log(ax / half_scale))
-        return np.where(scale > 0.0, scale * _sp_kve(nu, alpha * ax), 0.0)
+        return np.where(scale > 0.0, scale * sf.kve(nu, alpha * ax), 0.0)
 
     b0_over_root, b0_over_s2 = vg_base_constants(r, theta, sigma)
     subs = {

@@ -107,7 +107,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy import special as _sp
 
 from . import special as sf
 from .catalog import DistributionSpec, quantiles
@@ -832,7 +831,7 @@ def _vg_bessels(mesh, nu, alpha):
         table[:_DIRECT_STEPS] = fn(nu, z0[:_DIRECT_STEPS, None] + alpha * (dx * v[1:]))
         return out[:, steps], np.concatenate([table[:i0][::-1, ::-1], table[:steps.size - 1 - i0]])
 
-    (grid_i, nodes_i), (grid_k, nodes_k) = kernel(_sp.ive, -1.0), kernel(_sp.kve, 1.0)
+    (grid_i, nodes_i), (grid_k, nodes_k) = kernel(sf.ive, -1.0), kernel(sf.kve, 1.0)
     return np.concatenate([grid_i, grid_k]), nodes_i, nodes_k
 
 
@@ -854,11 +853,11 @@ def _solve_vg(mesh, h):
     # alpha, so the tail quadratures cannot overflow.
     def kernel_i(y):
         ay = np.abs(y)
-        return np.exp(beta * y + alpha * ay) * ay ** nu * _sp.ive(nu, alpha * ay) * htilde(y)
+        return np.exp(beta * y + alpha * ay) * ay ** nu * sf.ive(nu, alpha * ay) * htilde(y)
 
     def kernel_k(y):
         ay = np.maximum(np.abs(y), 1e-300)
-        return np.exp(beta * y - alpha * ay) * ay ** nu * _sp.kve(nu, alpha * ay) * htilde(y)
+        return np.exp(beta * y - alpha * ay) * ay ** nu * sf.kve(nu, alpha * ay) * htilde(y)
 
     def factors():
         """vg's h-independent arrays, from one _vg_bessels pass.  First

@@ -1,5 +1,6 @@
 """Numerical kernel: special functions, one adaptive quadrature rule and
-piecewise Hermite interpolation, on numpy and scipy.special only.
+piecewise Hermite interpolation, on numpy and scipy.special's compiled
+ufuncs only.
 
 The special functions are a thin, contract-checked layer over
 ``scipy.special``: gamma and log-gamma, double factorials, Pochhammer
@@ -17,7 +18,16 @@ solve, at points whose interval the caller names, without a search;
 series about sparse anchors.
 ``retain_freed_memory`` sets the C allocator's policy for the solver's
 large node arrays (glibc's mallopt, through ctypes).
-The package never imports scipy.integrate or scipy.interpolate, whose
+
+This module is the package's one importer of scipy.  It also hands
+catalog, solver and verifier the raw ufuncs they call (``betainc`` ...
+``stdtrit``, ``ive``, ``kve``).  All of them come from the extension
+module ``scipy.special._ufuncs``, imported without scipy.special's
+package ``__init__`` (see ``_scipy_special_ufuncs``): that ``__init__``'s
+array-API layer imports numpy.f2py, numpy.testing, numpy.ma and
+numpy.random, none of which the package uses, and costs about 0.19 s,
+half of ``import steinbounds`` (2-core Xeon, scipy 1.17).  The
+package never imports scipy.integrate or scipy.interpolate either, whose
 import pulls in scipy.linalg, sparse, optimize and fft and would double
 the start-up time of every CLI call.
 
@@ -31,9 +41,54 @@ import ctypes
 import functools
 import math
 import os
+import sys
+import types
 
 import numpy as np
-from scipy import special as _sp
+import scipy
+
+
+def _scipy_special_ufuncs():
+    """The module that holds scipy.special's compiled ufuncs:
+    ``scipy.special._ufuncs``, imported with the extension modules it
+    imports itself (``_ufuncs_cxx``, ``_special_ufuncs``, ``_gufuncs``,
+    ``_ellip_harm_2``) but without scipy.special's package ``__init__``.
+
+    If scipy.special is already imported, it is used as it is.  Otherwise
+    a bare package module with scipy.special's ``__path__`` stands in for
+    it while ``_ufuncs`` is imported, and is removed again.  A later
+    ``import scipy.special`` runs the real ``__init__``, which binds the
+    very same ufunc objects.  A scipy whose private layout differs
+    (pyproject allows scipy >= 1.10) raises ImportError there and gets the
+    public package instead.
+
+    Caveat: for the duration of that one extension import, inside this
+    package's own import, ``sys.modules["scipy.special"]`` is the
+    stand-in, which has no attribute but the extension modules.
+    """
+    if "scipy.special" in sys.modules:
+        return sys.modules["scipy.special"]
+    stand_in = types.ModuleType("scipy.special")
+    stand_in.__path__ = [os.path.join(os.path.dirname(scipy.__file__), "special")]
+    sys.modules["scipy.special"] = stand_in
+    try:
+        from scipy.special import _ufuncs
+
+        return _ufuncs
+    except ImportError:
+        pass
+    finally:
+        del sys.modules["scipy.special"]
+    from scipy import special
+
+    return special
+
+
+_sp = _scipy_special_ufuncs()
+# the ufuncs that catalog, solver and verifier call as scipy defines them
+betainc, betaincinv, gammainc, gammaincc = _sp.betainc, _sp.betaincinv, _sp.gammainc, _sp.gammaincc
+gammainccinv, gammaincinv, ndtr, ndtri = _sp.gammainccinv, _sp.gammaincinv, _sp.ndtr, _sp.ndtri
+rgamma, stdtr, stdtrit, ive, kve = _sp.rgamma, _sp.stdtr, _sp.stdtrit, _sp.ive, _sp.kve
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
@@ -656,12 +711,13 @@ def hyp_u_with_slope(a: float, b: float, x) -> tuple[np.ndarray, np.ndarray]:
 
     b = 1/2, a in {-1/2} U [0, 19], x > 0.  a = 0 and a = -1/2 are the
     closed forms 1 and sqrt(x); a > 0 is one double-exponential trapezoid
-    rule over the integral representation, evaluated for all x at once
-    (see _hyp_u_de).  Against 40-digit mpmath U is within 2.3e-14 relative
-    for a in [1e-3, 19] and x in [1e-300, 1e7] (the tests hold it to
-    1e-12).  dU/dx = -a U(a + 1, b + 1, x) grows like x^(-1/2) at 0; it is
-    within 2.3e-14 relative for x in [1e-4, 1e7], but only 2e-7 at x =
-    1e-12: near 0 a caller takes the limit of what it needs instead.
+    rule over the integral representation, evaluated for all finite x at
+    once (see _hyp_u_de), and U = dU/dx = 0 at x = inf.  Against 40-digit
+    mpmath U is within 2.3e-14 relative for a in [1e-3, 19] and x in
+    [1e-300, 1e7] (the tests hold it to 1e-12).  dU/dx = -a U(a + 1, b +
+    1, x) grows like x^(-1/2) at 0; it is within 2.3e-14 relative for x in
+    [1e-4, 1e7], but only 2e-7 at x = 1e-12: near 0 a caller takes the
+    limit of what it needs instead.
     Anything else raises: accuracy is only certified there.
     """
     if b != _HYP_U_B:
@@ -676,7 +732,13 @@ def hyp_u_with_slope(a: float, b: float, x) -> tuple[np.ndarray, np.ndarray]:
     if a == -0.5:
         root = np.sqrt(x_arr)
         return root, 0.5 / root
-    return _hyp_u_de(a, x_arr)
+    far = x_arr == math.inf
+    if not far.any():
+        return _hyp_u_de(a, x_arr)
+    # U and dU/dx vanish at infinity, where the rule's x / (1 + x) is NaN
+    u, slope = np.zeros_like(x_arr), np.zeros_like(x_arr)
+    u[~far], slope[~far] = _hyp_u_de(a, x_arr[~far])
+    return u, slope
 
 
 def hyp_u(a: float, b: float, x) -> float:
@@ -733,7 +795,7 @@ def norm_pdf(x):
 
 
 def norm_cdf(x):
-    out = _sp.ndtr(np.asarray(x, dtype=float))
+    out = ndtr(np.asarray(x, dtype=float))
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 

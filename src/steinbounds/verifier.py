@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.special import ive as _sp_ive, kve as _sp_kve
 
 from . import special as sf
 from .catalog import DEFAULT_SPECS, DistributionSpec, bessel_tail_constant, make_spec, quantiles, quartic_normalizer
@@ -246,10 +245,10 @@ def _bessel_lhs(nu: float, alpha: float, beta: float, x: float) -> tuple[float, 
         return np.exp(np.where(expo > -700.0, expo, -np.inf))
 
     def grow(y):
-        return kernel(y, beta + alpha, _sp_ive)
+        return kernel(y, beta + alpha, sf.ive)
 
     def decay(y):
-        return kernel(y, beta - alpha, _sp_kve)
+        return kernel(y, beta - alpha, sf.kve)
 
     up, _ = sf.integrate(grow, 0.0, x, epsabs=1e-13, epsrel=1e-10)
     down, _ = sf.integrate(decay, x, math.inf, epsabs=1e-13, epsrel=1e-10)

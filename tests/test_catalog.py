@@ -213,6 +213,16 @@ class TestPrrUTable:
         assert math.isnan(cat._prr_u_function(s, math.nan))
         assert cat._prr_u_slope(s, np.array(0.7)) == cat._prr_u_slope(s, xs)[1]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("s, limit", [(1.7, 0.0), (20.0, 0.0), (1.0, 1.0), (0.5, math.inf)])
+    def test_infinity_gives_the_limit(self, s, limit):
+        # U(s-1, 1/2, z) -> 0 for s > 1 (the DE rule's x / (1 + x) was
+        # inf / inf there: NaN and a RuntimeWarning), 1 at s = 1, sqrt(z)
+        # at s = 1/2
+        assert cat._prr_u_function(s, np.inf) == limit
+        assert list(cat._prr_u_function(s, np.array([np.inf, -np.inf]))) == [limit, limit]
+        assert cat.sf.hyp_u_with_slope(s - 1.0, 0.5, np.array([2.0, np.inf]))[1][1] == 0.0
+
     def test_slope_table_covers_every_grid(self):
         # PRR's f' reads v' off the series: every grid lies inside [0, x_hi]
         for s in (0.5, 1.0, 20.0):

@@ -435,18 +435,18 @@ class TestVgRepresentationSymmetry:
         beta = theta / sigma ** 2
 
         def kernel_i(y):
-            return math.exp(beta * y) * abs(y) ** nu * float(sv._sp.iv(nu, alpha * abs(y))) * (math.sin(y) - eh)
+            return math.exp(beta * y) * abs(y) ** nu * float(_sp.iv(nu, alpha * abs(y))) * (math.sin(y) - eh)
 
         def kernel_k(y):
-            return math.exp(beta * y) * abs(y) ** nu * float(sv._sp.kv(nu, alpha * abs(y))) * (math.sin(y) - eh)
+            return math.exp(beta * y) * abs(y) ** nu * float(_sp.kv(nu, alpha * abs(y))) * (math.sin(y) - eh)
 
         for x in (0.5, 1.0, 2.0):
             i = int(np.argmin(np.abs(sol.grid - x)))
             xg = float(sol.grid[i])
             a_val, _ = integrate.quad(kernel_i, 0.0, xg, limit=200)
             b_left, _ = integrate.quad(kernel_k, -np.inf, xg, limit=200)
-            k_part = math.exp(-beta * xg) * float(sv._sp.kv(nu, alpha * xg)) / (sigma ** 2 * xg ** nu)
-            i_part = math.exp(-beta * xg) * float(sv._sp.iv(nu, alpha * xg)) / (sigma ** 2 * xg ** nu)
+            k_part = math.exp(-beta * xg) * float(_sp.kv(nu, alpha * xg)) / (sigma ** 2 * xg ** nu)
+            i_part = math.exp(-beta * xg) * float(_sp.iv(nu, alpha * xg)) / (sigma ** 2 * xg ** nu)
             left_form = -k_part * a_val + i_part * b_left
             assert sol.derivs[0][i] == pytest.approx(left_form, abs=1e-7)
 
@@ -1103,8 +1103,8 @@ class TestMeshFactorsAreEvaluatedOnce:
         anchors, near = self.bessel_points(mesh)
         assert 0 < near < 0.01 * mesh.xs.size
         assert 4 * anchors + 2 * near <= 5000  # 40.7k when every distinct |x| of the grid called scipy
-        ive = self.record_points(monkeypatch, sv._sp, "ive")
-        kve = self.record_points(monkeypatch, sv._sp, "kve")
+        ive = self.record_points(monkeypatch, sv.sf, "ive")
+        kve = self.record_points(monkeypatch, sv.sf, "kve")
         self.three_solves(spec, mesh)
         # orders nu and nu + 1 at the anchors, then order nu at the nodes
         # that the series cannot reach; zeros are the adaptive quadratures'
@@ -1116,7 +1116,7 @@ class TestMeshFactorsAreEvaluatedOnce:
         mesh = sv.build_mesh(spec)
         bessel_i = self.record_points(monkeypatch, sv.sf, "bessel_i")
         bessel_k = self.record_points(monkeypatch, sv.sf, "bessel_k")
-        ive = self.record_points(monkeypatch, sv._sp, "ive")
+        ive = self.record_points(monkeypatch, sv.sf, "ive")
         self.three_solves(spec, mesh)
         assert bessel_i == bessel_k == []
         anchors, near = self.bessel_points(mesh)

@@ -431,17 +431,104 @@ print(" ".join(sorted(sys.modules)))
 """
 
 
-def test_no_entry_point_loads_the_heavy_scipy_subpackages():
-    # the package needs numpy and scipy.special only: scipy.integrate or
-    # scipy.interpolate would pull in linalg, sparse and optimize, and
-    # double the import time of every CLI call
+# scipy.special's package __init__ and what its array-API layer imports:
+# about 0.19 s of an import that takes 0.3 s with it
+SPECIAL_INIT = {
+    "scipy.special",
+    "scipy.special._support_alternative_backends",
+    "scipy._lib._array_api",
+    "numpy.f2py",
+    "numpy.testing",
+    "numpy.ma",
+}
+
+
+def _fresh_interpreter(script, *options):
+    """The stdout and stderr of script run by a fresh interpreter that
+    imports the package from this source tree."""
     src = Path(sf.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", _GUARD_SCRIPT], env=env, capture_output=True, text=True, check=True)
-    loaded = set(out.stdout.splitlines()[-1].split())
+    out = subprocess.run([sys.executable, *options, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return out.stdout, out.stderr
+
+
+def test_no_entry_point_loads_the_heavy_scipy_subpackages():
+    # the package needs numpy and scipy.special's ufuncs only:
+    # scipy.integrate or scipy.interpolate would pull in linalg, sparse
+    # and optimize, and double the import time of every CLI call
+    loaded = set(_fresh_interpreter(_GUARD_SCRIPT)[0].splitlines()[-1].split())
     heavy = {"scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.optimize", "scipy.sparse"}
     assert "steinbounds.verifier" in loaded
     assert not heavy & loaded
+    assert not SPECIAL_INIT & loaded
+
+
+def test_import_runs_no_scipy_special_init():
+    loaded = set(_fresh_interpreter("import sys, steinbounds; print(' '.join(sorted(sys.modules)))")[0].split())
+    assert {"steinbounds.verifier", "scipy.special._ufuncs"} <= loaded
+    assert not SPECIAL_INIT & loaded
+
+
+def test_import_warns_of_nothing():
+    assert _fresh_interpreter("import steinbounds", "-W", "error") == ("", "")
+
+
+_INTEROP_SCRIPT = """
+import sys
+
+{first}
+{second}
+import scipy.stats
+
+from steinbounds import catalog, special, verifier
+
+assert sys.modules["scipy.special"] is scipy.special
+assert scipy.special.__file__.endswith("__init__.py")  # the real package
+assert scipy.special.kve is special.kve is verifier.sf.kve
+assert scipy.special.ive is special.ive
+assert scipy.special.betainc is catalog.betainc
+assert scipy.special.ndtri is catalog.ndtri
+assert scipy.stats.norm.cdf(0.0) == 0.5
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("first", ["steinbounds", "scipy.special"])
+def test_scipy_special_shares_the_package_ufuncs(first):
+    # steinbounds' ufuncs come from scipy.special._ufuncs, imported with or
+    # without the package __init__: a later or earlier import of
+    # scipy.special binds the very same objects, and scipy.stats works
+    second = "scipy.special" if first == "steinbounds" else "steinbounds"
+    script = _INTEROP_SCRIPT.format(first=f"import {first}", second=f"import {second}")
+    assert _fresh_interpreter(script) == ("ok\n", "")
+
+
+_NO_PRIVATE_LAYOUT_SCRIPT = """
+import sys
+
+
+class NoPrivateLayout:
+    # a scipy whose _ufuncs cannot be imported under the stand-in package
+    def find_spec(self, name, path, target=None):
+        if name == "scipy.special._ufuncs" and not hasattr(sys.modules["scipy.special"], "__file__"):
+            raise ImportError(name)
+        return None
+
+
+sys.meta_path.insert(0, NoPrivateLayout())
+from steinbounds import catalog, special
+
+import scipy.special
+
+assert special._sp is sys.modules["scipy.special"] is scipy.special
+assert scipy.special.__file__.endswith("__init__.py")
+assert catalog.betainc is scipy.special.betainc and special.kve is scipy.special.kve
+print("ok")
+"""
+
+
+def test_a_scipy_of_another_layout_gets_the_public_package():
+    assert _fresh_interpreter(_NO_PRIVATE_LAYOUT_SCRIPT) == ("ok\n", "")
 
 
 _FAULTS_SCRIPT = """

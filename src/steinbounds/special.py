@@ -54,11 +54,14 @@ def _scipy_special_ufuncs():
     imports itself (``_ufuncs_cxx``, ``_special_ufuncs``, ``_gufuncs``,
     ``_ellip_harm_2``) but without scipy.special's package ``__init__``.
 
-    If scipy.special is already imported, it is used as it is.  Otherwise
-    a bare package module with scipy.special's ``__path__`` stands in for
-    it while ``_ufuncs`` is imported, and is removed again.  A later
-    ``import scipy.special`` runs the real ``__init__``, which binds the
-    very same ufunc objects.  A scipy whose private layout differs
+    If scipy.special is already imported, its ``_ufuncs`` is taken as it
+    is.  Otherwise a bare package module with scipy.special's ``__path__``
+    stands in for it while ``_ufuncs`` is imported, and is removed again.
+    Either way the package calls the raw ufuncs, whatever the import
+    order.  A later ``import scipy.special`` runs the real ``__init__``;
+    in scipy's default setting its public names are the very same ufunc
+    objects (with SCIPY_ARRAY_API=1 scipy wraps several of them in
+    array-API dispatchers instead).  A scipy whose private layout differs
     (pyproject allows scipy >= 1.10) raises ImportError there and gets the
     public package instead.
 
@@ -67,7 +70,7 @@ def _scipy_special_ufuncs():
     stand-in, which has no attribute but the extension modules.
     """
     if "scipy.special" in sys.modules:
-        return sys.modules["scipy.special"]
+        return sys.modules["scipy.special"]._ufuncs
     stand_in = types.ModuleType("scipy.special")
     stand_in.__path__ = [os.path.join(os.path.dirname(scipy.__file__), "special")]
     sys.modules["scipy.special"] = stand_in
@@ -732,10 +735,8 @@ def hyp_u_with_slope(a: float, b: float, x) -> tuple[np.ndarray, np.ndarray]:
     if a == -0.5:
         root = np.sqrt(x_arr)
         return root, 0.5 / root
-    far = x_arr == math.inf
-    if not far.any():
-        return _hyp_u_de(a, x_arr)
     # U and dU/dx vanish at infinity, where the rule's x / (1 + x) is NaN
+    far = x_arr == math.inf
     u, slope = np.zeros_like(x_arr), np.zeros_like(x_arr)
     u[~far], slope[~far] = _hyp_u_de(a, x_arr[~far])
     return u, slope

@@ -445,9 +445,13 @@ SPECIAL_INIT = {
 
 def _fresh_interpreter(script, *options):
     """The stdout and stderr of script run by a fresh interpreter that
-    imports the package from this source tree."""
+    imports the package from this source tree, in scipy's default setting:
+    SCIPY_ARRAY_API=1 makes scipy.special's public names array-API
+    dispatchers instead of its ufuncs, and a script that wants it sets it
+    itself."""
     src = Path(sf.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("SCIPY_ARRAY_API", None)
     out = subprocess.run([sys.executable, *options, "-c", script], env=env, capture_output=True, text=True, check=True)
     return out.stdout, out.stderr
 
@@ -500,6 +504,37 @@ def test_scipy_special_shares_the_package_ufuncs(first):
     # scipy.special binds the very same objects, and scipy.stats works
     second = "scipy.special" if first == "steinbounds" else "steinbounds"
     script = _INTEROP_SCRIPT.format(first=f"import {first}", second=f"import {second}")
+    assert _fresh_interpreter(script) == ("ok\n", "")
+
+
+_ARRAY_API_SCRIPT = """
+import os
+import sys
+
+os.environ["SCIPY_ARRAY_API"] = "1"
+{first}
+{second}
+import numpy as np
+import scipy.special
+
+from steinbounds import catalog, special
+
+ufuncs = sys.modules["scipy.special._ufuncs"]
+assert special._sp is ufuncs
+assert catalog.ndtri is special.ndtri is ufuncs.ndtri and isinstance(special.ndtri, np.ufunc)
+assert catalog.betainc is ufuncs.betainc and special.kve is ufuncs.kve
+assert scipy.special.ndtri is not ufuncs.ndtri  # scipy's dispatcher
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("first", ["steinbounds", "scipy.special"])
+def test_array_api_setting_leaves_the_package_the_raw_ufuncs(first):
+    # with SCIPY_ARRAY_API=1 scipy.special's __init__ replaces several of
+    # its names with Python dispatchers; steinbounds binds the ufuncs
+    # underneath them whichever module is imported first
+    second = "scipy.special" if first == "steinbounds" else "steinbounds"
+    script = _ARRAY_API_SCRIPT.format(first=f"import {first}", second=f"import {second}")
     assert _fresh_interpreter(script) == ("ok\n", "")
 
 

@@ -518,11 +518,11 @@ def _on_support(expr, support: tuple[float, float]):
     lo, hi = support
 
     def density(x):
-        if isinstance(x, float) or np.ndim(x) == 0:
-            x = float(x)
-            return float(expr(x)) if lo < x < hi else 0.0
-        arr = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):
+            if isinstance(x, float) or np.ndim(x) == 0:
+                x = float(x)
+                return float(expr(x)) if lo < x < hi else 0.0
+            arr = np.asarray(x, dtype=float)
             if arr.size and lo < arr.min() and arr.max() < hi:  # a NaN fails both
                 return expr(arr)
             out = np.zeros(arr.shape)
@@ -879,6 +879,8 @@ def _prr_u_table(s: float):
     v0, v0_z = sf.hyp_u_with_slope(s - 1.0, 0.5, np.maximum(x0 * x0 / (2.0 * s), 1e-300))
     slope0 = v0_z * x0 / s
     slope0[0] = -math.sqrt(2.0 * math.pi / s) * rgamma(s - 1.0)
+    if s == 0.5:
+        v0[0] = 0.0  # U = x, where the floor's z would give 1e-150
     return _prr_taylor(s, x0, v0, slope0), x0, x_hi
 
 
@@ -934,28 +936,21 @@ def _prr_spec(s: float) -> DistributionSpec:
         raise ValueError("prr requires s = 1/2 or 1 <= s <= 20 (validated U-function slice)")
     norm = sf.gamma_fn(s) * math.sqrt(2.0 / (s * math.pi))
 
+    def density_over_v(x):
+        """norm e^(-x^2/(2s)): the density is this times U on x > 0."""
+        return norm * np.exp(-(x * x / (2.0 * s)))
+
     def density(x):
-        """density_over_v times U, U evaluated only where the first factor
-        is positive: at x <= 0, +-inf and NaN the density is 0."""
-        arr = np.asarray(x, dtype=float)
-        out = density_over_v(arr)
+        """density_over_v times U on x > 0 (_on_support), U evaluated only
+        where the first factor is positive: past about 38 sqrt(s) it is 0."""
+        x = np.asarray(x)
+        out = density_over_v(x)
         live = out > 0.0
         if live.all():
-            out = out * _prr_u_function(s, arr)
-        else:
-            out = np.array(out)  # writable, a 0-d input too
-            out[live] *= _prr_u_function(s, arr[live])
-        return float(out) if np.ndim(x) == 0 else out
-
-    def density_over_v(x):
-        """norm e^(-x^2/(2s)) on x > 0 and 0 elsewhere: the density is this
-        times U.  An array of positive points (every mesh node and grid
-        point) takes the expression with no floor and no mask."""
-        arr = np.asarray(x, dtype=float)
-        if arr.size and arr.min() > 0.0:  # a NaN fails
-            return norm * np.exp(-(arr * arr / (2.0 * s)))
-        z = np.maximum(arr * arr / (2.0 * s), 1e-300)
-        return np.where(arr > 0, norm * np.exp(-z), 0.0)
+            return out * _prr_u_function(s, x)
+        out = np.array(out)  # writable, a 0-d input too
+        out[live] *= _prr_u_function(s, x[live])
+        return out
 
     subs = {}
     if s >= 1.0:
@@ -985,7 +980,7 @@ def _prr_spec(s: float) -> DistributionSpec:
         scheme=scheme,
         modes=modes,
         default_mode="lemma24i" if s >= 1.0 else "lemma24ii",
-        pdf=density,
+        pdf=_on_support(density, (0.0, math.inf)),
         # the level equations carry k f^(k) on the right-hand side
         operator=SteinOperator(np.array([s]), np.array([0.0, -1.0]), np.array([-2.0 * (s - 1.0)]), split=1.0),
         kernel_v=functools.partial(_prr_u_function, s),

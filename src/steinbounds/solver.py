@@ -21,8 +21,9 @@ Everything that depends on the law but not on the test function lives in
 a ``Mesh``, built once per spec by ``build_mesh``: the grid, the median
 at which the first-order and PRR representations switch forms, the
 PANEL_NODES = 7 Gauss-Kronrod nodes of every panel (140k for the 20000
-panels, 20001 on a vg grid) and a memo of every h-independent array of
-a solve, at the nodes or on the grid.  Each is evaluated once per mesh.
+panels, 20001 on a vg grid), the ranges of the panels next to the
+delicate points (``Mesh.ranges``) and a memo of every h-independent
+array of a solve, at the nodes or on the grid, each evaluated once.
 The map h -> f is linear, so each solve multiplies the shared factors by
 h - E h(Z); a sweep solves every test function of a spec on one mesh.
 The first mesh of a process sets the C allocator's policy
@@ -296,36 +297,16 @@ def _adaptive_ranges(fn, keys, tail_epsabs: float) -> tuple[dict, float]:
     return ranges, error
 
 
-def _panel_ranges(mesh) -> list:
-    """(i, d, terms) for each grid panel i next to a delicate point d:
-    terms are the ranges (a, b), integrals from a to b, and the
-    coefficients whose sum gives the panel's integral.
-
-    At a finite support end d of a first-order law, whose Gauss-Jacobi
-    weight is a power of |x - d| (_end_rules), the panel [a, b] is F(b) -
-    F(a), both integrals from d.  Next to any other delicate point (vg's
-    origin, PRR's end at 0) each panel is its own range, so only a panel
-    that ends at d meets it: from 0 to each of vg's ten panel ends, the
-    adaptive rule met the |y|^(r - 1) singularity ten times."""
-    grid, spec, out = mesh.grid, mesh.spec, []
-    for d, near in mesh.delicate.items():
-        from_d = spec.operator_order == 1 and _end_exponent(spec, d) is not None
-        for i in near:
-            a, b = float(grid[i]), float(grid[i + 1])
-            out.append((i, d, (((d, b), 1.0), ((d, a), -1.0)) if from_d else (((a, b), 1.0),)))
-    return out
-
-
 class _Integral:
     """The integral of one integrand of a solve over the mesh.
 
     Each grid panel is summed by the G3/K7 rule from the integrand's
     values at the mesh's PANEL_NODES nodes per panel; next to a delicate
     point d (integrable singularity, kink, support end) it is the sum of
-    its _panel_ranges instead, read from ranges, a dict (a, b) -> the
-    integral from a to b, so the rule that gives a range meets d only at
-    an end.  ranges also holds the range from each anchor beyond the grid
-    that from_anchor reads, and ``error`` is their error estimate.
+    its row of ``Mesh.ranges`` instead, read from ranges, a dict (a, b) ->
+    the integral from a to b, so the rule that gives a range meets d only
+    at an end.  ranges also holds the range from each anchor beyond the
+    grid that from_anchor reads, and ``error`` is their error estimate.
     ``panel_error`` is the G3/K7 panels' own estimate, relative to the sum
     of |panel|: a vg I-kernel integral reaches 2.3e25 (vg(3, 0.5, 1))
     where a prefactor of 1e-25 multiplies it, so only a relative figure
@@ -337,10 +318,9 @@ class _Integral:
         self.ranges, self.error = ranges, error
         self.panels, gauss = (node_values @ _WEIGHTS).T * mesh.half
         estimate = _panel_error(node_values, mesh, self.panels, gauss)
-        for i, _, terms in _panel_ranges(mesh):
+        for i, _, terms in mesh.ranges:
             self.panels[i] = sum(c * ranges[key] for key, c in terms)
-        for near in mesh.delicate.values():
-            estimate[near] = 0.0  # their own rule carries their error
+            estimate[i] = 0.0  # its ranges' rule carries its error
         total = np.sum(np.abs(self.panels))
         self.panel_error = float(np.sum(estimate) / total) if total > 0.0 else 0.0
 
@@ -362,7 +342,7 @@ class _Integral:
 class _Ends:
     """What a split integral needs beyond the G3/K7 panels, for one mesh.
 
-    Each range (a, b) is one of the _panel_ranges next to a delicate point
+    Each range (a, b) is one of ``Mesh.ranges`` next to a delicate point
     d, or runs from a support end to the grid end next to it.  The density
     p is integrated over each range once per mesh (``p``, in the order of
     ``keys``), p * h once per solve (``integrals``).  Near a finite
@@ -385,12 +365,15 @@ class _Ends:
         grid = mesh.grid
         coefficients: dict[tuple[float, float], float] = {}
         exponents: dict[tuple[float, float], float | None] = {}
+        weights = density * _WEIGHTS[:, 0]
+        weights *= mesh.half[:, None]
 
         def add(d, key, c):
             coefficients[key] = coefficients.get(key, 0.0) + c
             exponents[key] = _end_exponent(spec, d)
 
-        for _, d, terms in _panel_ranges(mesh):
+        for i, d, terms in mesh.ranges:
+            weights[i] = 0.0  # the panel is the sum of its ranges
             for key, c in terms:
                 add(d, key, c)
         lo, hi = spec.support
@@ -407,10 +390,6 @@ class _Ends:
         else:
             p_ranges, self.p_error = _adaptive_ranges(spec.density, self.adaptive, _EPSABS)
         self.p = np.r_[self.weights.sum(axis=1), list(p_ranges.values())]
-        weights = density * _WEIGHTS[:, 0]
-        weights *= mesh.half[:, None]
-        for near in mesh.delicate.values():
-            weights[near] = 0.0
         self.panel_weights = weights.ravel()
         self.mass = float(np.sum(self.panel_weights) + self.coefficients @ self.p)
 
@@ -563,13 +542,14 @@ class Mesh:
     rule's weights, _WEIGHTS.  median is the law's median, where the split
     integral switches from the lower to the upper support end, from the
     same quantiles call (one CDF table) as the grid's ends; None for vg,
-    whose solve does not split.  delicate maps each delicate point of the
-    spec to the panels within four panel widths of it, whose integrals
-    are taken from the point (_Integral).  Every h-independent array of a
-    solve, at the nodes or on the grid, is a mesh factor: ``factor``
-    evaluates it once per mesh, and ``cached`` keeps any other
-    h-independent part of a solve, such as vg's one entry.  Solves share
-    the arrays (their solutions the grid), so they are read-only.
+    whose solve does not split.  ranges, which build_mesh alone writes,
+    holds one (i, d, terms) per grid panel i within four panel widths of
+    a delicate point d: terms are the ranges (a, b), integrals from a to
+    b, and the coefficients whose sum is the panel's integral, F(b) - F(a)
+    from d at a support end of a first-order law and the panel itself
+    next to any other d.  ``cached`` keeps every h-independent part of a
+    solve, evaluated once per mesh; solves share its arrays (their
+    solutions the grid), so they are read-only.
     """
 
     spec: DistributionSpec
@@ -577,24 +557,16 @@ class Mesh:
     xs: np.ndarray
     half: np.ndarray
     median: float | None
-    delicate: dict = field(default_factory=dict)
+    ranges: tuple
     _memo: dict = field(default_factory=dict, repr=False)
 
-    def factor(self, name: str, fn, points: np.ndarray) -> np.ndarray:
-        """fn at points (the panel nodes xs or the grid), evaluated on the
-        first request for name only."""
-
-        def build():
-            factor = fn(points)
-            factor.flags.writeable = False
-            return factor
-
-        return self.cached(name, build)
-
     def cached(self, name: str, build):
-        """build(), called on the first request for name only."""
+        """build(), called on the first request for name only; an array
+        comes back read-only."""
         if name not in self._memo:
-            self._memo[name] = build()
+            value = self._memo[name] = build()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
         return self._memo[name]
 
 
@@ -619,8 +591,13 @@ def build_mesh(spec: DistributionSpec) -> Mesh:
     for arr in (grid, half, xs):
         arr.flags.writeable = False
     radius = 4.0 * np.max(b - a)
-    delicate = {d: np.nonzero((a - radius <= d) & (d <= b + radius))[0] for d in spec.delicate_points}
-    return Mesh(spec=spec, grid=grid, xs=xs, half=half, median=median, delicate=delicate)
+    ranges = []
+    for d in spec.delicate_points:
+        from_d = spec.operator_order == 1 and _end_exponent(spec, d) is not None
+        for i in np.flatnonzero((a - radius <= d) & (d <= b + radius)):
+            left, right = float(a[i]), float(b[i])
+            ranges.append((int(i), d, (((d, right), 1.0), ((d, left), -1.0)) if from_d else (((left, right), 1.0),)))
+    return Mesh(spec=spec, grid=grid, xs=xs, half=half, median=median, ranges=tuple(ranges))
 
 
 # ---------------------------------------------------------------------------
@@ -736,8 +713,8 @@ def _split_integral(mesh, h, density):
 
 def _solve_first_order(mesh, h):
     spec = mesh.spec
-    numer, diags, integral, _ = _split_integral(mesh, h, mesh.factor("density", spec.density, mesh.xs))
-    f = numer / mesh.factor("s_density", lambda x: npoly.polyval(x, spec.operator.a1) * spec.density(x), mesh.grid)
+    numer, diags, integral, _ = _split_integral(mesh, h, mesh.cached("density", lambda: spec.density(mesh.xs)))
+    f = numer / mesh.cached("s_density", lambda: npoly.polyval(mesh.grid, spec.operator.a1) * spec.density(mesh.grid))
     return {0: f}, _error_budget(integral) | diags
 
 
@@ -913,7 +890,7 @@ def _solve_vg(mesh, h):
     # grid edge would difference huge tail values and destroy the small
     # near-origin integrals.  The K-kernel integral runs to +inf for
     # x >= 0 and to -inf for x < 0.
-    near = [key for _, _, terms in _panel_ranges(mesh) for key, _ in terms]
+    near = [key for _, _, terms in mesh.ranges for key, _ in terms]
     tails = [(math.inf, float(grid[-1])), (-math.inf, float(grid[0]))]
     int_i = _Integral(mesh, fac_i * h_nodes, *_adaptive_ranges(kernel_i, near, 0.0))
     int_k = _Integral(mesh, fac_k * h_nodes, *_adaptive_ranges(kernel_k, near + tails, 0.0))
@@ -944,12 +921,12 @@ def _solve_prr(mesh, h):
     s = spec.params["s"]
     # U is evaluated once at the nodes and once on the grid: kappa is
     # density_over_v * U at both, and v * kappa is U times that
-    u = mesh.factor("v_nodes", spec.kernel_v, mesh.xs)
-    kappa = mesh.factor("prr_density", lambda xs: spec.density_over_v(xs) * u, mesh.xs)
+    u = mesh.cached("v_nodes", lambda: spec.kernel_v(mesh.xs))
+    kappa = mesh.cached("prr_density", lambda: spec.density_over_v(mesh.xs) * u)
     g_vals, diags, inner, ends = _split_integral(mesh, h, kappa)
     eh = diags["mean_value"]
-    v = mesh.factor("v", spec.kernel_v, grid)
-    kappa_grid = mesh.factor("prr_density_grid", lambda x: spec.density_over_v(x) * v, grid)
+    v = mesh.cached("v", lambda: spec.kernel_v(grid))
+    kappa_grid = mesh.cached("prr_density_grid", lambda: spec.density_over_v(grid) * v)
     g = sf.Hermite(grid, g_vals, kappa_grid * (h.value(grid) - eh))
 
     # the ranges from 0 and the panels next to it are _split_integral's
@@ -957,15 +934,15 @@ def _solve_prr(mesh, h):
     # all in one call of the outer integrand g / (v kappa); the rows lead
     # ends.keys
     y = ends.nodes
-    interval = {key: i for i, _, terms in _panel_ranges(mesh) for key, _ in terms} | {(0.0, float(grid[0])): 0}
+    interval = {key: i for i, _, terms in mesh.ranges for key, _ in terms} | {(0.0, float(grid[0])): 0}
     rows = np.array([interval[key] for key in ends.keys[:len(y)]])[:, None]
     outer = np.sum(ends.unit * (g.at(y, rows) / (spec.kernel_v(y) * spec.density(y))), axis=1)
-    fac = mesh.factor("v_kappa", lambda xs: u * kappa, mesh.xs)
+    fac = mesh.cached("v_kappa", lambda: u * kappa)
     node_g = g.at(mesh.xs, np.arange(grid.size - 1)[:, None])
     integral = _Integral(mesh, node_g / fac, dict(zip(ends.keys, outer.tolist())), 0.0)
     a_vals = integral.from_anchor(0.0)
     f = v * a_vals / s
-    f1 = (mesh.factor("v_slope", spec.kernel_v_slope, grid) * a_vals + g_vals / kappa_grid) / s
+    f1 = (mesh.cached("v_slope", lambda: spec.kernel_v_slope(grid)) * a_vals + g_vals / kappa_grid) / s
     return {0: f, 1: f1}, _error_budget(inner, integral) | diags
 
 

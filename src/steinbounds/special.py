@@ -715,12 +715,12 @@ def hyp_u_with_slope(a: float, b: float, x) -> tuple[np.ndarray, np.ndarray]:
     b = 1/2, a in {-1/2} U [0, 19], x > 0.  a = 0 and a = -1/2 are the
     closed forms 1 and sqrt(x); a > 0 is one double-exponential trapezoid
     rule over the integral representation, evaluated for all finite x at
-    once (see _hyp_u_de), and U = dU/dx = 0 at x = inf.  Against 40-digit
-    mpmath U is within 2.3e-14 relative for a in [1e-3, 19] and x in
-    [1e-300, 1e7] (the tests hold it to 1e-12).  dU/dx = -a U(a + 1, b +
-    1, x) grows like x^(-1/2) at 0; it is within 2.3e-14 relative for x in
-    [1e-4, 1e7], but only 2e-7 at x = 1e-12: near 0 a caller takes the
-    limit of what it needs instead.
+    once (see _hyp_u_de), and U = dU/dx = 0 at x = inf; NaN gives NaN on
+    every branch.  Against 40-digit mpmath U is within 2.3e-14 relative
+    for a in [1e-3, 19] and x in [1e-300, 1e7] (the tests hold it to
+    1e-12).  dU/dx = -a U(a + 1, b + 1, x) grows like x^(-1/2) at 0; it is
+    within 2.3e-14 relative for x in [1e-4, 1e7], but only 2e-7 at x =
+    1e-12: near 0 a caller takes the limit of what it needs instead.
     Anything else raises: accuracy is only certified there.
     """
     if b != _HYP_U_B:
@@ -731,7 +731,8 @@ def hyp_u_with_slope(a: float, b: float, x) -> tuple[np.ndarray, np.ndarray]:
     if np.any(x_arr <= 0.0):
         raise ValueError("hyp_u requires x > 0")
     if a == 0.0:
-        return np.ones_like(x_arr), np.zeros_like(x_arr)
+        u = np.where(np.isnan(x_arr), np.nan, 1.0)
+        return u, 0.0 * u
     if a == -0.5:
         root = np.sqrt(x_arr)
         return root, 0.5 / root

@@ -26,17 +26,18 @@ GOLDEN = json.loads((Path(__file__).parent / "golden" / "quantiles.json").read_t
 
 # The parameter window of every solvable family: those of perfbench's
 # verify_draws workload (selftest criterion 2), beta's [0.3, 4] for both
-# parameters, and none for the laws without parameters.
+# parameters, PRR's whole validated slice and none for the laws without
+# parameters.
 SCALAR_BRANCH_WINDOWS = {
     "normal": {},
-    "gamma": {"r": (0.3, 6.0), "lam": (0.3, 3.0)},
-    "exponential": {"lam": (0.3, 3.0)},
-    "beta": {"alpha": (0.3, 4.0), "beta": (0.3, 4.0)},
+    "gamma": {"r": st.floats(0.3, 6.0), "lam": st.floats(0.3, 3.0)},
+    "exponential": {"lam": st.floats(0.3, 3.0)},
+    "beta": {"alpha": st.floats(0.3, 4.0), "beta": st.floats(0.3, 4.0)},
     "arcsine": {},
-    "student_t": {"d": (5.0, 25.0), "delta": (0.5, 4.0)},
-    "inverse_gamma": {"alpha": (4.0, 22.0), "beta": (0.3, 4.0)},
-    "vg": {"r": (0.5, 6.0), "theta": (-1.5, 1.5), "sigma": (0.5, 2.0)},
-    "prr": {"s": (1.0, 20.0)},
+    "student_t": {"d": st.floats(5.0, 25.0), "delta": st.floats(0.5, 4.0)},
+    "inverse_gamma": {"alpha": st.floats(4.0, 22.0), "beta": st.floats(0.3, 4.0)},
+    "vg": {"r": st.floats(0.5, 6.0), "theta": st.floats(-1.5, 1.5), "sigma": st.floats(0.5, 2.0)},
+    "prr": {"s": st.one_of(st.just(0.5), st.floats(1.0, 20.0))},
     "quartic": {},
 }
 SOLVABLE = sorted({fam for fam, params in cat.DEFAULT_SPECS if cat.make_spec(fam, **params).solvable})
@@ -45,6 +46,8 @@ POINTS = st.one_of(
     st.floats(min_value=-60.0, max_value=60.0, allow_nan=False),
     st.floats(min_value=1e-300, max_value=1e-3),
     st.sampled_from([0.0, -0.0, 1e-12, -1e-12]),
+    # an overflow inside the expression, and the points off every support
+    st.sampled_from([1e200, -1e200, math.inf, -math.inf, math.nan]),
 )
 
 
@@ -92,31 +95,39 @@ def test_scalar_branch_windows_cover_every_solvable_family():
     assert sorted(SCALAR_BRANCH_WINDOWS) == SOLVABLE
 
 
+def _assert_scalar_branch_equals_array_branch(spec, x):
+    scalar = spec.density(x)
+    assert type(scalar) is float
+    assert scalar == float(spec.density(np.array([x]))[0])
+    for zero_d in (np.float64(x), np.array(x)):
+        value = spec.density(zero_d)
+        assert type(value) is float and value == scalar
+    # an array inside the support takes the expression as it is (the
+    # mesh route, 2-D like the mesh nodes); one that also reaches
+    # outside takes the mask, and reads 0.0 there.  A law on the whole
+    # line has no point outside its support.
+    assert spec.density(np.full((2, 3), x)).tobytes() == np.full((2, 3), scalar).tobytes()
+    lo, hi = spec.support
+    if math.isfinite(lo) or math.isfinite(hi):
+        outside = lo - 1.0 if math.isfinite(lo) else hi + 1.0
+        assert spec.density(np.array([x, outside])).tobytes() == np.array([scalar, 0.0]).tobytes()
+
+
+# A RuntimeWarning on either route fails these tests (pytest's
+# filterwarnings): an overflow in a density can only drive it to 0.
 @pytest.mark.parametrize("family", SOLVABLE)
 def test_scalar_density_branch_equals_array_branch(family):
-    window = SCALAR_BRANCH_WINDOWS[family]
-    params = st.fixed_dictionaries({name: st.floats(lo, hi) for name, (lo, hi) in window.items()})
-
-    @given(params=params, x=POINTS)
+    @given(params=st.fixed_dictionaries(SCALAR_BRANCH_WINDOWS[family]), x=POINTS)
     def check(params, x):
-        spec = cat.make_spec(family, **params)
-        scalar = spec.density(x)
-        assert type(scalar) is float
-        assert scalar == float(spec.density(np.array([x]))[0])
-        for zero_d in (np.float64(x), np.array(x)):
-            value = spec.density(zero_d)
-            assert type(value) is float and value == scalar
-        # an array inside the support takes the expression as it is (the
-        # mesh route, 2-D like the mesh nodes); one that also reaches
-        # outside takes the mask, and reads 0.0 there.  A law on the whole
-        # line has no point outside its support.
-        assert spec.density(np.full((2, 3), x)).tobytes() == np.full((2, 3), scalar).tobytes()
-        lo, hi = spec.support
-        if math.isfinite(lo) or math.isfinite(hi):
-            outside = lo - 1.0 if math.isfinite(lo) else hi + 1.0
-            assert spec.density(np.array([x, outside])).tobytes() == np.array([scalar, 0.0]).tobytes()
+        _assert_scalar_branch_equals_array_branch(cat.make_spec(family, **params), x)
 
     check()
+
+
+@pytest.mark.parametrize("x", [1e200, -1e200, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("family,params", [(fam, params) for fam, params in cat.DEFAULT_SPECS if fam in SOLVABLE] + [("prr", {"s": 0.5})])
+def test_density_far_out_and_off_the_line(family, params, x):
+    _assert_scalar_branch_equals_array_branch(cat.make_spec(family, **params), x)
 
 
 def test_non_finite_cdf_integral_raises():
@@ -162,9 +173,7 @@ class TestVgCdfSplitAtTheOrigin:
         assert cat._bracket(spec, 1.0 - 1e-8, 1.0 - 1e-8)[1] <= 64.0
 
     @settings(max_examples=25)
-    @given(params=st.fixed_dictionaries(
-        {name: st.floats(lo, hi) for name, (lo, hi) in SCALAR_BRANCH_WINDOWS["vg"].items()}
-    ))
+    @given(params=st.fixed_dictionaries(SCALAR_BRANCH_WINDOWS["vg"]))
     @example(params=SKEWED_VG)
     def test_cdf_is_monotone_over_the_draws_window(self, params):
         # each value is good to QUADPACK's default 1.49e-8, so two of them

@@ -594,7 +594,7 @@ class TestEndRules:
         # ranges of each end, in w = v^(gamma + 1), where the weight is gone
         spec = cat.make_spec(family, **params)
         mesh = sv.build_mesh(spec)
-        ends = sv._Ends(mesh, mesh.factor("density", spec.density, mesh.xs))
+        ends = sv._Ends(mesh, mesh.cached("density", lambda: spec.density(mesh.xs)))
         got, _ = ends.integrals(SineTest(1.0))
         ruled = [(key, value) for key, value in zip(ends.keys, got) if key not in ends.adaptive]
         checked = set()
@@ -693,7 +693,7 @@ class TestEndRules:
         # the support vanish, so the two forms of the split agree to rounding
         spec = cat.make_spec(family, **params)
         mesh = sv.build_mesh(spec)
-        density = mesh.factor("density", spec.density, mesh.xs)
+        density = mesh.cached("density", lambda: spec.density(mesh.xs))
         _, _, integral, _ = sv._split_integral(mesh, CosineTest(1.0), density)
         lower, upper = (integral.from_anchor(end) for end in spec.support)
         assert np.max(np.abs(lower - upper)) <= 1e-14 * np.sum(np.abs(integral.panels))
@@ -760,7 +760,7 @@ class TestRangesNextToDelicatePoints:
         mesh = sv.build_mesh(spec)
         ranges = _recorded_ranges(monkeypatch)
         solve(spec, SineTest(1.0), mesh=mesh)
-        near = mesh.delicate[0.0]
+        near = [i for i, d, _ in mesh.ranges if d == 0.0]
         assert len(near) == 10
         panels = [(float(mesh.grid[i]), float(mesh.grid[i + 1])) for i in near]
         finite = [r for r in ranges if all(map(math.isfinite, r))]
@@ -782,9 +782,10 @@ class TestRangesNextToDelicatePoints:
     def test_pearson_end_panels_stay_integrals_from_the_end(self, family, params):
         spec = cat.make_spec(family, **params)
         mesh = sv.build_mesh(spec)
-        ends = sv._Ends(mesh, mesh.factor("density", spec.density, mesh.xs))
+        ends = sv._Ends(mesh, mesh.cached("density", lambda: spec.density(mesh.xs)))
         grid_end = dict(zip(spec.support, (float(mesh.grid[0]), float(mesh.grid[-1]))))
-        for d, near in mesh.delicate.items():
+        for d in spec.delicate_points:
+            near = [i for i, e, _ in mesh.ranges if e == d]
             assert {key for key in ends.keys if key[0] == d} == {
                 (d, float(mesh.grid[j])) for i in near for j in (i, i + 1)
             } | {(d, grid_end[d])}
@@ -801,10 +802,10 @@ class TestRangesNextToDelicatePoints:
         assert ranges == [(math.inf, float(mesh.grid[-1]))] * 2
         monkeypatch.undo()
         eh = sol.diagnostics["mean_value"]
-        g_vals, _, _, ends = sv._split_integral(mesh, h, mesh.factor("prr_density", None, mesh.xs))
+        g_vals, _, _, ends = sv._split_integral(mesh, h, mesh.cached("prr_density", None))
         ruled = ends.keys[:len(ends.unit)]
         assert set(ruled) == {(0.0, float(mesh.grid[0]))} | {
-            (float(mesh.grid[i]), float(mesh.grid[i + 1])) for i in mesh.delicate[0.0]
+            (float(mesh.grid[i]), float(mesh.grid[i + 1])) for i, d, _ in mesh.ranges if d == 0.0
         }
         # the rule against the adaptive integrals it replaced: p, p h and
         # the outer integrand g / (v kappa)
@@ -828,7 +829,7 @@ class TestRangesNextToDelicatePoints:
         spec = cat.make_spec(family, **params)
         mesh = sv.build_mesh(spec)
         ranges = _recorded_ranges(monkeypatch)
-        ends = sv._Ends(mesh, mesh.factor("density", spec.density, mesh.xs))
+        ends = sv._Ends(mesh, mesh.cached("density", lambda: spec.density(mesh.xs)))
         assert ranges == []  # no adaptive call for p
         monkeypatch.undo()
         assert ends.adaptive and ends.p_error == 0.0
@@ -895,7 +896,7 @@ class TestPanelRule:
         grid = np.linspace(0.0, 1.0, points)
         half = 0.5 * np.diff(grid)
         xs = (grid[:-1] + half)[:, None] + half[:, None] * sv._NODES
-        mesh = sv.Mesh(spec=None, grid=grid, xs=xs, half=half, median=0.5)
+        mesh = sv.Mesh(spec=None, grid=grid, xs=xs, half=half, median=0.5, ranges=())
         integral = sv._Integral(mesh, fn(xs), {}, 0.0)
         error = abs(np.sum(integral.panels) - exact)
         assert 0.0 < error <= integral.panel_error * np.sum(np.abs(integral.panels))
@@ -1097,6 +1098,25 @@ class TestMeshFactorsAreEvaluatedOnce:
         near = np.count_nonzero((0.0 < mesh.xs) & (mesh.xs < sv._DIRECT_STEPS * dx))
         return anchors, near
 
+    @pytest.mark.parametrize(
+        "family,params",
+        [("beta", {"alpha": 2.0, "beta": 3.0}), ("prr", {"s": 2.5}), ("vg", {"r": 3.0, "theta": 0.5, "sigma": 1.0})],
+    )
+    def test_cached_arrays_are_read_only_and_the_range_table_immutable(self, family, params):
+        spec = cat.make_spec(family, **params)
+        mesh = sv.build_mesh(spec)
+        solve(spec, SineTest(1.0), mesh=mesh)
+        arrays = [value for value in mesh._memo.values() if isinstance(value, np.ndarray)]
+        assert arrays or family == "vg"  # vg keeps one tuple of arrays, read-only by its own build
+        assert not any(array.flags.writeable for array in arrays)
+        built = []
+        first = mesh.cached("probe", lambda: built.append(1) or np.zeros(3))
+        assert mesh.cached("probe", lambda: built.append(2) or np.ones(3)) is first and built == [1]
+        # one row per panel next to a delicate point, each a tuple of tuples
+        assert isinstance(mesh.ranges, tuple) and mesh.ranges
+        assert all(isinstance(row, tuple) and isinstance(row[2], tuple) for row in mesh.ranges)
+        assert len({i for i, _, _ in mesh.ranges}) == len(mesh.ranges)
+
     def test_vg_scaled_bessels_at_the_anchors_and_the_near_origin_nodes(self, monkeypatch):
         spec = cat.make_spec("vg", r=3.0, theta=0.0, sigma=1.0)
         mesh = sv.build_mesh(spec)
@@ -1175,7 +1195,7 @@ class TestPrrInterpolantAtTheNodes:
 
         monkeypatch.setattr(sv.sf.Hermite, "at", recorded)
         solve(spec, CosineTest(1.3), mesh=mesh)
-        assert [np.shape(y)[0] for y, _ in named] == [len(mesh.delicate[0.0]) + 1, mesh.grid.size - 1]
+        assert [np.shape(y)[0] for y, _ in named] == [sum(d == 0.0 for _, d, _ in mesh.ranges) + 1, mesh.grid.size - 1]
         for y, i in named:
             assert np.array_equal(np.broadcast_to(i, y.shape), _searched(mesh.grid, y))
 

@@ -214,6 +214,15 @@ class TestHypUAgainstMpmath:
         root, slope = sf.hyp_u_with_slope(-0.5, 0.5, x)
         assert np.array_equal(root, np.sqrt(x)) and np.array_equal(slope, 0.5 / np.sqrt(x))
 
+    @pytest.mark.parametrize("a", [0.0, -0.5, 4.67])
+    def test_nan_in_nan_out_and_the_limit_at_infinity(self, a):
+        # every branch reads NaN at NaN; at inf U(0, ., .) = 1, sqrt(x) is
+        # inf with slope 0, and U for a > 0 vanishes with its slope
+        values, slopes = sf.hyp_u_with_slope(a, 0.5, np.array([np.nan, np.inf]))
+        limit = {0.0: 1.0, -0.5: np.inf, 4.67: 0.0}[a]
+        assert np.isnan(values[0]) and np.isnan(slopes[0])
+        assert values[1] == limit and slopes[1] == 0.0
+
     def test_scalar_and_array_agree_bitwise(self):
         xs = np.geomspace(1e-6, 1e4, 300)
         vec = sf.hyp_u(4.67, 0.5, xs)

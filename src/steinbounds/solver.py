@@ -54,6 +54,28 @@ vg(3, 0, 1), whose grid has 10k distinct |x| and whose mesh has 140k
 nodes, 168 distinct |y| of them near the origin.  The mesh keeps one vg
 entry, the node factors and the grid prefactors, and no Bessel value.
 
+A test function comes to a solve as its tabulation on the mesh
+(``h.tabulate``): h at every node and h^(k) at every grid point, which
+the solve, the propagation and the residual read instead of evaluating
+h.  Every grid is uniform, so the sine and cosine tests take the vg
+anchors' block form too, exactly: sin and cos of a x only at every 16th
+grid step, counted from the point nearest 0, and at one table of
+offsets, the 16 steps an anchor owns (from 8 below it) and the 7 nodes
+of the panel from each.  With w = h and p = h' / a, w(x0 + t) = w(x0)
+cos(a t) + p(x0) sin(a t) and p(x0 + t) = p(x0) cos(a t) - w(x0) sin(a
+t), so one product of the anchors' pairs (anchors x 2) with the
+offsets' (cos, sin) rows (2 x offsets) gives w at the nodes, and one
+more w or p on the grid, h^(k) being a^k (w, p, -w, -p)[k mod 4] (the
+rule ``deriv`` follows too); the table keeps the pairs, and makes the
+nodes or a grid order when read.  A solve
+so evaluates about N / 8 sines and cosines for N = 20001 grid points,
+where it evaluated about 12 N (once at the 140k nodes, once on the grid
+per order and for the residual).  The values are within a few ulps of
+max(1, |a| max|x|) of direct evaluation: the table takes the grid's
+exact offsets, where the grid points and nodes are rounded.
+``expectation`` (the oracle), the adaptive ranges and the Gauss-Jacobi
+end rows still evaluate h directly.
+
 Three rules integrate.  Every grid panel is summed by the 7-point
 Gauss-Kronrod rule (G3/K7), whose embedded 3-point Gauss rule gives the
 panel an error estimate; the largest sum of them, relative to the sum of
@@ -104,6 +126,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -154,7 +177,6 @@ _WEIGHTS = np.array([
 # exceeds this cap (base solution accuracy ~1e-11, so the propagated noise
 # stays ~1e-5 at worst).
 _CUMULATIVE_AMPLIFICATION_CAP = 1.0e6
-_INTERIOR_EXCLUSION = 1.0e-3  # band excluded around a delicate point inside the grid
 _FILL_DEGREE = 6  # degree of the polynomial extension over masked bands
 _RESIDUAL_TRIM = 10  # grid points left out at either end of the residual check
 # The largest relative G3/K7 panel error estimate a solve may carry, the
@@ -168,7 +190,7 @@ _NARROW_ULPS = 4.0  # a range whose first such node lies within this many double
 _TINY = float(np.finfo(float).tiny)  # as does one whose first node lies closer to its end than this
 _TAYLOR_TERMS = 12  # terms of the vg Bessel series about an anchor
 _DIRECT_BAND = 256  # vg grid steps from the origin that are all Bessel anchors
-_ANCHOR_STEPS = 16  # grid steps between the vg Bessel anchors beyond that band
+_ANCHOR_STEPS = 16  # grid steps between the vg Bessel anchors beyond that band, and between the trig anchors
 _DIRECT_STEPS = 24  # vg nodes this many grid steps from the origin call scipy
 _BLOCK = np.arange(-_ANCHOR_STEPS // 2, _ANCHOR_STEPS // 2)  # the steps from a far anchor that it owns
 # the allocation policy, set once at the first mesh: callers that build no
@@ -182,13 +204,54 @@ _retain_freed_memory = functools.cache(sf.retain_freed_memory)
 
 
 @dataclass(frozen=True)
+class Tabulation:
+    """A test function h on one mesh: ``nodes()`` is h at every node
+    (shaped like mesh.xs) and ``deriv(k)`` h^(k) at every grid point, each
+    a fresh array that its caller owns.  Every solve reads h there, and
+    its SteinSolution carries the tabulation for propagation and the
+    residual; a trig tabulation keeps only its anchors, so a solution
+    holds no node or grid array for h."""
+
+    nodes: Callable[[], np.ndarray]
+    deriv: Callable[[int], np.ndarray]
+
+
+def _quarter_turn(a: float, order: int, wave):
+    """The order-th derivative of a wave w(a x) with w' = p: a^order (w,
+    p, -w, -p)[order mod 4] at a x, given wave = p(a x) for an odd order
+    and w(a x) for an even one."""
+    return a ** order * (-wave if order % 4 >= 2 else wave)
+
+
+def _anchor_blocks(grid):
+    """The anchors of a uniform grid and the offsets they own.  The
+    anchors are every _ANCHOR_STEPS-th step counted from the grid point
+    nearest 0 (the vg origin is one), out past both ends; each owns the
+    steps _BLOCK from it, and the PANEL_NODES nodes of the panel from
+    each.  Returns the anchors' x (a grid point, or one stepped out past
+    an end), the grid offsets (one per step of _BLOCK), the node offsets
+    (a row of PANEL_NODES per step) and the place of grid point 0 among
+    the anchors' steps, in order."""
+    n = grid.size
+    dx = (grid[-1] - grid[0]) / (n - 1)  # linspace's own step; a vg grid's to a rounding
+    i0 = int(np.argmin(np.abs(grid)))
+    first, last = (np.array([0, n - 1]) - i0 - _BLOCK[0]) // _ANCHOR_STEPS  # the blocks of the grid's ends
+    steps = i0 + _ANCHOR_STEPS * np.arange(first, last + 1)
+    on_grid = np.clip(steps, 0, n - 1)
+    x0 = grid[on_grid] + dx * (steps - on_grid)
+    return x0, dx * _BLOCK, dx * (_BLOCK[:, None] + (1.0 + _NODES) / 2.0), int(-_BLOCK[0] - steps[0])
+
+
+@dataclass(frozen=True)
 class SineTest:
     """h(x) = sin(a x); every derivative norm over the real line is |a|^j.
     x is a float or an array, and the values follow numpy's rule: a
-    float in gives a float out."""
+    float in gives a float out.  ``slope`` is h' / a as a function of a
+    x, so every derivative is a quarter turn of (h, h' / a)."""
 
     freq: float = 1.0
     wave = staticmethod(np.sin)
+    slope = staticmethod(np.cos)
     prefix = "sine"
 
     def __post_init__(self):
@@ -200,7 +263,31 @@ class SineTest:
 
     def deriv(self, x, order: int):
         a = self.freq
-        return a ** order * self.wave(a * x + order * math.pi / 2.0)
+        return _quarter_turn(a, order, (self.slope if order % 2 else self.wave)(a * x))
+
+    def tabulate(self, mesh) -> Tabulation:
+        """h at mesh's nodes and h^(k) on its grid from one wave pair per
+        anchor (_anchor_blocks): with w = h and p = h' / a, w(x0 + t) =
+        w(x0) cos(a t) + p(x0) sin(a t) and p(x0 + t) = p(x0) cos(a t) -
+        w(x0) sin(a t), one (anchors, 2) x (2, offsets) product each time
+        the nodes or a grid order are read.  einsum, not BLAS: einsum
+        rounds each product and their sum, where a BLAS kernel may fuse
+        them, and which kernel runs can depend on the thread count."""
+        a, n = self.freq, mesh.grid.size
+        x0, grid_offsets, node_offsets, start = _anchor_blocks(mesh.grid)
+        w0, p0 = self.wave(a * x0), self.slope(a * x0)
+        pairs = np.stack([w0, p0], axis=1), np.stack([p0, -w0], axis=1)  # (w, p) and (p, -w) at the anchors
+
+        def turned(pair, t):
+            """pair . (cos(a t), sin(a t)) at every anchor and offset t, in the grid's order from its first point."""
+            at = a * t.ravel()
+            out = np.einsum("ik,kj->ij", pair, np.stack([np.cos(at), np.sin(at)]))
+            return out.reshape(-1, *t.shape[1:])[start:start + n]
+
+        def deriv(order):
+            return _quarter_turn(a, order, turned(pairs[order % 2], grid_offsets))
+
+        return Tabulation(lambda: turned(pairs[0], node_offsets)[:n - 1], deriv)
 
     def norm(self, order: int) -> float:
         return abs(self.freq) ** order if order else 1.0
@@ -213,10 +300,15 @@ class SineTest:
         return f"{self.prefix}:{self.freq:g}"
 
 
+def _minus_sin(t):
+    return -np.sin(t)
+
+
 class CosineTest(SineTest):
     """h(x) = cos(a x), with the norms of the sine test."""
 
     wave = staticmethod(np.cos)
+    slope = staticmethod(_minus_sin)
     prefix = "cosine"
 
 
@@ -233,6 +325,10 @@ class PolyProbe:
     def deriv(self, x, order: int):
         c = npoly.polyder(self.coeffs, order) if order else self.coeffs
         return npoly.polyval(x, c)
+
+    def tabulate(self, mesh) -> Tabulation:
+        """h at mesh's nodes and h^(k) on its grid, each by polyval."""
+        return Tabulation(functools.partial(self.value, mesh.xs), functools.partial(self.deriv, mesh.grid))
 
     def norm(self, order: int) -> float:
         raise ValueError("polynomial probes are unbounded; no analytic sup-norms")
@@ -611,13 +707,16 @@ class SteinSolution:
     function h, sampled on a grid, with derivative values propagated
     through the iterated equations.  filled[k] is a read-only bool array
     on the grid, True where derivs[k] was extrapolated (_fill_masked)
-    rather than computed; all False for the orders the solve returns."""
+    rather than computed; all False for the orders the solve returns.
+    table is h on the solve's mesh (h.tabulate), from which propagation
+    and the residual read h^(k) on the grid."""
 
     grid: np.ndarray
     derivs: dict[int, np.ndarray]
     filled: dict[int, np.ndarray]
     spec: DistributionSpec
     h: object
+    table: Tabulation
     diagnostics: dict
 
 
@@ -643,7 +742,7 @@ def residual_norm(sol: SteinSolution) -> float:
     inner = slice(_RESIDUAL_TRIM, -_RESIDUAL_TRIM)
     x = sol.grid[inner]
     f = sol.derivs[0][inner]
-    htilde = sol.h.value(x) - sol.diagnostics["mean_value"]
+    htilde = sol.table.deriv(0)[inner] - sol.diagnostics["mean_value"]
     op = spec.operator
     res = npoly.polyval(x, op.a1) * sol.derivs[1][inner] + npoly.polyval(x, op.a0) * f - htilde
     if spec.operator_order == 2:
@@ -666,13 +765,15 @@ def solve(spec: DistributionSpec, h, *, mesh: Mesh | None = None) -> SteinSoluti
     elif mesh.spec is not spec:
         raise ValueError("the mesh was built for a different spec")
     if spec.operator_order == 1:
-        derivs, diags = _solve_first_order(mesh, h)
+        representation = _solve_first_order
     elif spec.family == "vg":
-        derivs, diags = _solve_vg(mesh, h)
+        representation = _solve_vg
     elif spec.family == "prr":
-        derivs, diags = _solve_prr(mesh, h)
+        representation = _solve_prr
     else:
         raise ValueError(f"no solver for family {spec.family}")
+    table = h.tabulate(mesh)
+    derivs, diags = representation(mesh, h, table)
     if not diags["panel_error"] <= _PANEL_ERROR_BOUND:
         raise NumericError(
             f"panel quadrature error estimate {diags['panel_error']:.2e} (relative) exceeds"
@@ -681,14 +782,15 @@ def solve(spec: DistributionSpec, h, *, mesh: Mesh | None = None) -> SteinSoluti
     computed = np.zeros(mesh.grid.shape, dtype=bool)  # one read-only mask for every order of the solve
     computed.flags.writeable = False
     filled = dict.fromkeys(derivs, computed)
-    return SteinSolution(grid=mesh.grid, derivs=derivs, filled=filled, spec=spec, h=h, diagnostics=diags)
+    return SteinSolution(grid=mesh.grid, derivs=derivs, filled=filled, spec=spec, h=h, table=table, diagnostics=diags)
 
 
-def _split_integral(mesh, h, density):
+def _split_integral(mesh, h, table, density):
     """The integral of p * (h - E h) at every grid point: from the lower
     support end up to x left of the median, minus the one from x to the
-    upper end on its right, each side integrating its own tail.  density
-    is p at the mesh nodes (a mesh factor).
+    upper end on its right, each side integrating its own tail.  table is
+    h on the mesh (h.tabulate), density p at the mesh nodes (a mesh
+    factor).
 
     E h is taken from the same mesh: the G3/K7 panel sums of p * h plus
     its integrals over the ranges beyond the grid and next to the
@@ -698,9 +800,9 @@ def _split_integral(mesh, h, density):
     Returns the values, the diagnostics of the solve (E h as mean_value,
     the mass), the _Integral and the mesh's _Ends."""
     ends = mesh.cached("ends", lambda: _Ends(mesh, density))
-    hx = h.value(mesh.xs)
     ph, error = ends.integrals(h)
     # einsum, not BLAS: a threaded dot would sum in an order that depends on the thread count
+    hx = table.nodes()
     eh = float(np.einsum("i,i->", ends.panel_weights, hx.ravel()) + ends.coefficients @ ph) / ends.mass
     ranges = dict(zip(ends.keys, (ph - eh * ends.p).tolist()))
     hx -= eh
@@ -711,9 +813,9 @@ def _split_integral(mesh, h, density):
     return np.where(mesh.grid <= mesh.median, *from_ends), diags, integral, ends
 
 
-def _solve_first_order(mesh, h):
+def _solve_first_order(mesh, h, table):
     spec = mesh.spec
-    numer, diags, integral, _ = _split_integral(mesh, h, mesh.cached("density", lambda: spec.density(mesh.xs)))
+    numer, diags, integral, _ = _split_integral(mesh, h, table, mesh.cached("density", lambda: spec.density(mesh.xs)))
     f = numer / mesh.cached("s_density", lambda: npoly.polyval(mesh.grid, spec.operator.a1) * spec.density(mesh.grid))
     return {0: f}, _error_budget(integral) | diags
 
@@ -812,7 +914,7 @@ def _vg_bessels(mesh, nu, alpha):
     return np.concatenate([grid_i, grid_k]), nodes_i, nodes_k
 
 
-def _solve_vg(mesh, h):
+def _solve_vg(mesh, h, table):
     spec, grid = mesh.spec, mesh.grid
     eh = expectation(spec, h)
     r, theta, sigma = spec.params["r"], spec.params["theta"], spec.params["sigma"]
@@ -885,7 +987,8 @@ def _solve_vg(mesh, h):
     if abs(grid[i0]) > 1e-12:
         raise NumericError("vg grid must contain the origin")
     (fac_i, fac_k), (k_part, i_part, dk_part, di_part) = mesh.cached("vg", factors)
-    h_nodes = htilde(mesh.xs)
+    h_nodes = table.nodes()
+    h_nodes -= eh
     # the I-kernel integral is anchored at the origin: anchoring it at a
     # grid edge would difference huge tail values and destroy the small
     # near-origin integrals.  The K-kernel integral runs to +inf for
@@ -909,7 +1012,7 @@ def _solve_vg(mesh, h):
     return {0: f, 1: f1}, _error_budget(int_i, int_k) | {"mean_value": eh}
 
 
-def _solve_prr(mesh, h):
+def _solve_prr(mesh, h, table):
     """f = (v/s) A with A(x) the integral of g / (v kappa) from 0 to x,
     where g is the split integral of kappa * (h - E h), kappa being the
     density, and f' = (v' A + g / kappa) / s, v' the slope of the same U
@@ -923,11 +1026,11 @@ def _solve_prr(mesh, h):
     # density_over_v * U at both, and v * kappa is U times that
     u = mesh.cached("v_nodes", lambda: spec.kernel_v(mesh.xs))
     kappa = mesh.cached("prr_density", lambda: spec.density_over_v(mesh.xs) * u)
-    g_vals, diags, inner, ends = _split_integral(mesh, h, kappa)
+    g_vals, diags, inner, ends = _split_integral(mesh, h, table, kappa)
     eh = diags["mean_value"]
     v = mesh.cached("v", lambda: spec.kernel_v(grid))
     kappa_grid = mesh.cached("prr_density_grid", lambda: spec.density_over_v(grid) * v)
-    g = sf.Hermite(grid, g_vals, kappa_grid * (h.value(grid) - eh))
+    g = sf.Hermite(grid, g_vals, kappa_grid * (table.deriv(0) - eh))
 
     # the ranges from 0 and the panels next to it are _split_integral's
     # Gauss-Legendre rows (gamma = 0: the density is analytic in x there),
@@ -992,18 +1095,19 @@ def propagate_derivatives(sol: SteinSolution, max_order: int) -> SteinSolution:
     """Extend sol.derivs up to max_order by solving each level equation
     pointwise for its top derivative.  The solve supplies every order
     below the operator order (f, and f' for vg and PRR), so no derivative
-    here is a numerical one.
+    here is a numerical one.  The right-hand sides h^(k) come from
+    sol.table.
 
-    Points where the top-derivative coefficient is too small relative to
-    the other operator coefficients (vanishing leading coefficient at a
-    support edge, or at a delicate point inside the grid: the interior
-    zero of the vg operator) are excluded
-    from the algebra and filled by one-sided degree-6 polynomial
-    extension.  The mask of each propagated order k is kept as
+    Points near a delicate point where the top-derivative coefficient is
+    too small relative to the other operator coefficients (a vanishing
+    leading coefficient at a support edge), and points where the division
+    is not finite (the interior zero of the vg operator, at its origin),
+    are excluded from the algebra and filled by one-sided degree-6
+    polynomial extension.  The mask of each propagated order k is kept as
     filled[k] (SteinSolution), and diagnostics["filled_points"] counts
     the filled points of every order.
     """
-    spec, h = sol.spec, sol.h
+    spec = sol.spec
     cap = spec.propagation_cap()
     if cap is not None and max_order > cap:
         raise ValidityError(
@@ -1015,16 +1119,13 @@ def propagate_derivatives(sol: SteinSolution, max_order: int) -> SteinSolution:
     fs, filled = dict(sol.derivs), dict(sol.filled)
     amp_prod = np.ones_like(grid)
     near_singular = np.zeros(len(grid), dtype=bool)
-    interior = np.zeros(len(grid), dtype=bool)
     span = grid[-1] - grid[0]
     for d in spec.delicate_points:
         near_singular |= np.abs(grid - d) < 0.15 * span
-        if grid[0] < d < grid[-1]:
-            interior |= np.abs(grid - d) < _INTERIOR_EXCLUSION
-    htilde = h.value(grid) - eh  # the k = 0 right-hand side and the residual's scale
+    htilde = sol.table.deriv(0) - eh  # the k = 0 right-hand side and the residual's scale
     for k in range(0, max(0, max_order - p + 1)):
         level = spec.operator.level(k)
-        rhs = htilde if k == 0 else h.deriv(grid, k)
+        rhs = htilde if k == 0 else sol.table.deriv(k)
         for off, c in level.rhs:
             rhs = rhs + npoly.polyval(grid, c) * fs[k + off]
         # the top coefficient, on f^(k+p), divides; the rest act on f^(k+p-1), ..., f^(k)
@@ -1036,7 +1137,7 @@ def propagate_derivatives(sol: SteinSolution, max_order: int) -> SteinSolution:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             top = (rhs - lower) / denom
             amp_prod = amp_prod * np.maximum(numer_scale / np.abs(denom), 1.0)
-        mask = ((amp_prod > _CUMULATIVE_AMPLIFICATION_CAP) & near_singular) | ~np.isfinite(top) | interior
+        mask = ((amp_prod > _CUMULATIVE_AMPLIFICATION_CAP) & near_singular) | ~np.isfinite(top)
         mask.flags.writeable = False
         fs[k + p], filled[k + p] = _fill_masked(grid, top, mask, spec.delicate_points), mask
     diags = dict(sol.diagnostics)

@@ -84,6 +84,69 @@ class TestTestFunctions:
             cls(freq)
 
 
+_TABLE_SPECS = [*vf.default_sweep_specs(), cat.make_spec("vg", r=2.0, theta=1.2, sigma=1.0)]
+
+
+class TestTrigTables:
+    """A trig test function's tabulation on a mesh (h.tabulate) takes h at
+    every node and h^(k) on the grid from one wave pair per anchor, every
+    _ANCHOR_STEPS-th grid step, by the angle-sum identities."""
+
+    @pytest.mark.parametrize("spec", _TABLE_SPECS, ids=lambda s: f"{s.family}({s.param_string()})")
+    def test_tables_agree_with_direct_evaluation(self, spec):
+        # the table evaluates h at the uniform grid's exact offsets from
+        # each anchor, which differ from the rounded grid points and nodes
+        # by a rounding of the grid's largest |x|: the bound is a few ulps
+        # of max(1, |a| max|x|) max(1, |a|^k)
+        mesh = sv.build_mesh(spec)
+        reach = float(np.max(np.abs(mesh.grid)))
+        for cls in (SineTest, CosineTest):
+            for a in (-1.7, 0.0, 1.0, 2.5):
+                h = cls(a)
+                table = h.tabulate(mesh)
+                ulp = np.finfo(float).eps * max(1.0, abs(a) * reach)
+                nodes = table.nodes()
+                assert nodes.shape == mesh.xs.shape
+                assert np.max(np.abs(nodes - h.value(mesh.xs))) <= 4.0 * ulp, (h.name, "nodes")
+                for k in range(5):
+                    error = np.max(np.abs(table.deriv(k) - h.deriv(mesh.grid, k)))
+                    assert error <= 4.0 * ulp * max(1.0, abs(a) ** k), (h.name, k)
+
+    def test_a_probe_table_is_its_direct_values(self):
+        spec = cat.make_spec("gamma", r=2.0, lam=1.0)
+        mesh = sv.build_mesh(spec)
+        h = PolyProbe((0.5, -1.0, 0.25, 2.0))
+        table = h.tabulate(mesh)
+        assert np.array_equal(table.nodes(), h.value(mesh.xs))
+        for k in range(5):
+            assert np.array_equal(table.deriv(k), h.deriv(mesh.grid, k))
+
+    @pytest.mark.parametrize("family,params", [("normal", {}), ("vg", {"r": 3.0, "theta": 0.5, "sigma": 1.0})])
+    def test_no_wave_call_on_the_grid_or_the_nodes(self, family, params):
+        # the solve, the propagation to order 4 and the residual read h
+        # from the table: every sine or cosine call is on the anchors or
+        # on the few nodes of a quadrature rule
+        sizes = []
+
+        def counted(fn):
+            def wave(t):
+                sizes.append(np.size(t))
+                return fn(t)
+            return staticmethod(wave)
+
+        class CountingSine(SineTest):
+            wave = counted(np.sin)
+            slope = counted(np.cos)
+
+        spec = cat.make_spec(family, **params)
+        mesh = sv.build_mesh(spec)
+        sol = propagate_derivatives(solve(spec, CountingSine(1.3), mesh=mesh), 4)
+        assert sol.diagnostics["residual"] >= 0.0
+        anchors = sv._anchor_blocks(mesh.grid)[0].size
+        assert sizes.count(anchors) == 2  # the wave and its slope, once each
+        assert max(sizes) < mesh.grid.size
+
+
 class TestExpectation:
     def test_odd_integrand_vanishes(self):
         spec = cat.make_spec("normal")
@@ -694,7 +757,8 @@ class TestEndRules:
         spec = cat.make_spec(family, **params)
         mesh = sv.build_mesh(spec)
         density = mesh.cached("density", lambda: spec.density(mesh.xs))
-        _, _, integral, _ = sv._split_integral(mesh, CosineTest(1.0), density)
+        h = CosineTest(1.0)
+        _, _, integral, _ = sv._split_integral(mesh, h, h.tabulate(mesh), density)
         lower, upper = (integral.from_anchor(end) for end in spec.support)
         assert np.max(np.abs(lower - upper)) <= 1e-14 * np.sum(np.abs(integral.panels))
 
@@ -802,7 +866,7 @@ class TestRangesNextToDelicatePoints:
         assert ranges == [(math.inf, float(mesh.grid[-1]))] * 2
         monkeypatch.undo()
         eh = sol.diagnostics["mean_value"]
-        g_vals, _, _, ends = sv._split_integral(mesh, h, mesh.cached("prr_density", None))
+        g_vals, _, _, ends = sv._split_integral(mesh, h, h.tabulate(mesh), mesh.cached("prr_density", None))
         ruled = ends.keys[:len(ends.unit)]
         assert set(ruled) == {(0.0, float(mesh.grid[0]))} | {
             (float(mesh.grid[i]), float(mesh.grid[i + 1])) for i, d, _ in mesh.ranges if d == 0.0
